@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure-Python arithmetic kernels.
+"""Time the arithmetic kernel on its two hot paths.
 
-Runs identical workloads through both implementations, checks that the
-results agree entry for entry, and prints wall-clock timings.  Workloads
-are seeded, so repeated runs measure the same computation.
+Times row reduction of one dense random matrix and a batch of polynomial
+products over Q(zeta_N), best of several repeats.  Workloads are seeded, so
+repeated runs measure the same computation.
 
     python3 benchmarks/kernel_bench.py [--size 40] [--conductor 12] [--repeat 3]
 """
@@ -13,14 +13,9 @@ import random
 import sys
 import time
 
-from nicholsforge._kernel import py_impl
+from nicholsforge._kernel import active as kernel
 from nicholsforge._rat import RAT, R_ZERO
 from nicholsforge.scalars import field_context
-
-try:
-    from nicholsforge._kernel import cy_impl
-except ImportError:
-    cy_impl = None
 
 
 def random_poly(rng, phi):
@@ -34,28 +29,27 @@ def build_matrix(rng, nrows, ncols, phi):
     return [[random_poly(rng, phi) for _ in range(ncols)] for _ in range(nrows)]
 
 
-def bench(kernel, rows, ctx, repeat):
+def bench(rows, ctx, repeat):
     red, modpoly = ctx.red, ctx.modpoly
     best = None
-    result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = kernel.rref_rows(rows, red, modpoly)
+        kernel.rref_rows(rows, red, modpoly)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    return best, result
+    return best
 
 
-def bench_mul(kernel, pairs, ctx, repeat):
+def bench_mul(pairs, ctx, repeat):
     red = ctx.red
     best = None
-    out = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = [kernel.poly_mul(a, b, red) for a, b in pairs]
+        for a, b in pairs:
+            kernel.poly_mul(a, b, red)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    return best, out
+    return best
 
 
 def main():
@@ -74,26 +68,9 @@ def main():
     print(f"conductor {args.conductor} (degree {ctx.phi}), "
           f"matrix {args.size} x {args.size * 3 // 2}, best of {args.repeat}")
 
-    t_py, r_py = bench(py_impl, rows, ctx, args.repeat)
-    m_py, p_py = bench_mul(py_impl, pairs, ctx, args.repeat)
-    print(f"python  rref {t_py * 1000:8.1f} ms   mul x4000 {m_py * 1000:8.1f} ms")
-
-    if cy_impl is None:
-        print("cython  not built; install with the extension to compare")
-        return 0
-
-    t_cy, r_cy = bench(cy_impl, rows, ctx, args.repeat)
-    m_cy, p_cy = bench_mul(cy_impl, pairs, ctx, args.repeat)
-    print(f"cython  rref {t_cy * 1000:8.1f} ms   mul x4000 {m_cy * 1000:8.1f} ms")
-    print(f"speedup rref {t_py / t_cy:6.2f}x          mul {m_py / m_cy:6.2f}x")
-
-    if r_py[0] != r_cy[0] or [list(r) for r in r_py[1]] != [list(r) for r in r_cy[1]]:
-        print("MISMATCH: kernels disagree on rref output", file=sys.stderr)
-        return 1
-    if p_py != p_cy:
-        print("MISMATCH: kernels disagree on products", file=sys.stderr)
-        return 1
-    print("kernels agree on all outputs")
+    t_rref = bench(rows, ctx, args.repeat)
+    t_mul = bench_mul(pairs, ctx, args.repeat)
+    print(f"{kernel.IMPL}  rref {t_rref * 1000:8.1f} ms   mul x4000 {t_mul * 1000:8.1f} ms")
     return 0
 
 

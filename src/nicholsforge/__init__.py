@@ -2,9 +2,8 @@
 
 Everything runs over cyclotomic fields with rational coefficients; there is
 no floating point in any code path that decides a rank, a dimension, or an
-axiom.  The heavy linear algebra sits behind a small kernel interface with a
-compiled (Cython) implementation and a pure Python twin, selected at import
-time; set NICHOLS_FORGE_KERNEL=py|c|auto to override.
+axiom.  The heavy linear algebra runs in one pure-Python kernel
+(`nicholsforge._kernel`) on tuples of rationals.
 """
 
 from ._kernel import KERNEL_NAME

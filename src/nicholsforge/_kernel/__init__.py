@@ -1,35 +1,11 @@
-"""Arithmetic kernel selection.
+"""The arithmetic kernel: pure-Python cyclotomic residue arithmetic and RREF.
 
-Two interchangeable implementations of the low-level cyclotomic arithmetic
-exist: a compiled Cython module (cy_impl) and a pure-Python one (py_impl).
-The compiled one is preferred when importable.  NICHOLS_FORGE_KERNEL forces
-the choice:
-
-    NICHOLS_FORGE_KERNEL=c    require the compiled kernel, fail otherwise
-    NICHOLS_FORGE_KERNEL=py   use the pure-Python kernel
-    NICHOLS_FORGE_KERNEL=auto compiled if available, else fall back (default)
-
-The decision is made once at import time.  Both kernels expose the same
-functions and must produce identical results; tests/test_kernels.py compares
-them on shared inputs whenever both are importable.
+`py_impl` is the only implementation.  It is still reached through the
+names `active` and `KERNEL_NAME` because the benchmark harness (perfbench/)
+resolves `active.rref_rows`, `active.poly_mul` and `active.poly_inv` to
+trace and count them, and prints `KERNEL_NAME` in its header.
 """
 
-import os
-
-_mode = os.environ.get("NICHOLS_FORGE_KERNEL", "auto").strip().lower()
-
-if _mode == "py":
-    from . import py_impl as active
-elif _mode == "c":
-    from . import cy_impl as active  # type: ignore[no-redef]
-elif _mode == "auto" or _mode == "":
-    try:
-        from . import cy_impl as active  # type: ignore[no-redef]
-    except ImportError:
-        from . import py_impl as active
-else:
-    raise RuntimeError(
-        f"NICHOLS_FORGE_KERNEL={_mode!r} not understood; use 'c', 'py' or 'auto'"
-    )
+from . import py_impl as active
 
 KERNEL_NAME = active.IMPL

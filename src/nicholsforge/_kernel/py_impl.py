@@ -8,8 +8,7 @@ more than a single reduction pass.
 
 The hot entry point is rref_rows: full Gauss-Jordan elimination producing
 the (unique) reduced row echelon form, which everything upstream relies on
-for canonical bases.  The compiled twin in cy_impl.pyx mirrors this module
-function for function; keep the two in sync.
+for canonical bases.
 """
 
 from .._rat import RAT, R_ONE, R_ZERO
@@ -71,8 +70,12 @@ def _trim(coeffs):
     return coeffs[:n]
 
 
-def _poly_divmod(num, den):
-    # Lists of rationals, lowest degree first, den nonzero and trimmed.
+def poly_divmod(num, den):
+    """(quotient, remainder) of rational polynomials, lowest degree first.
+
+    `den` must be nonzero and trimmed; the remainder comes back trimmed, so it
+    is empty exactly when the division is exact.
+    """
     num = list(num)
     dd = len(den) - 1
     lead_inv = R_ONE / den[dd]
@@ -98,7 +101,7 @@ def poly_inv(a, modpoly):
     r0, r1 = list(modpoly), _trim(list(a))
     t0, t1 = [], [R_ONE]
     while len(r1) > 1:
-        q, r = _poly_divmod(r0, r1)
+        q, r = poly_divmod(r0, r1)
         # t0 - q*t1
         t = list(t0) + [R_ZERO] * max(0, len(q) + len(t1) - 1 - len(t0))
         for i, qi in enumerate(q):

@@ -21,7 +21,10 @@ def resolve_threads(explicit: Optional[int] = None) -> int:
         value = int(explicit)
     else:
         raw = os.environ.get(ENV_VAR, "").strip()
-        value = int(raw) if raw else 1
+        try:
+            value = int(raw) if raw else 1
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ValueError(f"thread count must be >= 1, got {value}")
     return value

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import click
 
-from ._threads import pmap
+from ._threads import pmap, resolve_threads
 from .braided import braiding_from_json
 from .dualize import generation_check, gragrc_check, pairing_report
 from .filtration import (
@@ -76,9 +76,19 @@ def _read_json(path: str):
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}")
     try:
-        return json.loads(raw), _digest(raw)
+        obj = json.loads(raw)
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}")
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} must hold a JSON object at the top level")
+    return obj, _digest(raw)
+
+
+def _thread_count(explicit: Optional[int]) -> int:
+    try:
+        return resolve_threads(explicit)
+    except ValueError as err:
+        raise InputError(str(err))
 
 
 def _finish(command: str, digest: str, results: dict, warnings: List[str],
@@ -108,7 +118,7 @@ def _json_option(fn):
 
 
 def _threads_option(fn):
-    return click.option("--threads", type=int, default=None,
+    return click.option("--threads", type=click.IntRange(min=1), default=None,
                         help="Worker threads (default: NICHOLS_FORGE_THREADS or 1).")(fn)
 
 
@@ -132,6 +142,7 @@ def main():
 def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_json):
     """Run the primitive-quotient engine on a braiding file."""
     started = time.monotonic()
+    threads = _thread_count(threads)
     obj, digest = _read_json(braiding_file)
     try:
         braiding = braiding_from_json(obj)
@@ -410,6 +421,7 @@ def is_nichols(hopf_file, as_json):
 def fusion_verify(fusion_file, threads, as_json):
     """Check pentagon, units, duality, and both hexagons on fusion data."""
     started = time.monotonic()
+    threads = _thread_count(threads)
     obj, digest = _read_json(fusion_file)
     try:
         data = fusion_from_json(obj)

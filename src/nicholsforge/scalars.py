@@ -64,23 +64,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _poly_exact_div(num: list, den: list) -> list:
-    # Exact division of rational polynomials, lowest degree first, den monic-led.
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    quot = [R_ZERO] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q = c / lead
-            quot[i - dd] = q
-            for k in range(dd + 1):
-                num[i - dd + k] -= q * den[k]
-    assert all(not c for c in num), "division was not exact"
-    return quot
-
-
 # RLock: the recursion below re-enters while holding the lock.
 _cyclo_cache: dict[int, tuple] = {}
 _cyclo_lock = threading.RLock()
@@ -101,7 +84,8 @@ def cyclotomic_polynomial(n: int) -> tuple:
         poly[n] = R_ONE
         for d in _divisors(n):
             if d != n:
-                poly = _poly_exact_div(poly, list(cyclotomic_polynomial(d)))
+                poly, rem = _K.poly_divmod(poly, cyclotomic_polynomial(d))
+                assert not rem, "division was not exact"
         result = tuple(poly)
         _cyclo_cache[n] = result
         return result

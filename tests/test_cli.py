@@ -65,6 +65,49 @@ def test_missing_input_file_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+FILE_COMMANDS = [
+    ["nichols", "--max-degree", "4"],
+    ["verify"],
+    ["gr", "--filtration", "radical"],
+    ["degenerate", "--filtration", "coradical"],
+    ["is-nichols"],
+    ["fusion-verify"],
+]
+
+
+@pytest.mark.parametrize("top", ["[]", '"s"', "null"])
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
+def test_non_object_document_is_usage_error(runner, tmp_path, command, top):
+    path = tmp_path / "doc.json"
+    path.write_text(top)
+    result = runner.invoke(main, [command[0], str(path), *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert "JSON object" in result.output
+
+
+@pytest.fixture()
+def z2_file(tmp_path, runner):
+    out = tmp_path / "z2.json"
+    result = runner.invoke(main, ["fusion-gen", "--group", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return str(out)
+
+
+@pytest.mark.parametrize("flag, env", [
+    pytest.param(["--threads", "0"], {}, id="flag-0"),
+    pytest.param([], {"NICHOLS_FORGE_THREADS": "0"}, id="env-0"),
+    pytest.param([], {"NICHOLS_FORGE_THREADS": "abc"}, id="env-abc"),
+])
+@pytest.mark.parametrize("command", ["nichols", "fusion-verify"])
+def test_bad_thread_count_is_usage_error(runner, qp_file, z2_file, command, flag, env):
+    # nichols runs without --oracle-degree, so no thread pool is ever asked for
+    args = {"nichols": ["nichols", qp_file, "--max-degree", "4"],
+            "fusion-verify": ["fusion-verify", z2_file]}[command]
+    result = runner.invoke(main, args + flag, env=env)
+    assert result.exit_code == 2, result.output
+    assert "Error" in result.output
+
+
 def test_emit_hopf_refused_when_undetermined(runner, tmp_path):
     doc = tmp_path / "free.json"
     doc.write_text(json.dumps({"type": "diagonal", "q": [["1"]]}))
