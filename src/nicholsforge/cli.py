@@ -332,8 +332,9 @@ def degenerate(hopf_file, kind, samples, out, as_json):
     started = time.monotonic()
     t, digest = _load_hopf(hopf_file)
     f = _build_filtration(t, kind)
+    parts = [part.strip() for part in samples.split(",") if part.strip()]
     try:
-        lams = [parse_scalar(part.strip()) for part in samples.split(",") if part.strip()]
+        lams = [parse_scalar(part) for part in parts]
     except (ValueError, KeyError) as err:
         raise InputError(f"bad --lambda-samples: {err}")
     if not lams:
@@ -358,8 +359,8 @@ def degenerate(hopf_file, kind, samples, out, as_json):
     if out is not None:
         save_document(out, hopf_to_json(limit))
     lines = ["parameter        primitives"]
-    for lam, d in zip(samples.split(","), dims):
-        lines.append(f"{lam.strip():<16} {d}")
+    for part, d in zip(parts, dims):
+        lines.append(f"{part:<16} {d}")
     lines.append(f"{'limit':<16} {dims[-1]}")
     lines.append(f"limit axioms       {'pass' if axioms.passed else 'FAIL'}")
     lines.append(f"matches gr         {'pass' if matches else 'FAIL'}")

@@ -139,7 +139,18 @@ def fusion_to_json(F: FusionData) -> dict:
 def fusion_from_json(obj: dict) -> FusionData:
     if obj.get("format") != FUSION_FORMAT:
         raise ValueError(f"not a {FUSION_FORMAT} document")
-    fusion = {(int(i), int(j), int(k)): int(n) for i, j, k, n in obj["fusion"]}
+    size = int(obj["size"])
+    fusion = {}
+    for row in obj["fusion"]:
+        i, j, k, n = (int(x) for x in row)
+        if not all(0 <= x < size for x in (i, j, k)):
+            raise ValueError(f"fusion row {row} has an index outside 0..{size - 1}")
+        if n < 0:
+            raise ValueError(f"fusion row {row} has a negative multiplicity")
+        fusion[(i, j, k)] = n
+    dual = tuple(int(x) for x in obj["dual"])
+    if not all(0 <= x < size for x in dual):
+        raise ValueError(f"dual {list(dual)} has an index outside 0..{size - 1}")
     assoc = {
         tuple(int(x) for x in e["key"]): matrix_from_json(e) for e in obj["assoc"]
     }
@@ -150,10 +161,7 @@ def fusion_from_json(obj: dict) -> FusionData:
     right = {int(i): parse_scalar(v) for i, v in obj["right_units"]}
     ev = {int(e["key"][0]): matrix_from_json(e) for e in obj["ev"]}
     coev = {int(e["key"][0]): matrix_from_json(e) for e in obj["coev"]}
-    return FusionData(
-        int(obj["size"]), fusion, assoc, braiding, left, right,
-        tuple(int(x) for x in obj["dual"]), ev, coev,
-    )
+    return FusionData(size, fusion, assoc, braiding, left, right, dual, ev, coev)
 
 
 def canonical_dumps(obj: dict) -> str:

@@ -21,9 +21,10 @@ plain flip).  Every verifier reports located failures instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm, prod
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .braided import DiagonalBraiding
 from .linalg import Matrix, inverse, rank
@@ -54,9 +55,24 @@ class FusionData:
     dual: Tuple[int, ...]
     ev: Dict[int, Matrix]    # 1 x dim V[dual(i),i -> 0]
     coev: Dict[int, Matrix]  # dim V[i,dual(i) -> 0] x 1
+    # (i, j) -> ((k, N_ij^k), ...) over the nonzero entries, k ascending
+    _rules: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        rules: Dict[Tuple[int, int], list] = {}
+        for (i, j, k), n in sorted(self.fusion.items()):
+            if n:
+                rules.setdefault((i, j), []).append((k, n))
+        object.__setattr__(self, "_rules", {key: tuple(v) for key, v in rules.items()})
 
     def dim(self, i: int, j: int, k: int) -> int:
         return self.fusion.get((i, j, k), 0)
+
+    def fuse(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
+        """The simples k in i (x) j with their multiplicities, k ascending."""
+        return self._rules.get((i, j), ())
 
     def assoc_block(self, i: int, j: int, k: int, a: int, b: int, c: int) -> Matrix:
         block = self.assoc.get((i, j, k, a, b, c))
@@ -83,36 +99,33 @@ class FusionReport:
 
 # -- direct sums of small tensor products -------------------------------------
 #
-# A vertex is an ordered list of (key, leg-dims); its coordinate space is the
-# direct sum over keys of the tensor product of the legs.  Steps are given as
-# blocks between individual components and assembled into one matrix.
+# A vertex is a key-sorted list of (key, leg-dims): one component per
+# labeling of the internal edges of a fusion tree, with coordinate space the
+# direct sum over components of the tensor product of the legs.  A jump
+# maps one component to the (key_out, dims_out, block) triples it reaches;
+# _route assembles the jumps into matrices between whole vertices.  Zero
+# blocks are kept, so a vertex lists every reachable labeling.  For
+# associative, symmetric fusion rules that is every admissible labeling of
+# its tree, so two routes between the same trees end on equal vertices.
+
+Vertex = List[Tuple[tuple, tuple]]
+Jump = Callable[[tuple, tuple], Iterable[Tuple[tuple, tuple, Matrix]]]
 
 
-def _total(comps: List[tuple]) -> int:
-    out = 0
-    for _, dims in comps:
-        d = 1
-        for x in dims:
-            d *= x
-        out += d
-    return out
+def _total(comps: Vertex) -> int:
+    return sum(prod(dims) for _, dims in comps)
 
 
-def _offsets(comps: List[tuple]) -> Dict[tuple, int]:
+def _offsets(comps: Vertex) -> Dict[tuple, int]:
     out = {}
     pos = 0
     for key, dims in comps:
         out[key] = pos
-        d = 1
-        for x in dims:
-            d *= x
-        pos += d
+        pos += prod(dims)
     return out
 
 
-def _assemble(comps_out: List[tuple], comps_in: List[tuple], blocks: Dict[tuple, Matrix]) -> Matrix:
-    rows = _total(comps_out)
-    cols = _total(comps_in)
+def _assemble(comps_out: Vertex, comps_in: Vertex, blocks: Dict[tuple, Matrix]) -> Matrix:
     roff = _offsets(comps_out)
     coff = _offsets(comps_in)
     entries = {}
@@ -121,7 +134,25 @@ def _assemble(comps_out: List[tuple], comps_in: List[tuple], blocks: Dict[tuple,
         c0 = coff[key_in]
         for (r, c), v in block.entries.items():
             entries[(r0 + r, c0 + c)] = v
-    return Matrix(rows, cols, entries)
+    return Matrix(_total(comps_out), _total(comps_in), entries)
+
+
+def _route(comps: Vertex, *jumps: Jump) -> Tuple[Vertex, Matrix]:
+    """Apply the jumps in order; return the end vertex and the composite map."""
+    total = None
+    for jump in jumps:
+        dims_out: Dict[tuple, tuple] = {}
+        blocks: Dict[tuple, Matrix] = {}
+        for key, dims in comps:
+            for key_out, dims_k, block in jump(key, dims):
+                dims_out[key_out] = dims_k
+                prev = blocks.get((key_out, key))
+                blocks[(key_out, key)] = block if prev is None else prev + block
+        out = sorted(dims_out.items())
+        step = _assemble(out, comps, blocks)
+        total = step if total is None else step @ total
+        comps = out
+    return comps, total
 
 
 def _flip(d1: int, d2: int) -> Matrix:
@@ -145,28 +176,13 @@ def _pair02(block: Matrix, src: tuple, tgt: tuple) -> Matrix:
     return Matrix(t0 * s1 * t2, s0 * s1 * s2, entries)
 
 
-def _sorted_comps(raw: Dict[tuple, tuple]) -> List[tuple]:
-    return [(key, raw[key]) for key in sorted(raw)]
-
-
 def _assoc_full(F: FusionData, x: int, y: int, z: int, b: int):
     """The whole associator at fixed outer indices: sum over a to sum over c."""
-    src = _sorted_comps({
-        (a,): (F.dim(x, y, a), F.dim(a, z, b))
-        for a in range(F.size)
-        if F.dim(x, y, a) and F.dim(a, z, b)
-    })
-    tgt = _sorted_comps({
-        (c,): (F.dim(x, c, b), F.dim(y, z, c))
-        for c in range(F.size)
-        if F.dim(x, c, b) and F.dim(y, z, c)
-    })
-    blocks = {}
-    for (a,), _ in src:
-        for (c,), _ in tgt:
-            block = F.assoc_block(x, y, z, a, b, c)
-            if not block.is_zero():
-                blocks[((c,), (a,))] = block
+    src = [((a,), (n, F.dim(a, z, b))) for a, n in F.fuse(x, y) if F.dim(a, z, b)]
+    tgt = [((c,), (F.dim(x, c, b), n)) for c, n in F.fuse(y, z) if F.dim(x, c, b)]
+    blocks = {
+        ((c,), (a,)): F.assoc_block(x, y, z, a, b, c) for (a,), _ in src for (c,), _ in tgt
+    }
     return _assemble(tgt, src, blocks), src, tgt
 
 
@@ -231,14 +247,11 @@ def well_formed(F: FusionData) -> FusionReport:
         cols = F.dim(i, j, a) * F.dim(a, k, b)
         if block.shape != (rows, cols):
             failures.append(("assoc-shape",) + key)
-    for i in range(s):
-        for j in range(s):
-            for k in range(s):
-                for b in range(s):
-                    full, src, tgt = _assoc_full(F, i, j, k, b)
-                    checked += 1
-                    if _total(src) != _total(tgt) or rank(full) != _total(src):
-                        failures.append(("assoc-not-invertible", i, j, k, b))
+    for i, j, k, b in product(range(s), repeat=4):
+        full, src, tgt = _assoc_full(F, i, j, k, b)
+        checked += 1
+        if _total(src) != _total(tgt) or rank(full) != _total(src):
+            failures.append(("assoc-not-invertible", i, j, k, b))
     return FusionReport("well-formed", not failures, tuple(failures[:32]), checked)
 
 
@@ -246,81 +259,51 @@ def well_formed(F: FusionData) -> FusionReport:
 
 
 def _pentagon_holds(F: FusionData, i: int, j: int, k: int, l: int, t: int) -> bool:
-    comps_a = _sorted_comps({
-        (a, b): (F.dim(i, j, a), F.dim(a, k, b), F.dim(b, l, t))
-        for a in range(F.size)
-        for b in range(F.size)
-        if F.dim(i, j, a) and F.dim(a, k, b) and F.dim(b, l, t)
-    })
-    if not comps_a:
-        return True
+    start = [
+        ((a, b), (n_a, n_b, F.dim(b, l, t)))
+        for a, n_a in F.fuse(i, j)
+        for b, n_b in F.fuse(a, k)
+        if F.dim(b, l, t)
+    ]
 
-    def step(comps_in, jump):
-        raw_out: Dict[tuple, tuple] = {}
-        blocks: Dict[tuple, Matrix] = {}
-        for key, dims in comps_in:
-            for key_out, dims_out, block in jump(key, dims):
-                if block.is_zero():
-                    continue
-                raw_out[key_out] = dims_out
-                blocks[(key_out, key)] = block
-        comps_out = _sorted_comps(raw_out)
-        return comps_out, _assemble(comps_out, comps_in, blocks)
+    # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
+    def alpha_ijk(key, dims):
+        a, b = key
+        for c, n in F.fuse(j, k):
+            if (d := F.dim(i, c, b)):
+                block = F.assoc_block(i, j, k, a, b, c).kron(Matrix.identity(dims[2]))
+                yield (c, b), (d, n, dims[2]), block
 
-    def route1():
-        # alpha on (1,2), alpha on (1,3), alpha on (2,3)
-        def jump1(key, dims):
-            a, b = key
-            for c in range(F.size):
-                out = (F.dim(i, c, b), F.dim(j, k, c), dims[2])
-                if out[0] and out[1]:
-                    yield (c, b), out, F.assoc_block(i, j, k, a, b, c).kron(Matrix.identity(dims[2]))
+    def alpha_icl(key, dims):
+        c, b = key
+        for f, n in F.fuse(c, l):
+            if (d := F.dim(i, f, t)):
+                out = (d, dims[1], n)
+                yield (c, f), out, _pair02(F.assoc_block(i, c, l, b, t, f), dims, out)
 
-        def jump2(key, dims):
-            c, b = key
-            for f in range(F.size):
-                out = (F.dim(i, f, t), dims[1], F.dim(c, l, f))
-                if out[0] and out[2]:
-                    block = F.assoc_block(i, c, l, b, t, f)
-                    yield (c, f), out, _pair02(block, (dims[0], dims[1], dims[2]), out)
+    def alpha_jkl(key, dims):
+        c, f = key
+        for g, n in F.fuse(k, l):
+            if (d := F.dim(j, g, f)):
+                block = Matrix.identity(dims[0]).kron(F.assoc_block(j, k, l, c, f, g))
+                yield (f, g), (dims[0], d, n), block
 
-        def jump3(key, dims):
-            c, f = key
-            for g in range(F.size):
-                out = (dims[0], F.dim(j, g, f), F.dim(k, l, g))
-                if out[1] and out[2]:
-                    yield (f, g), out, Matrix.identity(dims[0]).kron(F.assoc_block(j, k, l, c, f, g))
+    # route 2: alpha on legs (2,3), then alpha on legs (1,2)
+    def alpha_akl(key, dims):
+        a, b = key
+        for d, n in F.fuse(k, l):
+            if (m := F.dim(a, d, t)):
+                block = Matrix.identity(dims[0]).kron(F.assoc_block(a, k, l, b, t, d))
+                yield (a, d), (dims[0], m, n), block
 
-        comps, m1 = step(comps_a, jump1)
-        comps, m2 = step(comps, jump2)
-        comps, m3 = step(comps, jump3)
-        return comps, m3 @ m2 @ m1
+    def alpha_ijd(key, dims):
+        a, d = key
+        for f, n in F.fuse(j, d):
+            if (m := F.dim(i, f, t)):
+                block = F.assoc_block(i, j, d, a, t, f).kron(Matrix.identity(dims[2]))
+                yield (f, d), (m, n, dims[2]), block
 
-    def route2():
-        def jump1(key, dims):
-            a, b = key
-            for d in range(F.size):
-                out = (dims[0], F.dim(a, d, t), F.dim(k, l, d))
-                if out[1] and out[2]:
-                    yield (a, d), out, Matrix.identity(dims[0]).kron(F.assoc_block(a, k, l, b, t, d))
-
-        def jump2(key, dims):
-            a, d = key
-            for f in range(F.size):
-                out = (F.dim(i, f, t), F.dim(j, d, f), dims[2])
-                if out[0] and out[1]:
-                    yield (f, d), out, F.assoc_block(i, j, d, a, t, f).kron(Matrix.identity(dims[2]))
-
-        comps, m1 = step(comps_a, jump1)
-        comps, m2 = step(comps, jump2)
-        return comps, m2 @ m1
-
-    comps1, m_left = route1()
-    comps2, m_right = route2()
-    if [key for key, _ in comps1] != [key for key, _ in comps2]:
-        # a key present on one side only can still carry the zero map
-        return _padded_equal(comps1, m_left, comps2, m_right)
-    return m_left == m_right
+    return _route(start, alpha_ijk, alpha_icl, alpha_jkl) == _route(start, alpha_akl, alpha_ijd)
 
 
 def verify_pentagon(F: FusionData, stop_early: bool = False) -> FusionReport:
@@ -328,16 +311,7 @@ def verify_pentagon(F: FusionData, stop_early: bool = False) -> FusionReport:
     failures = []
     checked = 0
     for i, j, k, l in product(range(F.size), repeat=4):
-        targets = set()
-        for a in range(F.size):
-            if not F.dim(i, j, a):
-                continue
-            for b in range(F.size):
-                if not F.dim(a, k, b):
-                    continue
-                for t in range(F.size):
-                    if F.dim(b, l, t):
-                        targets.add(t)
+        targets = {t for a, _ in F.fuse(i, j) for b, _ in F.fuse(a, k) for t, _ in F.fuse(b, l)}
         for t in sorted(targets):
             checked += 1
             if not _pentagon_holds(F, i, j, k, l, t):
@@ -362,10 +336,7 @@ def verify_units(F: FusionData, stop_early: bool = False) -> FusionReport:
             lj = F.left_units.get(j)
             if lj is None:
                 continue
-            for k in range(F.size):
-                n = F.dim(i, j, k)
-                if not n:
-                    continue
+            for k, n in F.fuse(i, j):
                 checked += 1
                 # alpha_{i,0,j} at a=i, b=k, c=j: V[i,0->i] (x) V[i,j->k]
                 #   -> V[i,j->k] (x) V[0,j->j]
@@ -441,185 +412,78 @@ def verify_duality(F: FusionData, stop_early: bool = False) -> FusionReport:
 
 
 # -- hexagons ------------------------------------------------------------------
+#
+# Both hexagons act on vertices keyed (a,) with two legs.  _alpha is the
+# associator jump between them; the braiding jumps keep the key.
+
+
+def _alpha(F: FusionData, x: int, y: int, z: int, b: int) -> Jump:
+    """alpha_{x,y,z} at outer index b: (a,) with legs V[x,y->a], V[a,z->b] to (c,)."""
+    def jump(key, dims):
+        (a,) = key
+        for c, n in F.fuse(y, z):
+            if (m := F.dim(x, c, b)):
+                yield (c,), (m, n), F.assoc_block(x, y, z, a, b, c)
+    return jump
 
 
 def _hexagon_forward(F: FusionData, i: int, j: int, k: int, t: int) -> bool:
     """Braid i past j then k, against braiding i past the fused pair."""
-    comps = _sorted_comps({
-        (a,): (F.dim(i, j, a), F.dim(a, k, t))
-        for a in range(F.size)
-        if F.dim(i, j, a) and F.dim(a, k, t)
-    })
-    if not comps:
+    start = [((a,), (n, F.dim(a, k, t))) for a, n in F.fuse(i, j) if F.dim(a, k, t)]
+    if not start:
         return True
 
-    def assemble_step(comps_in, jump):
-        raw: Dict[tuple, tuple] = {}
-        blocks: Dict[tuple, Matrix] = {}
-        for key, dims in comps_in:
-            for key_out, dims_out, block in jump(key, dims):
-                if block.is_zero():
-                    continue
-                raw[key_out] = dims_out
-                prev = blocks.get((key_out, key))
-                blocks[(key_out, key)] = block if prev is None else prev + block
-        out = _sorted_comps(raw)
-        return out, _assemble(out, comps_in, blocks)
-
-    # route 1: sigma_ij (x) 1, alpha_{j,i,k}, 1 (x) sigma_ik
-    def r1_step1(key, dims):
+    def sigma_ij(key, dims):  # sigma_{i,j} (x) 1
         (a,) = key
         yield key, (F.dim(j, i, a), dims[1]), F.braid_block(i, j, a).kron(Matrix.identity(dims[1]))
 
-    def r1_step2(key, dims):
-        (a,) = key
-        for c in range(F.size):
-            out = (F.dim(j, c, t), F.dim(i, k, c))
-            if out[0] and out[1]:
-                yield (c,), out, F.assoc_block(j, i, k, a, t, c)
-
-    def r1_step3(key, dims):
+    def sigma_ik(key, dims):  # 1 (x) sigma_{i,k}
         (c,) = key
         yield key, (dims[0], F.dim(k, i, c)), Matrix.identity(dims[0]).kron(F.braid_block(i, k, c))
 
-    cur, m1 = assemble_step(comps, r1_step1)
-    cur, m2 = assemble_step(cur, r1_step2)
-    comps_left, m3 = assemble_step(cur, r1_step3)
-    left = m3 @ m2 @ m1
-
-    # route 2: alpha_{i,j,k}, flip . (sigma_{i,c} (x) 1), alpha_{j,k,i}
-    def r2_step1(key, dims):
-        (a,) = key
-        for c in range(F.size):
-            out = (F.dim(i, c, t), F.dim(j, k, c))
-            if out[0] and out[1]:
-                yield (c,), out, F.assoc_block(i, j, k, a, t, c)
-
-    def r2_step2(key, dims):
+    def flip_sigma_ic(key, dims):  # flip . (sigma_{i,c} (x) 1)
         (c,) = key
         sigma = F.braid_block(i, c, t)
-        out = (dims[1], F.dim(c, i, t))
-        yield key, out, _flip(sigma.nrows, dims[1]) @ sigma.kron(Matrix.identity(dims[1]))
+        block = _flip(sigma.nrows, dims[1]) @ sigma.kron(Matrix.identity(dims[1]))
+        yield key, (dims[1], F.dim(c, i, t)), block
 
-    def r2_step3(key, dims):
-        (c,) = key
-        for e in range(F.size):
-            out = (F.dim(j, e, t), F.dim(k, i, e))
-            if out[0] and out[1]:
-                yield (e,), out, F.assoc_block(j, k, i, c, t, e)
-
-    cur, n1 = assemble_step(comps, r2_step1)
-    cur, n2 = assemble_step(cur, r2_step2)
-    comps_right, n3 = assemble_step(cur, r2_step3)
-    right = n3 @ n2 @ n1
-
-    if [key for key, _ in comps_left] != [key for key, _ in comps_right]:
-        return _padded_equal(comps_left, left, comps_right, right)
+    left = _route(start, sigma_ij, _alpha(F, j, i, k, t), sigma_ik)
+    right = _route(start, _alpha(F, i, j, k, t), flip_sigma_ic, _alpha(F, j, k, i, t))
     return left == right
 
 
 def _hexagon_backward(F: FusionData, i: int, j: int, k: int, t: int) -> bool:
     """Braid the fused pair ij past k, against braiding the factors one by one."""
-    comps = _sorted_comps({
-        (c,): (F.dim(i, c, t), F.dim(j, k, c))
-        for c in range(F.size)
-        if F.dim(i, c, t) and F.dim(j, k, c)
-    })
-    if not comps:
+    full_ijk, src_ijk, start = _assoc_full(F, i, j, k, t)
+    if not start:
         return True
+    full_ikj, src_ikj, tgt_ikj = _assoc_full(F, i, k, j, t)
+    full_kij, src_kij, tgt_kij = _assoc_full(F, k, i, j, t)
 
-    def big(comps_in, comps_out, blocks):
-        return _assemble(comps_out, comps_in, blocks)
+    def sigma_jk(key, dims):  # 1 (x) sigma_{j,k}
+        (c,) = key
+        yield key, (dims[0], F.dim(k, j, c)), Matrix.identity(dims[0]).kron(F.braid_block(j, k, c))
+
+    def sigma_ik(key, dims):  # sigma_{i,k} (x) 1
+        (a,) = key
+        yield key, (F.dim(k, i, a), dims[1]), F.braid_block(i, k, a).kron(Matrix.identity(dims[1]))
+
+    def flip_sigma_ak(key, dims):  # flip . (1 (x) sigma_{a,k})
+        (a,) = key
+        sigma = F.braid_block(a, k, t)
+        block = _flip(dims[0], sigma.nrows) @ Matrix.identity(dims[0]).kron(sigma)
+        yield key, (F.dim(k, a, t), dims[0]), block
 
     # route 1: 1 (x) sigma_jk, inverse alpha_{i,k,j}, sigma_ik (x) 1
-    raw = {}
-    blocks = {}
-    for (c,), dims in comps:
-        out = (dims[0], F.dim(k, j, c))
-        raw[(c,)] = out
-        blocks[((c,), (c,))] = Matrix.identity(dims[0]).kron(F.braid_block(j, k, c))
-    mid1 = _sorted_comps(raw)
-    m1 = big(comps, mid1, blocks)
-
-    full, src, tgt = _assoc_full(F, i, k, j, t)
-    try:
-        inv1 = inverse(full)
-    except ZeroDivisionError:
-        return False
-    # align mid1 coordinates with the associator's target enumeration
-    if [key for key, _ in mid1] != [key for key, _ in tgt]:
-        m1 = _reindex(mid1, tgt, m1)
-        mid1 = tgt
-    after1 = src
-
-    raw = {}
-    blocks = {}
-    for (a,), dims in after1:
-        out = (F.dim(k, i, a), dims[1])
-        raw[(a,)] = out
-        blocks[((a,), (a,))] = F.braid_block(i, k, a).kron(Matrix.identity(dims[1]))
-    end1 = _sorted_comps(raw)
-    m3 = big(after1, end1, blocks)
-    left = m3 @ inv1 @ m1
-
+    mid1, m1 = _route(start, sigma_jk)
+    end1, m3 = _route(src_ikj, sigma_ik)
     # route 2: inverse alpha_{i,j,k}, flip . (1 (x) sigma_{a,k}), inverse alpha_{k,i,j}
-    full_ijk, src_ijk, tgt_ijk = _assoc_full(F, i, j, k, t)
-    try:
-        inv2 = inverse(full_ijk)
-    except ZeroDivisionError:
+    mid2, m2 = _route(src_ijk, flip_sigma_ak)
+    if mid1 != tgt_ikj or mid2 != tgt_kij or end1 != src_kij:
         return False
-    start = comps
-    if [key for key, _ in start] != [key for key, _ in tgt_ijk]:
-        reindexer = _reindex(start, tgt_ijk, Matrix.identity(_total(start)))
-        first = inv2 @ reindexer
-    else:
-        first = inv2
-
-    raw = {}
-    blocks = {}
-    for (a,), dims in src_ijk:
-        sigma = F.braid_block(a, k, t)
-        out = (F.dim(k, a, t), dims[0])
-        raw[(a,)] = out
-        blocks[((a,), (a,))] = _flip(dims[0], sigma.nrows) @ Matrix.identity(dims[0]).kron(sigma)
-    mid2 = _sorted_comps(raw)
-    m2 = big(src_ijk, mid2, blocks)
-
-    full_kij, src_kij, tgt_kij = _assoc_full(F, k, i, j, t)
-    try:
-        inv3 = inverse(full_kij)
-    except ZeroDivisionError:
-        return False
-    if [key for key, _ in mid2] != [key for key, _ in tgt_kij]:
-        m2 = _reindex(mid2, tgt_kij, m2)
-    right = inv3 @ m2 @ first
-
-    if [key for key, _ in end1] != [key for key, _ in src_kij]:
-        return _padded_equal(end1, left, src_kij, right)
+    left = m3 @ inverse(full_ikj) @ m1
+    right = inverse(full_kij) @ m2 @ inverse(full_ijk)
     return left == right
-
-
-def _reindex(comps_from: List[tuple], comps_to: List[tuple], m: Matrix) -> Matrix:
-    """Shift block rows of m from one component enumeration to another."""
-    off_from = _offsets(comps_from)
-    off_to = _offsets(comps_to)
-    sizes = {key: _total([(key, dims)]) for key, dims in comps_from}
-    entries = {}
-    for (r, c), v in m.entries.items():
-        for key, base in off_from.items():
-            if base <= r < base + sizes[key]:
-                entries[(off_to[key] + (r - base), c)] = v
-                break
-    return Matrix(_total(comps_to), m.ncols, entries)
-
-
-def _padded_equal(comps_a, m_a, comps_b, m_b) -> bool:
-    keys = sorted(set(k for k, _ in comps_a) | set(k for k, _ in comps_b))
-    full = []
-    for key in keys:
-        dims = dict(comps_a).get(key) or dict(comps_b).get(key)
-        full.append((key, dims))
-    return _reindex(comps_a, full, m_a) == _reindex(comps_b, full, m_b)
 
 
 def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:
@@ -627,13 +491,8 @@ def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:
     failures = []
     checked = 0
     for i, j, k in product(range(F.size), repeat=3):
-        targets = set()
-        for a in range(F.size):
-            for t in range(F.size):
-                if F.dim(i, j, a) and F.dim(a, k, t):
-                    targets.add(t)
-                if F.dim(j, k, a) and F.dim(i, a, t):
-                    targets.add(t)
+        targets = {t for a, _ in F.fuse(i, j) for t, _ in F.fuse(a, k)}
+        targets |= {t for a, _ in F.fuse(j, k) for t, _ in F.fuse(i, a)}
         for t in sorted(targets):
             checked += 2
             for name, probe in (("hexagon-forward", _hexagon_forward),
@@ -677,14 +536,11 @@ def pointed_center_data(factors: Sequence[int]) -> FusionData:
     simples = [(g, chi) for g in elements for chi in elements]
     index = {gc: pos for pos, gc in enumerate(simples)}
     s = len(simples)
-
-    lcm = 1
-    for d in factors:
-        lcm = lcm * d // _gcd(lcm, d)
+    order = lcm(*factors)
 
     def char_value(chi: tuple, g: tuple) -> Scalar:
-        e = sum(c * x * (lcm // d) for c, x, d in zip(chi, g, factors)) % lcm
-        return root_of_unity(lcm, e)
+        e = sum(c * x * (order // d) for c, x, d in zip(chi, g, factors)) % order
+        return root_of_unity(order, e)
 
     def mul(a: tuple, b: tuple) -> tuple:
         g = tuple((x + y) % d for x, y, d in zip(a[0], b[0], factors))
@@ -731,12 +587,6 @@ def pointed_center_data(factors: Sequence[int]) -> FusionData:
     return FusionData(s, fusion, assoc, braiding, left, right, dual, ev, coev)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def line_braiding(F: FusionData, lines: Sequence[int]) -> DiagonalBraiding:
     """Diagonal braiding carried by chosen invertible simples.
 
@@ -747,9 +597,9 @@ def line_braiding(F: FusionData, lines: Sequence[int]) -> DiagonalBraiding:
     for i in lines:
         row = []
         for j in lines:
-            candidates = [k for k in range(F.size) if F.dim(i, j, k)]
-            if len(candidates) != 1 or F.dim(i, j, candidates[0]) != 1:
+            candidates = F.fuse(i, j)
+            if len(candidates) != 1 or candidates[0][1] != 1:
                 raise ValueError(f"simples {i} and {j} do not fuse to a single line")
-            row.append(F.braid_block(i, j, candidates[0]).get(0, 0))
+            row.append(F.braid_block(i, j, candidates[0][0]).get(0, 0))
         q.append(tuple(row))
     return DiagonalBraiding(tuple(q))

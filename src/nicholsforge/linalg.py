@@ -13,7 +13,7 @@ without locks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from ._kernel import active as _K
@@ -240,15 +240,8 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 # -- echelon plumbing -------------------------------------------------------
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _common_context(M: Matrix) -> FieldContext:
-    conductor = 1
-    for v in M.entries.values():
-        conductor = _lcm(conductor, v.conductor)
-    return field_context(conductor)
+    return field_context(lcm(*(v.conductor for v in M.entries.values())))
 
 
 def _kernel_rows(M: Matrix, ctx: FieldContext) -> list:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import threading
-from math import gcd
+from math import lcm
 from typing import NamedTuple
 
 from ._kernel import active as _K
@@ -137,10 +137,6 @@ def field_context(n: int) -> FieldContext:
         return ctx
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 class Scalar:
     """Element of Q(zeta_N) in canonical reduced form.
 
@@ -173,7 +169,7 @@ class Scalar:
     def _align(a: "Scalar", b: "Scalar"):
         if a.conductor == b.conductor:
             return field_context(a.conductor), a.coeffs, b.coeffs
-        target = _lcm(a.conductor, b.conductor)
+        target = lcm(a.conductor, b.conductor)
         return field_context(target), a._lift_to(target), b._lift_to(target)
 
     # -- arithmetic -------------------------------------------------------

@@ -32,16 +32,7 @@ from nicholsforge.filtration import (
     split_basis,
 )
 from nicholsforge.formats import fusion_to_json, save_document
-from nicholsforge.fusion import (
-    FusionData,
-    pointed_center_data,
-    verify_all,
-    verify_braiding,
-    verify_duality,
-    verify_pentagon,
-    verify_units,
-)
-from nicholsforge.linalg import Matrix
+from nicholsforge.fusion import pointed_center_data, verify_all
 from nicholsforge.nichols import nichols_compute, symmetrizer_rank
 from nicholsforge.scalars import ONE, root_of_unity
 from nicholsforge.structconst import (
@@ -52,6 +43,7 @@ from nicholsforge.structconst import (
     graded_iso_search,
     verify_axioms,
 )
+from tests_support import doubled, fusion_entry_sites, fusion_mutation_detected, mutate_fusion
 
 SEED = 20260815
 QP_ENTRIES = [["-1", "1"], ["1", "-1"]]
@@ -121,26 +113,20 @@ def hopf_entry_sites(t):
     return sites
 
 
-def _scaled(block, pos):
-    entries = dict(block.entries)
-    entries[pos] = entries[pos] + entries[pos]
-    return Matrix(block.nrows, block.ncols, entries)
-
-
 def mutate_hopf(t, site):
     family, key, pos = site
     mul, cop, antipode = dict(t.mul), dict(t.cop), dict(t.antipode)
     unit, counit = t.unit, t.counit
     if family == "mul":
-        mul[key] = _scaled(mul[key], pos)
+        mul[key] = doubled(mul[key], pos)
     elif family == "cop":
-        cop[key] = _scaled(cop[key], pos)
+        cop[key] = doubled(cop[key], pos)
     elif family == "antipode":
-        antipode[key] = _scaled(antipode[key], pos)
+        antipode[key] = doubled(antipode[key], pos)
     elif family == "unit":
-        unit = _scaled(unit, pos)
+        unit = doubled(unit, pos)
     else:
-        counit = _scaled(counit, pos)
+        counit = doubled(counit, pos)
     return HopfStructure(t.obj, mul, unit, cop, counit, antipode, t.grading)
 
 
@@ -148,55 +134,6 @@ def hopf_mutation_detected(t):
     if not verify_axioms(t).passed:
         return True
     return not (check_connected(t) and check_coconnected(t))
-
-
-def fusion_entry_sites(F):
-    sites = []
-    for key in sorted(F.assoc):
-        for pos in sorted(F.assoc[key].entries):
-            sites.append(("assoc", key, pos))
-    for key in sorted(F.braiding):
-        for pos in sorted(F.braiding[key].entries):
-            sites.append(("braiding", key, pos))
-    for i in sorted(F.left_units):
-        sites.append(("left-unit", i, None))
-    for i in sorted(F.right_units):
-        sites.append(("right-unit", i, None))
-    for i in sorted(F.ev):
-        for pos in sorted(F.ev[i].entries):
-            sites.append(("ev", i, pos))
-    for i in sorted(F.coev):
-        for pos in sorted(F.coev[i].entries):
-            sites.append(("coev", i, pos))
-    return sites
-
-
-def mutate_fusion(F, site):
-    family, key, pos = site
-    assoc, braiding = dict(F.assoc), dict(F.braiding)
-    left, right = dict(F.left_units), dict(F.right_units)
-    ev, coev = dict(F.ev), dict(F.coev)
-    if family == "assoc":
-        assoc[key] = _scaled(assoc[key], pos)
-    elif family == "braiding":
-        braiding[key] = _scaled(braiding[key], pos)
-    elif family == "left-unit":
-        left[key] = left[key] + left[key]
-    elif family == "right-unit":
-        right[key] = right[key] + right[key]
-    elif family == "ev":
-        ev[key] = _scaled(ev[key], pos)
-    else:
-        coev[key] = _scaled(coev[key], pos)
-    return FusionData(F.size, F.fusion, assoc, braiding, left, right, F.dual, ev, coev)
-
-
-def fusion_mutation_detected(F):
-    # cheap verifiers first; a mutation only needs to trip one of them
-    for checker in (verify_units, verify_duality, verify_braiding, verify_pentagon):
-        if not checker(F, stop_early=True).passed:
-            return True
-    return False
 
 
 def run_cli(args, env=None):

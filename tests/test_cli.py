@@ -162,6 +162,17 @@ def test_degenerate_matches_graded(runner, qp_hopf):
     assert dims[-1] >= dims[0]
 
 
+def test_degenerate_rows_skip_empty_samples(runner, qp_hopf):
+    args = ["degenerate", qp_hopf, "--filtration", "coradical", "--lambda-samples", "1,,1/2"]
+    human = runner.invoke(main, args)
+    report = runner.invoke(main, args + ["--json"])
+    assert human.exit_code == report.exit_code == 0, human.output
+    res = json.loads(report.output)["results"]
+    dims = res["primitive_dims"] + [res["limit_primitive_dim"]]
+    rows = human.output.splitlines()[1:4]
+    assert rows == [f"{label:<16} {d}" for label, d in zip(["1", "1/2", "limit"], dims)]
+
+
 def test_is_nichols_on_nichols_point(runner, qp_hopf):
     result = runner.invoke(main, ["is-nichols", qp_hopf, "--json"])
     assert result.exit_code == 0, result.output
@@ -177,6 +188,23 @@ def test_fusion_gen_and_verify(runner, tmp_path):
     assert check.exit_code == 0, check.output
     doc = json.loads(check.output)
     assert all(entry["passed"] for entry in doc["results"]["checks"])
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc: doc["fusion"].append([1, 1, 0, -1]), id="negative-multiplicity"),
+    pytest.param(lambda doc: doc["fusion"].append([0, 4, 4, 1]), id="index-too-large"),
+    pytest.param(lambda doc: doc["fusion"].append([0, -1, 1, 1]), id="index-negative"),
+    pytest.param(lambda doc: doc.update(dual=[0, 1, 2, 7]), id="dual-index"),
+])
+def test_bad_fusion_document_is_usage_error(runner, z2_file, edit):
+    with open(z2_file) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(z2_file, "w") as fh:
+        json.dump(doc, fh)
+    result = runner.invoke(main, ["fusion-verify", z2_file])
+    assert result.exit_code == 2, result.output
+    assert "bad fusion document" in result.output
 
 
 def test_json_reports_identical_across_thread_counts(runner, qp_file):

@@ -1,5 +1,7 @@
 """Fusion data verification and pointed Drinfeld-center examples."""
 
+from itertools import product
+
 import pytest
 
 from nicholsforge.braided import YDDatum, yd_to_braiding
@@ -15,7 +17,8 @@ from nicholsforge.fusion import (
     well_formed,
 )
 from nicholsforge.linalg import Matrix
-from nicholsforge.scalars import from_rational, root_of_unity
+from nicholsforge.scalars import ONE, from_rational, root_of_unity
+from tests_support import fusion_entry_sites, fusion_mutation_detected, mutate_fusion
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +65,7 @@ def test_z2_passes_each_verifier(z2):
     assert verify_braiding(z2).passed
 
 
-def test_z3_passes_verify_all(z3):
+def test_z3_passes_verify_all(z2, z3):
     reports = verify_all(z3)
     assert [r.check for r in reports] == [
         "well-formed",
@@ -72,7 +75,8 @@ def test_z3_passes_verify_all(z3):
         "braiding",
     ]
     assert all(r.passed for r in reports)
-    assert all(r.checked > 0 for r in reports)
+    assert [r.checked for r in reports] == [7749, 6561, 81, 18, 1458]
+    assert [r.checked for r in verify_all(z2)] == [424, 256, 16, 8, 128]
 
 
 def test_braiding_scalar_is_character_value(z3):
@@ -136,3 +140,55 @@ def test_missing_dual_space_is_malformed(z2):
     )
     report = well_formed(mutant)
     assert not report.passed
+
+
+# -- Fibonacci: tau (x) tau = 1 (+) tau, the smallest non-pointed example ------
+
+
+def fibonacci_data(sign=-1):
+    """Fibonacci data over Q(zeta5); sign is that of the (tau, tau) F-entry."""
+    z5 = root_of_unity(5, 1)
+    phi = ONE + z5 + z5 ** 4
+    inv_phi = z5 + z5 ** 4
+    fusion = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}
+    # assoc[(1,1,1,a,1,c)] indexed by (a, c); every other admissible block is 1
+    f_tau = {(0, 0): inv_phi, (0, 1): ONE, (1, 0): inv_phi, (1, 1): inv_phi * sign}
+    assoc = {}
+    for i, j, k, a, b, c in product(range(2), repeat=6):
+        if all(fusion.get(key) for key in ((i, j, a), (a, k, b), (i, c, b), (j, k, c))):
+            value = f_tau[(a, c)] if (i, j, k, b) == (1, 1, 1, 1) else ONE
+            assoc[(i, j, k, a, b, c)] = Matrix(1, 1, {(0, 0): value})
+    braiding = {key: Matrix.identity(1) for key in fusion}
+    braiding[(1, 1, 0)] = Matrix(1, 1, {(0, 0): root_of_unity(5, 3)})
+    braiding[(1, 1, 1)] = Matrix(1, 1, {(0, 0): root_of_unity(10, 3)})
+    units = {0: ONE, 1: ONE}
+    ev = {0: Matrix.identity(1), 1: Matrix(1, 1, {(0, 0): phi})}
+    coev = {0: Matrix.identity(1), 1: Matrix.identity(1)}
+    return FusionData(2, fusion, assoc, braiding, units, dict(units), (0, 1), ev, coev)
+
+
+def test_fibonacci_passes_verify_all():
+    fib = fibonacci_data()
+    assert fib.fuse(1, 1) == ((0, 1), (1, 1))
+    reports = verify_all(fib)
+    assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+    assert [r.checked for r in reports] == [65, 27, 5, 4, 24]
+
+
+def test_fibonacci_sign_flip_is_located():
+    reports = {r.check: r for r in verify_all(fibonacci_data(sign=1))}
+    assert reports["well-formed"].passed and reports["units"].passed
+    assert reports["pentagon"].failures == ((1, 1, 1, 1, 0), (1, 1, 1, 1, 1))
+    assert reports["duality"].failures == (("zigzag-2", 1),)
+    assert reports["braiding"].failures == (
+        ("hexagon-forward", 1, 1, 1, 1),
+        ("hexagon-backward", 1, 1, 1, 1),
+    )
+
+
+def test_fibonacci_single_site_mutants_are_caught():
+    fib = fibonacci_data()
+    sites = fusion_entry_sites(fib)
+    assert len(sites) == 28
+    survivors = [site for site in sites if not fusion_mutation_detected(mutate_fusion(fib, site))]
+    assert not survivors
