@@ -15,11 +15,10 @@ check this exhaustively for small degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .linalg import Matrix
-from .scalars import ONE, Scalar, parse_scalar, root_of_unity, scalar_to_json
+from .scalars import ONE, Scalar, parse_scalar, scalar_to_json
 
 __all__ = [
     "DiagonalBraiding",
@@ -60,10 +59,6 @@ class DiagonalBraiding:
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence]) -> "DiagonalBraiding":
         return cls(tuple(tuple(parse_scalar(e) for e in row) for row in rows))
-
-    @classmethod
-    def rank_one(cls, q) -> "DiagonalBraiding":
-        return cls(((parse_scalar(q),),))
 
     def __eq__(self, other):
         if not isinstance(other, DiagonalBraiding):

@@ -2,9 +2,10 @@
 
 Every document is plain JSON with a "format" tag and a "version".  Writers
 emit canonical text: keys sorted, no insignificant whitespace, sorted entry
-lists, one trailing newline.  Two structurally equal objects therefore
-serialize to identical bytes, which the command-line layer relies on when
-it promises reproducible reports.
+lists, one trailing newline.  The same object therefore always serializes
+to the same bytes, which the command-line layer relies on when it promises
+reproducible reports; equal scalars stored at different conductors are
+written differently.
 
 Scalars use the cyclotomic object form {"conductor": N, "coeffs": [...]};
 readers also accept the "zeta(N)^k" and "p/q" shorthands.
@@ -13,9 +14,9 @@ readers also accept the "zeta(N)^k" and "p/q" shorthands.
 from __future__ import annotations
 
 import json
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .braided import DiagonalBraiding, braiding_from_json, braiding_to_json
+from .braided import braiding_from_json, braiding_to_json
 from .fusion import FusionData
 from .linalg import BasedSpace, Matrix
 from .scalars import parse_scalar, scalar_to_json
@@ -48,8 +49,16 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
-    entries = {(int(r), int(c)): parse_scalar(v) for r, c, v in obj["entries"]}
-    return Matrix(int(obj["rows"]), int(obj["cols"]), entries)
+    rows, cols = int(obj["rows"]), int(obj["cols"])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix shape {rows} x {cols} is negative")
+    entries = {}
+    for r, c, v in obj["entries"]:
+        r, c = int(r), int(c)
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"matrix entry ({r}, {c}) lies outside the {rows} x {cols} shape")
+        entries[(r, c)] = parse_scalar(v)
+    return Matrix(rows, cols, entries)
 
 
 def hopf_to_json(t: HopfStructure) -> dict:
@@ -140,27 +149,35 @@ def fusion_from_json(obj: dict) -> FusionData:
     if obj.get("format") != FUSION_FORMAT:
         raise ValueError(f"not a {FUSION_FORMAT} document")
     size = int(obj["size"])
+
+    def simples(raw, arity: int, what: str) -> tuple:
+        key = tuple(int(x) for x in raw)
+        if len(key) != arity or not all(0 <= x < size for x in key):
+            raise ValueError(f"{what} must hold {arity} indices in 0..{size - 1}")
+        return key
+
     fusion = {}
     for row in obj["fusion"]:
-        i, j, k, n = (int(x) for x in row)
-        if not all(0 <= x < size for x in (i, j, k)):
-            raise ValueError(f"fusion row {row} has an index outside 0..{size - 1}")
+        i, j, k, n = row
+        key, n = simples((i, j, k), 3, f"fusion row {row}"), int(n)
         if n < 0:
             raise ValueError(f"fusion row {row} has a negative multiplicity")
-        fusion[(i, j, k)] = n
-    dual = tuple(int(x) for x in obj["dual"])
-    if not all(0 <= x < size for x in dual):
-        raise ValueError(f"dual {list(dual)} has an index outside 0..{size - 1}")
-    assoc = {
-        tuple(int(x) for x in e["key"]): matrix_from_json(e) for e in obj["assoc"]
-    }
-    braiding = {
-        tuple(int(x) for x in e["key"]): matrix_from_json(e) for e in obj["braiding"]
-    }
-    left = {int(i): parse_scalar(v) for i, v in obj["left_units"]}
-    right = {int(i): parse_scalar(v) for i, v in obj["right_units"]}
-    ev = {int(e["key"][0]): matrix_from_json(e) for e in obj["ev"]}
-    coev = {int(e["key"][0]): matrix_from_json(e) for e in obj["coev"]}
+        fusion[key] = n
+    dual = simples(obj["dual"], size, f"dual {obj['dual']}")
+
+    def blocks(kind: str, arity: int) -> dict:
+        return {
+            simples(e["key"], arity, f"{kind} key {e['key']}"): matrix_from_json(e)
+            for e in obj[kind]
+        }
+
+    def units(kind: str) -> dict:
+        return {simples([i], 1, f"{kind} key {i}")[0]: parse_scalar(v) for i, v in obj[kind]}
+
+    assoc, braiding = blocks("assoc", 6), blocks("braiding", 3)
+    ev = {i: block for (i,), block in blocks("ev", 1).items()}
+    coev = {i: block for (i,), block in blocks("coev", 1).items()}
+    left, right = units("left_units"), units("right_units")
     return FusionData(size, fusion, assoc, braiding, left, right, dual, ev, coev)
 
 

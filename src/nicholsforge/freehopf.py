@@ -1,87 +1,129 @@
-"""Degreewise presentation of the free braided Hopf algebra and its quotients.
+"""Content-graded presentation of the free braided Hopf algebra and its quotients.
 
-Degree n of the free algebra on a diagonal braiding is spanned by words of
-length n, multiplication is concatenation (the identity matrix under the
-mixed-radix index identification), and the coproduct is the quantum shuffle:
+Every structure map of the free braided Hopf algebra on a diagonal braiding
+of rank theta is homogeneous for the letter content: the multidegree in
+Z^theta that counts how often each letter occurs in a word.  Content c is
+spanned by the words of that content in mixed-radix (lexicographic) order,
+multiplication is concatenation, and the coproduct is the quantum shuffle:
 
-    Delta^{a,b}(e_w) = sum over a-subsets S of positions of
-        (prod q_{w_j, w_i} : j outside S, i in S, j < i) e_{w|S} (x) e_{w|Sc}
+    Delta^{i,c-i}(e_w) = sum over position sets S with content(w|S) = i of
+        (prod q_{w_j, w_s} : j outside S, s in S, j < s) e_{w|S} (x) e_{w|Sc}
 
 The crossing product is the braid lift of the inverse-shuffle permutation
 moving the S positions to the front, so letters headed left pick up one q
 factor per letter they pass.  Flipping which factor passes over which would
 transpose the braiding matrix; this orientation is the documented one.
 
-A GradedQuotient keeps, for every degree up to a cutoff, the ideal it
-quotients by, a projection and section rooted at the free algebra, and
-derives multiplication and coproduct blocks from the free ones through
+A GradedQuotient keeps, for every content up to a total-degree cutoff, the
+ideal it quotients by, a projection and section rooted at the free algebra,
+and derives multiplication and coproduct blocks from the free ones through
 those maps.  Quotient ideals must be generated by primitive elements, which
 is what keeps them Hopf ideals; the constructor refuses anything else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, product
+from math import prod
+from types import MappingProxyType
 from typing import Sequence
 
-from .braided import DiagonalBraiding, all_words, word_index, word_label
+from .braided import DiagonalBraiding, word_label
 from .linalg import BasedSpace, Matrix, Subspace, kernel, quotient, vstack
 from .scalars import ONE, ZERO
 
 __all__ = [
     "GradedQuotient",
-    "PrimitiveReport",
-    "tensor_space",
-    "shuffle_coproduct",
     "primitives",
     "quotient_by_hopf_ideal",
 ]
 
 
-def tensor_space(braiding: DiagonalBraiding, degree: int) -> BasedSpace:
-    words = all_words(braiding.dim, degree)
-    return BasedSpace(len(words), tuple(word_label(w) for w in words))
+def _minus(c: tuple, i: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(c, i))
 
 
-def _shuffle_block(braiding: DiagonalBraiding, degree: int, a: int) -> Matrix:
-    """Delta^{a, degree-a} on the free algebra, as a dim^degree matrix."""
-    n = braiding.dim
-    b = degree - a
-    dim = n**degree
+def _below(c: tuple):
+    """Every content i with 0 <= i <= c, lexicographically."""
+    return product(*(range(k + 1) for k in c))
+
+
+@lru_cache(maxsize=None)
+def _words(content: tuple) -> MappingProxyType:
+    """The words of a content in mixed-radix order, each mapped to its position.
+
+    Cached for the life of the process, one read-only table per content
+    ever asked for; a cutoff bounds them by the words it allows anyway.
+    """
+    if not any(content):
+        return MappingProxyType({(): 0})
+    words = []
+    for a, k in enumerate(content):
+        if k:
+            words.extend((a,) + w for w in _words(content[:a] + (k - 1,) + content[a + 1 :]))
+    return MappingProxyType({w: pos for pos, w in enumerate(words)})
+
+
+def _free_space(content: tuple) -> BasedSpace:
+    return BasedSpace(len(_words(content)), tuple(word_label(w) for w in _words(content)))
+
+
+def _shuffle_block(braiding: DiagonalBraiding, content: tuple, left: tuple) -> Matrix:
+    """Delta^{left, content-left} on the free algebra.
+
+    Columns are the words w of the content; row u_pos * #v + v_pos is the
+    pair of words (u, v) of contents left and content-left.  The position
+    set S is chosen letter by letter: left[a] of the positions holding a.
+    Its crossing factor is the monomial prod q_ab^(m_ab), where m_ab counts
+    the letters a passed by a letter b headed left; the walk counts the
+    (row, column, m) triples in integers, and each distinct monomial is
+    evaluated once, from powers q_ab^e computed once each.
+    """
+    n, q = braiding.dim, braiding.q
+    lefts, rights, columns = _words(left), _words(_minus(content, left)), _words(content)
+    counts: dict = {}
+    for w, col in columns.items():
+        spots = [[p for p, x in enumerate(w) if x == a] for a in range(n)]
+        for choice in product(*(combinations(spots[a], left[a]) for a in range(n))):
+            chosen = set(chain.from_iterable(choice))
+            passed, m, u, v = [0] * n, [0] * (n * n), [], []
+            for p, b in enumerate(w):
+                if p in chosen:
+                    u.append(b)
+                    for a in range(n):
+                        m[a * n + b] += passed[a]
+                else:
+                    v.append(b)
+                    passed[b] += 1
+            key = (lefts[tuple(u)] * len(rights) + rights[tuple(v)], col, tuple(m))
+            counts[key] = counts.get(key, 0) + 1
+
+    @lru_cache(maxsize=None)
+    def power(ab: int, e: int):
+        return q[ab // n][ab % n] ** e
+
+    monomials: dict = {}
     entries: dict = {}
-    positions = range(degree)
-    for subset in combinations(positions, a):
-        in_subset = set(subset)
-        rest = [j for j in positions if j not in in_subset]
-        for w in all_words(n, degree):
-            factor = ONE
-            for j in rest:
-                for i in subset:
-                    if j < i:
-                        factor = factor * braiding.q[w[j]][w[i]]
-            left = word_index([w[i] for i in subset], n)
-            right = word_index([w[j] for j in rest], n)
-            key = (left * n**b + right, word_index(w, n))
-            cur = entries.get(key)
-            entries[key] = factor if cur is None else cur + factor
-    return Matrix(dim, dim, entries)
-
-
-def shuffle_coproduct(braiding: DiagonalBraiding, degree: int) -> dict:
-    """All blocks {(a, b): Delta^{a,b}} with a + b = degree, on the free algebra."""
-    return {(a, degree - a): _shuffle_block(braiding, degree, a) for a in range(degree + 1)}
+    for (row, col, m), count in counts.items():
+        if m not in monomials:
+            monomials[m] = prod((power(ab, e) for ab, e in enumerate(m) if e), start=ONE)
+        term = monomials[m] if count == 1 else monomials[m] * count
+        entries[(row, col)] = entries.get((row, col), ZERO) + term
+    return Matrix(len(lefts) * len(rights), len(columns), entries)
 
 
 class GradedQuotient:
-    """A degreewise quotient of the free braided Hopf algebra.
+    """A content-graded quotient of the free braided Hopf algebra.
 
-    Everything is rooted at the free algebra: degree n stores the ideal
-    I_n, the quotient space Q_n with representative-word labels, and the
-    projection/section pair between them.  Structure blocks are derived:
+    Everything is rooted at the free algebra: each content c up to the
+    cutoff degree stores the ideal I_c, the quotient space Q_c with
+    representative-word labels, and the projection/section pair between
+    them, in dicts keyed by content and ordered by degree.  Structure
+    blocks are derived:
 
-        mul_{a,b} = proj_{a+b} o (sect_a (x) sect_b)
-        cop_n^{a,b} = (proj_a (x) proj_b) o Delta_n^{a,b} o sect_n
+        mul_{i,j} = proj_{i+j} o concat o (sect_i (x) sect_j)
+        cop_c^{i} = (proj_i (x) proj_{c-i}) o Delta_c^{i,c-i} o sect_c
 
     both well-defined because the ideal is two-sided and generated by
     primitives.  Instances are immutable; quotients produce new ones.
@@ -92,132 +134,124 @@ class GradedQuotient:
     def __init__(self, braiding, cutoff, spaces, projections, sections, ideal, shuffles=None):
         self.braiding = braiding
         self.cutoff = cutoff
-        self.spaces = tuple(spaces)
-        self.projections = tuple(projections)
-        self.sections = tuple(sections)
-        self.ideal = tuple(ideal)
+        self.spaces = spaces
+        self.projections = projections
+        self.sections = sections
+        self.ideal = ideal
         self._shuffles = {} if shuffles is None else shuffles
 
     @classmethod
     def free(cls, braiding: DiagonalBraiding, cutoff: int) -> "GradedQuotient":
         assert cutoff >= 1
-        spaces, projections, sections, ideal = [], [], [], []
-        for n in range(cutoff + 1):
-            space = tensor_space(braiding, n)
-            eye = Matrix.identity(space.dim)
-            spaces.append(space)
-            projections.append(eye)
-            sections.append(eye)
-            ideal.append(Subspace.zero(space.dim))
-        return cls(braiding, cutoff, spaces, projections, sections, ideal)
+        contents = product(range(cutoff + 1), repeat=braiding.dim)
+        spaces = {c: _free_space(c) for c in sorted(contents, key=sum) if sum(c) <= cutoff}
+        eye = {c: Matrix.identity(space.dim) for c, space in spaces.items()}
+        ideal = {c: Subspace.zero(space.dim) for c, space in spaces.items()}
+        return cls(braiding, cutoff, spaces, eye, dict(eye), ideal)
 
     # -- shape -----------------------------------------------------------
 
     @property
     def dims(self) -> tuple:
-        return tuple(space.dim for space in self.spaces)
-
-    def dim(self, n: int) -> int:
-        return self.spaces[n].dim
+        """Dimension per total degree, summed over the contents."""
+        spaces = self.spaces.items()
+        return tuple(sum(s.dim for c, s in spaces if sum(c) == n) for n in range(self.cutoff + 1))
 
     def total_dim(self) -> int:
-        return sum(self.dims)
+        return sum(space.dim for space in self.spaces.values())
 
-    def _check_degree(self, n: int):
-        if not 0 <= n <= self.cutoff:
-            raise ValueError(f"degree {n} outside cutoff {self.cutoff}")
+    def _check(self, *contents):
+        for c in contents:
+            if c not in self.spaces:
+                raise ValueError(f"content {c} is not a content within cutoff {self.cutoff}")
 
     # -- structure blocks --------------------------------------------------
 
-    def free_shuffle(self, degree: int, a: int) -> Matrix:
-        key = (degree, a)
-        block = self._shuffles.get(key)
-        if block is None:
-            block = _shuffle_block(self.braiding, degree, a)
-            self._shuffles[key] = block
-        return block
+    def free_shuffle(self, content: tuple, left: tuple) -> Matrix:
+        key = (content, left)
+        if key not in self._shuffles:
+            self._shuffles[key] = _shuffle_block(self.braiding, content, left)
+        return self._shuffles[key]
 
-    def mul_block(self, a: int, b: int) -> Matrix:
-        """Multiplication Q_a (x) Q_b -> Q_{a+b}."""
-        self._check_degree(a + b)
-        return self.projections[a + b] @ self.sections[a].kron(self.sections[b])
+    def mul_block(self, i: tuple, j: tuple) -> Matrix:
+        """Multiplication Q_i (x) Q_j -> Q_{i+j}."""
+        k = tuple(x + y for x, y in zip(i, j))
+        self._check(i, j, k)
+        words = _words(k)
+        concat = [words[u + v] for u in _words(i) for v in _words(j)]
+        return self.projections[k].select_columns(concat) @ self.sections[i].kron(self.sections[j])
 
-    def cop_block(self, n: int, a: int, b: int) -> Matrix:
-        """Coproduct component Q_n -> Q_a (x) Q_b with a + b = n."""
-        assert a + b == n and a >= 0 and b >= 0
-        self._check_degree(n)
-        left_right = self.projections[a].kron(self.projections[b])
-        return left_right @ self.free_shuffle(n, a) @ self.sections[n]
-
-
-@dataclass(frozen=True)
-class PrimitiveReport:
-    degree: int
-    subspace: Subspace  # inside Q_degree
-    dim: int
+    def cop_block(self, content: tuple, left: tuple) -> Matrix:
+        """Coproduct component Q_c -> Q_left (x) Q_{c-left}."""
+        right = _minus(content, left)
+        self._check(content, left, right)
+        split = self.projections[left].kron(self.projections[right])
+        return split @ (self.free_shuffle(content, left) @ self.sections[content])
 
 
-def primitives(Q: GradedQuotient, n: int) -> PrimitiveReport:
-    """Kernel of all inner coproduct components in degree n.
+def primitives(Q: GradedQuotient, content: tuple) -> Subspace:
+    """Kernel of all inner coproduct components on one content, inside Q_c.
 
-    The (n,0) and (0,n) components hold automatically, so only splits with
-    both sides positive constrain; in degree 1 everything is primitive.
+    The (c,0) and (0,c) components hold automatically, so only splits with
+    both sides nonzero constrain, and a split with a zero-dimensional side
+    constrains nothing; on a single letter everything is primitive.
     """
-    if not 1 <= n <= Q.cutoff:
-        raise ValueError(f"degree {n} must be within 1..{Q.cutoff}")
-    blocks = [Q.cop_block(n, a, n - a) for a in range(1, n)]
-    if not blocks:
-        sub = Subspace.full(Q.dim(n))
-    else:
-        sub = kernel(vstack(blocks))
-    return PrimitiveReport(n, sub, sub.dim)
+    if content not in Q.spaces or not any(content):
+        raise ValueError(f"content {content} must be nonzero and within cutoff {Q.cutoff}")
+    blocks = [
+        Q.cop_block(content, left)
+        for left in _below(content)
+        if any(left) and left != content
+        and Q.spaces[left].dim and Q.spaces[_minus(content, left)].dim
+    ]
+    return kernel(vstack(blocks)) if blocks else Subspace.full(Q.spaces[content].dim)
 
 
 def quotient_by_hopf_ideal(Q: GradedQuotient, gens: Sequence) -> GradedQuotient:
     """Quotient by the two-sided ideal generated by primitive elements.
 
-    gens is a sequence of (degree, vector) pairs, each vector given in the
-    coordinates of Q_degree with degree >= 2.  Every generator must be
-    primitive in Q; that makes the generated ideal a Hopf ideal, so the
-    quotient inherits well-defined structure blocks.
+    gens is a sequence of (content, vector) pairs, each vector given in the
+    coordinates of Q_content with degree >= 2.  Every generator must be
+    primitive in Q, checked against one primitive space per content; that
+    makes the generated ideal a Hopf ideal, so the quotient inherits
+    well-defined structure blocks.  Contents the ideal does not reach keep
+    their spaces and maps.
     """
     if not gens:
         return Q
-    m = Q.braiding.dim
-    lifted = []  # (degree, column in free coordinates)
-    for degree, vector in gens:
-        if not 2 <= degree <= Q.cutoff:
-            raise ValueError(f"generator degree {degree} must be within 2..{Q.cutoff}")
+    found: dict = {}
+    lifted = []  # (content, [(free word, coefficient)])
+    for content, vector in gens:
+        if content not in Q.spaces or sum(content) < 2:
+            raise ValueError(f"generator content {content} must have degree within 2..{Q.cutoff}")
         vector = list(vector)
-        if len(vector) != Q.dim(degree):
-            raise ValueError(f"generator has {len(vector)} coordinates, expected {Q.dim(degree)}")
-        if not primitives(Q, degree).subspace.contains(vector):
-            raise ValueError(f"generator in degree {degree} is not primitive")
-        lifted.append((degree, Q.sections[degree] @ Matrix.column(vector)))
+        if len(vector) != Q.spaces[content].dim:
+            raise ValueError(f"generator has {len(vector)} coordinates, not {Q.spaces[content].dim}")
+        if content not in found:
+            found[content] = primitives(Q, content)
+        if not found[content].contains(vector):
+            raise ValueError(f"generator of content {content} is not primitive")
+        words = list(_words(content))
+        column = Q.sections[content] @ Matrix.column(vector)
+        lifted.append((content, [(words[r], v) for (r, _), v in column.entries.items()]))
 
-    spaces, projections, sections, ideal = [], [], [], []
-    for n in range(Q.cutoff + 1):
-        new_rows = []
-        for degree, g in lifted:
-            if degree > n:
+    spaces, projections, sections, ideal = (
+        dict(Q.spaces), dict(Q.projections), dict(Q.sections), dict(Q.ideal)
+    )
+    for c in Q.spaces:
+        words = _words(c)
+        entries, nrows = {}, 0
+        for d, terms in lifted:
+            outside = _minus(c, d)
+            if min(outside) < 0:
                 continue
-            g_terms = [(r, v) for (r, _), v in g.entries.items()]
-            for a in range(n - degree + 1):
-                c = n - degree - a
-                for u in all_words(m, a):
-                    u_idx = word_index(u, m)
-                    for w in all_words(m, c):
-                        w_idx = word_index(w, m)
-                        vec = {}
-                        for g_idx, value in g_terms:
-                            vec[(u_idx * m**degree + g_idx) * m**c + w_idx] = value
-                        new_rows.append([vec.get(i, ZERO) for i in range(m**n)])
-        enlarged = Q.ideal[n]
-        if new_rows:
-            enlarged = enlarged.add(Subspace.from_vectors(m**n, new_rows))
-        space, proj, sect = quotient(tensor_space(Q.braiding, n), enlarged)
-        spaces.append(space)
-        projections.append(proj)
-        sections.append(sect)
-        ideal.append(enlarged)
+            for a in _below(outside):
+                for u in _words(a):
+                    for w in _words(_minus(outside, a)):
+                        for g, value in terms:
+                            entries[(nrows, words[u + g + w])] = value
+                        nrows += 1
+        if nrows:
+            ideal[c] = ideal[c].add(Subspace.from_matrix_rows(Matrix(nrows, len(words), entries)))
+            spaces[c], projections[c], sections[c] = quotient(_free_space(c), ideal[c])
     return GradedQuotient(Q.braiding, Q.cutoff, spaces, projections, sections, ideal, Q._shuffles)

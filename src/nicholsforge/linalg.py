@@ -101,19 +101,6 @@ class Matrix:
     def get(self, r: int, c: int) -> Scalar:
         return self.entries.get((r, c), ZERO)
 
-    def dense_rows(self) -> list:
-        rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def row_vector(self, i: int) -> list:
-        row = [ZERO] * self.ncols
-        for (r, c), v in self.entries.items():
-            if r == i:
-                row[c] = v
-        return row
-
     def column_vector(self, j: int) -> list:
         col = [ZERO] * self.nrows
         for (r, c), v in self.entries.items():
@@ -129,15 +116,6 @@ class Matrix:
             if k is not None:
                 entries[(r, k)] = v
         return Matrix(self.nrows, len(cols), entries)
-
-    def select_rows(self, rows: Sequence[int]) -> "Matrix":
-        pos = {r: k for k, r in enumerate(rows)}
-        entries = {}
-        for (r, c), v in self.entries.items():
-            k = pos.get(r)
-            if k is not None:
-                entries[(k, c)] = v
-        return Matrix(len(rows), self.ncols, entries)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -389,9 +367,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.pivots
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
 
     def contains(self, vector: Sequence) -> bool:
         v = list(vector)

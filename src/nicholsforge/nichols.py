@@ -3,9 +3,11 @@
 The engine runs the iterated primitive-quotient procedure: starting from
 the free braided Hopf algebra truncated at a cutoff, repeatedly find the
 primitives in the lowest degree >= 2 and quotient by the Hopf ideal they
-generate, until no primitives remain above degree one.  Degrees below the
-current scan point never change, so the scan is a single pass that pauses
-on a degree while it still produces relations.
+generate, until no primitives remain above degree one.  Everything is
+homogeneous in letter content, so each degree is searched content by
+content and the primitives of all its contents are quotiented at once.
+Degrees below the current scan point never change, so the scan is a single
+pass that pauses on a degree while it still produces relations.
 
 The oracle is deliberately a different computation: the rank of the n-th
 quantum symmetrizer, the sum over all permutations of their positive braid
@@ -30,7 +32,7 @@ from typing import Optional
 
 from .braided import DiagonalBraiding, all_words, word_index
 from .freehopf import GradedQuotient, primitives, quotient_by_hopf_ideal
-from .linalg import Matrix, rank
+from .linalg import Matrix, hstack, rank
 from .scalars import ONE
 
 __all__ = [
@@ -76,21 +78,31 @@ def nichols_compute(braiding: DiagonalBraiding, cutoff: int) -> NicholsReport:
     relations = []
     n = 2
     while n <= cutoff:
-        if Q.dim(n) == 0:
+        gens = []
+        for c, space in Q.spaces.items():
+            if sum(c) == n and space.dim:
+                basis = primitives(Q, c).basis
+                gens += [(c, basis.column_vector(j)) for j in range(basis.ncols)]
+        if not gens:
             n += 1
             continue
-        found = primitives(Q, n)
-        if found.dim == 0:
-            n += 1
-            continue
-        gens = [(n, found.subspace.basis.column_vector(j)) for j in range(found.dim)]
         Q = quotient_by_hopf_ideal(Q, gens)
-        relations.append((n, found.dim))
+        relations.append((n, len(gens)))
         # stay on this degree: the quotient can expose new primitives here
 
     dims = Q.dims
+    letters = [tuple(int(a == b) for b in range(braiding.dim)) for a in range(braiding.dim)]
+
+    def letter_products(c: tuple) -> Matrix:
+        """x_a Q_{c - a} for every letter a in c, side by side inside Q_c."""
+        return hstack(
+            [Q.mul_block(letters[a], c[:a] + (k - 1,) + c[a + 1 :]) for a, k in enumerate(c) if k]
+        )
+
     generated = all(
-        rank(Q.mul_block(1, m - 1)) == dims[m] for m in range(2, cutoff + 1) if dims[m]
+        rank(letter_products(c)) == space.dim
+        for c, space in Q.spaces.items()
+        if sum(c) >= 2 and space.dim
     )
     if generated and any(d == 0 for d in dims):
         first_zero = dims.index(0)

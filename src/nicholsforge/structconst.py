@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from itertools import permutations as _perms
 from typing import Optional
 
-from .braided import DiagonalBraiding, all_words
-from .linalg import BasedSpace, Matrix, Subspace, inverse, kernel, rank, rref, solve, vstack
+from .braided import DiagonalBraiding
+from .linalg import Matrix, Subspace, inverse, kernel, rank, rref, solve, vstack
 from .nichols import FINITE, NicholsReport
 from .scalars import ONE, ZERO, Scalar, from_rational
 
@@ -779,97 +779,44 @@ def _columns_to_matrix(columns: list, nrows: int) -> Matrix:
 # -- packaging engine output --------------------------------------------------
 
 
-def _content(word: tuple, nletters: int) -> tuple:
-    return tuple(word.count(a) for a in range(nletters))
-
-
 def from_nichols(report: NicholsReport) -> HopfStructure:
     """Package a finite engine result as a graded structure-constant point.
 
-    Sectors are the letter contents of surviving basis words; everything is
-    content-homogeneous, so the engine blocks restrict cleanly.  Raises on
-    an undetermined report: only a certified finite algebra is a point.
+    The engine is already graded by letter content, so its nonzero content
+    spaces are the sectors and its blocks are the structure constants as
+    they stand.  Raises on an undetermined report: only a certified finite
+    algebra is a point.
     """
     if report.termination != FINITE:
         raise ValueError("structure constants need a finite Nichols algebra")
     Q = report.quotient
-    nletters = report.braiding.dim
-    top = max(n for n, d in enumerate(report.dims) if d)
-
-    # positions[label] = (degree, list of coordinate indices in Q_degree)
-    positions: dict = {}
-    sector_labels: dict = {}
-    for n in range(top + 1):
-        words = all_words(nletters, n)
-        pivot_set = set(Q.ideal[n].pivots)
-        free = [c for c in range(len(words)) if c not in pivot_set]
-        for k, f in enumerate(free):
-            label = _content(words[f], nletters)
-            if label not in positions:
-                positions[label] = (n, [])
-                sector_labels[label] = []
-            positions[label][1].append(k)
-            sector_labels[label].append(Q.spaces[n].labels[k])
-
     backend = LabelBackend(report.braiding)
-    sectors = {
-        label: BasedSpace(len(idxs), tuple(sector_labels[label]))
-        for label, (n, idxs) in positions.items()
-    }
-    obj = DecomposedObject(backend, sectors)
-
-    def restrict(M: Matrix, row_positions, col_positions) -> Matrix:
-        rows = {p: k for k, p in enumerate(row_positions)}
-        cols = {p: k for k, p in enumerate(col_positions)}
-        entries = {}
-        for (r, c), v in M.entries.items():
-            rk = rows.get(r)
-            ck = cols.get(c)
-            if rk is not None and ck is not None:
-                entries[(rk, ck)] = v
-        return Matrix(len(row_positions), len(col_positions), entries)
-
-    def pair_positions(i: tuple, j: tuple):
-        ni, pos_i = positions[i]
-        nj, pos_j = positions[j]
-        dim_j_ambient = Q.dim(nj)
-        return [a * dim_j_ambient + b for a in pos_i for b in pos_j]
+    obj = DecomposedObject(backend, {c: space for c, space in Q.spaces.items() if space.dim})
+    sectors = obj.sectors
 
     mul = {}
     cop = {}
-    labels = list(positions)
-    for i in labels:
-        ni = positions[i][0]
-        for j in labels:
-            nj = positions[j][0]
-            target = backend.add(i, j)
-            if target in positions:
-                pos_s = positions[target][1]
-                pair = pair_positions(i, j)
-                block = restrict(Q.mul_block(ni, nj), pos_s, pair)
-                if not block.is_zero():
-                    mul[(i, j)] = block
-                cblock = restrict(Q.cop_block(ni + nj, ni, nj), pair, pos_s)
-                if not cblock.is_zero():
-                    cop[(i, j)] = cblock
+    for i in sectors:
+        for j in sectors:
+            k = backend.add(i, j)
+            if k in sectors:
+                mul[(i, j)] = Q.mul_block(i, j)
+                cop[(i, j)] = Q.cop_block(k, i)
 
-    # antipode degree by degree, then restricted to sectors
-    s_by_degree = [Matrix.identity(1)]
-    for n in range(1, top + 1):
-        d = Q.dim(n)
-        total = Matrix.identity(d)
-        for a in range(1, n):
-            piece = Q.mul_block(a, n - a) @ s_by_degree[a].kron(Matrix.identity(Q.dim(n - a)))
-            total = total + piece @ Q.cop_block(n, a, n - a)
-        s_by_degree.append(-total)
-
-    antipode = {}
-    for label, (n, pos) in positions.items():
-        block = restrict(s_by_degree[n], pos, pos)
-        if not block.is_zero():
-            antipode[label] = block
+    # S_c = -(1 + sum over 0 < i < c of m(S_i (x) 1) cop^{i,c-i}), by degree
+    antipode = {backend.zero: Matrix.identity(1)}
+    for c, space in sectors.items():
+        if c == backend.zero:
+            continue
+        total = Matrix.identity(space.dim)
+        for i, s_i in antipode.items():
+            j = tuple(x - y for x, y in zip(c, i))
+            if i != backend.zero and j in sectors:
+                piece = mul[(i, j)] @ s_i.kron(Matrix.identity(sectors[j].dim))
+                total = total + piece @ cop[(i, j)]
+        antipode[c] = -total
 
     unit = Matrix.identity(1)
     counit = Matrix.identity(1)
-    grading = {label: (sum(label),) * len(pos) for label, (n, pos) in positions.items()}
+    grading = {c: (sum(c),) * space.dim for c, space in sectors.items()}
     return HopfStructure(obj, mul, unit, cop, counit, antipode, grading)

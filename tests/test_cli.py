@@ -173,6 +173,28 @@ def test_degenerate_rows_skip_empty_samples(runner, qp_hopf):
     assert rows == [f"{label:<16} {d}" for label, d in zip(["1", "1/2", "limit"], dims)]
 
 
+def _first_block(doc, kind, shape):
+    return next(b for b in doc[kind] if (b["rows"], b["cols"]) == shape)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc: doc["unit"].update(rows=-1), id="negative-rows"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"].append([0, 9, "1"]),
+                 id="column-outside"),
+    pytest.param(lambda doc: _first_block(doc, "mul", (1, 1))["entries"].append([7, 0, "1"]),
+                 id="row-outside"),
+])
+def test_malformed_matrix_is_usage_error(runner, qp_hopf, edit):
+    with open(qp_hopf) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(qp_hopf, "w") as fh:
+        json.dump(doc, fh)
+    result = runner.invoke(main, ["verify", qp_hopf])
+    assert result.exit_code == 2, result.output
+    assert "bad structure document" in result.output
+
+
 def test_is_nichols_on_nichols_point(runner, qp_hopf):
     result = runner.invoke(main, ["is-nichols", qp_hopf, "--json"])
     assert result.exit_code == 0, result.output
@@ -195,6 +217,17 @@ def test_fusion_gen_and_verify(runner, tmp_path):
     pytest.param(lambda doc: doc["fusion"].append([0, 4, 4, 1]), id="index-too-large"),
     pytest.param(lambda doc: doc["fusion"].append([0, -1, 1, 1]), id="index-negative"),
     pytest.param(lambda doc: doc.update(dual=[0, 1, 2, 7]), id="dual-index"),
+    pytest.param(lambda doc: doc["assoc"].append({**doc["assoc"][0], "key": [9, 0, 0, 9, 9, 0]}),
+                 id="assoc-key"),
+    pytest.param(lambda doc: doc["braiding"].append({**doc["braiding"][0], "key": [0, 9, 9]}),
+                 id="braiding-key"),
+    pytest.param(lambda doc: doc["left_units"].append([9, "1"]), id="left-units-key"),
+    pytest.param(lambda doc: doc["right_units"].append([-1, "1"]), id="right-units-key"),
+    pytest.param(lambda doc: doc["ev"].append({**doc["ev"][0], "key": [9]}), id="ev-key"),
+    pytest.param(lambda doc: doc["coev"].append({**doc["coev"][0], "key": [4]}), id="coev-key"),
+    pytest.param(lambda doc: doc["ev"].append({**doc["ev"][0], "key": []}), id="ev-key-empty"),
+    pytest.param(lambda doc: doc["assoc"].append({**doc["assoc"][0], "key": [0, 0, 0, 0, 0]}),
+                 id="assoc-key-short"),
 ])
 def test_bad_fusion_document_is_usage_error(runner, z2_file, edit):
     with open(z2_file) as fh:

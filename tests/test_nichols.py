@@ -97,3 +97,26 @@ def test_symmetry_warning_only_on_asymmetric_dims():
 
     free = nichols_compute(DiagonalBraiding.from_entries([["1"]]), 4)
     assert dims_symmetry_warning(free) is None  # not finite, nothing to check
+
+
+def test_cartan_a2_content_dims_are_root_system_product():
+    # A2 at zeta_3: positive roots (1,0), (0,1), (1,1), each with a braiding
+    # scalar of order 3, so the content-graded Hilbert series is
+    # prod over beta of (1 + t^beta + t^(2 beta)).  Cutoff 9 sees degree 9
+    # vanish above the top degree 8, which certifies finiteness.
+    b = DiagonalBraiding.from_entries([["zeta(3)", "1"], ["zeta(3)^2", "zeta(3)"]])
+    report = nichols_compute(b, 9)
+    assert report.termination == FINITE
+    assert report.total_dim == 27
+    assert report.dims == (1, 2, 4, 4, 5, 4, 4, 2, 1, 0)
+    expected = {(0, 0): 1}
+    for beta in [(1, 0), (0, 1), (1, 1)]:
+        grown = {}
+        for c, d in expected.items():
+            for m in range(3):
+                key = (c[0] + m * beta[0], c[1] + m * beta[1])
+                grown[key] = grown.get(key, 0) + d
+        expected = grown
+    spaces = report.quotient.spaces
+    assert set(expected) <= set(spaces)
+    assert {c: space.dim for c, space in spaces.items()} == {c: expected.get(c, 0) for c in spaces}
