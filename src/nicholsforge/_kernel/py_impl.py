@@ -11,7 +11,7 @@ the (unique) reduced row echelon form, which everything upstream relies on
 for canonical bases.
 """
 
-from .._rat import RAT, R_ONE, R_ZERO
+from .._rat import R_ONE, R_ZERO
 
 IMPL = "python"
 

@@ -46,6 +46,7 @@ from .fusion import (
 )
 from .nichols import (
     FINITE,
+    ORACLE_MAX_DEGREE,
     dims_symmetry_warning,
     hilbert_series,
     nichols_compute,
@@ -148,6 +149,13 @@ def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_jso
         braiding = braiding_from_json(obj)
     except (KeyError, ValueError, TypeError) as err:
         raise InputError(f"bad braiding document: {err}")
+    if oracle_degree is not None:
+        if oracle_degree < 0:
+            raise InputError("--oracle-degree cannot be negative")
+        if oracle_degree > max_degree:
+            raise InputError("--oracle-degree cannot exceed --max-degree")
+        if oracle_degree > ORACLE_MAX_DEGREE:
+            raise InputError(f"--oracle-degree cannot exceed {ORACLE_MAX_DEGREE}")
     try:
         report = nichols_compute(braiding, max_degree)
     except ValueError as err:
@@ -161,13 +169,8 @@ def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_jso
     oracle_rows = []
     agree = True
     if oracle_degree is not None:
-        if oracle_degree > max_degree:
-            raise InputError("--oracle-degree cannot exceed --max-degree")
         degrees = list(range(oracle_degree + 1))
-        try:
-            ranks = pmap(lambda d: symmetrizer_rank(braiding, d), degrees, threads)
-        except ValueError as err:
-            raise InputError(str(err))
+        ranks = pmap(lambda d: symmetrizer_rank(braiding, d), degrees, threads)
         for d, r in zip(degrees, ranks):
             engine = report.dims[d]
             match = engine == r

@@ -101,7 +101,14 @@ def hopf_from_json(obj: dict) -> HopfStructure:
     graded = False
     for entry in obj["sectors"]:
         label = tuple(int(x) for x in entry["label"])
-        sectors[label] = BasedSpace(int(entry["dim"]), tuple(entry["basis"]))
+        dim, basis = int(entry["dim"]), tuple(entry["basis"])
+        if label in sectors:
+            raise ValueError(f"sector {list(label)} is listed twice")
+        if dim < 0 or dim != len(basis):
+            raise ValueError(f"sector {list(label)} has dim {dim} but {len(basis)} basis labels")
+        if len(set(basis)) != dim:
+            raise ValueError(f"sector {list(label)} repeats a basis label")
+        sectors[label] = BasedSpace(dim, basis)
         if "degrees" in entry:
             graded = True
             grading[label] = tuple(int(d) for d in entry["degrees"])

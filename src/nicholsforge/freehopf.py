@@ -1,47 +1,53 @@
-"""Content-graded presentation of the free braided Hopf algebra and its quotients.
+"""Content-graded quotients of the free braided Hopf algebra, on standard words.
 
-Every structure map of the free braided Hopf algebra on a diagonal braiding
-of rank theta is homogeneous for the letter content: the multidegree in
-Z^theta that counts how often each letter occurs in a word.  Content c is
-spanned by the words of that content in mixed-radix (lexicographic) order,
-multiplication is concatenation, and the coproduct is the quantum shuffle:
+The structure maps are homogeneous for the letter content (the multidegree
+in Z^theta), so a quotient by a Hopf ideal I is built content by content:
 
-    Delta^{i,c-i}(e_w) = sum over position sets S with content(w|S) = i of
-        (prod q_{w_j, w_s} : j outside S, s in S, j < s) e_{w|S} (x) e_{w|Sc}
+* Q_c has the basis of the *standard words* of content c, the non-pivot
+  words of the canonical echelon form of I_c in lex order.  They are
+  prefix-closed, so Q_c is spanned by the *candidates* s*a, s standard of
+  content c - a, whose relations are the lower ones pushed through the left
+  multiplications L_b, plus the new generators.
+* R_a: Q_{c-a} -> Q_c multiplies by a letter on the right; S_a: Q_c ->
+  Q_{c-a} sends a standard word s*a to s.  Products are chains of R_a, and
+  Delta(s*a) = Delta(s) Delta(a) gives cop(c, i) = sum over a of
+  [chi(c-i, a) (R_a (x) 1) cop(c-a, i-a) + (1 (x) R_a) cop(c-a, i)] S_a,
+  with chi(d, a) = prod_b q_ba^(d_b): a letter headed left picks up q_{b,a}
+  per letter b it passes.  With no relations this is the quantum shuffle
+  Delta^{i,c-i}(e_w) = sum over position sets S of content i of
+  (prod q_{w_j, w_s} : j not in S, s in S, j < s) e_{w|S} (x) e_{w|Sc}.
+* An ideal holding every word of one degree holds all longer ones, so
+  nothing above the first zero degree is built.
 
-The crossing product is the braid lift of the inverse-shuffle permutation
-moving the S positions to the front, so letters headed left pick up one q
-factor per letter they pass.  Flipping which factor passes over which would
-transpose the braiding matrix; this orientation is the documented one.
-
-A GradedQuotient keeps, for every content up to a total-degree cutoff, the
-ideal it quotients by, a projection and section rooted at the free algebra,
-and derives multiplication and coproduct blocks from the free ones through
-those maps.  Quotient ideals must be generated by primitive elements, which
-is what keeps them Hopf ideals; the constructor refuses anything else.
+Quotient ideals must be generated by primitive elements, which is what keeps
+them Hopf ideals; quotient_by_hopf_ideal refuses anything else.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, combinations, product
-from math import prod
-from types import MappingProxyType
-from typing import Sequence
+from itertools import product
+from typing import NamedTuple, Sequence
 
 from .braided import DiagonalBraiding, word_label
 from .linalg import BasedSpace, Matrix, Subspace, kernel, quotient, vstack
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
-__all__ = [
-    "GradedQuotient",
-    "primitives",
-    "quotient_by_hopf_ideal",
-]
+__all__ = ["GradedQuotient", "MAX_CANDIDATES", "primitives", "quotient_by_hopf_ideal"]
+
+# Free-like braidings on 2 to 5 letters are refused within 0.8 s at this bound
+# (2-core Xeon, Python 3.11, fractions); at 100 they would run up to 5.3 s, and
+# 3-4 times longer per further degree.  Tests and benchmark jobs stay at 20
+# candidates or fewer, the 729-dimensional A3 at zeta_3 at 36.
+MAX_CANDIDATES = 48
 
 
 def _minus(c: tuple, i: tuple) -> tuple:
     return tuple(x - y for x, y in zip(c, i))
+
+
+def _drop(c: tuple, a: int) -> tuple:
+    """c less one letter a."""
+    return c[:a] + (c[a] - 1,) + c[a + 1 :]
 
 
 def _below(c: tuple):
@@ -49,107 +55,123 @@ def _below(c: tuple):
     return product(*(range(k + 1) for k in c))
 
 
-@lru_cache(maxsize=None)
-def _words(content: tuple) -> MappingProxyType:
-    """The words of a content in mixed-radix order, each mapped to its position.
+class _Part(NamedTuple):
+    """One built content c; the maps are keyed by letter."""
 
-    Cached for the life of the process, one read-only table per content
-    ever asked for; a cutoff bounds them by the words it allows anyway.
-    """
-    if not any(content):
-        return MappingProxyType({(): 0})
-    words = []
-    for a, k in enumerate(content):
-        if k:
-            words.extend((a,) + w for w in _words(content[:a] + (k - 1,) + content[a + 1 :]))
-    return MappingProxyType({w: pos for pos, w in enumerate(words)})
+    space: BasedSpace  # Q_c, labelled by its standard words
+    words: tuple  # the standard words
+    embed: dict  # a -> Q_{c-a} -> span of the candidates, s -> s*a
+    section: Matrix  # Q_c -> span of the candidates, on its standard words
+    relations: Subspace  # I_c on the candidates, in canonical echelon form
+    right: dict  # a -> R_a
+    prefix: dict  # a -> S_a
+    cop: dict  # i -> cop(c, i), for every i with both sides nonzero
+    chi: tuple  # chi(c, a) per letter a
 
 
-def _free_space(content: tuple) -> BasedSpace:
-    return BasedSpace(len(_words(content)), tuple(word_label(w) for w in _words(content)))
+def _product(parts: dict, products: dict, i: tuple, j: tuple) -> Matrix:
+    """mul_{i,j} on built contents, through R_a: u * (v*a) = R_a(u * v)."""
+    if (i, j) not in products:
+        k = tuple(x + y for x, y in zip(i, j))
+        di, dj, dk = (len(parts[d].words) if d in parts else 0 for d in (i, j, k))
+        block = Matrix(dk, di * dj) if any(j) else Matrix.identity(di)
+        for a, S in parts[j].prefix.items() if di and dj and dk else ():
+            if parts[_drop(k, a)].words and S.nrows:
+                step = parts[k].right[a] @ _product(parts, products, i, _drop(j, a))
+                block = block + step @ Matrix.identity(di).kron(S)
+        products[(i, j)] = block
+    return products[(i, j)]
+
+
+def _build(braiding: DiagonalBraiding, parts: dict, products: dict, c: tuple, relations=None):
+    """Content c from those below; relations default to the lower ones pushed up by L_b."""
+    letters = [a for a, k in enumerate(c) if k]
+    lower = {a: parts[_drop(c, a)] for a in letters}
+    found = sorted((s + (a,), a, r) for a in letters for r, s in enumerate(lower[a].words))
+    n = len(found)
+    embed = {a: Matrix(n, len(lower[a].words),
+                       {(j, r): ONE for j, (_, b, r) in enumerate(found) if b == a})
+             for a in letters}
+    if relations is None:
+        rows = [Matrix(0, n)]
+        for b in letters:
+            e_b, below = tuple(int(x == b) for x in range(len(c))), lower[b]
+            push = sum((embed[a] @ _product(parts, products, e_b, _drop(_drop(c, b), a))
+                        @ E.transpose() for a, E in below.embed.items()),
+                       Matrix(n, below.section.nrows))
+            rows.append(below.relations.row_matrix @ push.transpose())
+        relations = Subspace.from_matrix_rows(vstack(rows))
+    labels = tuple(word_label(w) for w, _, _ in found)
+    space, projection, section = quotient(BasedSpace(n, labels), relations)
+    right = {a: projection @ embed[a] for a in letters}
+    prefix = {a: embed[a].transpose() @ section for a in letters}
+    cop = {}
+    for i in _below(c) if space.dim else ():
+        rest = _minus(c, i)
+        if not any(i) or not any(rest):
+            cop[i] = Matrix.identity(space.dim)
+        elif parts[i].words and parts[rest].words:
+            di, dr = len(parts[i].words), len(parts[rest].words)
+            steps = [(parts[i].right[a].scale(parts[rest].chi[a]).kron(Matrix.identity(dr)),
+                      lower[a].cop.get(_drop(i, a)), a) for a in letters if i[a]]
+            steps += [(Matrix.identity(di).kron(parts[rest].right[a]), lower[a].cop.get(i), a)
+                      for a in letters if rest[a]]
+            cop[i] = sum((step @ (below @ prefix[a]) for step, below, a in steps
+                          if below is not None), Matrix(di * dr, space.dim))
+    words = tuple(found[j][0] for j, _ in sorted(section.entries))
+    chi = tuple(x * braiding.q[letters[0]][a] for a, x in enumerate(lower[letters[0]].chi))
+    return _Part(space, words, embed, section, relations, right, prefix, cop, chi)
 
 
 def _shuffle_block(braiding: DiagonalBraiding, content: tuple, left: tuple) -> Matrix:
-    """Delta^{left, content-left} on the free algebra.
-
-    Columns are the words w of the content; row u_pos * #v + v_pos is the
-    pair of words (u, v) of contents left and content-left.  The position
-    set S is chosen letter by letter: left[a] of the positions holding a.
-    Its crossing factor is the monomial prod q_ab^(m_ab), where m_ab counts
-    the letters a passed by a letter b headed left; the walk counts the
-    (row, column, m) triples in integers, and each distinct monomial is
-    evaluated once, from powers q_ab^e computed once each.
-    """
-    n, q = braiding.dim, braiding.q
-    lefts, rights, columns = _words(left), _words(_minus(content, left)), _words(content)
-    counts: dict = {}
-    for w, col in columns.items():
-        spots = [[p for p, x in enumerate(w) if x == a] for a in range(n)]
-        for choice in product(*(combinations(spots[a], left[a]) for a in range(n))):
-            chosen = set(chain.from_iterable(choice))
-            passed, m, u, v = [0] * n, [0] * (n * n), [], []
-            for p, b in enumerate(w):
-                if p in chosen:
-                    u.append(b)
-                    for a in range(n):
-                        m[a * n + b] += passed[a]
-                else:
-                    v.append(b)
-                    passed[b] += 1
-            key = (lefts[tuple(u)] * len(rights) + rights[tuple(v)], col, tuple(m))
-            counts[key] = counts.get(key, 0) + 1
-
-    @lru_cache(maxsize=None)
-    def power(ab: int, e: int):
-        return q[ab // n][ab % n] ** e
-
-    monomials: dict = {}
-    entries: dict = {}
-    for (row, col, m), count in counts.items():
-        if m not in monomials:
-            monomials[m] = prod((power(ab, e) for ab, e in enumerate(m) if e), start=ONE)
-        term = monomials[m] if count == 1 else monomials[m] * count
-        entries[(row, col)] = entries.get((row, col), ZERO) + term
-    return Matrix(len(lefts) * len(rights), len(columns), entries)
+    """Delta^{left, content-left} of the free algebra: the quotient by nothing."""
+    return GradedQuotient.free(braiding, max(sum(content), 1)).cop_block(content, left)
 
 
 class GradedQuotient:
     """A content-graded quotient of the free braided Hopf algebra.
 
-    Everything is rooted at the free algebra: each content c up to the
-    cutoff degree stores the ideal I_c, the quotient space Q_c with
-    representative-word labels, and the projection/section pair between
-    them, in dicts keyed by content and ordered by degree.  Structure
-    blocks are derived:
-
-        mul_{i,j} = proj_{i+j} o concat o (sect_i (x) sect_j)
-        cop_c^{i} = (proj_i (x) proj_{c-i}) o Delta_c^{i,c-i} o sect_c
-
-    both well-defined because the ideal is two-sided and generated by
-    primitives.  Instances are immutable; quotients produce new ones.
+    `spaces` maps every content of degree up to `built` to Q_c, in degree
+    order; once a degree vanishes, the contents above it are zero and left
+    out, and `built` is the cutoff.  `ideal_degree` is the degree of the
+    latest generators.  Instances are immutable; quotients produce new ones.
     """
 
-    __slots__ = ("braiding", "cutoff", "spaces", "projections", "sections", "ideal", "_shuffles")
+    __slots__ = ("braiding", "cutoff", "built", "ideal_degree", "spaces", "_parts", "_products")
 
-    def __init__(self, braiding, cutoff, spaces, projections, sections, ideal, shuffles=None):
-        self.braiding = braiding
-        self.cutoff = cutoff
-        self.spaces = spaces
-        self.projections = projections
-        self.sections = sections
-        self.ideal = ideal
-        self._shuffles = {} if shuffles is None else shuffles
+    def __init__(self, braiding, cutoff, built, ideal_degree, parts, products):
+        vanished = built and not any(p.space.dim for c, p in parts.items() if sum(c) == built)
+        self.braiding, self.cutoff, self.ideal_degree = braiding, cutoff, ideal_degree
+        self.built = cutoff if vanished else built
+        self.spaces = {c: part.space for c, part in parts.items()}
+        self._parts = parts
+        self._products = products  # (i, j) -> mul_{i,j}, filled on demand
 
     @classmethod
-    def free(cls, braiding: DiagonalBraiding, cutoff: int) -> "GradedQuotient":
+    def free(cls, braiding: DiagonalBraiding, cutoff: int, degree=None) -> "GradedQuotient":
+        """The free algebra, built through `degree` (by default the cutoff)."""
         assert cutoff >= 1
-        contents = product(range(cutoff + 1), repeat=braiding.dim)
-        spaces = {c: _free_space(c) for c in sorted(contents, key=sum) if sum(c) <= cutoff}
-        eye = {c: Matrix.identity(space.dim) for c, space in spaces.items()}
-        ideal = {c: Subspace.zero(space.dim) for c, space in spaces.items()}
-        return cls(braiding, cutoff, spaces, eye, dict(eye), ideal)
+        unit = _Part(BasedSpace(1, ("1",)), ((),), {}, Matrix.identity(1), Subspace.zero(1), {}, {},
+                     {(0,) * braiding.dim: Matrix.identity(1)}, (ONE,) * braiding.dim)
+        Q = cls(braiding, cutoff, 0, 0, {(0,) * braiding.dim: unit}, {})
+        while Q.built < (cutoff if degree is None else degree):
+            Q = Q.grown()
+        return Q
 
-    # -- shape -----------------------------------------------------------
+    def grown(self) -> "GradedQuotient":
+        """The same quotient built one degree further."""
+        if self.built == self.cutoff:
+            return self
+        n, parts, products = self.built + 1, dict(self._parts), dict(self._products)
+        sizes = {c: sum(self.spaces[_drop(c, a)].dim for a, k in enumerate(c) if k)
+                 for c in _below((n,) * self.braiding.dim) if sum(c) == n}
+        c = max(sizes, key=sizes.get)
+        if sizes[c] > MAX_CANDIDATES:
+            raise ValueError(f"degree {n}: content {c} has {sizes[c]} candidate words, "
+                             f"more than {MAX_CANDIDATES}; lower the cutoff")
+        for c in sizes:
+            parts[c] = _build(self.braiding, parts, products, c)
+        return GradedQuotient(self.braiding, self.cutoff, n, self.ideal_degree, parts, products)
 
     @property
     def dims(self) -> tuple:
@@ -160,33 +182,29 @@ class GradedQuotient:
     def total_dim(self) -> int:
         return sum(space.dim for space in self.spaces.values())
 
-    def _check(self, *contents):
+    def _dims(self, *contents) -> tuple:
+        """The dims of contents built or known to vanish; raises on others."""
         for c in contents:
-            if c not in self.spaces:
-                raise ValueError(f"content {c} is not a content within cutoff {self.cutoff}")
-
-    # -- structure blocks --------------------------------------------------
+            inside = len(c) == self.braiding.dim and min(c) >= 0 and sum(c) <= self.cutoff
+            if not (inside and (c in self.spaces or self.built == self.cutoff)):
+                raise ValueError(f"content {c} is not a built content within cutoff {self.cutoff}")
+        return tuple(self.spaces[c].dim if c in self.spaces else 0 for c in contents)
 
     def free_shuffle(self, content: tuple, left: tuple) -> Matrix:
-        key = (content, left)
-        if key not in self._shuffles:
-            self._shuffles[key] = _shuffle_block(self.braiding, content, left)
-        return self._shuffles[key]
+        """Delta^{left, content-left} of the free algebra on this braiding."""
+        if self.ideal_degree == 0 and content in self.spaces:  # this is the free algebra
+            return self.cop_block(content, left)
+        return _shuffle_block(self.braiding, content, left)
 
     def mul_block(self, i: tuple, j: tuple) -> Matrix:
         """Multiplication Q_i (x) Q_j -> Q_{i+j}."""
-        k = tuple(x + y for x, y in zip(i, j))
-        self._check(i, j, k)
-        words = _words(k)
-        concat = [words[u + v] for u in _words(i) for v in _words(j)]
-        return self.projections[k].select_columns(concat) @ self.sections[i].kron(self.sections[j])
+        self._dims(i, j, tuple(x + y for x, y in zip(i, j)))
+        return _product(self._parts, self._products, i, j)
 
     def cop_block(self, content: tuple, left: tuple) -> Matrix:
         """Coproduct component Q_c -> Q_left (x) Q_{c-left}."""
-        right = _minus(content, left)
-        self._check(content, left, right)
-        split = self.projections[left].kron(self.projections[right])
-        return split @ (self.free_shuffle(content, left) @ self.sections[content])
+        dc, dl, dr = self._dims(content, left, _minus(content, left))
+        return self._parts[content].cop[left] if dc and dl and dr else Matrix(dl * dr, dc)
 
 
 def primitives(Q: GradedQuotient, content: tuple) -> Subspace:
@@ -197,61 +215,42 @@ def primitives(Q: GradedQuotient, content: tuple) -> Subspace:
     constrains nothing; on a single letter everything is primitive.
     """
     if content not in Q.spaces or not any(content):
-        raise ValueError(f"content {content} must be nonzero and within cutoff {Q.cutoff}")
-    blocks = [
-        Q.cop_block(content, left)
-        for left in _below(content)
-        if any(left) and left != content
-        and Q.spaces[left].dim and Q.spaces[_minus(content, left)].dim
-    ]
+        raise ValueError(f"content {content} must be nonzero and built within cutoff {Q.cutoff}")
+    blocks = [Q.cop_block(content, left) for left in _below(content)
+              if any(left) and left != content
+              and Q.spaces[left].dim and Q.spaces[_minus(content, left)].dim]
     return kernel(vstack(blocks)) if blocks else Subspace.full(Q.spaces[content].dim)
 
 
 def quotient_by_hopf_ideal(Q: GradedQuotient, gens: Sequence) -> GradedQuotient:
     """Quotient by the two-sided ideal generated by primitive elements.
 
-    gens is a sequence of (content, vector) pairs, each vector given in the
-    coordinates of Q_content with degree >= 2.  Every generator must be
-    primitive in Q, checked against one primitive space per content; that
-    makes the generated ideal a Hopf ideal, so the quotient inherits
-    well-defined structure blocks.  Contents the ideal does not reach keep
-    their spaces and maps.
+    gens is a sequence of (content, vector) pairs, vectors in the coordinates
+    of Q_content, all of one degree n >= 2 and >= Q.ideal_degree.  Each must
+    be primitive in Q, checked once per content, which makes the ideal a Hopf
+    ideal.  Contents with generators are rebuilt, the degrees above n again.
     """
     if not gens:
         return Q
-    found: dict = {}
-    lifted = []  # (content, [(free word, coefficient)])
+    n, found, rows = sum(gens[0][0]), {}, {}
     for content, vector in gens:
-        if content not in Q.spaces or sum(content) < 2:
-            raise ValueError(f"generator content {content} must have degree within 2..{Q.cutoff}")
-        vector = list(vector)
-        if len(vector) != Q.spaces[content].dim:
+        if content not in Q.spaces or not 2 <= sum(content) == n or n < Q.ideal_degree:
+            raise ValueError(f"generator content {content} must have degree within "
+                             f"{max(2, Q.ideal_degree)}..{Q.cutoff}, as every other generator")
+        if len(vector := list(vector)) != Q.spaces[content].dim:
             raise ValueError(f"generator has {len(vector)} coordinates, not {Q.spaces[content].dim}")
         if content not in found:
             found[content] = primitives(Q, content)
         if not found[content].contains(vector):
             raise ValueError(f"generator of content {content} is not primitive")
-        words = list(_words(content))
-        column = Q.sections[content] @ Matrix.column(vector)
-        lifted.append((content, [(words[r], v) for (r, _), v in column.entries.items()]))
-
-    spaces, projections, sections, ideal = (
-        dict(Q.spaces), dict(Q.projections), dict(Q.sections), dict(Q.ideal)
-    )
-    for c in Q.spaces:
-        words = _words(c)
-        entries, nrows = {}, 0
-        for d, terms in lifted:
-            outside = _minus(c, d)
-            if min(outside) < 0:
-                continue
-            for a in _below(outside):
-                for u in _words(a):
-                    for w in _words(_minus(outside, a)):
-                        for g, value in terms:
-                            entries[(nrows, words[u + g + w])] = value
-                        nrows += 1
-        if nrows:
-            ideal[c] = ideal[c].add(Subspace.from_matrix_rows(Matrix(nrows, len(words), entries)))
-            spaces[c], projections[c], sections[c] = quotient(_free_space(c), ideal[c])
-    return GradedQuotient(Q.braiding, Q.cutoff, spaces, projections, sections, ideal, Q._shuffles)
+        rows.setdefault(content, []).append(vector)
+    parts = {c: part for c, part in Q._parts.items() if sum(c) <= n}
+    products = {(i, j): m for (i, j), m in Q._products.items() if sum(i) + sum(j) < n}
+    for c, vectors in rows.items():
+        lifted = Matrix.from_rows(vectors) @ parts[c].section.transpose()
+        relations = parts[c].relations.add(Subspace.from_matrix_rows(lifted))
+        parts[c] = _build(Q.braiding, parts, products, c, relations)
+    R = GradedQuotient(Q.braiding, Q.cutoff, n, n, parts, products)
+    while R.built < Q.built:
+        R = R.grown()
+    return R

@@ -6,8 +6,9 @@ primitives in the lowest degree >= 2 and quotient by the Hopf ideal they
 generate, until no primitives remain above degree one.  Everything is
 homogeneous in letter content, so each degree is searched content by
 content and the primitives of all its contents are quotiented at once.
-Degrees below the current scan point never change, so the scan is a single
-pass that pauses on a degree while it still produces relations.
+The scan builds each degree when it reaches it, from the final quotient
+below, so one quotient per degree leaves no primitives there; nothing is
+built above a degree that vanishes.
 
 The oracle is deliberately a different computation: the rank of the n-th
 quantum symmetrizer, the sum over all permutations of their positive braid
@@ -74,21 +75,20 @@ def nichols_compute(braiding: DiagonalBraiding, cutoff: int) -> NicholsReport:
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    Q = GradedQuotient.free(braiding, cutoff)
+    Q = GradedQuotient.free(braiding, cutoff, degree=1)
     relations = []
-    n = 2
-    while n <= cutoff:
+    for n in range(2, cutoff + 1):
+        Q = Q.grown()
         gens = []
         for c, space in Q.spaces.items():
             if sum(c) == n and space.dim:
                 basis = primitives(Q, c).basis
                 gens += [(c, basis.column_vector(j)) for j in range(basis.ncols)]
-        if not gens:
-            n += 1
-            continue
-        Q = quotient_by_hopf_ideal(Q, gens)
-        relations.append((n, len(gens)))
-        # stay on this degree: the quotient can expose new primitives here
+        if gens:
+            # degrees below n are final, so a primitive of the quotient in
+            # degree n lifts to one already quotiented: no second pass
+            Q = quotient_by_hopf_ideal(Q, gens)
+            relations.append((n, len(gens)))
 
     dims = Q.dims
     letters = [tuple(int(a == b) for b in range(braiding.dim)) for a in range(braiding.dim)]

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON reports, file round trips."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -58,6 +59,32 @@ def test_nichols_rejects_oracle_beyond_cutoff(runner, qp_file):
         main, ["nichols", qp_file, "--max-degree", "4", "--oracle-degree", "6"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("max_degree, oracle_degree", [(4, -1), (4, 6), (10, 9)])
+def test_bad_oracle_degree_is_refused_before_the_engine(runner, qp_file, monkeypatch,
+                                                        max_degree, oracle_degree):
+    calls = []
+    monkeypatch.setattr("nicholsforge.cli.nichols_compute", lambda *args: calls.append(args))
+    result = runner.invoke(main, ["nichols", qp_file, "--max-degree", str(max_degree),
+                                  "--oracle-degree", str(oracle_degree)])
+    assert result.exit_code == 2, result.output
+    assert "--oracle-degree" in result.output
+    assert calls == []
+
+
+def test_runaway_cutoff_is_refused(runner, tmp_path):
+    # four letters with unrelated rational q span the free algebra, whose
+    # content (1, 1, 1, 2) has all 5!/2 = 60 orderings as candidates
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    q = [[str(p) for p in primes[4 * a : 4 * a + 4]] for a in range(4)]
+    path = tmp_path / "free4.json"
+    path.write_text(json.dumps({"type": "diagonal", "q": q}))
+    started = time.monotonic()
+    result = runner.invoke(main, ["nichols", str(path), "--max-degree", "30"])
+    assert time.monotonic() - started < 1
+    assert result.exit_code == 2, result.output
+    assert "degree 5" in result.output and "60 candidate words" in result.output
 
 
 def test_missing_input_file_is_usage_error(runner):
@@ -185,6 +212,29 @@ def _first_block(doc, kind, shape):
                  id="row-outside"),
 ])
 def test_malformed_matrix_is_usage_error(runner, qp_hopf, edit):
+    with open(qp_hopf) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(qp_hopf, "w") as fh:
+        json.dump(doc, fh)
+    result = runner.invoke(main, ["verify", qp_hopf])
+    assert result.exit_code == 2, result.output
+    assert "bad structure document" in result.output
+
+
+def _sector(doc, label):
+    return next(e for e in doc["sectors"] if e["label"] == label)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc: _sector(doc, [1, 0]).update(dim=2), id="dim-above-basis"),
+    pytest.param(lambda doc: _sector(doc, [1, 0]).update(dim=-1, basis=[]), id="negative-dim"),
+    pytest.param(lambda doc: _sector(doc, [1, 1]).update(dim=2, basis=["x1*x2", "x1*x2"]),
+                 id="repeated-basis-label"),
+    pytest.param(lambda doc: doc["sectors"].append(dict(_sector(doc, [0, 1]))),
+                 id="repeated-sector"),
+])
+def test_malformed_sector_is_usage_error(runner, qp_hopf, edit):
     with open(qp_hopf) as fh:
         doc = json.load(fh)
     edit(doc)

@@ -16,7 +16,6 @@ from nicholsforge.structconst import (
     HopfStructure,
     from_nichols,
     grading_respected,
-    structurally_equal,
     verify_axioms,
 )
 

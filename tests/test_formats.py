@@ -23,7 +23,7 @@ from nicholsforge.fusion import pointed_center_data, verify_all
 from nicholsforge.linalg import Matrix
 from nicholsforge.nichols import nichols_compute
 from nicholsforge.scalars import from_rational, root_of_unity
-from nicholsforge.structconst import from_nichols, verify_axioms
+from nicholsforge.structconst import from_nichols
 
 
 def test_matrix_round_trip_mixed_scalars():

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 
 from nicholsforge import freehopf
-from nicholsforge.braided import DiagonalBraiding, all_words
+from nicholsforge.braided import DiagonalBraiding, all_words, word_label
 from nicholsforge.freehopf import GradedQuotient, primitives, quotient_by_hopf_ideal
-from nicholsforge.linalg import Matrix
+from nicholsforge.linalg import BasedSpace, Matrix, Subspace, quotient
 from nicholsforge.scalars import ONE, root_of_unity
 
 TRIVIAL = DiagonalBraiding.from_entries([["1"]])
@@ -158,3 +158,87 @@ def test_quotient_structure_blocks_stay_compatible():
     # multiplication must still land in the right space
     assert R.mul_block((1,), (1,)).shape == (1, 1)
     assert R.mul_block((1,), (2,)).shape == (0, 1)
+
+
+def _words_of(n, content):
+    """The words of a content, in lexicographic order."""
+    words = all_words(n, sum(content))
+    return [w for w in words if all(w.count(a) == x for a, x in enumerate(content))]
+
+
+def test_standard_words_match_the_ideal_over_all_words():
+    # the definition: the ideal spanned by u * g * w over all words, reduced
+    # over every word of a content; its non-pivot words are the basis and
+    # its projection gives the blocks
+    b = DiagonalBraiding.from_entries([["zeta(3)", "1"], ["zeta(3)^2", "zeta(3)"]])
+    Q = GradedQuotient.free(b, 5, degree=3)
+    gens = [(c, primitives(Q, c).basis.column_vector(j))
+            for c in [(3, 0), (2, 1), (1, 2), (0, 3)] for j in range(primitives(Q, c).dim)]
+    R = quotient_by_hopf_ideal(Q, gens)
+    while R.built < R.cutoff:
+        R = R.grown()
+
+    def lift(c, vector):
+        word_of = {word_label(w): w for w in _words_of(2, c)}
+        return c, {word_of[label]: v for label, v in zip(Q.spaces[c].labels, vector) if v}
+
+    lifted = [lift(c, vector) for c, vector in gens]
+    projections = {}
+    for c in R.spaces:
+        words = _words_of(2, c)
+        position = {w: k for k, w in enumerate(words)}
+        rows = []
+        for d, terms in lifted:
+            for u in all_words(2, sum(c) - sum(d)):
+                for cut in range(len(u) + 1):
+                    row = {}
+                    for g, v in terms.items():
+                        w = u[:cut] + g + u[cut:]
+                        if w in position:
+                            row[position[w]] = v
+                    if row:
+                        rows.append(row)
+        entries = {(r, k): v for r, row in enumerate(rows) for k, v in row.items()}
+        ideal = Subspace.from_matrix_rows(Matrix(len(rows), len(words), entries))
+        labels = tuple(map(word_label, words))
+        space, projection, section = quotient(BasedSpace(len(words), labels), ideal)
+        assert R.spaces[c] == space, c
+        projections[c] = (words, projection, section)
+    for i in R.spaces:
+        for j in R.spaces:
+            k = tuple(x + y for x, y in zip(i, j))
+            if k in R.spaces:
+                words, projection, _ = projections[k]
+                concat = [words.index(u + v) for u in projections[i][0] for v in projections[j][0]]
+                sections = projections[i][2].kron(projections[j][2])
+                expected = projection.select_columns(concat) @ sections
+                assert R.mul_block(i, j) == expected, (i, j)
+    for c in R.spaces:
+        for i in freehopf._below(c):
+            rest = tuple(x - y for x, y in zip(c, i))
+            split = projections[i][1].kron(projections[rest][1])
+            expected = split @ (_subset_shuffle(b, c, i) @ projections[c][2])
+            assert R.cop_block(c, i) == expected, (c, i)
+    # a quotient still hands out the free algebra's coproduct
+    assert R.free_shuffle((2, 1), (1, 0)) == _subset_shuffle(b, (2, 1), (1, 0))
+
+
+def test_quotient_refuses_generators_below_an_earlier_degree():
+    # x2^2 and x1 x2 - x2 x1 are primitive in degree 2, x1^3 in degree 3
+    b = DiagonalBraiding.from_entries([["zeta(3)", "1"], ["1", "-1"]])
+    Q = GradedQuotient.free(b, 4)
+
+    def gens(Q, contents):
+        return [(c, primitives(Q, c).basis.column_vector(j))
+                for c in contents for j in range(primitives(Q, c).dim)]
+
+    cube, squares = gens(Q, [(3, 0)]), gens(Q, [(1, 1), (0, 2)])
+    assert len(cube) == 1 and len(squares) == 2
+    with pytest.raises(ValueError):
+        quotient_by_hopf_ideal(Q, squares + cube)  # two degrees at once
+    R = quotient_by_hopf_ideal(Q, cube)
+    assert R.ideal_degree == 3
+    with pytest.raises(ValueError):
+        quotient_by_hopf_ideal(R, gens(R, [(1, 1), (0, 2)]))
+    R = quotient_by_hopf_ideal(quotient_by_hopf_ideal(Q, squares), cube)
+    assert R.dims == (1, 2, 2, 1, 0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nicholsforge.scalars import (
     ONE,
     ZERO,
-    Scalar,
     from_rational,
     make_scalar,
     parse_scalar,
