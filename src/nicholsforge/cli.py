@@ -23,7 +23,6 @@ from .filtration import (
     associated_graded,
     coradical_filtration,
     degenerate_limit,
-    filtration_conditions,
     primitive_dims_along_path,
     radical_filtration,
     split_basis,
@@ -59,6 +58,7 @@ from .structconst import (
     check_connected,
     from_nichols,
     verify_axioms,
+    well_formed_problem,
 )
 
 
@@ -221,6 +221,15 @@ def _load_hopf(path: str):
         raise InputError(f"bad structure document: {err}")
 
 
+def _load_well_formed_hopf(path: str):
+    """A structure whose blocks fit its sectors; verify reports this as an axiom."""
+    t, digest = _load_hopf(path)
+    problem = well_formed_problem(t)
+    if problem is not None:
+        raise InputError(f"bad structure document: {problem}")
+    return t, digest
+
+
 @main.command()
 @click.argument("hopf_file", type=click.Path())
 @_json_option
@@ -274,8 +283,7 @@ def _build_filtration(t, kind: str):
 
 def _layer_table(f) -> list:
     table = []
-    for i in sorted(f.chain):
-        dims = f.layer_dims()[i]
+    for i, dims in sorted(f.layer_dims().items()):
         table.append({
             "index": i,
             "dims": [[list(label), dims[label]] for label in sorted(dims)],
@@ -292,9 +300,9 @@ def _layer_table(f) -> list:
 def gr(hopf_file, kind, out, as_json):
     """Associated graded structure of the radical or coradical filtration."""
     started = time.monotonic()
-    t, digest = _load_hopf(hopf_file)
+    t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
-    conditions = filtration_conditions(f)
+    conditions = f.conditions
     graded = associated_graded(t, f)
     axioms = verify_axioms(graded)
     ok = all(conditions.values()) and axioms.passed
@@ -333,7 +341,7 @@ def gr(hopf_file, kind, out, as_json):
 def degenerate(hopf_file, kind, samples, out, as_json):
     """Walk the one-parameter family of a filtration split to its limit."""
     started = time.monotonic()
-    t, digest = _load_hopf(hopf_file)
+    t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
     parts = [part.strip() for part in samples.split(",") if part.strip()]
     try:
@@ -381,7 +389,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
 def is_nichols(hopf_file, as_json):
     """Run the three recognition criteria on a structure file."""
     started = time.monotonic()
-    t, digest = _load_hopf(hopf_file)
+    t, digest = _load_well_formed_hopf(hopf_file)
     try:
         pairing = pairing_report(t)
         generation = generation_check(t)

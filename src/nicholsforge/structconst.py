@@ -9,24 +9,25 @@ zero and simply absent; equality of structures is equality of the stored
 nonzero blocks.
 
 The axiom verifier works block by block in this decomposition and never
-materializes a full multiplication matrix.  Connectedness is the nilpotency
-of the counit kernel, bounded by the total dimension; coconnectedness is
-the same check on the dual structure.  The isomorphism search covers graded
-degree-one-generated structures whose degree-one sector parts are lines
-with independent labels; within that family the kernel comparison below is
-decisive, and label permutations are deliberately not searched.
+materializes a full multiplication matrix; it finds the blocks that meet
+through the object's index of sector pairs by their sum.  Connectedness is
+the nilpotency of the counit kernel, bounded by the total dimension;
+coconnectedness is the same check on the dual structure.  The isomorphism
+search covers graded degree-one-generated structures whose degree-one
+sector parts are lines with independent labels; within that family the
+degree-by-degree search below is decisive, and label permutations are
+deliberately not searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations as _perms
 from typing import Optional
 
 from .braided import DiagonalBraiding
-from .linalg import Matrix, Subspace, inverse, kernel, rank, rref, solve, vstack
+from .linalg import Matrix, Subspace, hstack, inverse, kernel, rank, rref, vstack
 from .nichols import FINITE, NicholsReport
-from .scalars import ONE, ZERO, Scalar, from_rational
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "LabelBackend",
@@ -34,7 +35,9 @@ __all__ = [
     "HopfStructure",
     "AxiomReport",
     "AXIOM_KEYS",
+    "well_formed_problem",
     "verify_axioms",
+    "augmentation_powers",
     "check_connected",
     "check_coconnected",
     "act",
@@ -90,7 +93,7 @@ class LabelBackend:
 class DecomposedObject:
     """Ordered family of multiplicity spaces indexed by line labels."""
 
-    __slots__ = ("backend", "sectors")
+    __slots__ = ("backend", "sectors", "_splits")
 
     def __init__(self, backend: LabelBackend, sectors: dict):
         for label, space in sectors.items():
@@ -100,10 +103,25 @@ class DecomposedObject:
                 raise ValueError(f"sector {label} must not be zero-dimensional")
         self.backend = backend
         self.sectors = dict(sectors)
+        self._splits = None
 
     def dim(self, label: tuple) -> int:
         space = self.sectors.get(label)
         return space.dim if space else 0
+
+    def splits(self, s: tuple) -> tuple:
+        """The sector pairs (i, j) with i + j = s, in sector order of i.
+
+        s is any label, a sector or not; the index over all sums is built on
+        first use.
+        """
+        if self._splits is None:
+            index: dict = {}
+            for i in self.sectors:
+                for j in self.sectors:
+                    index.setdefault(self.backend.add(i, j), []).append((i, j))
+            self._splits = {total: tuple(pairs) for total, pairs in index.items()}
+        return self._splits.get(s, ())
 
     @property
     def labels(self) -> list:
@@ -235,7 +253,8 @@ class AxiomReport:
         return None
 
 
-def _well_formed(t: HopfStructure) -> Optional[str]:
+def well_formed_problem(t: HopfStructure) -> Optional[str]:
+    """What keeps the blocks from fitting the sectors, or None when they fit."""
     obj = t.obj
     zero = obj.backend.zero
     if obj.dim(zero) == 0:
@@ -284,7 +303,7 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
     results: dict = {key: None for key in AXIOM_KEYS}
     failures: dict = {}
 
-    problem = _well_formed(t)
+    problem = well_formed_problem(t)
     results["well-formed"] = problem is None
     if problem is not None:
         failures["well-formed"] = problem
@@ -305,15 +324,24 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
     def eye(label: tuple) -> Matrix:
         return Matrix.identity(obj.dim(label))
 
+    # Both sides of (co)associativity at (i, j, k) are zero unless i+j+k
+    # is a sector and so is i+j or j+k; the rest are skipped, and the
+    # triples kept are visited in label order.
+    position = {label: n for n, label in enumerate(labels)}
+    triples = set()
+    for s in labels:
+        for ij, k in obj.splits(s):
+            triples.update((i, j, k) for i, j in obj.splits(ij))
+        for i, jk in obj.splits(s):
+            triples.update((i, j, k) for j, k in obj.splits(jk))
+    triples = sorted(triples, key=lambda ijk: [position[x] for x in ijk])
+
     # associativity: m(m x 1) = m(1 x m) on B_i x B_j x B_k
     ok = True
-    for i in labels:
-        for j in labels:
-            ij = backend.add(i, j)
-            for k in labels:
-                lhs = t.mul_at(ij, k) @ t.mul_at(i, j).kron(eye(k))
-                rhs = t.mul_at(i, backend.add(j, k)) @ eye(i).kron(t.mul_at(j, k))
-                ok = record("assoc", f"assoc at {(i, j, k)}", lhs, rhs) and ok
+    for i, j, k in triples:
+        lhs = t.mul_at(backend.add(i, j), k) @ t.mul_at(i, j).kron(eye(k))
+        rhs = t.mul_at(i, backend.add(j, k)) @ eye(i).kron(t.mul_at(j, k))
+        ok = record("assoc", f"assoc at {(i, j, k)}", lhs, rhs) and ok
     results["assoc"] = ok
 
     # unit: m(u x 1) = 1 = m(1 x u)
@@ -327,13 +355,10 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
 
     # coassociativity: (cop x 1)cop = (1 x cop)cop into B_i x B_j x B_k
     ok = True
-    for i in labels:
-        for j in labels:
-            ij = backend.add(i, j)
-            for k in labels:
-                lhs = t.cop_at(i, j).kron(eye(k)) @ t.cop_at(ij, k)
-                rhs = eye(i).kron(t.cop_at(j, k)) @ t.cop_at(i, backend.add(j, k))
-                ok = record("coassoc", f"coassoc at {(i, j, k)}", lhs, rhs) and ok
+    for i, j, k in triples:
+        lhs = t.cop_at(i, j).kron(eye(k)) @ t.cop_at(backend.add(i, j), k)
+        rhs = eye(i).kron(t.cop_at(j, k)) @ t.cop_at(i, backend.add(j, k))
+        ok = record("coassoc", f"coassoc at {(i, j, k)}", lhs, rhs) and ok
     results["coassoc"] = ok
 
     # counit: (eps x 1)cop = 1 = (1 x eps)cop
@@ -345,44 +370,34 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
         ok = record("counit", f"right counit at {i}", right, eye(i)) and ok
     results["counit"] = ok
 
-    # bialgebra: cop and counit are algebra maps, with the braiding insertion
+    # bialgebra: cop and counit are algebra maps, with the braiding insertion;
+    # the pieces over splits (a1, a2) of a and (b1, b2) of b land in
+    # (a1+b1, a2+b2)
     ok = True
     for a in labels:
         for b in labels:
-            total = backend.add(a, b)
-            for i in labels:
-                j = tuple(x - y for x, y in zip(total, i))
-                if j not in obj.sectors:
-                    continue
-                lhs = t.cop_at(i, j) @ t.mul_at(a, b)
-                rhs = Matrix(obj.dim(i) * obj.dim(j), obj.dim(a) * obj.dim(b))
-                for a1 in labels:
-                    a2 = tuple(x - y for x, y in zip(a, a1))
-                    if a2 not in obj.sectors:
-                        continue
-                    b1 = tuple(x - y for x, y in zip(i, a1))
-                    if b1 not in obj.sectors:
-                        continue
-                    b2 = tuple(x - y for x, y in zip(j, a2))
-                    if b2 not in obj.sectors:
+            pieces: dict = {}
+            for a1, a2 in obj.splits(a):
+                for b1, b2 in obj.splits(b):
+                    i, j = backend.add(a1, b1), backend.add(a2, b2)
+                    if i not in obj.sectors or j not in obj.sectors:
                         continue
                     piece = t.mul_at(a1, b1).kron(t.mul_at(a2, b2))
                     swap = eye(a1).kron(t.braid_flip(a2, b1)).kron(eye(b2))
                     piece = piece @ swap @ t.cop_at(a1, a2).kron(t.cop_at(b1, b2))
-                    rhs = rhs + piece
+                    pieces[(i, j)] = pieces[(i, j)] + piece if (i, j) in pieces else piece
+            for i, j in obj.splits(backend.add(a, b)):
+                lhs = t.cop_at(i, j) @ t.mul_at(a, b)
+                rhs = pieces.get((i, j))
+                if rhs is None:
+                    rhs = Matrix(obj.dim(i) * obj.dim(j), obj.dim(a) * obj.dim(b))
                 ok = record("bialgebra", f"cop o mul at {(a, b)} -> {(i, j)}", lhs, rhs) and ok
-    for i in labels:
-        j = backend.neg(i)
-        if j not in obj.sectors:
-            continue
+    for i, j in obj.splits(zero):
         # counit kills every product that lands in the unit sector except 0 x 0
         lhs = t.counit @ t.mul_at(i, j)
         rhs = t.counit.kron(t.counit) if i == zero else Matrix(1, obj.dim(i) * obj.dim(j))
         ok = record("bialgebra", f"counit o mul at {(i, j)}", lhs, rhs) and ok
-    for i in labels:
-        j = backend.neg(i)
-        if j not in obj.sectors:
-            continue
+    for i, j in obj.splits(zero):
         lhs = t.cop_at(i, j) @ t.unit
         rhs = t.unit.kron(t.unit) if i == zero else Matrix(obj.dim(i) * obj.dim(j), 1)
         ok = record("bialgebra", f"cop o unit at {(i, j)}", lhs, rhs) and ok
@@ -395,10 +410,7 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
         ok = True
         for s in labels:
             total = Matrix(obj.dim(s), obj.dim(s))
-            for i in labels:
-                j = tuple(x - y for x, y in zip(s, i))
-                if j not in obj.sectors:
-                    continue
+            for i, j in obj.splits(s):
                 if use_left:
                     half = t.antipode_at(i).kron(eye(j))
                 else:
@@ -451,10 +463,14 @@ def _labeled_dims(A: dict) -> dict:
 
 
 def generated_by(t: HopfStructure, seed: dict) -> bool:
-    """Whether the unit plus the seed generates everything under products."""
+    """Whether the unit plus the seed generates everything under products.
+
+    The closure grows by products with the seed, which by associativity
+    reaches the same subalgebra as products of the closure with itself.
+    """
     closure = _labeled_union(unit_span(t), seed)
     while True:
-        grown = _labeled_union(closure, product_span(t, closure, closure))
+        grown = _labeled_union(closure, product_span(t, closure, seed))
         if _labeled_dims(grown) == _labeled_dims(closure):
             break
         closure = grown
@@ -519,34 +535,37 @@ def grading_respected(t: HopfStructure) -> bool:
 # -- connectedness ------------------------------------------------------------
 
 
-def check_connected(t: HopfStructure) -> bool:
-    """Nilpotency of the counit kernel, bounded by the total dimension.
+def augmentation_powers(t: HopfStructure) -> Optional[list]:
+    """The nonzero powers J, J^2, ... of the counit kernel J, or None.
 
-    The kernel of the counit is an ideal; its powers form a decreasing
-    chain, so stabilizing at a nonzero value already decides failure.
-    Expects the axioms to hold.
+    J is an ideal, so its powers form a decreasing chain, and a power with
+    the dimensions of the one before means the chain stalls above zero.  A
+    chain still moving after total-dimension steps, which only input that
+    fails associativity can give, is cut off there.  None marks both.
     """
     obj = t.obj
     zero = obj.backend.zero
-    augmentation: dict = {}
-    ker = kernel(t.counit)
-    if not ker.is_zero():
-        augmentation[zero] = ker
+    ideal = {}
     for label, space in obj.sectors.items():
-        if label != zero:
-            augmentation[label] = Subspace.full(space.dim)
-    if not augmentation:
-        return True
-    bound = obj.total_dim()
-    power = augmentation
-    for _ in range(bound):
-        nxt = product_span(t, power, augmentation)
-        if not nxt:
-            return True
+        sub = kernel(t.counit) if label == zero else Subspace.full(space.dim)
+        if sub.dim:
+            ideal[label] = sub
+    powers: list = []
+    power = ideal
+    while power:
+        if len(powers) == obj.total_dim():
+            return None
+        powers.append(power)
+        nxt = product_span(t, power, ideal)
         if _labeled_dims(nxt) == _labeled_dims(power):
-            return False
+            return None
         power = nxt
-    return not power
+    return powers
+
+
+def check_connected(t: HopfStructure) -> bool:
+    """Nilpotency of the counit kernel.  Expects the axioms to hold."""
+    return augmentation_powers(t) is not None
 
 
 def check_coconnected(t: HopfStructure) -> bool:
@@ -627,10 +646,7 @@ def primitive_sectors(t: HopfStructure) -> dict:
     out = {}
     for s, space in obj.sectors.items():
         blocks = []
-        for i in obj.labels:
-            j = tuple(x - y for x, y in zip(s, i))
-            if j not in obj.sectors:
-                continue
+        for i, j in obj.splits(s):
             block = t.cop_at(i, j)
             if (i, j) == (s, zero):
                 block = block - Matrix.identity(space.dim).kron(t.unit)
@@ -644,25 +660,6 @@ def primitive_sectors(t: HopfStructure) -> dict:
 
 
 # -- isomorphism search -------------------------------------------------------
-
-
-def _multiset_words(counts: dict) -> list:
-    """Distinct arrangements of a multiset of generator labels, lex order."""
-    letters = []
-    for label in sorted(counts):
-        letters.extend([label] * counts[label])
-    return sorted(set(_perms(letters)))
-
-
-def _word_product(t: HopfStructure, gens: dict, word: tuple) -> Matrix:
-    backend = t.obj.backend
-    current_label = backend.zero
-    current = t.unit
-    for g in word:
-        block = t.mul_at(current_label, g)
-        current = block @ current.kron(gens[g])
-        current_label = backend.add(current_label, g)
-    return current
 
 
 def structurally_equal(t1: HopfStructure, t2: HopfStructure) -> bool:
@@ -695,11 +692,19 @@ def graded_iso_search(t1: HopfStructure, t2: HopfStructure) -> Optional[dict]:
 
     Both structures must be graded and generated in degree one (anything
     else raises).  The search assumes degree-one sector parts are at most
-    lines with integer-independent labels; any isomorphism in this family
-    fixes each sector, scales generators, and is determined up to scalars
-    that cancel in every axiom, so a single candidate per sector decides.
-    Basis label strings carry no weight.  Returns the automorphism as a
-    label -> Matrix dict, or None.
+    lines with integer-independent labels, so each sector holds the products
+    of one multiset of generators, and any isomorphism in this family fixes
+    each sector and scales generators by scalars that cancel in every axiom.
+
+    The search runs degree by degree from the unit.  A sector's candidate
+    columns are the columns kept one degree down, multiplied on the right by
+    a generator.  The RREF pivots of the candidates in t1 are kept, as a
+    basis of the sector, and the same columns are taken in t2, so both sides
+    hold the same products of generators; gamma maps the t1 columns onto
+    the t2 ones.  Candidates that fail to span a sector end the search, and
+    the final comparison act(gamma, t1) = t2 decides.  Basis label strings
+    carry no weight.  Returns the automorphism as a label -> Matrix dict, or
+    None.
     """
     for t in (t1, t2):
         if t.grading is None:
@@ -729,51 +734,29 @@ def graded_iso_search(t1: HopfStructure, t2: HopfStructure) -> Optional[dict]:
     if rank(label_matrix) != len(gen_labels):
         return None
 
-    gens1 = {lab: deg1_1[lab].basis for lab in gen_labels}
-    gens2 = {lab: deg1_2[lab].basis for lab in gen_labels}
-
     gamma: dict = {}
-    for sector, space in t1.obj.sectors.items():
-        target = Matrix.column([from_rational(x) for x in sector])
-        counts_solution = solve(label_matrix, target)
-        if counts_solution is None:
-            return None
-        counts = {}
-        for idx, lab in enumerate(gen_labels):
-            c = _scalar_to_nonneg_int(counts_solution.get(idx, 0))
-            if c is None:
-                return None
-            if c:
-                counts[lab] = c
-        words = _multiset_words(counts)
-        phi1 = _columns_to_matrix([_word_product(t1, gens1, w) for w in words], space.dim)
-        phi2 = _columns_to_matrix([_word_product(t2, gens2, w) for w in words], space.dim)
-        if kernel(phi1) != kernel(phi2):
-            return None
-        pivots1, _ = rref(phi1)
-        if len(pivots1) != space.dim:
-            return None  # products fail to span, despite generation: give up
-        selected1 = phi1.select_columns(pivots1)
-        selected2 = phi2.select_columns(pivots1)
-        gamma[sector] = selected2 @ inverse(selected1)
+    candidates = {obj.backend.zero: [(t1.unit, t2.unit)]}
+    while candidates:
+        kept = {}
+        for sector, columns in candidates.items():
+            phi1 = hstack([c1 for c1, _ in columns])
+            pivots, _ = rref(phi1)
+            if len(pivots) != obj.dim(sector):
+                return None  # products fail to span, despite generation: give up
+            kept[sector] = (phi1.select_columns(pivots),
+                            hstack([c2 for _, c2 in columns]).select_columns(pivots))
+            gamma[sector] = kept[sector][1] @ inverse(kept[sector][0])
+        candidates = {}
+        for r, (cols1, cols2) in kept.items():
+            for g in gen_labels:
+                s = obj.backend.add(r, g)
+                if s in obj.sectors:
+                    candidates.setdefault(s, []).append((
+                        t1.mul_at(r, g) @ cols1.kron(deg1_1[g].basis),
+                        t2.mul_at(r, g) @ cols2.kron(deg1_2[g].basis),
+                    ))
 
     return gamma if structurally_equal(act(gamma, t1), t2) else None
-
-
-def _scalar_to_nonneg_int(value: Scalar, bound: int = 64) -> Optional[int]:
-    for n in range(bound):
-        if value == from_rational(n):
-            return n
-    return None
-
-
-def _columns_to_matrix(columns: list, nrows: int) -> Matrix:
-    entries = {}
-    for j, col in enumerate(columns):
-        assert col.shape == (nrows, 1)
-        for (r, _), v in col.entries.items():
-            entries[(r, j)] = v
-    return Matrix(nrows, len(columns), entries)
 
 
 # -- packaging engine output --------------------------------------------------
@@ -796,12 +779,10 @@ def from_nichols(report: NicholsReport) -> HopfStructure:
 
     mul = {}
     cop = {}
-    for i in sectors:
-        for j in sectors:
-            k = backend.add(i, j)
-            if k in sectors:
-                mul[(i, j)] = Q.mul_block(i, j)
-                cop[(i, j)] = Q.cop_block(k, i)
+    for k in sectors:
+        for i, j in obj.splits(k):
+            mul[(i, j)] = Q.mul_block(i, j)
+            cop[(i, j)] = Q.cop_block(k, i)
 
     # S_c = -(1 + sum over 0 < i < c of m(S_i (x) 1) cop^{i,c-i}), by degree
     antipode = {backend.zero: Matrix.identity(1)}
@@ -809,10 +790,9 @@ def from_nichols(report: NicholsReport) -> HopfStructure:
         if c == backend.zero:
             continue
         total = Matrix.identity(space.dim)
-        for i, s_i in antipode.items():
-            j = tuple(x - y for x, y in zip(c, i))
-            if i != backend.zero and j in sectors:
-                piece = mul[(i, j)] @ s_i.kron(Matrix.identity(sectors[j].dim))
+        for i, j in obj.splits(c):
+            if backend.zero not in (i, j):
+                piece = mul[(i, j)] @ antipode[i].kron(Matrix.identity(sectors[j].dim))
                 total = total + piece @ cop[(i, j)]
         antipode[c] = -total
 

@@ -245,6 +245,50 @@ def test_malformed_sector_is_usage_error(runner, qp_hopf, edit):
     assert "bad structure document" in result.output
 
 
+def _mul_block(doc, key):
+    return next(b for b in doc["mul"] if b["key"] == key)
+
+
+ILL_FORMED_EDITS = [
+    pytest.param(lambda doc: _mul_block(doc, [[0, 0], [0, 1]]).update(cols=2),
+                 "has shape (1, 2), want (1, 1)", id="block-shape"),
+    pytest.param(lambda doc: _mul_block(doc, [[0, 0], [0, 1]]).update(key=[[0, 0, 0], [0, 0]]),
+                 "missing sector pair", id="key-rank"),
+    pytest.param(lambda doc: _sector(doc, [1, 0])["degrees"].append(1),
+                 "grading missing or wrong length at sector (1, 0)", id="degrees-too-long"),
+]
+
+
+def _edit_document(path, edit):
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+@pytest.mark.parametrize("edit, problem", ILL_FORMED_EDITS)
+@pytest.mark.parametrize("command", [
+    ["gr", "--filtration", "radical"],
+    ["degenerate", "--filtration", "coradical"],
+    ["is-nichols"],
+], ids=lambda c: c[0])
+def test_ill_formed_structure_is_usage_error(runner, qp_hopf, command, edit, problem):
+    _edit_document(qp_hopf, edit)
+    result = runner.invoke(main, [command[0], qp_hopf, *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert "bad structure document" in result.output and problem in result.output
+
+
+@pytest.mark.parametrize("edit, problem", ILL_FORMED_EDITS)
+def test_verify_reports_ill_formed_structure(runner, qp_hopf, edit, problem):
+    _edit_document(qp_hopf, edit)
+    result = runner.invoke(main, ["verify", qp_hopf])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0].split() == ["well-formed", "FAIL"] and problem in lines[1]
+
+
 def test_is_nichols_on_nichols_point(runner, qp_hopf):
     result = runner.invoke(main, ["is-nichols", qp_hopf, "--json"])
     assert result.exit_code == 0, result.output

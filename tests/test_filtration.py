@@ -7,6 +7,7 @@ import pytest
 from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.filtration import (
     FILTRATION_CONDITIONS,
+    HopfFiltration,
     associated_graded,
     coradical_filtration,
     degenerate_limit,
@@ -18,6 +19,7 @@ from nicholsforge.filtration import (
     radical_filtration,
     split_basis,
 )
+from nicholsforge.linalg import Subspace
 from nicholsforge.nichols import nichols_compute
 from nicholsforge.structconst import from_nichols, verify_axioms
 from tests_support import group_algebra_z2
@@ -66,6 +68,16 @@ def test_all_seven_conditions_hold(rad, cor):
         conditions = filtration_conditions(f)
         assert tuple(conditions) == FILTRATION_CONDITIONS
         assert all(conditions.values()), conditions
+
+
+def test_multiplicative_fails_at_the_top_index(qp_point):
+    # x2 sits in F_0 and x1 in F_1, but their product in sector (1, 1) lies
+    # outside F_1, the top of the window
+    full = {label: Subspace.full(space.dim) for label, space in qp_point.obj.sectors.items()}
+    f0 = {label: full[label] for label in [(0, 0), (0, 1)]}
+    f1 = {label: full[label] for label in [(0, 0), (0, 1), (1, 0)]}
+    f = HopfFiltration(qp_point, "test", (0, 1), {0: f0, 1: f1})
+    assert filtration_conditions(f)["multiplicative"] is False
 
 
 def test_filtrations_reject_disconnected_structures():

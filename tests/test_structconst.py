@@ -25,9 +25,78 @@ from nicholsforge.structconst import (
     verify_axioms,
 )
 
-from tests_support import group_algebra_z2
+from tests_support import doubled, group_algebra_z2
 
 QP = DiagonalBraiding.from_entries([["-1", "1"], ["1", "-1"]])
+A2_MINUS_ONE = DiagonalBraiding.from_entries([["-1", "-1"], ["1", "-1"]])
+
+# Every mul or cop block entry of A2 at -1 (cutoff 5) doubled on its own:
+# the site, first_failure(), and the bialgebra failure.  The first failure is
+# the assoc failure of a mul mutant and the coassoc failure of a cop mutant.
+# Doubling entry (0, 0) of cop ((0, 1), (1, 0)) first fails at the triple
+# ((0, 1), (0, 1), (1, 0)), whose i + j = (0, 2) is not a sector.
+DOUBLED_ENTRY_FAILURES = """\
+mul ((0, 0), (0, 0)) (0, 0): assoc at ((0, 0), (0, 0), (0, 1)) | cop o mul at ((0, 0), (0, 0)) -> ((0, 0), (0, 0))
+mul ((0, 0), (0, 1)) (0, 0): assoc at ((0, 0), (0, 0), (0, 1)) | cop o mul at ((0, 0), (1, 1)) -> ((0, 1), (1, 0))
+mul ((0, 0), (1, 0)) (0, 0): assoc at ((0, 0), (0, 0), (1, 0)) | cop o mul at ((0, 0), (1, 1)) -> ((0, 1), (1, 0))
+mul ((0, 0), (1, 1)) (0, 0): assoc at ((0, 0), (0, 0), (1, 1)) | cop o mul at ((0, 0), (1, 1)) -> ((0, 1), (1, 0))
+mul ((0, 0), (1, 1)) (1, 1): assoc at ((0, 0), (0, 0), (1, 1)) | cop o mul at ((0, 0), (1, 1)) -> ((0, 1), (1, 0))
+mul ((0, 0), (1, 2)) (0, 0): assoc at ((0, 0), (0, 0), (1, 2)) | cop o mul at ((0, 0), (1, 2)) -> ((0, 1), (1, 1))
+mul ((0, 0), (2, 1)) (0, 0): assoc at ((0, 0), (0, 0), (2, 1)) | cop o mul at ((0, 0), (2, 1)) -> ((1, 0), (1, 1))
+mul ((0, 0), (2, 2)) (0, 0): assoc at ((0, 0), (0, 0), (2, 2)) | cop o mul at ((0, 0), (2, 2)) -> ((0, 1), (2, 1))
+mul ((0, 1), (0, 0)) (0, 0): assoc at ((0, 1), (0, 0), (0, 0)) | cop o mul at ((0, 1), (1, 0)) -> ((0, 1), (1, 0))
+mul ((0, 1), (1, 0)) (1, 0): assoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((0, 1), (1, 0)) -> ((0, 1), (1, 0))
+mul ((0, 1), (1, 1)) (0, 0): assoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((0, 1), (1, 1)) -> ((0, 1), (1, 1))
+mul ((0, 1), (2, 1)) (0, 0): assoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((0, 1), (2, 1))
+mul ((1, 0), (0, 0)) (0, 0): assoc at ((0, 1), (1, 0), (0, 0)) | cop o mul at ((1, 0), (0, 1)) -> ((0, 1), (1, 0))
+mul ((1, 0), (0, 1)) (0, 0): assoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((1, 0), (0, 1)) -> ((0, 1), (1, 0))
+mul ((1, 0), (1, 1)) (0, 1): assoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((1, 0), (1, 1)) -> ((1, 0), (1, 1))
+mul ((1, 0), (1, 2)) (0, 0): assoc at ((1, 0), (0, 1), (1, 1)) | cop o mul at ((1, 0), (1, 2)) -> ((0, 1), (2, 1))
+mul ((1, 1), (0, 0)) (0, 0): assoc at ((0, 1), (1, 1), (0, 0)) | cop o mul at ((1, 1), (0, 0)) -> ((0, 1), (1, 0))
+mul ((1, 1), (0, 0)) (1, 1): assoc at ((0, 1), (1, 0), (0, 0)) | cop o mul at ((1, 1), (0, 0)) -> ((0, 1), (1, 0))
+mul ((1, 1), (0, 1)) (0, 1): assoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((1, 1), (0, 1)) -> ((0, 1), (1, 1))
+mul ((1, 1), (1, 0)) (0, 0): assoc at ((0, 1), (1, 1), (1, 0)) | cop o mul at ((1, 1), (1, 0)) -> ((1, 0), (1, 1))
+mul ((1, 1), (1, 1)) (0, 0): assoc at ((1, 0), (0, 1), (1, 1)) | cop o mul at ((1, 1), (1, 1)) -> ((0, 1), (2, 1))
+mul ((1, 1), (1, 1)) (0, 3): assoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((1, 1), (1, 1)) -> ((0, 1), (2, 1))
+mul ((1, 2), (0, 0)) (0, 0): assoc at ((0, 1), (1, 1), (0, 0)) | cop o mul at ((1, 2), (0, 0)) -> ((0, 1), (1, 1))
+mul ((1, 2), (1, 0)) (0, 0): assoc at ((0, 1), (1, 1), (1, 0)) | cop o mul at ((1, 2), (1, 0)) -> ((0, 1), (2, 1))
+mul ((2, 1), (0, 0)) (0, 0): assoc at ((0, 1), (2, 1), (0, 0)) | cop o mul at ((2, 1), (0, 0)) -> ((1, 0), (1, 1))
+mul ((2, 1), (0, 1)) (0, 0): assoc at ((1, 0), (1, 1), (0, 1)) | cop o mul at ((2, 1), (0, 1)) -> ((0, 1), (2, 1))
+mul ((2, 2), (0, 0)) (0, 0): assoc at ((0, 1), (2, 1), (0, 0)) | cop o mul at ((2, 2), (0, 0)) -> ((0, 1), (2, 1))
+cop ((0, 0), (0, 0)) (0, 0): coassoc at ((0, 0), (0, 0), (0, 1)) | cop o mul at ((0, 0), (0, 0)) -> ((0, 0), (0, 0))
+cop ((0, 0), (0, 1)) (0, 0): coassoc at ((0, 0), (0, 0), (0, 1)) | cop o mul at ((0, 1), (1, 0)) -> ((0, 0), (1, 1))
+cop ((0, 0), (1, 0)) (0, 0): coassoc at ((0, 0), (0, 0), (1, 0)) | cop o mul at ((0, 1), (1, 0)) -> ((0, 0), (1, 1))
+cop ((0, 0), (1, 1)) (0, 0): coassoc at ((0, 0), (0, 0), (1, 1)) | cop o mul at ((0, 1), (1, 1)) -> ((0, 0), (1, 2))
+cop ((0, 0), (1, 1)) (1, 1): coassoc at ((0, 0), (0, 0), (1, 1)) | cop o mul at ((0, 1), (1, 0)) -> ((0, 0), (1, 1))
+cop ((0, 0), (1, 2)) (0, 0): coassoc at ((0, 0), (0, 0), (1, 2)) | cop o mul at ((0, 1), (1, 1)) -> ((0, 0), (1, 2))
+cop ((0, 0), (2, 1)) (0, 0): coassoc at ((0, 0), (0, 0), (2, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((0, 0), (2, 2))
+cop ((0, 0), (2, 2)) (0, 0): coassoc at ((0, 0), (0, 0), (2, 2)) | cop o mul at ((0, 1), (2, 1)) -> ((0, 0), (2, 2))
+cop ((0, 1), (0, 0)) (0, 0): coassoc at ((0, 1), (0, 0), (0, 0)) | cop o mul at ((0, 1), (1, 0)) -> ((0, 1), (1, 0))
+cop ((0, 1), (1, 0)) (0, 0): coassoc at ((0, 1), (0, 1), (1, 0)) | cop o mul at ((0, 1), (1, 1)) -> ((0, 1), (1, 1))
+cop ((0, 1), (1, 0)) (0, 1): coassoc at ((0, 1), (0, 1), (1, 0)) | cop o mul at ((0, 1), (1, 0)) -> ((0, 1), (1, 0))
+cop ((0, 1), (1, 1)) (0, 0): coassoc at ((0, 1), (0, 1), (1, 0)) | cop o mul at ((0, 1), (1, 1)) -> ((0, 1), (1, 1))
+cop ((0, 1), (1, 1)) (1, 0): coassoc at ((0, 1), (0, 1), (1, 0)) | cop o mul at ((0, 1), (1, 1)) -> ((0, 1), (1, 1))
+cop ((0, 1), (2, 1)) (0, 0): coassoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((0, 1), (2, 1))
+cop ((1, 0), (0, 0)) (0, 0): coassoc at ((0, 1), (1, 0), (0, 0)) | cop o mul at ((0, 1), (1, 0)) -> ((1, 0), (0, 1))
+cop ((1, 0), (0, 1)) (0, 0): coassoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((0, 1), (1, 1)) -> ((1, 1), (0, 1))
+cop ((1, 0), (0, 1)) (0, 1): coassoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((0, 1), (1, 0)) -> ((1, 0), (0, 1))
+cop ((1, 0), (1, 1)) (0, 0): coassoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 0), (1, 2))
+cop ((1, 0), (1, 1)) (1, 0): coassoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 1), (1, 1))
+cop ((1, 0), (1, 2)) (0, 0): coassoc at ((1, 0), (0, 1), (1, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 0), (1, 2))
+cop ((1, 1), (0, 0)) (0, 0): coassoc at ((0, 1), (1, 0), (0, 0)) | cop o mul at ((0, 1), (1, 1)) -> ((1, 1), (0, 1))
+cop ((1, 1), (0, 0)) (1, 1): coassoc at ((0, 1), (1, 0), (0, 0)) | cop o mul at ((0, 1), (1, 0)) -> ((1, 1), (0, 0))
+cop ((1, 1), (0, 1)) (0, 0): coassoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((0, 1), (1, 1)) -> ((1, 1), (0, 1))
+cop ((1, 1), (0, 1)) (1, 0): coassoc at ((0, 1), (1, 0), (0, 1)) | cop o mul at ((0, 1), (1, 1)) -> ((1, 1), (0, 1))
+cop ((1, 1), (1, 0)) (0, 0): coassoc at ((0, 1), (1, 0), (1, 0)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 1), (1, 1))
+cop ((1, 1), (1, 0)) (1, 0): coassoc at ((0, 1), (1, 0), (1, 0)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 1), (1, 1))
+cop ((1, 1), (1, 1)) (1, 0): coassoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 1), (1, 1))
+cop ((1, 1), (1, 1)) (2, 0): coassoc at ((0, 1), (1, 0), (1, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 1), (1, 1))
+cop ((1, 2), (0, 0)) (0, 0): coassoc at ((0, 1), (1, 1), (0, 0)) | cop o mul at ((0, 1), (1, 1)) -> ((1, 2), (0, 0))
+cop ((1, 2), (1, 0)) (0, 0): coassoc at ((0, 1), (1, 1), (1, 0)) | cop o mul at ((0, 1), (2, 1)) -> ((1, 2), (1, 0))
+cop ((2, 1), (0, 0)) (0, 0): coassoc at ((0, 1), (2, 1), (0, 0)) | cop o mul at ((0, 1), (2, 1)) -> ((2, 1), (0, 1))
+cop ((2, 1), (0, 1)) (0, 0): coassoc at ((1, 0), (1, 1), (0, 1)) | cop o mul at ((0, 1), (2, 1)) -> ((2, 1), (0, 1))
+cop ((2, 2), (0, 0)) (0, 0): coassoc at ((0, 1), (2, 1), (0, 0)) | cop o mul at ((0, 1), (2, 1)) -> ((2, 2), (0, 0))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +217,32 @@ def test_braid_flip_scales_by_qform(qp_point):
     flip = t.braid_flip(i, i)
     assert flip.get(0, 0) == -ONE  # q_ii = -1
     assert t.braid_flip(i, j).get(0, 0) == ONE
+
+
+def test_splits_index_pairs_sectors_by_sum(qp_point):
+    obj = qp_point.obj
+    assert list(obj.sectors) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert obj.splits((1, 1)) == (
+        ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 0)),
+    )
+    assert obj.splits((0, 0)) == (((0, 0), (0, 0)),)
+    assert obj.splits((2, 0)) == (((1, 0), (1, 0)),)  # a sum that is no sector
+    assert obj.splits((3, 3)) == ()
+
+
+def test_doubled_entries_fail_at_pinned_sites():
+    t = from_nichols(nichols_compute(A2_MINUS_ONE, 5))
+    lines = []
+    for family, own, other in (("mul", "assoc", "coassoc"), ("cop", "coassoc", "assoc")):
+        blocks = getattr(t, family)
+        for key in sorted(blocks):
+            for pos in sorted(blocks[key].entries):
+                maps = {"mul": dict(t.mul), "cop": dict(t.cop)}
+                maps[family][key] = doubled(blocks[key], pos)
+                mutant = HopfStructure(t.obj, maps["mul"], t.unit, maps["cop"], t.counit,
+                                       t.antipode, t.grading)
+                report = verify_axioms(mutant)
+                first = report.first_failure()
+                assert report.failures[own] == first and other not in report.failures
+                lines.append(f"{family} {key} {pos}: {first} | {report.failures['bialgebra']}")
+    assert "\n".join(lines) + "\n" == DOUBLED_ENTRY_FAILURES
