@@ -12,21 +12,21 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
 
 from nicholsforge._kernel import active as kernel
-from nicholsforge._rat import RAT, R_ZERO
-from nicholsforge.scalars import field_context
+from nicholsforge.scalars import field_context, make_scalar
 
 
-def random_poly(rng, phi):
-    return tuple(
-        RAT(rng.randrange(-3, 4), rng.randrange(1, 4)) if rng.random() < 0.6 else R_ZERO
-        for _ in range(phi)
-    )
+def random_poly(rng, ctx):
+    """A kernel residue: random coefficients p/q with |p| <= 3 and q <= 3."""
+    coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) if rng.random() < 0.6 else 0
+              for _ in range(ctx.phi)]
+    return make_scalar(ctx.conductor, coeffs).coeffs
 
 
-def build_matrix(rng, nrows, ncols, phi):
-    return [[random_poly(rng, phi) for _ in range(ncols)] for _ in range(nrows)]
+def build_matrix(rng, nrows, ncols, ctx):
+    return [[random_poly(rng, ctx) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def bench(rows, ctx, repeat):
@@ -52,18 +52,18 @@ def bench_mul(pairs, ctx, repeat):
     return best
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=40, help="matrix rows (columns: 1.5x)")
     parser.add_argument("--conductor", type=int, default=12)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=20260815)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     ctx = field_context(args.conductor)
     rng = random.Random(args.seed)
-    rows = build_matrix(rng, args.size, args.size * 3 // 2, ctx.phi)
-    pairs = [(random_poly(rng, ctx.phi), random_poly(rng, ctx.phi)) for _ in range(4000)]
+    rows = build_matrix(rng, args.size, args.size * 3 // 2, ctx)
+    pairs = [(random_poly(rng, ctx), random_poly(rng, ctx)) for _ in range(4000)]
 
     print(f"conductor {args.conductor} (degree {ctx.phi}), "
           f"matrix {args.size} x {args.size * 3 // 2}, best of {args.repeat}")

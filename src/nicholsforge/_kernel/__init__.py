@@ -1,5 +1,8 @@
 """The arithmetic kernel: pure-Python cyclotomic residue arithmetic and RREF.
 
+A residue is a tuple of integer numerators over one positive denominator,
+kept canonical by their gcd (see `py_impl`).
+
 `py_impl` is the only implementation.  It is still reached through the
 names `active` and `KERNEL_NAME` because the benchmark harness (perfbench/)
 resolves `active.rref_rows`, `active.poly_mul` and `active.poly_inv` to

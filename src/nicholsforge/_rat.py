@@ -1,37 +1,35 @@
-"""Rational number backend.
+"""Rationals at the edges of the package: parsing "p/q" and printing it.
 
-gmpy2.mpq is noticeably faster than fractions.Fraction on the long
-elimination loops, but the package must work without it, so the choice is
-made once at import.  Both types normalize to lowest terms, hash equal for
-equal values, and print as "p/q" or "n", which is all the rest of the code
-relies on.
+Inside the package a rational is an integer numerator over a positive
+denominator (scalars keep one denominator for all their coefficients), so
+`fractions` is met only where text is parsed.  `RAT_BACKEND` names that
+representation for the benchmark header.
 """
 
-try:
-    from gmpy2 import mpq as RAT
+from fractions import Fraction
+from math import gcd
 
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only on gmpy2-less installs
-    from fractions import Fraction as RAT
-
-    RAT_BACKEND = "fractions"
-
-R_ZERO = RAT(0)
-R_ONE = RAT(1)
+RAT_BACKEND = "integers"
 
 
 def rat_from_string(s):
-    """Parse "p/q" or "p" into a rational. Whitespace is tolerated."""
+    """Parse "p/q" or "p" into a Fraction. Whitespace is tolerated.
+
+    Malformed text, a zero denominator included, raises ValueError.
+    """
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return RAT(int(num), int(den))
-    return RAT(int(s))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
+    return Fraction(int(s))
 
 
-def rat_to_string(r):
-    """Canonical textual form: "p/q" with q > 1 omitted when q == 1."""
-    num, den = r.numerator, r.denominator
+def rat_to_string(num, den):
+    """Canonical textual form of num/den (den > 0): "p/q" in lowest terms, "p" when q == 1."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
     if den == 1:
         return str(num)
     return f"{num}/{den}"

@@ -18,7 +18,7 @@ import click
 
 from ._threads import pmap, resolve_threads
 from .braided import braiding_from_json
-from .dualize import generation_check, gragrc_check, pairing_report
+from .dualize import nichols_criteria
 from .filtration import (
     associated_graded,
     coradical_filtration,
@@ -391,9 +391,7 @@ def is_nichols(hopf_file, as_json):
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
     try:
-        pairing = pairing_report(t)
-        generation = generation_check(t)
-        gragrc = gragrc_check(t)
+        pairing, generation, gragrc = nichols_criteria(t)
     except ValueError as err:
         raise click.ClickException(f"criteria not applicable: {err}")
     verdicts = (pairing.verdict, generation.verdict, gragrc.verdict)

@@ -18,7 +18,7 @@ reach a verdict they must agree; the tests hold them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .linalg import BasedSpace, Matrix, Subspace, rank
 from .scalars import ZERO
@@ -42,6 +42,7 @@ __all__ = [
     "pairing_report",
     "generation_check",
     "gragrc_check",
+    "nichols_criteria",
 ]
 
 
@@ -155,21 +156,29 @@ class PairingReport:
     verdict: str  # "nichols" or "not-determined"
 
 
-def _require_ccc(t: HopfStructure):
-    if not check_connected(t) or not check_coconnected(t):
+def _checked_dual(t: HopfStructure) -> HopfStructure:
+    """The dual of t, once t is known to be connected and coconnected."""
+    dual = dual_structure(t)
+    if not check_connected(t) or not check_coconnected(t, dual):
         raise ValueError("structure is not connected and coconnected")
+    return dual
 
 
-def pairing_report(t: HopfStructure) -> PairingReport:
+# Each criterion checks its preconditions when called alone; nichols_criteria
+# decides them once and hands the checked dual on.
+
+
+def pairing_report(t: HopfStructure, dual: Optional[HopfStructure] = None) -> PairingReport:
     """Evaluate dual primitives on primitives; nondegeneracy certifies Nichols.
 
     The flattened coordinates of the dual object align index by index with
     the original ones (sector gamma pairs with sector -gamma), so the
     pairing matrix is a plain product of the two echelon bases.
     """
-    _require_ccc(t)
+    if dual is None:
+        dual = _checked_dual(t)
     prims = primitives_of(t)
-    dual_prims = primitives_of(dual_structure(t))
+    dual_prims = primitives_of(dual)
     matrix = dual_prims.row_matrix @ prims.basis
     r = rank(matrix)
     square = prims.dim == dual_prims.dim
@@ -188,10 +197,10 @@ class GenerationReport:
         return "nichols" if both else "not-determined"
 
 
-def generation_check(t: HopfStructure) -> GenerationReport:
+def generation_check(t: HopfStructure, dual: Optional[HopfStructure] = None) -> GenerationReport:
     """Whether primitives generate the structure, and dually."""
-    _require_ccc(t)
-    dual = dual_structure(t)
+    if dual is None:
+        dual = _checked_dual(t)
     return GenerationReport(
         generated_by(t, primitive_sectors(t)),
         generated_by(dual, primitive_sectors(dual)),
@@ -205,18 +214,21 @@ class GragrcReport:
     detail: str = ""
 
 
-def gragrc_check(t: HopfStructure) -> GragrcReport:
+def gragrc_check(t: HopfStructure, ccc_known: bool = False) -> GragrcReport:
     """Compare the radical and coradical associated graded structures.
 
     An isomorphism between them is a sufficient condition for t to be a
     Nichols algebra; anything short of a found isomorphism is reported as
     inconclusive, including structures the restricted search cannot handle.
+    `ccc_known` skips the connected-and-coconnected check, for a caller
+    that has already decided it.
     """
-    _require_ccc(t)
+    if not ccc_known:
+        _checked_dual(t)
     from .filtration import associated_graded, coradical_filtration, radical_filtration
 
-    gra = associated_graded(t, radical_filtration(t))
-    grc = associated_graded(t, coradical_filtration(t))
+    gra = associated_graded(t, radical_filtration(t, ccc_known=True))
+    grc = associated_graded(t, coradical_filtration(t, ccc_known=True))
     try:
         witness = graded_iso_search(gra, grc)
     except ValueError as err:
@@ -224,3 +236,9 @@ def gragrc_check(t: HopfStructure) -> GragrcReport:
     if witness is None:
         return GragrcReport("inconclusive", None, "no isomorphism in the searched family")
     return GragrcReport("nichols-by-gragrc", witness)
+
+
+def nichols_criteria(t: HopfStructure) -> Tuple[PairingReport, GenerationReport, GragrcReport]:
+    """All three criteria, deciding the preconditions and building the dual once."""
+    dual = _checked_dual(t)
+    return pairing_report(t, dual), generation_check(t, dual), gragrc_check(t, ccc_known=True)

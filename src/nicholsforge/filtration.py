@@ -230,10 +230,14 @@ def _checked(f: HopfFiltration) -> HopfFiltration:
     return f
 
 
-def radical_filtration(t: HopfStructure) -> HopfFiltration:
-    """Powers of the augmentation ideal, J^k sitting at index -k."""
+def radical_filtration(t: HopfStructure, ccc_known: bool = False) -> HopfFiltration:
+    """Powers of the augmentation ideal, J^k sitting at index -k.
+
+    `ccc_known` skips the coconnectedness check for a caller that has
+    already decided that t is connected and coconnected.
+    """
     powers = augmentation_powers(t)
-    if powers is None or not check_coconnected(t):
+    if powers is None or not (ccc_known or check_coconnected(t)):
         raise ValueError("filtration needs a connected and coconnected structure")
     chain = {0: _full_layer(t.obj)}
     for k, power in enumerate(powers, 1):
@@ -241,13 +245,15 @@ def radical_filtration(t: HopfStructure) -> HopfFiltration:
     return _checked(HopfFiltration(t, "radical", (-len(powers), 0), chain))
 
 
-def coradical_filtration(t: HopfStructure) -> HopfFiltration:
+def coradical_filtration(t: HopfStructure, ccc_known: bool = False) -> HopfFiltration:
     """Wedge powers of the unit span, climbing until they exhaust.
 
     Each step kills the elements whose coproduct vanishes into
     (previous layer) tensor (unit span), the standard coradical recursion.
+    `ccc_known` is as for radical_filtration.
     """
-    _require_ccc(t)
+    if not ccc_known:
+        _require_ccc(t)
     obj = t.obj
     base = {label: sub for label, sub in unit_span(t).items() if sub.dim}
     chain = {0: base}

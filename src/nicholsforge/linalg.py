@@ -17,7 +17,6 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from ._kernel import active as _K
-from ._rat import R_ZERO
 from .scalars import ONE, ZERO, FieldContext, Scalar, field_context, from_rational
 
 __all__ = [
@@ -41,6 +40,20 @@ def _as_scalar(value) -> Scalar:
     if isinstance(value, int):
         return from_rational(value)
     raise TypeError(f"matrix entries must be Scalar or int, got {type(value).__name__}")
+
+
+def _times(va: Scalar, a_one: bool, vb: Scalar, b_one: bool) -> Scalar:
+    """va * vb, given whether each factor is 1.
+
+    A 1 whose conductor divides the other factor's leaves that factor as
+    the product, conductor included, so it is reused without multiplying;
+    any other 1 would lift the product to a larger conductor.
+    """
+    if a_one and vb.conductor % va.conductor == 0:
+        return vb
+    if b_one and va.conductor % vb.conductor == 0:
+        return va
+    return va * vb
 
 
 class Matrix:
@@ -143,13 +156,14 @@ class Matrix:
         assert self.ncols == other.nrows, f"shape mismatch {self.shape} @ {other.shape}"
         by_row: dict[int, list] = {}
         for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+            by_row.setdefault(r, []).append((c, v, v.is_one()))
         acc: dict[tuple, Scalar] = {}
         for (r, k), va in self.entries.items():
-            for c, vb in by_row.get(k, ()):
+            a_one = va.is_one()
+            for c, vb, b_one in by_row.get(k, ()):
                 key = (r, c)
                 cur = acc.get(key)
-                prod = va * vb
+                prod = _times(va, a_one, vb, b_one)
                 acc[key] = prod if cur is None else cur + prod
         return Matrix(self.nrows, other.ncols, acc)
 
@@ -159,10 +173,12 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         # Index identification (i, j) -> i * dim(other) + j on both sides,
         # matching concatenation of tensor words.
+        right = [(rb, cb, vb, vb.is_one()) for (rb, cb), vb in other.entries.items()]
         entries = {}
         for (ra, ca), va in self.entries.items():
-            for (rb, cb), vb in other.entries.items():
-                entries[(ra * other.nrows + rb, ca * other.ncols + cb)] = va * vb
+            a_one = va.is_one()
+            for rb, cb, vb, b_one in right:
+                entries[(ra * other.nrows + rb, ca * other.ncols + cb)] = _times(va, a_one, vb, b_one)
         return Matrix(self.nrows * other.nrows, self.ncols * other.ncols, entries)
 
     # -- predicates ---------------------------------------------------
@@ -223,7 +239,7 @@ def _common_context(M: Matrix) -> FieldContext:
 
 
 def _kernel_rows(M: Matrix, ctx: FieldContext) -> list:
-    zero_entry = (R_ZERO,) * ctx.phi
+    zero_entry = (0,) * ctx.phi + (1,)
     rows = [[zero_entry] * M.ncols for _ in range(M.nrows)]
     for (r, c), v in M.entries.items():
         rows[r][c] = v._lift_to(ctx.conductor)

@@ -1,26 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A Scalar is the unique reduced representative of an element of Q(zeta_N)
-modulo the N-th cyclotomic polynomial: a conductor N plus a tuple of
-euler_phi(N) rationals, lowest degree first.  Arithmetic between different
+modulo the N-th cyclotomic polynomial: a conductor N plus a residue tuple of
+euler_phi(N) integer numerators, lowest degree first, and one positive
+denominator, divided through by their gcd (see the kernel package).  Equal
+values at one conductor are therefore equal tuples.  Arithmetic between different
 conductors lifts both operands to the least common conductor via
 zeta_N = zeta_L^(L/N); no conductor descent is attempted, so the same value
 may legitimately live at several conductors and equality compares after
 lifting.  For that reason Scalars are deliberately unhashable.
 
 No floating point appears anywhere: every rank and kernel decision upstream
-depends on exact zero tests.
+depends on exact zero tests.  Rationals as `Fraction` are met only at the
+edges: parsing "p/q" input, and coercing a `Fraction` operand.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from ._kernel import active as _K
-from ._rat import RAT, R_ONE, R_ZERO, rat_from_string, rat_to_string
+from ._rat import rat_from_string, rat_to_string
 
 __all__ = [
     "Scalar",
@@ -70,7 +74,7 @@ _cyclo_lock = threading.RLock()
 
 
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n over Q, lowest degree first, monic."""
+    """Integer coefficients of Phi_n, lowest degree first, monic."""
     cached = _cyclo_cache.get(n)
     if cached is not None:
         return cached
@@ -79,13 +83,13 @@ def cyclotomic_polynomial(n: int) -> tuple:
         if cached is not None:
             return cached
         # x^n - 1 = prod_{d | n} Phi_d
-        poly = [R_ZERO] * (n + 1)
-        poly[0] = -R_ONE
-        poly[n] = R_ONE
+        poly = [0] * (n + 1)
+        poly[0] = -1
+        poly[n] = 1
         for d in _divisors(n):
             if d != n:
-                poly, rem = _K.poly_divmod(poly, cyclotomic_polynomial(d))
-                assert not rem, "division was not exact"
+                lead, poly, rem = _K.poly_pseudo_divmod(poly, cyclotomic_polynomial(d))
+                assert lead == 1 and not rem, "division was not exact"
         result = tuple(poly)
         _cyclo_cache[n] = result
         return result
@@ -102,19 +106,20 @@ _ctx_cache: dict[int, FieldContext] = {}
 _ctx_lock = threading.Lock()
 
 
-def _reduce_list(coeffs: list, modpoly: tuple, phi: int) -> tuple:
+def _reduce_list(coeffs: list, modpoly: tuple, phi: int) -> list:
+    """Integer coefficients reduced modulo the monic modpoly, padded to phi."""
     work = list(coeffs)
     for i in range(len(work) - 1, phi - 1, -1):
         c = work[i]
         if c:
-            work[i] = R_ZERO
+            work[i] = 0
             for k in range(phi):
                 mk = modpoly[k]
                 if mk:
                     work[i - phi + k] -= c * mk
     while len(work) < phi:
-        work.append(R_ZERO)
-    return tuple(work[:phi])
+        work.append(0)
+    return work[:phi]
 
 
 def field_context(n: int) -> FieldContext:
@@ -129,9 +134,9 @@ def field_context(n: int) -> FieldContext:
         phi = len(modpoly) - 1
         red = []
         for e in range(phi, 2 * phi - 1):
-            mono = [R_ZERO] * (e + 1)
-            mono[e] = R_ONE
-            red.append(_reduce_list(mono, modpoly, phi))
+            mono = [0] * (e + 1)
+            mono[e] = 1
+            red.append(tuple(_reduce_list(mono, modpoly, phi)))
         ctx = FieldContext(n, phi, modpoly, tuple(red))
         _ctx_cache[n] = ctx
         return ctx
@@ -155,15 +160,19 @@ class Scalar:
     # -- lifting ----------------------------------------------------------
 
     def _lift_to(self, target: int) -> tuple:
+        # The power basis of Z[zeta_N] is an integral basis and Z[zeta_N] is
+        # Z[zeta_L] cut down to Q(zeta_N), so lifting keeps the gcd of the
+        # numerators and the denominator at 1: the result is canonical.
         if target == self.conductor:
             return self.coeffs
         step = target // self.conductor
         ctx = field_context(target)
-        raw = [R_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
+        *nums, den = self.coeffs
+        raw = [0] * ((len(nums) - 1) * step + 1)
+        for k, c in enumerate(nums):
             if c:
                 raw[k * step] = c
-        return _reduce_list(raw, ctx.modpoly, ctx.phi)
+        return (*_reduce_list(raw, ctx.modpoly, ctx.phi), den)
 
     @staticmethod
     def _align(a: "Scalar", b: "Scalar"):
@@ -178,13 +187,16 @@ class Scalar:
     def _coerce(other):
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, int):
-            return Scalar(1, (RAT(other),))
-        if isinstance(other, type(R_ONE)):
-            return Scalar(1, (other,))
+        if isinstance(other, (int, Fraction)):
+            return Scalar(1, (other.numerator, other.denominator))
         return None
 
+    # The three hot operations go straight to the kernel when both operands
+    # are Scalars at one conductor.
+
     def __add__(self, other):
+        if other.__class__ is Scalar and other.conductor == self.conductor:
+            return Scalar(self.conductor, _K.poly_add(self.coeffs, other.coeffs))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -194,6 +206,8 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other.__class__ is Scalar and other.conductor == self.conductor:
+            return Scalar(self.conductor, _K.poly_sub(self.coeffs, other.coeffs))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -210,6 +224,9 @@ class Scalar:
         return Scalar(self.conductor, _K.poly_neg(self.coeffs))
 
     def __mul__(self, other):
+        if other.__class__ is Scalar and other.conductor == self.conductor:
+            red = field_context(self.conductor).red
+            return Scalar(self.conductor, _K.poly_mul(self.coeffs, other.coeffs, red))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -255,10 +272,12 @@ class Scalar:
         return _K.poly_is_zero(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return not _K.poly_is_zero(self.coeffs)
 
     def is_one(self) -> bool:
-        return self == ONE
+        # 1 at any conductor is (1, 0, ..., 0, 1)
+        c = self.coeffs
+        return c[0] == 1 and c[-1] == 1 and c.count(0) == len(c) - 2
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -288,14 +307,15 @@ class Scalar:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if all(not c for c in self.coeffs[1:]):
-            return rat_to_string(self.coeffs[0])
+        *nums, den = self.coeffs
+        if all(not c for c in nums[1:]):
+            return rat_to_string(nums[0], den)
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(nums):
             if not c:
                 continue
             mono = "" if k == 0 else (f"zeta({self.conductor})" if k == 1 else f"zeta({self.conductor})^{k}")
-            cs = rat_to_string(c)
+            cs = rat_to_string(c, den)
             if mono:
                 if cs == "1":
                     cs = ""
@@ -314,8 +334,12 @@ class Scalar:
         return f"Scalar[{self}]"
 
 
-ZERO = Scalar(1, (R_ZERO,))
-ONE = Scalar(1, (R_ONE,))
+ZERO = Scalar(1, (0, 1))
+ONE = Scalar(1, (1, 1))
+
+
+def _as_fraction(c) -> Fraction:
+    return rat_from_string(c) if isinstance(c, str) else Fraction(c)
 
 
 def make_scalar(conductor: int, raw_coeffs) -> Scalar:
@@ -327,15 +351,10 @@ def make_scalar(conductor: int, raw_coeffs) -> Scalar:
     if conductor < 1:
         raise ValueError(f"conductor must be >= 1, got {conductor}")
     ctx = field_context(conductor)
-    coeffs = []
-    for c in raw_coeffs:
-        if isinstance(c, str):
-            coeffs.append(rat_from_string(c))
-        elif isinstance(c, int):
-            coeffs.append(RAT(c))
-        else:
-            coeffs.append(RAT(c))
-    return Scalar(conductor, _reduce_list(coeffs, ctx.modpoly, ctx.phi))
+    coeffs = [_as_fraction(c) for c in raw_coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return Scalar(conductor, _K.poly_canonical([*_reduce_list(nums, ctx.modpoly, ctx.phi), den]))
 
 
 def root_of_unity(conductor: int, k: int = 1) -> Scalar:
@@ -343,17 +362,14 @@ def root_of_unity(conductor: int, k: int = 1) -> Scalar:
     if conductor < 1:
         raise ValueError(f"conductor must be >= 1, got {conductor}")
     k %= conductor
-    raw = [R_ZERO] * (k + 1)
-    raw[k] = R_ONE
+    raw = [0] * (k + 1)
+    raw[k] = 1
     return make_scalar(conductor, raw)
 
 
 def from_rational(value) -> Scalar:
-    if isinstance(value, str):
-        value = rat_from_string(value)
-    else:
-        value = RAT(value)
-    return Scalar(1, (value,))
+    value = _as_fraction(value)
+    return Scalar(1, (value.numerator, value.denominator))
 
 
 _ZETA_RE = re.compile(r"^(-?)zeta\((\d+)\)(?:\^(-?\d+))?$")
@@ -380,7 +396,8 @@ def parse_scalar(obj) -> Scalar:
 
 
 def scalar_to_json(s: Scalar) -> dict:
+    *nums, den = s.coeffs
     return {
         "conductor": s.conductor,
-        "coeffs": [rat_to_string(c) for c in s.coeffs],
+        "coeffs": [rat_to_string(c, den) for c in nums],
     }

@@ -321,8 +321,8 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
             failures[key] = description
         return False
 
-    def eye(label: tuple) -> Matrix:
-        return Matrix.identity(obj.dim(label))
+    eye = {label: Matrix.identity(obj.dim(label)) for label in labels}
+    flips: dict = {}  # a braiding flip depends only on its sector pair
 
     # Both sides of (co)associativity at (i, j, k) are zero unless i+j+k
     # is a sector and so is i+j or j+k; the rest are skipped, and the
@@ -339,35 +339,35 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
     # associativity: m(m x 1) = m(1 x m) on B_i x B_j x B_k
     ok = True
     for i, j, k in triples:
-        lhs = t.mul_at(backend.add(i, j), k) @ t.mul_at(i, j).kron(eye(k))
-        rhs = t.mul_at(i, backend.add(j, k)) @ eye(i).kron(t.mul_at(j, k))
+        lhs = t.mul_at(backend.add(i, j), k) @ t.mul_at(i, j).kron(eye[k])
+        rhs = t.mul_at(i, backend.add(j, k)) @ eye[i].kron(t.mul_at(j, k))
         ok = record("assoc", f"assoc at {(i, j, k)}", lhs, rhs) and ok
     results["assoc"] = ok
 
     # unit: m(u x 1) = 1 = m(1 x u)
     ok = True
     for i in labels:
-        left = t.mul_at(zero, i) @ t.unit.kron(eye(i))
-        right = t.mul_at(i, zero) @ eye(i).kron(t.unit)
-        ok = record("unit", f"left unit at {i}", left, eye(i)) and ok
-        ok = record("unit", f"right unit at {i}", right, eye(i)) and ok
+        left = t.mul_at(zero, i) @ t.unit.kron(eye[i])
+        right = t.mul_at(i, zero) @ eye[i].kron(t.unit)
+        ok = record("unit", f"left unit at {i}", left, eye[i]) and ok
+        ok = record("unit", f"right unit at {i}", right, eye[i]) and ok
     results["unit"] = ok
 
     # coassociativity: (cop x 1)cop = (1 x cop)cop into B_i x B_j x B_k
     ok = True
     for i, j, k in triples:
-        lhs = t.cop_at(i, j).kron(eye(k)) @ t.cop_at(backend.add(i, j), k)
-        rhs = eye(i).kron(t.cop_at(j, k)) @ t.cop_at(i, backend.add(j, k))
+        lhs = t.cop_at(i, j).kron(eye[k]) @ t.cop_at(backend.add(i, j), k)
+        rhs = eye[i].kron(t.cop_at(j, k)) @ t.cop_at(i, backend.add(j, k))
         ok = record("coassoc", f"coassoc at {(i, j, k)}", lhs, rhs) and ok
     results["coassoc"] = ok
 
     # counit: (eps x 1)cop = 1 = (1 x eps)cop
     ok = True
     for i in labels:
-        left = t.counit.kron(eye(i)) @ t.cop_at(zero, i)
-        right = eye(i).kron(t.counit) @ t.cop_at(i, zero)
-        ok = record("counit", f"left counit at {i}", left, eye(i)) and ok
-        ok = record("counit", f"right counit at {i}", right, eye(i)) and ok
+        left = t.counit.kron(eye[i]) @ t.cop_at(zero, i)
+        right = eye[i].kron(t.counit) @ t.cop_at(i, zero)
+        ok = record("counit", f"left counit at {i}", left, eye[i]) and ok
+        ok = record("counit", f"right counit at {i}", right, eye[i]) and ok
     results["counit"] = ok
 
     # bialgebra: cop and counit are algebra maps, with the braiding insertion;
@@ -383,7 +383,10 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
                     if i not in obj.sectors or j not in obj.sectors:
                         continue
                     piece = t.mul_at(a1, b1).kron(t.mul_at(a2, b2))
-                    swap = eye(a1).kron(t.braid_flip(a2, b1)).kron(eye(b2))
+                    flip = flips.get((a2, b1))
+                    if flip is None:
+                        flip = flips[(a2, b1)] = t.braid_flip(a2, b1)
+                    swap = eye[a1].kron(flip).kron(eye[b2])
                     piece = piece @ swap @ t.cop_at(a1, a2).kron(t.cop_at(b1, b2))
                     pieces[(i, j)] = pieces[(i, j)] + piece if (i, j) in pieces else piece
             for i, j in obj.splits(backend.add(a, b)):
@@ -412,9 +415,9 @@ def verify_axioms(t: HopfStructure) -> AxiomReport:
             total = Matrix(obj.dim(s), obj.dim(s))
             for i, j in obj.splits(s):
                 if use_left:
-                    half = t.antipode_at(i).kron(eye(j))
+                    half = t.antipode_at(i).kron(eye[j])
                 else:
-                    half = eye(i).kron(t.antipode_at(j))
+                    half = eye[i].kron(t.antipode_at(j))
                 total = total + t.mul_at(i, j) @ half @ t.cop_at(i, j)
             want = t.unit @ t.counit if s == zero else Matrix(obj.dim(s), obj.dim(s))
             ok = record(key, f"antipode at sector {s}", total, want) and ok
@@ -568,10 +571,13 @@ def check_connected(t: HopfStructure) -> bool:
     return augmentation_powers(t) is not None
 
 
-def check_coconnected(t: HopfStructure) -> bool:
-    from .dualize import dual_structure
+def check_coconnected(t: HopfStructure, dual: Optional[HopfStructure] = None) -> bool:
+    """Connectedness of the dual; pass `dual` when it is already built."""
+    if dual is None:
+        from .dualize import dual_structure
 
-    return check_connected(dual_structure(t))
+        dual = dual_structure(t)
+    return check_connected(dual)
 
 
 # -- group action -------------------------------------------------------------

@@ -210,6 +210,8 @@ def _first_block(doc, kind, shape):
                  id="column-outside"),
     pytest.param(lambda doc: _first_block(doc, "mul", (1, 1))["entries"].append([7, 0, "1"]),
                  id="row-outside"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(2, "1/0"),
+                 id="zero-denominator"),
 ])
 def test_malformed_matrix_is_usage_error(runner, qp_hopf, edit):
     with open(qp_hopf) as fh:
@@ -362,3 +364,47 @@ def test_failed_check_exits_one(runner, tmp_path):
     assert result.exit_code == 1
     doc = json.loads(result.output)
     assert not all(doc["results"]["axioms"].values())
+
+
+def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
+    from nicholsforge import dualize, filtration, structconst
+
+    calls = {"check_connected": 0, "check_coconnected": 0, "dual_structure": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        for module in (structconst, dualize, filtration):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    result = runner.invoke(main, ["is-nichols", qp_hopf, "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["verdict"] == "nichols"
+    # connectedness of the structure and of its dual, inside the one
+    # coconnectedness check, which reuses the one dual
+    assert calls == {"check_connected": 2, "check_coconnected": 1, "dual_structure": 1}
+
+
+def test_is_nichols_refuses_disconnected_structure(runner, tmp_path):
+    from tests_support import group_algebra_z2
+
+    from nicholsforge.formats import hopf_to_json, save_document
+
+    path = tmp_path / "kz2.json"
+    save_document(str(path), hopf_to_json(group_algebra_z2()))
+    result = runner.invoke(main, ["is-nichols", str(path)])
+    assert result.exit_code == 1
+    assert "criteria not applicable: structure is not connected and coconnected" in result.output
+
+
+def test_zero_denominator_in_braiding_is_usage_error(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"type": "diagonal", "q": [["1/0"]]}))
+    result = runner.invoke(main, ["nichols", str(path), "--max-degree", "3"])
+    assert result.exit_code == 2, result.output
+    assert "zero denominator" in result.output

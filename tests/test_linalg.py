@@ -17,7 +17,7 @@ from nicholsforge.linalg import (
     solve,
     vstack,
 )
-from nicholsforge.scalars import ONE, ZERO, from_rational, root_of_unity
+from nicholsforge.scalars import ONE, ZERO, from_rational, root_of_unity, scalar_to_json
 
 
 def m(rows):
@@ -139,3 +139,17 @@ def test_rank_nullity(M):
 def test_transpose_involution_preserves_rank(M):
     assert M.transpose().transpose() == M
     assert rank(M.transpose()) == rank(M)
+
+
+def test_unit_factors_keep_the_product_conductor():
+    i = root_of_unity(4, 1)
+    one_at_3 = root_of_unity(3, 1) ** 3
+    assert one_at_3.is_one() and one_at_3.conductor == 3
+    for left, right in ((ONE, i), (i, ONE)):
+        for product in (m([[left]]).kron(m([[right]])), m([[left]]) @ m([[right]])):
+            assert scalar_to_json(product.get(0, 0)) == {"conductor": 4, "coeffs": ["0", "1"]}
+    # a 1 at conductor 3 times i lives at conductor 12, as every product does
+    for left, right in ((one_at_3, i), (i, one_at_3)):
+        for product in (m([[left]]).kron(m([[right]])), m([[left]]) @ m([[right]])):
+            assert product.get(0, 0).conductor == 12
+            assert product.get(0, 0) == i

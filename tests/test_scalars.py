@@ -1,6 +1,7 @@
 """Cyclotomic scalar arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -107,3 +108,110 @@ def test_multiplicative_inverse(a):
     if a.is_zero():
         return
     assert (a * a.inverse()).is_one()
+
+
+# -- an independent reference: Fraction lists modulo Phi_N --------------------
+
+
+def _ref_divmod(num, den):
+    num = list(num)
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - 1, len(den) - 2, -1):
+        q = num[i] / den[-1]
+        quot[i - len(den) + 1] = q
+        for k, d in enumerate(den):
+            num[i - len(den) + 1 + k] -= q * d
+    return quot, num[: len(den) - 1]
+
+
+def _ref_cyclotomic(n):
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rest = _ref_divmod(poly, _ref_cyclotomic(d))
+            assert not any(rest)
+    return poly
+
+
+def _ref_reduce(raw, n):
+    phi_n = _ref_cyclotomic(n)
+    padded = [Fraction(c) for c in raw] + [Fraction(0)] * len(phi_n)
+    return _ref_divmod(padded, phi_n)[1]
+
+
+def _ref_mul(a, b, n):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, n)
+
+
+def _ref_lift(a, n, target):
+    step = target // n
+    raw = [Fraction(0)] * ((len(a) - 1) * step + 1)
+    for k, c in enumerate(a):
+        raw[k * step] = c
+    return _ref_reduce(raw, target)
+
+
+def _ref_of(s):
+    doc = scalar_to_json(s)
+    return doc["conductor"], [Fraction(c) for c in doc["coeffs"]]
+
+
+# Every coefficient has a denominator above 1, so no test leans on integers.
+fractions_ = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 9))
+elements = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(fractions_ | st.just(Fraction(0)), min_size=1, max_size=n + 2))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements, elements)
+def test_arithmetic_matches_fraction_reference(x, y):
+    (n, raw_a), (m, raw_b) = x, y
+    a, b = make_scalar(n, raw_a), make_scalar(m, raw_b)
+    ref_a, ref_b = _ref_reduce(raw_a, n), _ref_reduce(raw_b, m)
+    assert _ref_of(a) == (n, ref_a)
+    assert _ref_of(b) == (m, ref_b)
+
+    top = lcm(n, m)
+    lift_a, lift_b = _ref_lift(ref_a, n, top), _ref_lift(ref_b, m, top)
+    assert _ref_of(a + b) == (top, [p + q for p, q in zip(lift_a, lift_b)])
+    assert _ref_of(a - b) == (top, [p - q for p, q in zip(lift_a, lift_b)])
+    assert _ref_of(a * b) == (top, _ref_mul(lift_a, lift_b, top))
+
+    assert (a == b) == (lift_a == lift_b)
+    assert a == make_scalar(top, lift_a)
+    assert b == make_scalar(top, lift_b)
+
+    if any(ref_a):
+        conductor, inv = _ref_of(a.inverse())
+        assert conductor == n
+        assert _ref_mul(ref_a, inv, n) == [Fraction(1)] + [Fraction(0)] * (len(ref_a) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, st.integers(2, 30))
+def test_scaled_inputs_share_one_canonical_form(x, k):
+    n, raw = x
+    value = make_scalar(n, raw)
+    scaled = make_scalar(n, [c * k for c in raw]) * from_rational(Fraction(1, k))
+    assert scaled.conductor == value.conductor
+    assert scaled.coeffs == value.coeffs
+    assert scalar_to_json(scaled) == scalar_to_json(value)
+
+
+def test_one_value_has_one_internal_tuple():
+    forms = [
+        make_scalar(6, ["1/2", "3/4"]),
+        make_scalar(6, ["2/4", "6/8"]),
+        make_scalar(6, [Fraction(1, 2), Fraction(3, 4)]),
+        make_scalar(6, [2, 3]) * from_rational(Fraction(1, 4)),
+        make_scalar(6, [4, 6]) / 8,
+        make_scalar(6, ["-1/4", 0, "3/4"]) + make_scalar(6, ["3/2", 0, 0]),  # zeta_6^2 = zeta_6 - 1
+    ]
+    for form in forms:
+        assert form.coeffs == forms[0].coeffs
+        assert scalar_to_json(form) == {"conductor": 6, "coeffs": ["1/2", "3/4"]}
