@@ -3,7 +3,8 @@
 Everything runs over cyclotomic fields with rational coefficients; there is
 no floating point in any code path that decides a rank, a dimension, or an
 axiom.  The heavy linear algebra runs in one pure-Python kernel
-(`nicholsforge._kernel`) on tuples of rationals.
+(`nicholsforge._kernel`) on cyclotomic residues: integer numerators over one
+denominator.
 """
 
 from ._kernel import KERNEL_NAME

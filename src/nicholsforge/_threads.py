@@ -7,7 +7,6 @@ calls, so callers can rely on identical output for any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -36,5 +35,9 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], threads: Optional[int] = None
     items = list(items)
     if n == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: the pool module costs about 10 ms at start-up, and
+    # single-threaded runs never need it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
         return list(pool.map(fn, items))

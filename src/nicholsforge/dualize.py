@@ -129,8 +129,11 @@ def primitives_of(t: HopfStructure) -> Subspace:
     Sectors are flattened in the object's own order; the labeled version of
     the same computation is primitive_sectors in the structconst module.
     """
+    return _flattened(t, primitive_sectors(t))
+
+
+def _flattened(t: HopfStructure, by_sector: dict) -> Subspace:
     total = t.obj.total_dim()
-    by_sector = primitive_sectors(t)
     offset = 0
     vectors = []
     for label, space in t.obj.sectors.items():
@@ -165,7 +168,8 @@ def _checked_dual(t: HopfStructure) -> HopfStructure:
 
 
 # Each criterion checks its preconditions when called alone; nichols_criteria
-# decides them once and hands the checked dual on.
+# decides them once, computes the primitives of each side once, and hands the
+# checked dual on.
 
 
 def pairing_report(t: HopfStructure, dual: Optional[HopfStructure] = None) -> PairingReport:
@@ -177,13 +181,17 @@ def pairing_report(t: HopfStructure, dual: Optional[HopfStructure] = None) -> Pa
     """
     if dual is None:
         dual = _checked_dual(t)
-    prims = primitives_of(t)
-    dual_prims = primitives_of(dual)
-    matrix = dual_prims.row_matrix @ prims.basis
+    return _pairing(t, dual, primitive_sectors(t), primitive_sectors(dual))
+
+
+def _pairing(t: HopfStructure, dual: HopfStructure, prims: dict, dual_prims: dict) -> PairingReport:
+    flat = _flattened(t, prims)
+    dual_flat = _flattened(dual, dual_prims)
+    matrix = dual_flat.row_matrix @ flat.basis
     r = rank(matrix)
-    square = prims.dim == dual_prims.dim
-    verdict = "nichols" if square and r == prims.dim else "not-determined"
-    return PairingReport(prims.dim, dual_prims.dim, matrix, r, verdict)
+    square = flat.dim == dual_flat.dim
+    verdict = "nichols" if square and r == flat.dim else "not-determined"
+    return PairingReport(flat.dim, dual_flat.dim, matrix, r, verdict)
 
 
 @dataclass(frozen=True)
@@ -214,21 +222,20 @@ class GragrcReport:
     detail: str = ""
 
 
-def gragrc_check(t: HopfStructure, ccc_known: bool = False) -> GragrcReport:
+def gragrc_check(t: HopfStructure, dual: Optional[HopfStructure] = None) -> GragrcReport:
     """Compare the radical and coradical associated graded structures.
 
     An isomorphism between them is a sufficient condition for t to be a
     Nichols algebra; anything short of a found isomorphism is reported as
     inconclusive, including structures the restricted search cannot handle.
-    `ccc_known` skips the connected-and-coconnected check, for a caller
-    that has already decided it.
+    `dual` is as for pairing_report.
     """
-    if not ccc_known:
-        _checked_dual(t)
+    if dual is None:
+        dual = _checked_dual(t)
     from .filtration import associated_graded, coradical_filtration, radical_filtration
 
-    gra = associated_graded(t, radical_filtration(t, ccc_known=True))
-    grc = associated_graded(t, coradical_filtration(t, ccc_known=True))
+    gra = associated_graded(t, radical_filtration(t, dual))
+    grc = associated_graded(t, coradical_filtration(t, dual))
     try:
         witness = graded_iso_search(gra, grc)
     except ValueError as err:
@@ -239,6 +246,11 @@ def gragrc_check(t: HopfStructure, ccc_known: bool = False) -> GragrcReport:
 
 
 def nichols_criteria(t: HopfStructure) -> Tuple[PairingReport, GenerationReport, GragrcReport]:
-    """All three criteria, deciding the preconditions and building the dual once."""
+    """All three criteria, deciding the preconditions, the dual and each side's primitives once."""
     dual = _checked_dual(t)
-    return pairing_report(t, dual), generation_check(t, dual), gragrc_check(t, ccc_known=True)
+    prims, dual_prims = primitive_sectors(t), primitive_sectors(dual)
+    return (
+        _pairing(t, dual, prims, dual_prims),
+        GenerationReport(generated_by(t, prims), generated_by(dual, dual_prims)),
+        gragrc_check(t, dual),
+    )

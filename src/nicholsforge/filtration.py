@@ -4,7 +4,10 @@ A filtration here is an increasing chain of labeled subspaces indexed by a
 finite window of integers, zero below the window and everything above it.
 The radical chain hangs the powers of the augmentation ideal at indices
 0, -1, -2, ...; the coradical chain climbs from the span of the unit at
-index 0.  Either one satisfies the same seven compatibility conditions
+index 0.  The two are dual: the coradical chain of t at index n is the
+annihilator of the (n+1)-st power of the augmentation ideal of the dual,
+so both come from the same power computation, on t or on its dual.
+Either one satisfies the same seven compatibility conditions
 with the Hopf structure, and those conditions are exactly what makes the
 one-parameter family of conjugates by
 
@@ -22,9 +25,10 @@ The two must agree entry for entry, which the tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Subspace, inverse, kernel, quotient, vstack
+from .dualize import dual_structure
+from .linalg import Matrix, Subspace, inverse, kernel, vstack
 from .scalars import ONE, ZERO, Scalar, from_rational
 from .structconst import (
     DecomposedObject,
@@ -35,7 +39,6 @@ from .structconst import (
     check_connected,
     primitive_sectors,
     product_span,
-    unit_span,
 )
 
 __all__ = [
@@ -216,9 +219,7 @@ def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
     return results
 
 
-def _require_ccc(t: HopfStructure):
-    if not check_connected(t) or not check_coconnected(t):
-        raise ValueError("filtration needs a connected and coconnected structure")
+_NOT_CCC = "filtration needs a connected and coconnected structure"
 
 
 def _checked(f: HopfFiltration) -> HopfFiltration:
@@ -230,67 +231,52 @@ def _checked(f: HopfFiltration) -> HopfFiltration:
     return f
 
 
-def radical_filtration(t: HopfStructure, ccc_known: bool = False) -> HopfFiltration:
+def radical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfFiltration:
     """Powers of the augmentation ideal, J^k sitting at index -k.
 
-    `ccc_known` skips the coconnectedness check for a caller that has
-    already decided that t is connected and coconnected.
+    Passing `dual`, the dual of a t already known to be connected and
+    coconnected, skips the coconnectedness check.
     """
     powers = augmentation_powers(t)
-    if powers is None or not (ccc_known or check_coconnected(t)):
-        raise ValueError("filtration needs a connected and coconnected structure")
+    if powers is None or (dual is None and not check_coconnected(t)):
+        raise ValueError(_NOT_CCC)
     chain = {0: _full_layer(t.obj)}
     for k, power in enumerate(powers, 1):
         chain[-k] = power
     return _checked(HopfFiltration(t, "radical", (-len(powers), 0), chain))
 
 
-def coradical_filtration(t: HopfStructure, ccc_known: bool = False) -> HopfFiltration:
-    """Wedge powers of the unit span, climbing until they exhaust.
+def coradical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfFiltration:
+    """Wedge powers of the unit span, read off the radical powers of the dual.
 
-    Each step kills the elements whose coproduct vanishes into
-    (previous layer) tensor (unit span), the standard coradical recursion.
-    `ccc_known` is as for radical_filtration.
+    For a finite-dimensional coalgebra the wedge chain C_n = C_{n-1} ^ C_0
+    is the chain of annihilators of J*^{n+1}, J* the counit kernel of the
+    dual.  Dual sector -gamma pairs with sector gamma coordinate for
+    coordinate, so C_n in sector gamma is the kernel of the rows spanning
+    J*^{n+1} in sector -gamma, and the last nonzero power J*^N puts the
+    whole object at index N.  The powers exist exactly when t is
+    coconnected.  `dual` is as for radical_filtration, and is used here.
     """
-    if not ccc_known:
-        _require_ccc(t)
+    if dual is None:
+        if not check_connected(t):
+            raise ValueError(_NOT_CCC)
+        dual = dual_structure(t)
+    powers = augmentation_powers(dual)
+    if powers is None:
+        raise ValueError(_NOT_CCC)
     obj = t.obj
-    base = {label: sub for label, sub in unit_span(t).items() if sub.dim}
-    chain = {0: base}
-    n = 0
-    while not _layer_is_full(obj, chain[n]):
-        if n > obj.total_dim():
-            raise RuntimeError("coradical chain fails to exhaust a coconnected structure")
-        prev = chain[n]
-        n += 1
+    neg = obj.backend.neg
+    chain = {}
+    for n, power in enumerate(powers):
         layer = {}
-        for s_label, space in obj.sectors.items():
-            blocks = []
-            for i_label, j_label in obj.splits(s_label):
-                block = t.cop.get((i_label, j_label))
-                if block is None:
-                    continue
-                left_sub = prev.get(i_label)
-                left_space = obj.sectors[i_label]
-                _, proj_left, _ = quotient(
-                    left_space, left_sub if left_sub is not None else Subspace.zero(left_space.dim)
-                )
-                right_sub = base.get(j_label)
-                right_space = obj.sectors[j_label]
-                _, proj_right, _ = quotient(
-                    right_space, right_sub if right_sub is not None else Subspace.zero(right_space.dim)
-                )
-                if proj_left.nrows == 0 or proj_right.nrows == 0:
-                    continue
-                blocks.append(proj_left.kron(proj_right) @ block)
-            if blocks:
-                sub = kernel(vstack(blocks))
-            else:
-                sub = Subspace.full(space.dim)
+        for label, space in obj.sectors.items():
+            rows = power.get(neg(label))
+            sub = kernel(rows.row_matrix) if rows is not None else Subspace.full(space.dim)
             if sub.dim:
-                layer[s_label] = sub
+                layer[label] = sub
         chain[n] = layer
-    return _checked(HopfFiltration(t, "coradical", (0, n), chain))
+    chain[len(powers)] = _full_layer(obj)
+    return _checked(HopfFiltration(t, "coradical", (0, len(powers)), chain))
 
 
 def degree_filtration(t: HopfStructure) -> HopfFiltration:

@@ -35,9 +35,10 @@ from .scalars import ONE
 __all__ = ["GradedQuotient", "MAX_CANDIDATES", "primitives", "quotient_by_hopf_ideal"]
 
 # Free-like braidings on 2 to 5 letters are refused within 0.8 s at this bound
-# (2-core Xeon, Python 3.11, fractions); at 100 they would run up to 5.3 s, and
-# 3-4 times longer per further degree.  Tests and benchmark jobs stay at 20
-# candidates or fewer, the 729-dimensional A3 at zeta_3 at 36.
+# (2-core Xeon, Python 3.11, timed with Fraction coefficients, before the
+# integer residues); at 100 they would run up to 5.3 s, and 3-4 times longer
+# per further degree.  Tests and benchmark jobs stay at 20 candidates or
+# fewer, the 729-dimensional A3 at zeta_3 at 36.
 MAX_CANDIDATES = 48
 
 

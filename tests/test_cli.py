@@ -369,7 +369,12 @@ def test_failed_check_exits_one(runner, tmp_path):
 def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
     from nicholsforge import dualize, filtration, structconst
 
-    calls = {"check_connected": 0, "check_coconnected": 0, "dual_structure": 0}
+    calls = {
+        "check_connected": 0,
+        "check_coconnected": 0,
+        "dual_structure": 0,
+        "primitive_sectors": 0,
+    }
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -386,8 +391,13 @@ def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["results"]["verdict"] == "nichols"
     # connectedness of the structure and of its dual, inside the one
-    # coconnectedness check, which reuses the one dual
-    assert calls == {"check_connected": 2, "check_coconnected": 1, "dual_structure": 1}
+    # coconnectedness check, which reuses the one dual; primitives once per side
+    assert calls == {
+        "check_connected": 2,
+        "check_coconnected": 1,
+        "dual_structure": 1,
+        "primitive_sectors": 2,
+    }
 
 
 def test_is_nichols_refuses_disconnected_structure(runner, tmp_path):
@@ -400,6 +410,21 @@ def test_is_nichols_refuses_disconnected_structure(runner, tmp_path):
     result = runner.invoke(main, ["is-nichols", str(path)])
     assert result.exit_code == 1
     assert "criteria not applicable: structure is not connected and coconnected" in result.output
+
+
+@pytest.mark.parametrize("kind", ["radical", "coradical"])
+def test_filtration_refuses_disconnected_structure(runner, tmp_path, kind):
+    from tests_support import group_algebra_z2
+
+    from nicholsforge.formats import hopf_to_json, save_document
+
+    path = tmp_path / "kz2.json"
+    save_document(str(path), hopf_to_json(group_algebra_z2()))
+    for command in (["gr"], ["degenerate", "--lambda-samples", "1"]):
+        result = runner.invoke(main, command + [str(path), "--filtration", kind])
+        assert result.exit_code == 1
+        assert ("filtration unavailable: filtration needs a connected and coconnected structure"
+                in result.output)
 
 
 def test_zero_denominator_in_braiding_is_usage_error(runner, tmp_path):

@@ -18,7 +18,12 @@ from nicholsforge.fusion import (
 )
 from nicholsforge.linalg import Matrix
 from nicholsforge.scalars import ONE, from_rational, root_of_unity
-from tests_support import fusion_entry_sites, fusion_mutation_detected, mutate_fusion
+from tests_support import (
+    fusion_entry_sites,
+    fusion_mutation_detected,
+    hexagon_backward_reference,
+    mutate_fusion,
+)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,19 @@ def test_scaled_braiding_entry_is_caught(z2):
     assert not verify_braiding(mutant, stop_early=True).passed
 
 
+def test_singular_braiding_block_is_reported_not_raised(z2):
+    # the backward hexagon needs the inverse braiding; without one it fails
+    key = next(k for k in sorted(z2.braiding) if k[0] != 0)
+    new = dict(z2.braiding)
+    new[key] = Matrix(1, 1)
+    mutant = FusionData(
+        z2.size, z2.fusion, z2.assoc, new, z2.left_units, z2.right_units, z2.dual, z2.ev, z2.coev
+    )
+    report = verify_braiding(mutant)
+    assert not report.passed
+    assert any(f[0] == "hexagon-backward" for f in report.failures)
+
+
 def test_missing_dual_space_is_malformed(z2):
     # drop the evaluation morphism of the nontrivial simple
     ev = dict(z2.ev)
@@ -192,3 +210,52 @@ def test_fibonacci_single_site_mutants_are_caught():
     assert len(sites) == 28
     survivors = [site for site in sites if not fusion_mutation_detected(mutate_fusion(fib, site))]
     assert not survivors
+
+
+def gauged(F):
+    """F after rescaling each multiplicity space V[i,j -> k] by 2 + i + 3j.
+
+    The hexagons hold in every gauge, but here the braiding scalars are no
+    longer their own inverses and the associators are not all 1.
+    """
+    def f(i, j):
+        return from_rational(2 + i + 3 * j)
+
+    assoc = {
+        (i, j, k, a, b, c): block.scale(f(i, c) * f(j, k) * (f(i, j) * f(a, k)).inverse())
+        for (i, j, k, a, b, c), block in F.assoc.items()
+    }
+    braiding = {
+        (i, j, k): block.scale(f(j, i) * f(i, j).inverse())
+        for (i, j, k), block in F.braiding.items()
+    }
+    return FusionData(
+        F.size, F.fusion, assoc, braiding, F.left_units, F.right_units, F.dual, F.ev, F.coev
+    )
+
+
+@pytest.mark.parametrize("name", ["z2-center", "z2-center-gauged", "fibonacci-", "fibonacci+"])
+def test_backward_hexagon_matches_the_literal_composite(name):
+    # verify_braiding checks the backward hexagon as the forward hexagon of
+    # the reverse braiding; the literal composite with inverted associators
+    # must fail at exactly the same instances, on every single-site mutant
+    F = {
+        "z2-center": lambda: pointed_center_data([2]),
+        "z2-center-gauged": lambda: gauged(pointed_center_data([2])),
+        "fibonacci-": lambda: fibonacci_data(sign=-1),
+        "fibonacci+": lambda: fibonacci_data(sign=1),
+    }[name]()
+    failing = 0
+    for G in [F] + [mutate_fusion(F, site) for site in fusion_entry_sites(F)]:
+        report = verify_braiding(G)
+        assert len(report.failures) < 32  # the report lists every failure
+        got = {f[1:] for f in report.failures if f[0] == "hexagon-backward"}
+        expected = set()
+        for i, j, k in product(range(G.size), repeat=3):
+            targets = {t for a, _ in G.fuse(i, j) for t, _ in G.fuse(a, k)}
+            targets |= {t for a, _ in G.fuse(j, k) for t, _ in G.fuse(i, a)}
+            expected |= {(i, j, k, t) for t in targets
+                         if not hexagon_backward_reference(G, i, j, k, t)}
+        assert got == expected
+        failing += len(expected)
+    assert failing > 0

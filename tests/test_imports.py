@@ -1,6 +1,9 @@
-"""Every name a package module imports is used there or exported in __all__."""
+"""What the package imports: every name is used, and start-up stays lean."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nicholsforge
@@ -32,3 +35,12 @@ def _unused_imports(path: Path) -> list:
 def test_package_modules_have_no_unused_imports():
     unused = [entry for path in sorted(PACKAGE.rglob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_cli_start_up_leaves_the_thread_pool_unimported():
+    # the pool module costs about 10 ms per process and only --threads > 1 uses it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, nicholsforge.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.stdout.strip() == "False", result.stderr
