@@ -45,6 +45,8 @@ class DiagonalBraiding:
 
     def __post_init__(self):
         n = len(self.q)
+        if n == 0:
+            raise ValueError("braiding matrix q is empty; it needs at least one letter")
         for row in self.q:
             if len(row) != n:
                 raise ValueError("braiding matrix must be square")

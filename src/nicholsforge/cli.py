@@ -23,6 +23,7 @@ from .filtration import (
     associated_graded,
     coradical_filtration,
     degenerate_limit,
+    filtration_conditions,
     primitive_dims_along_path,
     radical_filtration,
     split_basis,
@@ -83,6 +84,13 @@ def _read_json(path: str):
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object at the top level")
     return obj, _digest(raw)
+
+
+def _write(path: str, doc: dict) -> None:
+    try:
+        save_document(path, doc)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}")
 
 
 def _thread_count(explicit: Optional[int]) -> int:
@@ -188,11 +196,6 @@ def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_jso
         "oracle": oracle_rows,
     }
 
-    if emit_hopf is not None:
-        if report.termination != FINITE:
-            raise InputError("--emit-hopf needs a certified finite result; raise --max-degree")
-        save_document(emit_hopf, hopf_to_json(from_nichols(report)))
-
     lines = [f"termination: {report.termination}",
              f"graded dims: {list(report.dims)}"]
     if report.total_dim is not None:
@@ -205,6 +208,9 @@ def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_jso
             lines.append(f"{row['degree']:>6}  {row['engine']:>6}  {row['oracle']:>6}  "
                          f"{'yes' if row['agree'] else 'NO'}")
     if emit_hopf is not None:
+        if report.termination != FINITE:
+            raise InputError("--emit-hopf needs a certified finite result; raise --max-degree")
+        _write(emit_hopf, hopf_to_json(from_nichols(report)))
         lines.append(f"wrote {emit_hopf}")
 
     _finish("nichols", digest, results, warnings, as_json, lines, started, agree)
@@ -252,9 +258,7 @@ def verify(hopf_file, as_json):
     }
     lines = []
     for key in AXIOM_KEYS:
-        verdict = report.results[key]
-        text = "pass" if verdict else ("FAIL" if verdict is False else "skipped")
-        lines.append(f"{key:<16} {text}")
+        lines.append(f"{key:<16} {_tristate(report.results[key])}")
         if key in report.failures:
             lines.append(f"  {report.failures[key]}")
     lines.append(f"{'connected':<16} {_tristate(connected)}")
@@ -282,13 +286,8 @@ def _build_filtration(t, kind: str):
 
 
 def _layer_table(f) -> list:
-    table = []
-    for i, dims in sorted(f.layer_dims().items()):
-        table.append({
-            "index": i,
-            "dims": [[list(label), dims[label]] for label in sorted(dims)],
-        })
-    return table
+    return [{"index": i, "dims": [[list(label), dims[label]] for label in sorted(dims)]}
+            for i, dims in sorted(f.layer_dims().items())]
 
 
 @main.command()
@@ -302,7 +301,7 @@ def gr(hopf_file, kind, out, as_json):
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
-    conditions = f.conditions
+    conditions = filtration_conditions(f)
     graded = associated_graded(t, f)
     axioms = verify_axioms(graded)
     ok = all(conditions.values()) and axioms.passed
@@ -313,8 +312,6 @@ def gr(hopf_file, kind, out, as_json):
         "conditions": conditions,
         "output_axioms": {key: axioms.results[key] for key in AXIOM_KEYS},
     }
-    if out is not None:
-        save_document(out, hopf_to_json(graded))
     lines = [f"{kind} filtration, window {f.window}"]
     for row in results["layers"]:
         dims = ", ".join(f"{tuple(label)}:{d}" for label, d in row["dims"])
@@ -323,6 +320,7 @@ def gr(hopf_file, kind, out, as_json):
         lines.append(f"{name:<18} {'pass' if verdict else 'FAIL'}")
     lines.append(f"output axioms      {'pass' if axioms.passed else 'FAIL'}")
     if out is not None:
+        _write(out, hopf_to_json(graded))
         lines.append(f"wrote {out}")
     _finish("gr", digest, results, [], as_json, lines, started, ok)
 
@@ -341,20 +339,21 @@ def gr(hopf_file, kind, out, as_json):
 def degenerate(hopf_file, kind, samples, out, as_json):
     """Walk the one-parameter family of a filtration split to its limit."""
     started = time.monotonic()
-    t, digest = _load_well_formed_hopf(hopf_file)
-    f = _build_filtration(t, kind)
     parts = [part.strip() for part in samples.split(",") if part.strip()]
     try:
         lams = [parse_scalar(part) for part in parts]
+        if not lams or any(lam.is_zero() for lam in lams):
+            raise ValueError("give one or more values, none of them zero "
+                             "(the limit at 0 is always reported)")
     except (ValueError, KeyError) as err:
         raise InputError(f"bad --lambda-samples: {err}")
-    if not lams:
-        raise InputError("--lambda-samples needs at least one value")
+    t, digest = _load_well_formed_hopf(hopf_file)
+    f = _build_filtration(t, kind)
+    failed = ", ".join(name for name, good in filtration_conditions(f).items() if not good)
+    if failed:
+        raise click.ClickException(f"filtration unavailable: {kind} filtration violates {failed}")
     split = split_basis(f)
-    try:
-        dims = primitive_dims_along_path(t, split, lams)
-    except (ValueError, ZeroDivisionError) as err:
-        raise click.ClickException(f"degeneration failed: {err}")
+    dims = primitive_dims_along_path(t, split, lams)
     limit = degenerate_limit(t, split)
     axioms = verify_axioms(limit)
     matches = limit == associated_graded(t, f)
@@ -367,8 +366,6 @@ def degenerate(hopf_file, kind, samples, out, as_json):
         "limit_axioms": {key: axioms.results[key] for key in AXIOM_KEYS},
         "limit_equals_associated_graded": matches,
     }
-    if out is not None:
-        save_document(out, hopf_to_json(limit))
     lines = ["parameter        primitives"]
     for part, d in zip(parts, dims):
         lines.append(f"{part:<16} {d}")
@@ -376,6 +373,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
     lines.append(f"limit axioms       {'pass' if axioms.passed else 'FAIL'}")
     lines.append(f"matches gr         {'pass' if matches else 'FAIL'}")
     if out is not None:
+        _write(out, hopf_to_json(limit))
         lines.append(f"wrote {out}")
     _finish("degenerate", digest, results, [], as_json, lines, started, ok)
 
@@ -391,6 +389,9 @@ def is_nichols(hopf_file, as_json):
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
     try:
+        failure = verify_axioms(t).first_failure()
+        if failure is not None:
+            raise ValueError(failure)
         pairing, generation, gragrc = nichols_criteria(t)
     except ValueError as err:
         raise click.ClickException(f"criteria not applicable: {err}")
@@ -478,7 +479,7 @@ def fusion_gen(group, out, as_json):
         data = pointed_center_data(factors)
     except ValueError as err:
         raise InputError(f"bad --group: {err}")
-    save_document(out, fusion_to_json(data))
+    _write(out, fusion_to_json(data))
     results = {"factors": factors, "simples": data.size}
     lines = [f"{data.size} simples from factors {factors}", f"wrote {out}"]
     _finish("fusion-gen", _digest(group.encode()), results, [], as_json, lines, started, True)

@@ -7,15 +7,17 @@ The radical chain hangs the powers of the augmentation ideal at indices
 index 0.  The two are dual: the coradical chain of t at index n is the
 annihilator of the (n+1)-st power of the augmentation ideal of the dual,
 so both come from the same power computation, on t or on its dual.
-Either one satisfies the same seven compatibility conditions
-with the Hopf structure, and those conditions are exactly what makes the
-one-parameter family of conjugates by
+On a Hopf structure either one satisfies the seven compatibility
+conditions of filtration_conditions, and those conditions are exactly what
+makes the one-parameter family of conjugates by
 
     phi(lambda) = sum_i lambda^{-i} * (projection onto the i-th piece)
 
 extend across lambda = 0: in split coordinates every structure constant
 picks up a single power of lambda, non-negative whenever the filtration
 conditions hold, and the limit keeps the exponent-zero entries only.
+The constructors only build the chain; a caller that relies on the
+conditions runs filtration_conditions itself.
 
 The limit is computed twice by design: once by that exponent filter and
 once degree by degree from the filtration quotients (associated_graded).
@@ -101,11 +103,11 @@ class HopfFiltration:
     chain maps every index in window = (lo, hi) to a layer, a dict from
     sector label to a subspace of that sector; sectors may be omitted when
     the subspace is zero.  Below the window the filtration is zero, above
-    it the whole object (the layer `full`).  `conditions` holds the verdicts
-    of filtration_conditions once the constructors have checked them.
+    it the whole object (the layer `full`).  Construction checks only the
+    chain's shape and nesting; filtration_conditions judges compatibility.
     """
 
-    __slots__ = ("structure", "kind", "window", "chain", "full", "conditions")
+    __slots__ = ("structure", "kind", "window", "chain", "full")
 
     def __init__(self, structure: HopfStructure, kind: str, window: Tuple[int, int], chain: Dict[int, Layer]):
         lo, hi = window
@@ -128,7 +130,6 @@ class HopfFiltration:
         self.window = window
         self.chain = chain
         self.full = _full_layer(obj)
-        self.conditions = None
 
     def at(self, i: int) -> Layer:
         lo, hi = self.window
@@ -222,15 +223,6 @@ def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
 _NOT_CCC = "filtration needs a connected and coconnected structure"
 
 
-def _checked(f: HopfFiltration) -> HopfFiltration:
-    verdicts = filtration_conditions(f)
-    bad = [name for name, good in verdicts.items() if not good]
-    if bad:
-        raise RuntimeError(f"constructed filtration violates: {', '.join(bad)}")
-    f.conditions = verdicts
-    return f
-
-
 def radical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfFiltration:
     """Powers of the augmentation ideal, J^k sitting at index -k.
 
@@ -243,7 +235,7 @@ def radical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None) -
     chain = {0: _full_layer(t.obj)}
     for k, power in enumerate(powers, 1):
         chain[-k] = power
-    return _checked(HopfFiltration(t, "radical", (-len(powers), 0), chain))
+    return HopfFiltration(t, "radical", (-len(powers), 0), chain)
 
 
 def coradical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfFiltration:
@@ -276,7 +268,7 @@ def coradical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None)
                 layer[label] = sub
         chain[n] = layer
     chain[len(powers)] = _full_layer(obj)
-    return _checked(HopfFiltration(t, "coradical", (0, len(powers)), chain))
+    return HopfFiltration(t, "coradical", (0, len(powers)), chain)
 
 
 def degree_filtration(t: HopfStructure) -> HopfFiltration:
@@ -300,7 +292,7 @@ def degree_filtration(t: HopfStructure) -> HopfFiltration:
             if vectors:
                 layer[label] = Subspace.from_vectors(space.dim, vectors)
         chain[i] = layer
-    return _checked(HopfFiltration(t, "degree", (0, hi), chain))
+    return HopfFiltration(t, "degree", (0, hi), chain)
 
 
 @dataclass(frozen=True)

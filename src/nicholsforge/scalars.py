@@ -376,13 +376,14 @@ _ZETA_RE = re.compile(r"^(-?)zeta\((\d+)\)(?:\^(-?\d+))?$")
 
 
 def parse_scalar(obj) -> Scalar:
-    """Accepts the JSON object form, "zeta(N)^k", "p/q" strings, and ints."""
+    """Accepts the JSON object form, "zeta(N)^k", "p/q" strings, and ints, never booleans."""
     if isinstance(obj, Scalar):
         return obj
     if isinstance(obj, dict):
-        conductor = obj["conductor"]
-        return make_scalar(conductor, obj["coeffs"])
-    if isinstance(obj, int):
+        if any(isinstance(v, bool) for v in (obj["conductor"], *obj["coeffs"])):
+            raise ValueError(f"cannot parse scalar from {obj!r}: booleans are not numbers")
+        return make_scalar(obj["conductor"], obj["coeffs"])
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return from_rational(obj)
     if isinstance(obj, str):
         text = obj.strip()

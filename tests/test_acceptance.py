@@ -1,5 +1,8 @@
 """Acceptance gate: one test per numbered criterion, run with pytest -v.
 
+One unnumbered test checks the filtration conditions that criteria 06-09
+rely on.
+
 Shared fixtures are cached at module level so every criterion sees the same
 instances: the rank-one lines at zeta_N for N in 2..7 and the quantum plane.
 All arithmetic is exact, so every comparison below is equality, never a
@@ -23,9 +26,11 @@ from nicholsforge.dualize import (
     pairing_report,
 )
 from nicholsforge.filtration import (
+    FILTRATION_CONDITIONS,
     associated_graded,
     coradical_filtration,
     degenerate_limit,
+    filtration_conditions,
     lambda_exponent_report,
     primitive_dims_along_path,
     radical_filtration,
@@ -36,14 +41,19 @@ from nicholsforge.fusion import pointed_center_data, verify_all
 from nicholsforge.nichols import nichols_compute, symmetrizer_rank
 from nicholsforge.scalars import ONE, root_of_unity
 from nicholsforge.structconst import (
-    HopfStructure,
     check_coconnected,
     check_connected,
     from_nichols,
     graded_iso_search,
     verify_axioms,
 )
-from tests_support import doubled, fusion_entry_sites, fusion_mutation_detected, mutate_fusion
+from tests_support import (
+    fusion_entry_sites,
+    fusion_mutation_detected,
+    hopf_entry_sites,
+    mutate_fusion,
+    mutate_hopf,
+)
 
 SEED = 20260815
 QP_ENTRIES = [["-1", "1"], ["1", "-1"]]
@@ -92,42 +102,6 @@ def graded_family():
 
 
 # -- mutation helpers ---------------------------------------------------------
-
-
-def hopf_entry_sites(t):
-    """Every nonzero structure-constant entry, in a deterministic order."""
-    sites = []
-    for key in sorted(t.mul):
-        for pos in sorted(t.mul[key].entries):
-            sites.append(("mul", key, pos))
-    for key in sorted(t.cop):
-        for pos in sorted(t.cop[key].entries):
-            sites.append(("cop", key, pos))
-    for key in sorted(t.antipode):
-        for pos in sorted(t.antipode[key].entries):
-            sites.append(("antipode", key, pos))
-    for pos in sorted(t.unit.entries):
-        sites.append(("unit", None, pos))
-    for pos in sorted(t.counit.entries):
-        sites.append(("counit", None, pos))
-    return sites
-
-
-def mutate_hopf(t, site):
-    family, key, pos = site
-    mul, cop, antipode = dict(t.mul), dict(t.cop), dict(t.antipode)
-    unit, counit = t.unit, t.counit
-    if family == "mul":
-        mul[key] = doubled(mul[key], pos)
-    elif family == "cop":
-        cop[key] = doubled(cop[key], pos)
-    elif family == "antipode":
-        antipode[key] = doubled(antipode[key], pos)
-    elif family == "unit":
-        unit = doubled(unit, pos)
-    else:
-        counit = doubled(counit, pos)
-    return HopfStructure(t.obj, mul, unit, cop, counit, antipode, t.grading)
 
 
 def hopf_mutation_detected(t):
@@ -253,6 +227,16 @@ def test_criterion_06_associated_graded_isomorphic():
         assert graded_iso_search(t, grc) is not None, f"{name}: original vs gr-coradical"
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 120s"
+
+
+def test_filtration_conditions_hold_for_every_instance():
+    # criteria 06-09 build both filtrations of each instance and rely on
+    # these conditions; the constructors themselves no longer check them
+    for name in instances():
+        for kind in ("radical", "coradical"):
+            conditions = filtration_conditions(filtration_of(name, kind))
+            assert tuple(conditions) == FILTRATION_CONDITIONS, f"{name}/{kind}"
+            assert all(conditions.values()), f"{name}/{kind}: {conditions}"
 
 
 def test_criterion_07_limits_equal_graded_no_negative_exponents():

@@ -35,6 +35,15 @@ def test_braiding_rejects_ragged_matrix():
         DiagonalBraiding.from_entries([["1", "1"], ["1"]])
 
 
+@pytest.mark.parametrize("obj", [
+    {"type": "diagonal", "q": []},
+    {"type": "yetter-drinfeld-abelian", "group": [2], "points": []},
+], ids=["diagonal", "yetter-drinfeld"])
+def test_braiding_rejects_empty_matrix(obj):
+    with pytest.raises(ValueError, match="braiding matrix q is empty"):
+        braiding_from_json(obj)
+
+
 def test_yd_to_braiding_values():
     # two points over Z/3, each graded by the generator
     datum = YDDatum(

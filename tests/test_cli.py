@@ -212,6 +212,12 @@ def _first_block(doc, kind, shape):
                  id="row-outside"),
     pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(2, "1/0"),
                  id="zero-denominator"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(2, True),
+                 id="boolean-entry"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
+        2, {"conductor": True, "coeffs": ["1"]}), id="boolean-conductor"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
+        2, {"conductor": 2, "coeffs": [False, True]}), id="boolean-coefficient"),
 ])
 def test_malformed_matrix_is_usage_error(runner, qp_hopf, edit):
     with open(qp_hopf) as fh:
@@ -367,13 +373,15 @@ def test_failed_check_exits_one(runner, tmp_path):
 
 
 def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
-    from nicholsforge import dualize, filtration, structconst
+    from nicholsforge import cli, dualize, filtration, structconst
 
     calls = {
+        "verify_axioms": 0,
         "check_connected": 0,
         "check_coconnected": 0,
         "dual_structure": 0,
         "primitive_sectors": 0,
+        "filtration_conditions": 0,
     }
 
     def counted(name, fn):
@@ -384,19 +392,22 @@ def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
         return wrapper
 
     for name in calls:
-        for module in (structconst, dualize, filtration):
+        for module in (cli, structconst, dualize, filtration):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     result = runner.invoke(main, ["is-nichols", qp_hopf, "--json"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["results"]["verdict"] == "nichols"
-    # connectedness of the structure and of its dual, inside the one
-    # coconnectedness check, which reuses the one dual; primitives once per side
+    # the axioms once; connectedness of the structure and of its dual, inside
+    # the one coconnectedness check, which reuses the one dual; primitives once
+    # per side; the filtration conditions never, since the axioms imply them
     assert calls == {
+        "verify_axioms": 1,
         "check_connected": 2,
         "check_coconnected": 1,
         "dual_structure": 1,
         "primitive_sectors": 2,
+        "filtration_conditions": 0,
     }
 
 
@@ -433,3 +444,110 @@ def test_zero_denominator_in_braiding_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["nichols", str(path), "--max-degree", "3"])
     assert result.exit_code == 2, result.output
     assert "zero denominator" in result.output
+
+
+@pytest.mark.parametrize("doc, problem", [
+    pytest.param({"type": "diagonal", "q": [[True]]}, "cannot parse scalar", id="boolean-entry"),
+    pytest.param({"type": "diagonal", "q": [[{"conductor": True, "coeffs": ["1"]}]]},
+                 "booleans are not numbers", id="boolean-conductor"),
+    pytest.param({"type": "diagonal", "q": []}, "braiding matrix q is empty", id="empty-q"),
+    pytest.param({"type": "yetter-drinfeld-abelian", "group": [2], "points": []},
+                 "braiding matrix q is empty", id="no-points"),
+])
+def test_boolean_or_empty_braiding_is_usage_error(runner, tmp_path, doc, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["nichols", str(path), "--max-degree", "3"])
+    assert result.exit_code == 2, result.output
+    assert "bad braiding document" in result.output and problem in result.output
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["nichols", "gr", "degenerate", "fusion-gen"])
+def test_unwritable_output_is_usage_error(runner, qp_file, qp_hopf, tmp_path, command, target):
+    out = str(tmp_path / target)
+    args = {
+        "nichols": ["nichols", qp_file, "--max-degree", "6", "--emit-hopf", out],
+        "gr": ["gr", qp_hopf, "--filtration", "radical", "--out", out],
+        "degenerate": ["degenerate", qp_hopf, "--filtration", "coradical", "--out", out],
+        "fusion-gen": ["fusion-gen", "--group", "2", "--out", out],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"cannot write {out}: " in result.output
+
+
+@pytest.mark.parametrize("samples", ["0", "1,0/5", " , "], ids=["zero", "zero-fraction", "blank"])
+def test_empty_or_zero_lambda_samples_are_refused_before_the_filtration(runner, qp_hopf,
+                                                                        monkeypatch, samples):
+    calls = []
+    monkeypatch.setattr("nicholsforge.cli._build_filtration", lambda *args: calls.append(args))
+    result = runner.invoke(main, ["degenerate", qp_hopf, "--filtration", "radical",
+                                  "--lambda-samples", samples])
+    assert result.exit_code == 2, result.output
+    assert "bad --lambda-samples: give one or more values, none of them zero" in result.output
+    assert calls == []
+
+
+A2_MINUS_ONE = [["-1", "-1"], ["1", "-1"]]
+
+
+@pytest.fixture()
+def a2_hopf(tmp_path, runner):
+    braiding = tmp_path / "a2.json"
+    braiding.write_text(json.dumps({"type": "diagonal", "q": A2_MINUS_ONE}))
+    out = tmp_path / "a2_hopf.json"
+    result = runner.invoke(
+        main, ["nichols", str(braiding), "--max-degree", "5", "--emit-hopf", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    return str(out)
+
+
+def test_structure_commands_refuse_non_hopf_input_without_traceback(runner, a2_hopf):
+    # without the product of sectors (0, 1) and (1, 0) the structure stays
+    # connected and coconnected, but its radical filtration is not multiplicative
+    _edit_document(a2_hopf, lambda doc: _mul_block(doc, [[0, 1], [1, 0]]).update(entries=[]))
+    runs = {
+        "is-nichols": runner.invoke(main, ["is-nichols", a2_hopf]),
+        "gr": runner.invoke(main, ["gr", a2_hopf, "--filtration", "radical"]),
+        "degenerate": runner.invoke(main, ["degenerate", a2_hopf, "--filtration", "radical"]),
+    }
+    for command, result in runs.items():
+        assert result.exit_code == 1, (command, result.output)
+        assert isinstance(result.exception, SystemExit), (command, result.exception)
+    assert runs["is-nichols"].output.startswith("Error: criteria not applicable: assoc at ")
+    assert "multiplicative     FAIL" in runs["gr"].output
+    assert runs["degenerate"].output.startswith(
+        "Error: filtration unavailable: radical filtration violates multiplicative, "
+    )
+
+
+def test_is_nichols_refuses_every_structure_that_fails_the_axioms(runner, a2_hopf, tmp_path):
+    from tests_support import deleted, doubled, hopf_entry_sites, mutate_hopf
+
+    from nicholsforge.braided import DiagonalBraiding
+    from nicholsforge.formats import hopf_to_json, save_document
+    from nicholsforge.nichols import nichols_compute
+    from nicholsforge.structconst import from_nichols
+
+    # the emitted A2-at-(-1) file with every antipode block but the first deleted
+    _edit_document(a2_hopf, lambda doc: doc.update(antipode=doc["antipode"][:1]))
+    inputs = {"antipode-truncated": a2_hopf}
+    # every nonzero entry of the quantum plane and of A2 at -1, doubled or deleted
+    for name, entries in (("qp", QP_DOC["q"]), ("a2", A2_MINUS_ONE)):
+        t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), 6))
+        for edit in (doubled, deleted):
+            for k, site in enumerate(hopf_entry_sites(t)):
+                path = str(tmp_path / f"{name}_{edit.__name__}_{k}.json")
+                save_document(path, hopf_to_json(mutate_hopf(t, site, edit)))
+                inputs[(name, edit.__name__, site)] = path
+    assert len(inputs) == 1 + 188
+    accepted = []
+    for key, path in inputs.items():
+        result = runner.invoke(main, ["is-nichols", path])
+        lines = result.output.splitlines()
+        if not (result.exit_code == 1 and len(lines) == 1
+                and lines[0].startswith("Error: criteria not applicable: ")):
+            accepted.append((key, result.exit_code, result.output))
+    assert not accepted, accepted[:3]

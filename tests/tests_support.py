@@ -37,6 +37,50 @@ def doubled(block, pos):
     return Matrix(block.nrows, block.ncols, entries)
 
 
+def deleted(block, pos):
+    """The block with the entry at pos set to zero."""
+    entries = dict(block.entries)
+    del entries[pos]
+    return Matrix(block.nrows, block.ncols, entries)
+
+
+def hopf_entry_sites(t):
+    """Every nonzero structure-constant entry, in a deterministic order."""
+    sites = []
+    for key in sorted(t.mul):
+        for pos in sorted(t.mul[key].entries):
+            sites.append(("mul", key, pos))
+    for key in sorted(t.cop):
+        for pos in sorted(t.cop[key].entries):
+            sites.append(("cop", key, pos))
+    for key in sorted(t.antipode):
+        for pos in sorted(t.antipode[key].entries):
+            sites.append(("antipode", key, pos))
+    for pos in sorted(t.unit.entries):
+        sites.append(("unit", None, pos))
+    for pos in sorted(t.counit.entries):
+        sites.append(("counit", None, pos))
+    return sites
+
+
+def mutate_hopf(t, site, edit=doubled):
+    """t with edit (doubled or deleted) applied to the entry at site."""
+    family, key, pos = site
+    mul, cop, antipode = dict(t.mul), dict(t.cop), dict(t.antipode)
+    unit, counit = t.unit, t.counit
+    if family == "mul":
+        mul[key] = edit(mul[key], pos)
+    elif family == "cop":
+        cop[key] = edit(cop[key], pos)
+    elif family == "antipode":
+        antipode[key] = edit(antipode[key], pos)
+    elif family == "unit":
+        unit = edit(unit, pos)
+    else:
+        counit = edit(counit, pos)
+    return HopfStructure(t.obj, mul, unit, cop, counit, antipode, t.grading)
+
+
 def fusion_entry_sites(F):
     sites = []
     for key in sorted(F.assoc):
