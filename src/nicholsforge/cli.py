@@ -18,16 +18,6 @@ import click
 
 from ._threads import pmap, resolve_threads
 from .braided import braiding_from_json
-from .dualize import nichols_criteria
-from .filtration import (
-    associated_graded,
-    coradical_filtration,
-    degenerate_limit,
-    filtration_conditions,
-    primitive_dims_along_path,
-    radical_filtration,
-    split_basis,
-)
 from .formats import (
     canonical_dumps,
     fusion_from_json,
@@ -36,31 +26,11 @@ from .formats import (
     hopf_to_json,
     save_document,
 )
-from .fusion import (
-    pointed_center_data,
-    verify_braiding,
-    verify_duality,
-    verify_pentagon,
-    verify_units,
-    well_formed,
-)
-from .nichols import (
-    FINITE,
-    ORACLE_MAX_DEGREE,
-    dims_symmetry_warning,
-    hilbert_series,
-    nichols_compute,
-    symmetrizer_rank,
-)
 from .scalars import parse_scalar, scalar_to_json
-from .structconst import (
-    AXIOM_KEYS,
-    check_coconnected,
-    check_connected,
-    from_nichols,
-    verify_axioms,
-    well_formed_problem,
-)
+
+# Each command imports the computing layers it runs (nichols, structconst,
+# filtration, dualize, fusion) when it runs, so that a process compiles only
+# the modules its command needs.
 
 
 class InputError(click.ClickException):
@@ -150,6 +120,15 @@ def main():
 @_json_option
 def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_json):
     """Run the primitive-quotient engine on a braiding file."""
+    from .nichols import (
+        FINITE,
+        ORACLE_MAX_DEGREE,
+        dims_symmetry_warning,
+        hilbert_series,
+        nichols_compute,
+        symmetrizer_rank,
+    )
+
     started = time.monotonic()
     threads = _thread_count(threads)
     obj, digest = _read_json(braiding_file)
@@ -208,6 +187,8 @@ def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_jso
             lines.append(f"{row['degree']:>6}  {row['engine']:>6}  {row['oracle']:>6}  "
                          f"{'yes' if row['agree'] else 'NO'}")
     if emit_hopf is not None:
+        from .structconst import from_nichols
+
         if report.termination != FINITE:
             raise InputError("--emit-hopf needs a certified finite result; raise --max-degree")
         _write(emit_hopf, hopf_to_json(from_nichols(report)))
@@ -229,6 +210,8 @@ def _load_hopf(path: str):
 
 def _load_well_formed_hopf(path: str):
     """A structure whose blocks fit its sectors; verify reports this as an axiom."""
+    from .structconst import well_formed_problem
+
     t, digest = _load_hopf(path)
     problem = well_formed_problem(t)
     if problem is not None:
@@ -241,6 +224,8 @@ def _load_well_formed_hopf(path: str):
 @_json_option
 def verify(hopf_file, as_json):
     """Check all Hopf axioms plus connectedness on both sides."""
+    from .structconst import AXIOM_KEYS, check_coconnected, check_connected, verify_axioms
+
     started = time.monotonic()
     t, digest = _load_hopf(hopf_file)
     report = verify_axioms(t)
@@ -275,12 +260,15 @@ def _tristate(value) -> str:
 # -- gr ------------------------------------------------------------------------
 
 
-_FILTRATIONS = {"radical": radical_filtration, "coradical": coradical_filtration}
+_FILTRATIONS = ("coradical", "radical")
 
 
 def _build_filtration(t, kind: str):
+    from .filtration import coradical_filtration, radical_filtration
+
+    build = {"radical": radical_filtration, "coradical": coradical_filtration}[kind]
     try:
-        return _FILTRATIONS[kind](t)
+        return build(t)
     except ValueError as err:
         raise click.ClickException(f"filtration unavailable: {err}")
 
@@ -292,12 +280,15 @@ def _layer_table(f) -> list:
 
 @main.command()
 @click.argument("hopf_file", type=click.Path())
-@click.option("--filtration", "kind", type=click.Choice(sorted(_FILTRATIONS)), required=True)
+@click.option("--filtration", "kind", type=click.Choice(_FILTRATIONS), required=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the associated graded structure here.")
 @_json_option
 def gr(hopf_file, kind, out, as_json):
     """Associated graded structure of the radical or coradical filtration."""
+    from .filtration import associated_graded, filtration_conditions
+    from .structconst import AXIOM_KEYS, verify_axioms
+
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
@@ -330,7 +321,7 @@ def gr(hopf_file, kind, out, as_json):
 
 @main.command()
 @click.argument("hopf_file", type=click.Path())
-@click.option("--filtration", "kind", type=click.Choice(sorted(_FILTRATIONS)), required=True)
+@click.option("--filtration", "kind", type=click.Choice(_FILTRATIONS), required=True)
 @click.option("--lambda-samples", "samples", default="1",
               help="Comma-separated parameters, e.g. '1,1/2,zeta(3)'.")
 @click.option("--out", type=click.Path(), default=None,
@@ -338,6 +329,15 @@ def gr(hopf_file, kind, out, as_json):
 @_json_option
 def degenerate(hopf_file, kind, samples, out, as_json):
     """Walk the one-parameter family of a filtration split to its limit."""
+    from .filtration import (
+        associated_graded,
+        degenerate_limit,
+        filtration_conditions,
+        primitive_dims_along_path,
+        split_basis,
+    )
+    from .structconst import AXIOM_KEYS, verify_axioms
+
     started = time.monotonic()
     parts = [part.strip() for part in samples.split(",") if part.strip()]
     try:
@@ -353,10 +353,12 @@ def degenerate(hopf_file, kind, samples, out, as_json):
     if failed:
         raise click.ClickException(f"filtration unavailable: {kind} filtration violates {failed}")
     split = split_basis(f)
-    dims = primitive_dims_along_path(t, split, lams)
     limit = degenerate_limit(t, split)
+    dims = primitive_dims_along_path(t, split, lams, limit)
     axioms = verify_axioms(limit)
-    matches = limit == associated_graded(t, f)
+    # associated_graded builds the graded structure on its own, from the
+    # same split, so that the comparison means something
+    matches = limit == associated_graded(t, f, split)
     ok = axioms.passed and matches
     results = {
         "filtration": kind,
@@ -386,6 +388,9 @@ def degenerate(hopf_file, kind, samples, out, as_json):
 @_json_option
 def is_nichols(hopf_file, as_json):
     """Run the three recognition criteria on a structure file."""
+    from .dualize import nichols_criteria
+    from .structconst import verify_axioms
+
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
     try:
@@ -431,6 +436,8 @@ def is_nichols(hopf_file, as_json):
 @_json_option
 def fusion_verify(fusion_file, threads, as_json):
     """Check pentagon, units, duality, and both hexagons on fusion data."""
+    from .fusion import verify_braiding, verify_duality, verify_pentagon, verify_units, well_formed
+
     started = time.monotonic()
     threads = _thread_count(threads)
     obj, digest = _read_json(fusion_file)
@@ -473,6 +480,8 @@ def fusion_verify(fusion_file, threads, as_json):
 @_json_option
 def fusion_gen(group, out, as_json):
     """Emit Drinfeld-center fusion data of a finite abelian group."""
+    from .fusion import pointed_center_data
+
     started = time.monotonic()
     try:
         factors = [int(part) for part in group.split(",") if part.strip()]

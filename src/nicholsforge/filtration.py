@@ -446,15 +446,18 @@ def degenerate_limit(t: HopfStructure, split: GradingSplit) -> HopfStructure:
     return HopfStructure(obj, mul, unit, cop, counit, antipode, grading)
 
 
-def associated_graded(t: HopfStructure, f: HopfFiltration) -> HopfStructure:
+def associated_graded(t: HopfStructure, f: HopfFiltration,
+                      split: Optional[GradingSplit] = None) -> HopfStructure:
     """Build the graded structure from the filtration quotients directly.
 
-    Works in the split basis and keeps, per structure constant, the part
-    where the filtration indices balance exactly; this is the layerwise
-    composition projection . map . inclusion written in one matrix per
-    block.  Independent of degenerate_limit, which must agree with it.
+    Works in the split basis (split_basis(f), unless the caller has it) and
+    keeps, per structure constant, the part where the filtration indices
+    balance exactly; this is the layerwise composition projection . map .
+    inclusion written in one matrix per block.  Independent of
+    degenerate_limit, which must agree with it.
     """
-    split = split_basis(f)
+    if split is None:
+        split = split_basis(f)
     obj = t.obj
     backend = obj.backend
     idx = split.indices
@@ -506,12 +509,16 @@ def lambda_exponent_report(t: HopfStructure, split: GradingSplit) -> dict:
     return {"entries": entries, "violations": violations}
 
 
-def primitive_dims_along_path(t: HopfStructure, split: GradingSplit, lams: Sequence) -> List[int]:
-    """Total primitive dimension at each sample parameter, then at the limit."""
+def primitive_dims_along_path(t: HopfStructure, split: GradingSplit, lams: Sequence,
+                              limit: Optional[HopfStructure] = None) -> List[int]:
+    """Total primitive dimension at each sample parameter, then at the limit.
+
+    The limit is degenerate_limit(t, split), unless the caller has it.
+    """
 
     def total(structure: HopfStructure) -> int:
         return sum(sub.dim for sub in primitive_sectors(structure).values())
 
     dims = [total(one_param_orbit(t, split, lam)) for lam in lams]
-    dims.append(total(degenerate_limit(t, split)))
+    dims.append(total(degenerate_limit(t, split) if limit is None else limit))
     return dims

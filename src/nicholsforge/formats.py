@@ -14,13 +14,17 @@ readers also accept the "zeta(N)^k" and "p/q" shorthands.
 from __future__ import annotations
 
 import json
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .braided import braiding_from_json, braiding_to_json
-from .fusion import FusionData
 from .linalg import BasedSpace, Matrix
 from .scalars import parse_scalar, scalar_to_json
-from .structconst import DecomposedObject, HopfStructure, LabelBackend
+
+# The readers import the structure layers when they run, so that loading
+# this module for canonical_dumps costs neither.
+if TYPE_CHECKING:
+    from .fusion import FusionData
+    from .structconst import HopfStructure
 
 __all__ = [
     "HOPF_FORMAT",
@@ -93,6 +97,8 @@ def hopf_to_json(t: HopfStructure) -> dict:
 
 
 def hopf_from_json(obj: dict) -> HopfStructure:
+    from .structconst import DecomposedObject, HopfStructure, LabelBackend
+
     if obj.get("format") != HOPF_FORMAT:
         raise ValueError(f"not a {HOPF_FORMAT} document")
     backend = LabelBackend(braiding_from_json(obj["braiding"]))
@@ -153,6 +159,8 @@ def fusion_to_json(F: FusionData) -> dict:
 
 
 def fusion_from_json(obj: dict) -> FusionData:
+    from .fusion import FusionData
+
     if obj.get("format") != FUSION_FORMAT:
         raise ValueError(f"not a {FUSION_FORMAT} document")
     size = int(obj["size"])

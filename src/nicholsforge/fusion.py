@@ -13,11 +13,12 @@ multiplicity spaces are at most one-dimensional.  Simples are indexed
 
 The pentagon and triangle come straight off the tree calculus.  The forward
 hexagon is composed in coordinates, and the backward hexagon is the forward
-one of the reverse braiding, so it needs no second form.  Only the second
-duality zig-zag is still derived by hand (see docs/FORMATS.md for the
-composition tables, including the convention that reordering multiplicity
-factors uses the plain flip).  Every verifier reports located failures
-instead of raising.
+one of the reverse braiding, so it needs no second form.  The pentagon and
+hexagon routes compose scalars when every multiplicity is 0 or 1, and
+matrices otherwise (see _route).  Only the second duality zig-zag is still
+derived by hand (see docs/FORMATS.md for the composition tables, including
+the convention that reordering multiplicity factors uses the plain flip).
+Every verifier reports located failures instead of raising.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .braided import DiagonalBraiding
-from .linalg import Matrix, inverse, rank
+from .linalg import Matrix, _times, inverse, rank
 from .scalars import ONE, Scalar, root_of_unity
 
 __all__ = [
@@ -60,6 +61,8 @@ class FusionData:
     _rules: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = field(
         init=False, compare=False, repr=False
     )
+    # the blocks the pentagon and hexagon routes compose (see _route)
+    _blocks: "_ScalarBlocks | _MatrixBlocks" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rules: Dict[Tuple[int, int], list] = {}
@@ -67,6 +70,8 @@ class FusionData:
             if n:
                 rules.setdefault((i, j), []).append((k, n))
         object.__setattr__(self, "_rules", {key: tuple(v) for key, v in rules.items()})
+        free = all(n in (0, 1) for n in self.fusion.values())
+        object.__setattr__(self, "_blocks", (_ScalarBlocks if free else _MatrixBlocks)(self))
 
     def dim(self, i: int, j: int, k: int) -> int:
         return self.fusion.get((i, j, k), 0)
@@ -100,29 +105,38 @@ class FusionReport:
 
 # -- direct sums of small tensor products -------------------------------------
 #
-# A vertex is a key-sorted list of (key, leg-dims): one component per
-# labeling of the internal edges of a fusion tree, with coordinate space the
-# direct sum over components of the tensor product of the legs.  A jump
-# maps one component to the (key_out, dims_out, block) triples it reaches;
-# _route assembles the jumps into matrices between whole vertices.  Zero
-# blocks are kept, so a vertex lists every reachable labeling.  For
+# A vertex is a key-sorted list of (key, legs): one component per labeling of
+# the internal edges of a fusion tree, with coordinate space the direct sum
+# over components of the tensor product of the legs, the multiplicity spaces
+# along the tree.  A jump maps one component to the (key_out, (legs_out,
+# block)) pairs it reaches, each key_out once, and takes every block from
+# F._blocks; _route composes the jumps into maps between whole vertices.
+# Zero blocks are kept, so a vertex lists every reachable labeling.  For
 # associative, symmetric fusion rules that is every admissible labeling of
 # its tree, so two routes between the same trees end on equal vertices.
+#
+# F._blocks is chosen once per FusionData, from its fusion rules.  When every
+# multiplicity is 0 or 1, as in every pointed center and in Fibonacci, every
+# leg is one-dimensional: a block is its one Scalar, legs pass through
+# unchanged, and a map between vertices is {(key_out, key_in): Scalar} with
+# no zero values.  Otherwise a block is a Matrix acting on some legs and as
+# the identity on the others, and a map between vertices is one Matrix on
+# their direct sums.
 
 Vertex = List[Tuple[tuple, tuple]]
-Jump = Callable[[tuple, tuple], Iterable[Tuple[tuple, tuple, Matrix]]]
+Jump = Callable[[tuple, tuple], Iterable[Tuple[tuple, tuple]]]
 
 
 def _total(comps: Vertex) -> int:
-    return sum(prod(dims) for _, dims in comps)
+    return sum(prod(legs) for _, legs in comps)
 
 
 def _offsets(comps: Vertex) -> Dict[tuple, int]:
     out = {}
     pos = 0
-    for key, dims in comps:
+    for key, legs in comps:
         out[key] = pos
-        pos += prod(dims)
+        pos += prod(legs)
     return out
 
 
@@ -135,46 +149,126 @@ def _assemble(comps_out: Vertex, comps_in: Vertex, blocks: Dict[tuple, Matrix]) 
         c0 = coff[key_in]
         for (r, c), v in block.entries.items():
             entries[(r0 + r, c0 + c)] = v
-    return Matrix(_total(comps_out), _total(comps_in), entries)
+    return Matrix._nonzero(_total(comps_out), _total(comps_in), entries)
 
 
-def _route(comps: Vertex, *jumps: Jump) -> Tuple[Vertex, Matrix]:
+def _route(F: FusionData, comps: Vertex, *jumps: Jump):
     """Apply the jumps in order; return the end vertex and the composite map."""
+    blocks = F._blocks
     total = None
     for jump in jumps:
-        dims_out: Dict[tuple, tuple] = {}
-        blocks: Dict[tuple, Matrix] = {}
-        for key, dims in comps:
-            for key_out, dims_k, block in jump(key, dims):
-                dims_out[key_out] = dims_k
-                prev = blocks.get((key_out, key))
-                blocks[(key_out, key)] = block if prev is None else prev + block
-        out = sorted(dims_out.items())
-        step = _assemble(out, comps, blocks)
-        total = step if total is None else step @ total
+        legs_out: Dict[tuple, tuple] = {}
+        step: dict = {}
+        for key, legs in comps:
+            for key_out, (legs_k, block) in jump(key, legs):
+                legs_out[key_out] = legs_k
+                step[(key_out, key)] = block
+        out = sorted(legs_out.items())
+        step = blocks.assemble(out, comps, step)
+        total = step if total is None else blocks.compose(step, total)
         comps = out
     return comps, total
 
 
-def _flip(d1: int, d2: int) -> Matrix:
-    entries = {}
-    for x in range(d1):
-        for y in range(d2):
-            entries[(y * d1 + x, x * d2 + y)] = ONE
-    return Matrix(d1 * d2, d1 * d2, entries)
+def _leg_offsets(legs: tuple, positions: Sequence[int]) -> List[int]:
+    """The offset of each index of the legs at positions, first leg slowest."""
+    strides = [prod(legs[p + 1:]) for p in positions]
+    return [sum(x * s for x, s in zip(xs, strides))
+            for xs in product(*(range(legs[p]) for p in positions))]
 
 
-def _pair02(block: Matrix, src: tuple, tgt: tuple) -> Matrix:
-    """Extend a map on legs (0, 2) by the identity on the middle leg."""
-    s0, s1, s2 = src
-    t0, _, t2 = tgt
-    entries = {}
-    for (r, c), v in block.entries.items():
-        x_out, z_out = divmod(r, t2)
-        x_in, z_in = divmod(c, s2)
-        for y in range(s1):
-            entries[((x_out * s1 + y) * t2 + z_out, (x_in * s1 + y) * s2 + z_in)] = v
-    return Matrix(t0 * s1 * t2, s0 * s1 * s2, entries)
+class _MatrixBlocks:
+    """Blocks as matrices on the tensor product of a component's legs."""
+
+    def __init__(self, F: FusionData):
+        self.F = F
+
+    @staticmethod
+    def _on_legs(block: Matrix, block_legs: tuple, legs: tuple, at: tuple, to: tuple):
+        """block on the legs at positions at, the identity on the others.
+
+        The block's output legs, of dims block_legs, land at positions to and
+        the other legs keep their order.  Returns the output legs and the map.
+        """
+        rest_in = [p for p in range(len(legs)) if p not in at]
+        rest_out = [p for p in range(len(legs)) if p not in to]
+        out = list(legs)
+        for p, d in zip(to, block_legs):
+            out[p] = d
+        for p, q in zip(rest_in, rest_out):
+            out[q] = legs[p]
+        out = tuple(out)
+        rows, cols = _leg_offsets(out, to), _leg_offsets(legs, at)
+        rest = list(zip(_leg_offsets(out, rest_out), _leg_offsets(legs, rest_in)))
+        entries = {}
+        for (r, c), v in block.entries.items():
+            r0, c0 = rows[r], cols[c]
+            for dr, dc in rest:
+                entries[(r0 + dr, c0 + dc)] = v
+        return out, Matrix._nonzero(prod(out), prod(legs), entries)
+
+    def assoc(self, legs: tuple, at: tuple, x, y, z, a, b, c):
+        """alpha_{x,y,z} from (a, b) to (c, b) on the legs at positions at."""
+        F = self.F
+        block_legs = (F.dim(x, c, b), F.dim(y, z, c))
+        return self._on_legs(F.assoc_block(x, y, z, a, b, c), block_legs, legs, at, at)
+
+    def braid(self, legs: tuple, at: tuple, x, y, k, to: Optional[tuple] = None):
+        """sigma_{x,y} at k on the leg at position at, landing at position to."""
+        F = self.F
+        return self._on_legs(F.braid_block(x, y, k), (F.dim(y, x, k),), legs, at, to or at)
+
+    assemble = staticmethod(_assemble)
+
+    @staticmethod
+    def compose(step: Matrix, total: Matrix) -> Matrix:
+        return step @ total
+
+
+class _ScalarBlocks:
+    """Blocks of multiplicity-free data, each one Scalar.
+
+    Every leg is one-dimensional, so a block is its one entry, whichever
+    legs it acts on, and it leaves the legs as they are.
+    """
+
+    def __init__(self, F: FusionData):
+        # a Matrix stores no zeros, so zero blocks are left out and read as None
+        self._assoc = {key: v for key, block in F.assoc.items()
+                       if (v := block.entries.get((0, 0))) is not None}
+        self._braid = {key: v for key, block in F.braiding.items()
+                       if (v := block.entries.get((0, 0))) is not None}
+
+    def assoc(self, legs: tuple, at: tuple, *key):
+        return legs, self._assoc.get(key)
+
+    def braid(self, legs: tuple, at: tuple, x, y, k, to: Optional[tuple] = None):
+        return legs, self._braid.get((x, y, k))
+
+    @staticmethod
+    def assemble(comps_out: Vertex, comps_in: Vertex, blocks: dict) -> dict:
+        return {key: v for key, v in blocks.items() if v is not None}
+
+    @staticmethod
+    def compose(step: dict, total: dict) -> dict:
+        """step after total.  Products of nonzero scalars are nonzero, so
+        only a sum can leave a zero to drop."""
+        by_mid: dict = {}
+        for (mid, key_in), v in total.items():
+            by_mid.setdefault(mid, []).append((key_in, v, v.is_one()))
+        out: dict = {}
+        summed = False
+        for (key_out, mid), s in step.items():
+            s_one = s.is_one()
+            for key_in, v, v_one in by_mid.get(mid, ()):
+                term = _times(s, s_one, v, v_one)
+                cur = out.get((key_out, key_in))
+                if cur is None:
+                    out[(key_out, key_in)] = term
+                else:
+                    out[(key_out, key_in)] = cur + term
+                    summed = True
+        return {key: v for key, v in out.items() if v} if summed else out
 
 
 def _assoc_full(F: FusionData, x: int, y: int, z: int, b: int):
@@ -260,6 +354,7 @@ def well_formed(F: FusionData) -> FusionReport:
 
 
 def _pentagon_holds(F: FusionData, i: int, j: int, k: int, l: int, t: int) -> bool:
+    blocks = F._blocks
     start = [
         ((a, b), (n_a, n_b, F.dim(b, l, t)))
         for a, n_a in F.fuse(i, j)
@@ -268,43 +363,39 @@ def _pentagon_holds(F: FusionData, i: int, j: int, k: int, l: int, t: int) -> bo
     ]
 
     # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
-    def alpha_ijk(key, dims):
+    def alpha_ijk(key, legs):
         a, b = key
-        for c, n in F.fuse(j, k):
-            if (d := F.dim(i, c, b)):
-                block = F.assoc_block(i, j, k, a, b, c).kron(Matrix.identity(dims[2]))
-                yield (c, b), (d, n, dims[2]), block
+        for c, _ in F.fuse(j, k):
+            if F.dim(i, c, b):
+                yield (c, b), blocks.assoc(legs, (0, 1), i, j, k, a, b, c)
 
-    def alpha_icl(key, dims):
+    def alpha_icl(key, legs):
         c, b = key
-        for f, n in F.fuse(c, l):
-            if (d := F.dim(i, f, t)):
-                out = (d, dims[1], n)
-                yield (c, f), out, _pair02(F.assoc_block(i, c, l, b, t, f), dims, out)
+        for f, _ in F.fuse(c, l):
+            if F.dim(i, f, t):
+                yield (c, f), blocks.assoc(legs, (0, 2), i, c, l, b, t, f)
 
-    def alpha_jkl(key, dims):
+    def alpha_jkl(key, legs):
         c, f = key
-        for g, n in F.fuse(k, l):
-            if (d := F.dim(j, g, f)):
-                block = Matrix.identity(dims[0]).kron(F.assoc_block(j, k, l, c, f, g))
-                yield (f, g), (dims[0], d, n), block
+        for g, _ in F.fuse(k, l):
+            if F.dim(j, g, f):
+                yield (f, g), blocks.assoc(legs, (1, 2), j, k, l, c, f, g)
 
     # route 2: alpha on legs (2,3), then alpha on legs (1,2)
-    def alpha_akl(key, dims):
+    def alpha_akl(key, legs):
         a, b = key
-        for d, n in F.fuse(k, l):
-            if (m := F.dim(a, d, t)):
-                block = Matrix.identity(dims[0]).kron(F.assoc_block(a, k, l, b, t, d))
-                yield (a, d), (dims[0], m, n), block
+        for d, _ in F.fuse(k, l):
+            if F.dim(a, d, t):
+                yield (a, d), blocks.assoc(legs, (1, 2), a, k, l, b, t, d)
 
-    def alpha_ijd(key, dims):
+    def alpha_ijd(key, legs):
         a, d = key
-        for f, n in F.fuse(j, d):
-            if (m := F.dim(i, f, t)):
-                block = F.assoc_block(i, j, d, a, t, f).kron(Matrix.identity(dims[2]))
-                yield (f, d), (m, n, dims[2]), block
+        for f, _ in F.fuse(j, d):
+            if F.dim(i, f, t):
+                yield (f, d), blocks.assoc(legs, (0, 1), i, j, d, a, t, f)
 
-    return _route(start, alpha_ijk, alpha_icl, alpha_jkl) == _route(start, alpha_akl, alpha_ijd)
+    return (_route(F, start, alpha_ijk, alpha_icl, alpha_jkl)
+            == _route(F, start, alpha_akl, alpha_ijd))
 
 
 def verify_pentagon(F: FusionData, stop_early: bool = False) -> FusionReport:
@@ -420,36 +511,34 @@ def verify_duality(F: FusionData, stop_early: bool = False) -> FusionReport:
 
 def _alpha(F: FusionData, x: int, y: int, z: int, b: int) -> Jump:
     """alpha_{x,y,z} at outer index b: (a,) with legs V[x,y->a], V[a,z->b] to (c,)."""
-    def jump(key, dims):
+    blocks = F._blocks
+
+    def jump(key, legs):
         (a,) = key
-        for c, n in F.fuse(y, z):
-            if (m := F.dim(x, c, b)):
-                yield (c,), (m, n), F.assoc_block(x, y, z, a, b, c)
+        for c, _ in F.fuse(y, z):
+            if F.dim(x, c, b):
+                yield (c,), blocks.assoc(legs, (0, 1), x, y, z, a, b, c)
     return jump
 
 
 def _hexagon_forward(F: FusionData, i: int, j: int, k: int, t: int) -> bool:
     """Braid i past j then k, against braiding i past the fused pair."""
+    blocks = F._blocks
     start = [((a,), (n, F.dim(a, k, t))) for a, n in F.fuse(i, j) if F.dim(a, k, t)]
     if not start:
         return True
 
-    def sigma_ij(key, dims):  # sigma_{i,j} (x) 1
-        (a,) = key
-        yield key, (F.dim(j, i, a), dims[1]), F.braid_block(i, j, a).kron(Matrix.identity(dims[1]))
+    def sigma_ij(key, legs):  # sigma_{i,j} (x) 1
+        yield key, blocks.braid(legs, (0,), i, j, key[0])
 
-    def sigma_ik(key, dims):  # 1 (x) sigma_{i,k}
-        (c,) = key
-        yield key, (dims[0], F.dim(k, i, c)), Matrix.identity(dims[0]).kron(F.braid_block(i, k, c))
+    def sigma_ik(key, legs):  # 1 (x) sigma_{i,k}
+        yield key, blocks.braid(legs, (1,), i, k, key[0])
 
-    def flip_sigma_ic(key, dims):  # flip . (sigma_{i,c} (x) 1)
-        (c,) = key
-        sigma = F.braid_block(i, c, t)
-        block = _flip(sigma.nrows, dims[1]) @ sigma.kron(Matrix.identity(dims[1]))
-        yield key, (dims[1], F.dim(c, i, t)), block
+    def flip_sigma_ic(key, legs):  # flip . (sigma_{i,c} (x) 1)
+        yield key, blocks.braid(legs, (0,), i, key[0], t, to=(1,))
 
-    left = _route(start, sigma_ij, _alpha(F, j, i, k, t), sigma_ik)
-    right = _route(start, _alpha(F, i, j, k, t), flip_sigma_ic, _alpha(F, j, k, i, t))
+    left = _route(F, start, sigma_ij, _alpha(F, j, i, k, t), sigma_ik)
+    right = _route(F, start, _alpha(F, i, j, k, t), flip_sigma_ic, _alpha(F, j, k, i, t))
     return left == right
 
 

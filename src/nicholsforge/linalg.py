@@ -71,6 +71,15 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _nonzero(cls, nrows: int, ncols: int, entries: dict) -> "Matrix":
+        """A matrix on entries already known to be nonzero, taken as they are."""
+        m = cls.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.entries = entries
+        return m
+
+    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
         return cls(nrows, ncols)
 
@@ -128,7 +137,7 @@ class Matrix:
             k = pos.get(c)
             if k is not None:
                 entries[(r, k)] = v
-        return Matrix(self.nrows, len(cols), entries)
+        return Matrix._nonzero(self.nrows, len(cols), entries)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -144,7 +153,7 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
+        return Matrix._nonzero(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
 
     def scale(self, s) -> "Matrix":
         s = _as_scalar(s)
@@ -168,18 +177,20 @@ class Matrix:
         return Matrix(self.nrows, other.ncols, acc)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()})
+        return Matrix._nonzero(self.ncols, self.nrows,
+                               {(c, r): v for (r, c), v in self.entries.items()})
 
     def kron(self, other: "Matrix") -> "Matrix":
         # Index identification (i, j) -> i * dim(other) + j on both sides,
-        # matching concatenation of tensor words.
+        # matching concatenation of tensor words.  A product of nonzero
+        # field elements is nonzero, so nothing needs filtering.
         right = [(rb, cb, vb, vb.is_one()) for (rb, cb), vb in other.entries.items()]
         entries = {}
         for (ra, ca), va in self.entries.items():
             a_one = va.is_one()
             for rb, cb, vb, b_one in right:
                 entries[(ra * other.nrows + rb, ca * other.ncols + cb)] = _times(va, a_one, vb, b_one)
-        return Matrix(self.nrows * other.nrows, self.ncols * other.ncols, entries)
+        return Matrix._nonzero(self.nrows * other.nrows, self.ncols * other.ncols, entries)
 
     # -- predicates ---------------------------------------------------
 
@@ -215,7 +226,7 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
         for (r, c), v in m.entries.items():
             entries[(r, c + offset)] = v
         offset += m.ncols
-    return Matrix(nrows, offset, entries)
+    return Matrix._nonzero(nrows, offset, entries)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -228,7 +239,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
         for (r, c), v in m.entries.items():
             entries[(r + offset, c)] = v
         offset += m.nrows
-    return Matrix(offset, ncols, entries)
+    return Matrix._nonzero(offset, ncols, entries)
 
 
 # -- echelon plumbing -------------------------------------------------------

@@ -65,7 +65,7 @@ def test_nichols_rejects_oracle_beyond_cutoff(runner, qp_file):
 def test_bad_oracle_degree_is_refused_before_the_engine(runner, qp_file, monkeypatch,
                                                         max_degree, oracle_degree):
     calls = []
-    monkeypatch.setattr("nicholsforge.cli.nichols_compute", lambda *args: calls.append(args))
+    monkeypatch.setattr("nicholsforge.nichols.nichols_compute", lambda *args: calls.append(args))
     result = runner.invoke(main, ["nichols", qp_file, "--max-degree", str(max_degree),
                                   "--oracle-degree", str(oracle_degree)])
     assert result.exit_code == 2, result.output
@@ -409,6 +409,29 @@ def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
         "primitive_sectors": 2,
         "filtration_conditions": 0,
     }
+
+
+def test_degenerate_builds_the_split_and_the_limit_once(runner, qp_hopf, monkeypatch):
+    from nicholsforge import filtration
+
+    calls = {"split_basis": 0, "degenerate_limit": 0, "associated_graded": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(filtration, name, counted(name, getattr(filtration, name)))
+    result = runner.invoke(main, ["degenerate", qp_hopf, "--filtration", "coradical",
+                                  "--lambda-samples", "1,1/2", "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["limit_equals_associated_graded"]
+    # associated_graded still builds the graded structure itself, only the
+    # split is shared with the limit it is compared against
+    assert calls == {"split_basis": 1, "degenerate_limit": 1, "associated_graded": 1}
 
 
 def test_is_nichols_refuses_disconnected_structure(runner, tmp_path):

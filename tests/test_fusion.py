@@ -1,5 +1,6 @@
 """Fusion data verification and pointed Drinfeld-center examples."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -7,6 +8,12 @@ import pytest
 from nicholsforge.braided import YDDatum, yd_to_braiding
 from nicholsforge.fusion import (
     FusionData,
+    _assoc_full,
+    _MatrixBlocks,
+    _hexagon_forward,
+    _offsets,
+    _pentagon_holds,
+    _reversed,
     line_braiding,
     pointed_center_data,
     verify_all,
@@ -19,10 +26,14 @@ from nicholsforge.fusion import (
 from nicholsforge.linalg import Matrix
 from nicholsforge.scalars import ONE, from_rational, root_of_unity
 from tests_support import (
+    flip_reference,
     fusion_entry_sites,
     fusion_mutation_detected,
     hexagon_backward_reference,
+    hexagon_forward_reference,
     mutate_fusion,
+    pair02_reference,
+    pentagon_reference,
 )
 
 
@@ -258,4 +269,194 @@ def test_backward_hexagon_matches_the_literal_composite(name):
                          if not hexagon_backward_reference(G, i, j, k, t)}
         assert got == expected
         failing += len(expected)
+    assert failing > 0
+
+
+# -- scalar routes against the matrix references ---------------------------------
+
+
+def multiplicity_two_data():
+    """Rank 2 with X (x) X = 1 + 2X: well formed, with a 2-dimensional leg.
+
+    Each full associator is unit lower triangular (the identity when a unit
+    object is involved) and the braiding on V[X,X -> X] is [[1, 1], [0, -1]].
+    The pentagon and hexagons fail at some instances; only the matrix blocks
+    run here, since a multiplicity is above 1.
+    """
+    fusion = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 2}
+    shape = FusionData(2, fusion, {}, {}, {}, {}, (0, 1), {}, {})
+    assoc = {}
+    for i, j, k, b in product(range(2), repeat=4):
+        _, src, tgt = _assoc_full(shape, i, j, k, b)
+        row0, col0 = _offsets(tgt), _offsets(src)
+        for (c,), (m, n) in tgt:
+            for (a,), (p, q) in src:
+                entries = {}
+                for r, col in product(range(m * n), range(p * q)):
+                    row, column = row0[(c,)] + r, col0[(a,)] + col
+                    if row == column:
+                        entries[(r, col)] = ONE
+                    elif row > column and 0 not in (i, j, k):
+                        entries[(r, col)] = from_rational(row + column + 1)
+                assoc[(i, j, k, a, b, c)] = Matrix(m * n, p * q, entries)
+    braiding = {key: Matrix.identity(n) for key, n in fusion.items()}
+    braiding[(1, 1, 0)] = Matrix(1, 1, {(0, 0): from_rational(-1)})
+    braiding[(1, 1, 1)] = Matrix(2, 2, {(0, 0): ONE, (0, 1): ONE, (1, 1): from_rational(-1)})
+    units = {0: ONE, 1: ONE}
+    ev = {0: Matrix.identity(1), 1: Matrix.identity(1)}
+    return FusionData(2, fusion, assoc, braiding, units, dict(units), (0, 1), ev, dict(ev))
+
+
+def test_multiplicity_two_data_is_well_formed_and_fails_located():
+    F = multiplicity_two_data()
+    assert F.fuse(1, 1) == ((0, 1), (1, 2))
+    reports = {r.check: r for r in verify_all(F)}
+    assert [r.passed for r in reports.values()] == [True, False, True, True, False]
+    assert reports["pentagon"].failures == ((1, 1, 1, 1, 0), (1, 1, 1, 1, 1))
+    assert reports["braiding"].failures == (
+        ("hexagon-forward", 1, 1, 1, 0), ("hexagon-backward", 1, 1, 1, 0),
+        ("hexagon-forward", 1, 1, 1, 1), ("hexagon-backward", 1, 1, 1, 1),
+    )
+
+
+def _sample_block(rows, cols):
+    entries = {(r, c): from_rational(3 * r - 2 * c + 1)
+               for r in range(rows) for c in range(cols) if (r + 2 * c) % 3}
+    return Matrix(rows, cols, entries)
+
+
+def test_matrix_blocks_on_legs_match_the_kronecker_forms():
+    # the matrix blocks act on some legs of a component by reindexing; the
+    # references build the same maps from identity Kronecker products,
+    # pair02_reference and flip_reference
+    on_legs = _MatrixBlocks._on_legs
+    legs = (2, 3, 2)
+    A = _sample_block(4, 6)
+    assert on_legs(A, (1, 4), legs, (0, 1), (0, 1)) == ((1, 4, 2), A.kron(Matrix.identity(2)))
+    B = _sample_block(4, 6)
+    assert on_legs(B, (2, 2), legs, (1, 2), (1, 2)) == ((2, 2, 2), Matrix.identity(2).kron(B))
+    C = _sample_block(3, 4)
+    assert on_legs(C, (3, 1), legs, (0, 2), (0, 2)) == ((3, 3, 1),
+                                                         pair02_reference(C, legs, (3, 3, 1)))
+    sigma = _sample_block(4, 2)
+    assert on_legs(sigma, (4,), (2, 3), (0,), (1,)) == (
+        (3, 4), flip_reference(4, 3) @ sigma.kron(Matrix.identity(3)))
+    tau = _sample_block(2, 3)
+    assert on_legs(tau, (2,), (2, 3), (1,), (1,)) == ((2, 2), Matrix.identity(2).kron(tau))
+    # the accessor's jumps, on the data with a 2-dimensional leg
+    F = multiplicity_two_data()
+    blocks, one = F._blocks, Matrix.identity(2)
+    sigma = F.braid_block(1, 1, 1)
+    assert blocks.braid((2, 2), (0,), 1, 1, 1) == ((2, 2), sigma.kron(one))
+    assert blocks.braid((2, 2), (1,), 1, 1, 1) == ((2, 2), one.kron(sigma))
+    assert blocks.braid((2, 2), (0,), 1, 1, 1, to=(1,)) == (
+        (2, 2), flip_reference(2, 2) @ sigma.kron(one))
+    alpha = F.assoc_block(1, 1, 1, 1, 1, 1)
+    assert blocks.assoc((2, 2, 2), (0, 1), 1, 1, 1, 1, 1, 1) == ((2, 2, 2), alpha.kron(one))
+    assert blocks.assoc((2, 2, 2), (1, 2), 1, 1, 1, 1, 1, 1) == ((2, 2, 2), one.kron(alpha))
+    assert blocks.assoc((2, 2, 2), (0, 2), 1, 1, 1, 1, 1, 1) == (
+        (2, 2, 2), pair02_reference(alpha, (2, 2, 2), (2, 2, 2)))
+
+
+def _instances(F):
+    """Every pentagon and hexagon instance, as the verifiers enumerate them."""
+    out = []
+    for i, j, k, l in product(range(F.size), repeat=4):
+        targets = {t for a, _ in F.fuse(i, j) for b, _ in F.fuse(a, k) for t, _ in F.fuse(b, l)}
+        out += [("pentagon", (i, j, k, l, t)) for t in sorted(targets)]
+    for i, j, k in product(range(F.size), repeat=3):
+        targets = {t for a, _ in F.fuse(i, j) for t, _ in F.fuse(a, k)}
+        targets |= {t for a, _ in F.fuse(j, k) for t, _ in F.fuse(i, a)}
+        for t in sorted(targets):
+            out += [("hexagon-forward", (i, j, k, t)), ("hexagon-backward", (k, i, j, t))]
+    return out
+
+
+def _verdict(F, mirror, instance, reference):
+    """One instance as verify_pentagon or verify_braiding decides it."""
+    name, args = instance
+    if name == "pentagon":
+        return (pentagon_reference if reference else _pentagon_holds)(F, *args)
+    data = F if name == "hexagon-forward" else mirror
+    holds = hexagon_forward_reference if reference else _hexagon_forward
+    try:
+        return data is not None and holds(data, *args)
+    except (KeyError, ZeroDivisionError):
+        return False
+
+
+class _Reads(dict):
+    """A block table that records the keys looked up in it."""
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+def _reference_reads(F, instances):
+    """The assoc and braiding sites each instance reads on the reference route.
+
+    Which blocks a route reads depends on the fusion rules alone, so a
+    single-site mutant can change the reference verdict only at the
+    instances that read that site.  A backward instance reads the reverse
+    braiding, whose block (j, i, k) is built from the block (i, j, k).
+    """
+    assoc, braiding = _Reads(F.assoc), _Reads(F.braiding)
+    assoc.seen, braiding.seen = set(), set()
+    G = replace(F, assoc=assoc, braiding=braiding)
+    mirror = _reversed(G)
+    reverse = _Reads(mirror.braiding)
+    reverse.seen = set()
+    mirror = replace(mirror, braiding=reverse)
+    reads, verdicts = {}, {}
+    for instance in instances:
+        for table in (assoc, braiding, reverse):
+            table.seen.clear()
+        verdicts[instance] = _verdict(G, mirror, instance, reference=True)
+        reads[instance] = ({("assoc", key) for key in assoc.seen}
+                           | {("braiding", key) for key in braiding.seen}
+                           | {("braiding", (j, i, k)) for i, j, k in reverse.seen})
+    return reads, verdicts
+
+
+FIXTURES = {
+    "z2-center": lambda: pointed_center_data([2]),
+    "z3-center": lambda: pointed_center_data([3]),
+    "z2-center-gauged": lambda: gauged(pointed_center_data([2])),
+    "fibonacci-": lambda: fibonacci_data(sign=-1),
+    "fibonacci+": lambda: fibonacci_data(sign=1),
+    "multiplicity-two": multiplicity_two_data,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_routes_match_the_matrix_references_instance_by_instance(name):
+    # The package composes scalar routes when every multiplicity is 0 or 1;
+    # the references build every block as a matrix.  Verdicts must agree at
+    # every instance of the clean data and of every single-site mutant.  On
+    # a mutant the reference is rerun only where it reads the mutated site;
+    # the package is rerun everywhere, except on the Z3 center, where it too
+    # is rerun only at those instances (6,561 pentagons times 846 mutants).
+    F = FIXTURES[name]()
+    assert isinstance(F._blocks, _MatrixBlocks) == (name == "multiplicity-two")
+    instances = _instances(F)
+    reads, clean = _reference_reads(F, instances)
+    readers = {}
+    for inst in instances:
+        for site in reads[inst]:
+            readers.setdefault(site, []).append(inst)
+    clean_mirror = _reversed(F)
+    assert {inst: _verdict(F, clean_mirror, inst, reference=False) for inst in instances} == clean
+    everywhere = name != "z3-center"
+    failing = 0
+    for site in fusion_entry_sites(F):
+        G = mutate_fusion(F, site)
+        mirror = _reversed(G) if site[0] == "braiding" else replace(clean_mirror, assoc=G.assoc)
+        touched = readers.get(site[:2], [])
+        expected = dict(clean) if everywhere else {}
+        expected.update({inst: _verdict(G, mirror, inst, reference=True) for inst in touched})
+        got = {inst: _verdict(G, mirror, inst, reference=False)
+               for inst in (instances if everywhere else touched)}
+        assert got == expected, site
+        failing += sum(not verdict for verdict in expected.values())
     assert failing > 0

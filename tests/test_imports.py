@@ -44,3 +44,16 @@ def test_cli_start_up_leaves_the_thread_pool_unimported():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.stdout.strip() == "False", result.stderr
+
+
+def test_cli_start_up_leaves_the_computing_layers_unimported():
+    # each command imports the layers it runs, so a fusion job never
+    # compiles the Hopf structure layers and a structure job never the
+    # fusion checkers
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    layers = ["fusion", "structconst", "filtration", "dualize", "nichols", "freehopf"]
+    probe = ("import sys, nicholsforge.cli; "
+             f"print([m for m in {layers!r} if 'nicholsforge.' + m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.stdout.strip() == "[]", result.stderr

@@ -153,3 +153,16 @@ def test_unit_factors_keep_the_product_conductor():
         for product in (m([[left]]).kron(m([[right]])), m([[left]]) @ m([[right]])):
             assert product.get(0, 0).conductor == 12
             assert product.get(0, 0) == i
+
+
+def test_matrix_constructor_drops_zeros():
+    # only the internal constructor for entries known to be nonzero skips
+    # the filter; every other Matrix(...) still drops explicit zeros
+    zero = from_rational(0)
+    M = Matrix(2, 2, {(0, 0): ONE, (0, 1): ZERO, (1, 1): zero, (1, 0): ONE - ONE})
+    assert M.entries == {(0, 0): ONE}
+    assert M == Matrix(2, 2, {(0, 0): ONE})
+    for derived in (M.transpose(), -M, M.kron(M), M.select_columns([1, 0]),
+                    hstack([M, M]), vstack([M, M])):
+        assert all(v for v in derived.entries.values())
+

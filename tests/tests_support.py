@@ -3,9 +3,8 @@
 from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.fusion import (
     FusionData,
+    _assemble,
     _assoc_full,
-    _flip,
-    _route,
     verify_braiding,
     verify_duality,
     verify_pentagon,
@@ -130,6 +129,138 @@ def fusion_mutation_detected(F):
     return False
 
 
+# -- references for the fusion checkers: every block a matrix -----------------
+#
+# The package composes scalars where every multiplicity is 0 or 1, and
+# reindexes matrix blocks onto their legs otherwise.  These routes build
+# every block as a matrix, with explicit identity Kronecker products,
+# pair02_reference and flip_reference; the package's verdicts must agree
+# with theirs instance by instance.
+
+
+def route_reference(comps, *jumps):
+    """Apply the jumps in order; return the end vertex and the composite map."""
+    total = None
+    for jump in jumps:
+        dims_out = {}
+        blocks = {}
+        for key, dims in comps:
+            for key_out, dims_k, block in jump(key, dims):
+                dims_out[key_out] = dims_k
+                prev = blocks.get((key_out, key))
+                blocks[(key_out, key)] = block if prev is None else prev + block
+        out = sorted(dims_out.items())
+        step = _assemble(out, comps, blocks)
+        total = step if total is None else step @ total
+        comps = out
+    return comps, total
+
+
+def flip_reference(d1, d2):
+    """The plain flip V1 (x) V2 -> V2 (x) V1 of dims d1, d2."""
+    entries = {}
+    for x in range(d1):
+        for y in range(d2):
+            entries[(y * d1 + x, x * d2 + y)] = ONE
+    return Matrix(d1 * d2, d1 * d2, entries)
+
+
+def pair02_reference(block, src, tgt):
+    """Extend a map on legs (0, 2) by the identity on the middle leg."""
+    s0, s1, s2 = src
+    t0, _, t2 = tgt
+    entries = {}
+    for (r, c), v in block.entries.items():
+        x_out, z_out = divmod(r, t2)
+        x_in, z_in = divmod(c, s2)
+        for y in range(s1):
+            entries[((x_out * s1 + y) * t2 + z_out, (x_in * s1 + y) * s2 + z_in)] = v
+    return Matrix(t0 * s1 * t2, s0 * s1 * s2, entries)
+
+
+def pentagon_reference(F, i, j, k, l, t):
+    start = [
+        ((a, b), (n_a, n_b, F.dim(b, l, t)))
+        for a, n_a in F.fuse(i, j)
+        for b, n_b in F.fuse(a, k)
+        if F.dim(b, l, t)
+    ]
+
+    # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
+    def alpha_ijk(key, dims):
+        a, b = key
+        for c, n in F.fuse(j, k):
+            if (d := F.dim(i, c, b)):
+                block = F.assoc_block(i, j, k, a, b, c).kron(Matrix.identity(dims[2]))
+                yield (c, b), (d, n, dims[2]), block
+
+    def alpha_icl(key, dims):
+        c, b = key
+        for f, n in F.fuse(c, l):
+            if (d := F.dim(i, f, t)):
+                out = (d, dims[1], n)
+                yield (c, f), out, pair02_reference(F.assoc_block(i, c, l, b, t, f), dims, out)
+
+    def alpha_jkl(key, dims):
+        c, f = key
+        for g, n in F.fuse(k, l):
+            if (d := F.dim(j, g, f)):
+                block = Matrix.identity(dims[0]).kron(F.assoc_block(j, k, l, c, f, g))
+                yield (f, g), (dims[0], d, n), block
+
+    # route 2: alpha on legs (2,3), then alpha on legs (1,2)
+    def alpha_akl(key, dims):
+        a, b = key
+        for d, n in F.fuse(k, l):
+            if (m := F.dim(a, d, t)):
+                block = Matrix.identity(dims[0]).kron(F.assoc_block(a, k, l, b, t, d))
+                yield (a, d), (dims[0], m, n), block
+
+    def alpha_ijd(key, dims):
+        a, d = key
+        for f, n in F.fuse(j, d):
+            if (m := F.dim(i, f, t)):
+                block = F.assoc_block(i, j, d, a, t, f).kron(Matrix.identity(dims[2]))
+                yield (f, d), (m, n, dims[2]), block
+
+    return (route_reference(start, alpha_ijk, alpha_icl, alpha_jkl)
+            == route_reference(start, alpha_akl, alpha_ijd))
+
+
+def _alpha_reference(F, x, y, z, b):
+    def jump(key, dims):
+        (a,) = key
+        for c, n in F.fuse(y, z):
+            if (m := F.dim(x, c, b)):
+                yield (c,), (m, n), F.assoc_block(x, y, z, a, b, c)
+    return jump
+
+
+def hexagon_forward_reference(F, i, j, k, t):
+    start = [((a,), (n, F.dim(a, k, t))) for a, n in F.fuse(i, j) if F.dim(a, k, t)]
+    if not start:
+        return True
+
+    def sigma_ij(key, dims):  # sigma_{i,j} (x) 1
+        (a,) = key
+        yield key, (F.dim(j, i, a), dims[1]), F.braid_block(i, j, a).kron(Matrix.identity(dims[1]))
+
+    def sigma_ik(key, dims):  # 1 (x) sigma_{i,k}
+        (c,) = key
+        yield key, (dims[0], F.dim(k, i, c)), Matrix.identity(dims[0]).kron(F.braid_block(i, k, c))
+
+    def flip_sigma_ic(key, dims):  # flip . (sigma_{i,c} (x) 1)
+        (c,) = key
+        sigma = F.braid_block(i, c, t)
+        block = flip_reference(sigma.nrows, dims[1]) @ sigma.kron(Matrix.identity(dims[1]))
+        yield key, (dims[1], F.dim(c, i, t)), block
+
+    left = route_reference(start, sigma_ij, _alpha_reference(F, j, i, k, t), sigma_ik)
+    right = route_reference(start, _alpha_reference(F, i, j, k, t), flip_sigma_ic,
+                            _alpha_reference(F, j, k, i, t))
+    return left == right
+
+
 # -- references for constructions the package now derives by duality ----------
 
 
@@ -158,12 +289,12 @@ def hexagon_backward_reference(F, i, j, k, t):
     def flip_sigma_ak(key, dims):  # flip . (1 (x) sigma_{a,k})
         (a,) = key
         sigma = F.braid_block(a, k, t)
-        block = _flip(dims[0], sigma.nrows) @ Matrix.identity(dims[0]).kron(sigma)
+        block = flip_reference(dims[0], sigma.nrows) @ Matrix.identity(dims[0]).kron(sigma)
         yield key, (F.dim(k, a, t), dims[0]), block
 
-    mid1, m1 = _route(start, sigma_jk)
-    end1, m3 = _route(src_ikj, sigma_ik)
-    mid2, m2 = _route(src_ijk, flip_sigma_ak)
+    mid1, m1 = route_reference(start, sigma_jk)
+    end1, m3 = route_reference(src_ikj, sigma_ik)
+    mid2, m2 = route_reference(src_ijk, flip_sigma_ak)
     if mid1 != tgt_ikj or mid2 != tgt_kij or end1 != src_kij:
         return False
     left = m3 @ inverse(full_ikj) @ m1
