@@ -13,9 +13,10 @@ multiplicity spaces are at most one-dimensional.  Simples are indexed
 
 The pentagon and triangle come straight off the tree calculus.  The forward
 hexagon is composed in coordinates, and the backward hexagon is the forward
-one of the reverse braiding, so it needs no second form.  The pentagon and
-hexagon routes compose scalars when every multiplicity is 0 or 1, and
-matrices otherwise (see _route).  Only the second duality zig-zag is still
+one of the reverse braiding, so it needs no second form.  The pentagon,
+hexagon and full-associator routes compose scalars on basis coordinates,
+one key per basis vector of a tree's multiplicity spaces, whatever the
+multiplicities (see _route).  Only the second duality zig-zag is still
 derived by hand (see docs/FORMATS.md for the composition tables, including
 the convention that reordering multiplicity factors uses the plain flip).
 Every verifier reports located failures instead of raising.
@@ -24,8 +25,9 @@ Every verifier reports located failures instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .braided import DiagonalBraiding
@@ -46,6 +48,11 @@ __all__ = [
 ]
 
 
+# one column of a block: (output leg indices, entry or None) for every
+# basis vector of its output legs
+Column = List[Tuple[tuple, Optional[Scalar]]]
+
+
 @dataclass(frozen=True)
 class FusionData:
     size: int
@@ -61,8 +68,10 @@ class FusionData:
     _rules: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = field(
         init=False, compare=False, repr=False
     )
-    # the blocks the pentagon and hexagon routes compose (see _route)
-    _blocks: "_ScalarBlocks | _MatrixBlocks" = field(init=False, compare=False, repr=False)
+    # assoc and braiding keys -> the block's columns, filled as routes read
+    # them; threads that race on a key store equal values
+    _assoc_columns: Dict[tuple, Dict[tuple, Column]] = field(init=False, compare=False, repr=False)
+    _braid_columns: Dict[tuple, Dict[tuple, Column]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rules: Dict[Tuple[int, int], list] = {}
@@ -70,8 +79,8 @@ class FusionData:
             if n:
                 rules.setdefault((i, j), []).append((k, n))
         object.__setattr__(self, "_rules", {key: tuple(v) for key, v in rules.items()})
-        free = all(n in (0, 1) for n in self.fusion.values())
-        object.__setattr__(self, "_blocks", (_ScalarBlocks if free else _MatrixBlocks)(self))
+        object.__setattr__(self, "_assoc_columns", {})
+        object.__setattr__(self, "_braid_columns", {})
 
     def dim(self, i: int, j: int, k: int) -> int:
         return self.fusion.get((i, j, k), 0)
@@ -94,6 +103,27 @@ class FusionData:
             return block
         return Matrix(self.dim(j, i, k), self.dim(i, j, k))
 
+    def assoc_columns(self, x: int, y: int, z: int, a: int, b: int, c: int) -> Dict[tuple, Column]:
+        """alpha_{x,y,z} from (a, b) to (c, b) by columns: each index pair of
+        V[x,y -> a] (x) V[a,z -> b] maps to every index pair of
+        V[x,c -> b] (x) V[y,z -> c] with its entry, None for a zero."""
+        key = (x, y, z, a, b, c)
+        columns = self._assoc_columns.get(key)
+        if columns is None:
+            columns = self._assoc_columns[key] = _columns(
+                self.assoc_block(*key), (self.dim(x, y, a), self.dim(a, z, b)),
+                (self.dim(x, c, b), self.dim(y, z, c)))
+        return columns
+
+    def braid_columns(self, i: int, j: int, k: int) -> Dict[tuple, Column]:
+        """sigma_{i,j} at k by columns, as assoc_columns."""
+        key = (i, j, k)
+        columns = self._braid_columns.get(key)
+        if columns is None:
+            columns = self._braid_columns[key] = _columns(
+                self.braid_block(*key), (self.dim(i, j, k),), (self.dim(j, i, k),))
+        return columns
+
 
 @dataclass(frozen=True)
 class FusionReport:
@@ -103,182 +133,94 @@ class FusionReport:
     checked: int
 
 
-# -- direct sums of small tensor products -------------------------------------
+# -- routes on basis coordinates ----------------------------------------------
 #
-# A vertex is a key-sorted list of (key, legs): one component per labeling of
-# the internal edges of a fusion tree, with coordinate space the direct sum
-# over components of the tensor product of the legs, the multiplicity spaces
-# along the tree.  A jump maps one component to the (key_out, (legs_out,
-# block)) pairs it reaches, each key_out once, and takes every block from
-# F._blocks; _route composes the jumps into maps between whole vertices.
-# Zero blocks are kept, so a vertex lists every reachable labeling.  For
-# associative, symmetric fusion rules that is every admissible labeling of
-# its tree, so two routes between the same trees end on equal vertices.
-#
-# F._blocks is chosen once per FusionData, from its fusion rules.  When every
-# multiplicity is 0 or 1, as in every pointed center and in Fibonacci, every
-# leg is one-dimensional: a block is its one Scalar, legs pass through
-# unchanged, and a map between vertices is {(key_out, key_in): Scalar} with
-# no zero values.  Otherwise a block is a Matrix acting on some legs and as
-# the identity on the others, and a map between vertices is one Matrix on
-# their direct sums.
+# A basis key is a labeling of the internal edges of a fusion tree followed
+# by one index per leg, the multiplicity spaces along the tree, all in one
+# flat tuple: the pentagon's keys are (a, b, u, v, w).  A vertex is the
+# sorted list of basis keys a route reaches.  A jump maps one key to the
+# (key_out, value) pairs it reaches, None for a zero value: it reads its
+# block's column at the indices of the legs it acts on (assoc_columns,
+# braid_columns), rewrites those indices and keeps the others.  _route
+# composes the jumps into maps {(key_out, key_in): Scalar} with no zeros.
+# Zero values are kept as keys, so a vertex lists every basis key of every
+# reachable labeling; a labeling with a zero-dimensional leg has no keys, so
+# no jump tests admissibility.  For associative, symmetric fusion rules that
+# is every admissible labeling of its tree, so two routes between the same
+# trees end on equal vertices.  When every multiplicity is 1, each index is 0 and a
+# map holds one scalar per pair of labelings.
 
-Vertex = List[Tuple[tuple, tuple]]
-Jump = Callable[[tuple, tuple], Iterable[Tuple[tuple, tuple]]]
+Jump = Callable[[tuple], Iterable[Tuple[tuple, Optional[Scalar]]]]
 
 
-def _total(comps: Vertex) -> int:
-    return sum(prod(legs) for _, legs in comps)
+@lru_cache(maxsize=None)
+def _indices(dims: tuple) -> tuple:
+    """The leg indices of every basis vector of legs of these dims, first leg slowest."""
+    return tuple(product(*[range(d) for d in dims]))
 
 
-def _offsets(comps: Vertex) -> Dict[tuple, int]:
-    out = {}
-    pos = 0
-    for key, legs in comps:
-        out[key] = pos
-        pos += prod(legs)
-    return out
+def _columns(block: Matrix, dims_in: tuple, dims_out: tuple) -> Dict[tuple, Column]:
+    """The block's columns keyed by input leg indices, each listing every
+    tuple of output leg indices (first leg slowest) with its entry."""
+    get = block.entries.get
+    outs = _indices(dims_out)
+    columns = {}
+    for c, idx in enumerate(_indices(dims_in)):
+        columns[idx] = [(out, get((r, c))) for r, out in enumerate(outs)]
+    return columns
 
 
-def _assemble(comps_out: Vertex, comps_in: Vertex, blocks: Dict[tuple, Matrix]) -> Matrix:
-    roff = _offsets(comps_out)
-    coff = _offsets(comps_in)
-    entries = {}
-    for (key_out, key_in), block in blocks.items():
-        r0 = roff[key_out]
-        c0 = coff[key_in]
-        for (r, c), v in block.entries.items():
-            entries[(r0 + r, c0 + c)] = v
-    return Matrix._nonzero(_total(comps_out), _total(comps_in), entries)
+def _compose(step: dict, total: dict) -> dict:
+    """step after total.  Products of nonzero scalars are nonzero, so only a
+    sum can leave a zero to drop."""
+    by_mid: dict = {}
+    for (mid, key_in), v in total.items():
+        by_mid.setdefault(mid, []).append((key_in, v, v.is_one()))
+    out: dict = {}
+    summed = False
+    for (key_out, mid), s in step.items():
+        s_one = s.is_one()
+        for key_in, v, v_one in by_mid.get(mid, ()):
+            term = _times(s, s_one, v, v_one)
+            cur = out.get((key_out, key_in))
+            if cur is None:
+                out[(key_out, key_in)] = term
+            else:
+                out[(key_out, key_in)] = cur + term
+                summed = True
+    return {key: v for key, v in out.items() if v} if summed else out
 
 
-def _route(F: FusionData, comps: Vertex, *jumps: Jump):
+def _route(keys: List[tuple], *jumps: Jump):
     """Apply the jumps in order; return the end vertex and the composite map."""
-    blocks = F._blocks
     total = None
     for jump in jumps:
-        legs_out: Dict[tuple, tuple] = {}
-        step: dict = {}
-        for key, legs in comps:
-            for key_out, (legs_k, block) in jump(key, legs):
-                legs_out[key_out] = legs_k
-                step[(key_out, key)] = block
-        out = sorted(legs_out.items())
-        step = blocks.assemble(out, comps, step)
-        total = step if total is None else blocks.compose(step, total)
-        comps = out
-    return comps, total
+        reached = set()
+        step = {}
+        for key in keys:
+            for key_out, v in jump(key):
+                reached.add(key_out)
+                if v is not None:
+                    step[(key_out, key)] = v
+        keys = sorted(reached)
+        total = step if total is None else _compose(step, total)
+    return keys, total
 
 
-def _leg_offsets(legs: tuple, positions: Sequence[int]) -> List[int]:
-    """The offset of each index of the legs at positions, first leg slowest."""
-    strides = [prod(legs[p + 1:]) for p in positions]
-    return [sum(x * s for x, s in zip(xs, strides))
-            for xs in product(*(range(legs[p]) for p in positions))]
+def _matrix(total: dict, rows: List[tuple], cols: List[tuple]) -> Matrix:
+    """A route's map laid out over the given basis keys."""
+    row = {key: r for r, key in enumerate(rows)}
+    col = {key: c for c, key in enumerate(cols)}
+    entries = {(row[key_out], col[key_in]): v for (key_out, key_in), v in total.items()}
+    return Matrix._nonzero(len(rows), len(cols), entries)
 
 
-class _MatrixBlocks:
-    """Blocks as matrices on the tensor product of a component's legs."""
-
-    def __init__(self, F: FusionData):
-        self.F = F
-
-    @staticmethod
-    def _on_legs(block: Matrix, block_legs: tuple, legs: tuple, at: tuple, to: tuple):
-        """block on the legs at positions at, the identity on the others.
-
-        The block's output legs, of dims block_legs, land at positions to and
-        the other legs keep their order.  Returns the output legs and the map.
-        """
-        rest_in = [p for p in range(len(legs)) if p not in at]
-        rest_out = [p for p in range(len(legs)) if p not in to]
-        out = list(legs)
-        for p, d in zip(to, block_legs):
-            out[p] = d
-        for p, q in zip(rest_in, rest_out):
-            out[q] = legs[p]
-        out = tuple(out)
-        rows, cols = _leg_offsets(out, to), _leg_offsets(legs, at)
-        rest = list(zip(_leg_offsets(out, rest_out), _leg_offsets(legs, rest_in)))
-        entries = {}
-        for (r, c), v in block.entries.items():
-            r0, c0 = rows[r], cols[c]
-            for dr, dc in rest:
-                entries[(r0 + dr, c0 + dc)] = v
-        return out, Matrix._nonzero(prod(out), prod(legs), entries)
-
-    def assoc(self, legs: tuple, at: tuple, x, y, z, a, b, c):
-        """alpha_{x,y,z} from (a, b) to (c, b) on the legs at positions at."""
-        F = self.F
-        block_legs = (F.dim(x, c, b), F.dim(y, z, c))
-        return self._on_legs(F.assoc_block(x, y, z, a, b, c), block_legs, legs, at, at)
-
-    def braid(self, legs: tuple, at: tuple, x, y, k, to: Optional[tuple] = None):
-        """sigma_{x,y} at k on the leg at position at, landing at position to."""
-        F = self.F
-        return self._on_legs(F.braid_block(x, y, k), (F.dim(y, x, k),), legs, at, to or at)
-
-    assemble = staticmethod(_assemble)
-
-    @staticmethod
-    def compose(step: Matrix, total: Matrix) -> Matrix:
-        return step @ total
-
-
-class _ScalarBlocks:
-    """Blocks of multiplicity-free data, each one Scalar.
-
-    Every leg is one-dimensional, so a block is its one entry, whichever
-    legs it acts on, and it leaves the legs as they are.
-    """
-
-    def __init__(self, F: FusionData):
-        # a Matrix stores no zeros, so zero blocks are left out and read as None
-        self._assoc = {key: v for key, block in F.assoc.items()
-                       if (v := block.entries.get((0, 0))) is not None}
-        self._braid = {key: v for key, block in F.braiding.items()
-                       if (v := block.entries.get((0, 0))) is not None}
-
-    def assoc(self, legs: tuple, at: tuple, *key):
-        return legs, self._assoc.get(key)
-
-    def braid(self, legs: tuple, at: tuple, x, y, k, to: Optional[tuple] = None):
-        return legs, self._braid.get((x, y, k))
-
-    @staticmethod
-    def assemble(comps_out: Vertex, comps_in: Vertex, blocks: dict) -> dict:
-        return {key: v for key, v in blocks.items() if v is not None}
-
-    @staticmethod
-    def compose(step: dict, total: dict) -> dict:
-        """step after total.  Products of nonzero scalars are nonzero, so
-        only a sum can leave a zero to drop."""
-        by_mid: dict = {}
-        for (mid, key_in), v in total.items():
-            by_mid.setdefault(mid, []).append((key_in, v, v.is_one()))
-        out: dict = {}
-        summed = False
-        for (key_out, mid), s in step.items():
-            s_one = s.is_one()
-            for key_in, v, v_one in by_mid.get(mid, ()):
-                term = _times(s, s_one, v, v_one)
-                cur = out.get((key_out, key_in))
-                if cur is None:
-                    out[(key_out, key_in)] = term
-                else:
-                    out[(key_out, key_in)] = cur + term
-                    summed = True
-        return {key: v for key, v in out.items() if v} if summed else out
-
-
-def _assoc_full(F: FusionData, x: int, y: int, z: int, b: int):
-    """The whole associator at fixed outer indices: sum over a to sum over c."""
-    src = [((a,), (n, F.dim(a, z, b))) for a, n in F.fuse(x, y) if F.dim(a, z, b)]
-    tgt = [((c,), (F.dim(x, c, b), n)) for c, n in F.fuse(y, z) if F.dim(x, c, b)]
-    blocks = {
-        ((c,), (a,)): F.assoc_block(x, y, z, a, b, c) for (a,), _ in src for (c,), _ in tgt
-    }
-    return _assemble(tgt, src, blocks), src, tgt
+def _full_associator(F: FusionData, x: int, y: int, z: int, b: int):
+    """The whole associator at outer index b: its map, from the keys (a, u, v)
+    of the sum over a to the keys (c, p, q) of the sum over c."""
+    src = [(a, u, v) for a, n in F.fuse(x, y) for u, v in _indices((n, F.dim(a, z, b)))]
+    tgt = [(c, p, q) for c, n in F.fuse(y, z) for p, q in _indices((F.dim(x, c, b), n))]
+    return _route(src, _alpha(F, x, y, z, b))[1], src, tgt
 
 
 # -- well-formedness -----------------------------------------------------------
@@ -343,9 +285,15 @@ def well_formed(F: FusionData) -> FusionReport:
         if block.shape != (rows, cols):
             failures.append(("assoc-shape",) + key)
     for i, j, k, b in product(range(s), repeat=4):
-        full, src, tgt = _assoc_full(F, i, j, k, b)
+        full, src, tgt = _full_associator(F, i, j, k, b)
         checked += 1
-        if _total(src) != _total(tgt) or rank(full) != _total(src):
+        if len(src) != len(tgt):
+            invertible = False
+        elif len(src) <= 1:  # invertible when each key has its one entry
+            invertible = len(full) == len(src)
+        else:
+            invertible = rank(_matrix(full, tgt, src)) == len(src)
+        if not invertible:
             failures.append(("assoc-not-invertible", i, j, k, b))
     return FusionReport("well-formed", not failures, tuple(failures[:32]), checked)
 
@@ -353,49 +301,53 @@ def well_formed(F: FusionData) -> FusionReport:
 # -- the pentagon --------------------------------------------------------------
 
 
-def _pentagon_holds(F: FusionData, i: int, j: int, k: int, l: int, t: int) -> bool:
-    blocks = F._blocks
+def _pentagon_routes(F: FusionData, i: int, j: int, k: int, l: int, t: int):
+    """The start vertex, keyed (a, b, u, v, w), and the jumps of both routes."""
     start = [
-        ((a, b), (n_a, n_b, F.dim(b, l, t)))
+        (a, b, u, v, w)
         for a, n_a in F.fuse(i, j)
         for b, n_b in F.fuse(a, k)
-        if F.dim(b, l, t)
+        for u, v, w in _indices((n_a, n_b, F.dim(b, l, t)))
     ]
 
     # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
-    def alpha_ijk(key, legs):
-        a, b = key
+    def alpha_ijk(key):
+        a, b, u, v, w = key
         for c, _ in F.fuse(j, k):
-            if F.dim(i, c, b):
-                yield (c, b), blocks.assoc(legs, (0, 1), i, j, k, a, b, c)
+            for (p, q), s in F.assoc_columns(i, j, k, a, b, c)[(u, v)]:
+                yield (c, b, p, q, w), s
 
-    def alpha_icl(key, legs):
-        c, b = key
+    def alpha_icl(key):
+        c, b, u, v, w = key
         for f, _ in F.fuse(c, l):
-            if F.dim(i, f, t):
-                yield (c, f), blocks.assoc(legs, (0, 2), i, c, l, b, t, f)
+            for (p, q), s in F.assoc_columns(i, c, l, b, t, f)[(u, w)]:
+                yield (c, f, p, v, q), s
 
-    def alpha_jkl(key, legs):
-        c, f = key
+    def alpha_jkl(key):
+        c, f, u, v, w = key
         for g, _ in F.fuse(k, l):
-            if F.dim(j, g, f):
-                yield (f, g), blocks.assoc(legs, (1, 2), j, k, l, c, f, g)
+            for (p, q), s in F.assoc_columns(j, k, l, c, f, g)[(v, w)]:
+                yield (f, g, u, p, q), s
 
     # route 2: alpha on legs (2,3), then alpha on legs (1,2)
-    def alpha_akl(key, legs):
-        a, b = key
+    def alpha_akl(key):
+        a, b, u, v, w = key
         for d, _ in F.fuse(k, l):
-            if F.dim(a, d, t):
-                yield (a, d), blocks.assoc(legs, (1, 2), a, k, l, b, t, d)
+            for (p, q), s in F.assoc_columns(a, k, l, b, t, d)[(v, w)]:
+                yield (a, d, u, p, q), s
 
-    def alpha_ijd(key, legs):
-        a, d = key
+    def alpha_ijd(key):
+        a, d, u, v, w = key
         for f, _ in F.fuse(j, d):
-            if F.dim(i, f, t):
-                yield (f, d), blocks.assoc(legs, (0, 1), i, j, d, a, t, f)
+            for (p, q), s in F.assoc_columns(i, j, d, a, t, f)[(u, v)]:
+                yield (f, d, p, q, w), s
 
-    return (_route(F, start, alpha_ijk, alpha_icl, alpha_jkl)
-            == _route(F, start, alpha_akl, alpha_ijd))
+    return start, (alpha_ijk, alpha_icl, alpha_jkl), (alpha_akl, alpha_ijd)
+
+
+def _pentagon_holds(F: FusionData, i: int, j: int, k: int, l: int, t: int) -> bool:
+    start, route1, route2 = _pentagon_routes(F, i, j, k, l, t)
+    return _route(start, *route1) == _route(start, *route2)
 
 
 def verify_pentagon(F: FusionData, stop_early: bool = False) -> FusionReport:
@@ -465,21 +417,21 @@ def _zigzag_two(F: FusionData, i: int) -> Optional[tuple]:
     ib = F.dual[i]
     # start: r_ib (x) coev_i in V[ib,0 -> ib] (x) V[i,ib -> 0]
     start = Matrix(1, 1, {(0, 0): F.right_units[ib]}).kron(F.coev[i])
-    full, src, tgt = _assoc_full(F, ib, i, ib, ib)
+    full, src, tgt = _full_associator(F, ib, i, ib, ib)
     try:
-        inv = inverse(full)
+        inv = inverse(_matrix(full, tgt, src))
     except ZeroDivisionError:
         return ("zigzag-2-associator", i)
-    src_off = _offsets(src)
-    tgt_off = _offsets(tgt)
-    if (0,) not in tgt_off or (0,) not in src_off:
+    # both spaces have a unit leg: their keys (0, 0, q) and (0, u, 0) follow
+    # one another from (0, 0, 0)
+    if (0, 0, 0) not in tgt or (0, 0, 0) not in src:
         return ("zigzag-2-space", i)
     vec = Matrix(
-        full.nrows, 1, {(tgt_off[(0,)] + r, 0): start.get(r, 0) for r in range(start.nrows)}
+        len(tgt), 1, {(tgt.index((0, 0, 0)) + r, 0): start.get(r, 0) for r in range(start.nrows)}
     )
     out = inv @ vec
     # result sits in V[ib,i -> 0] (x) V[0,ib -> ib]; close with ev and l_ib
-    base = src_off[(0,)]
+    base = src.index((0, 0, 0))
     d = F.dim(ib, i, 0)
     column = Matrix(d, 1, {(r, 0): out.get(base + r, 0) for r in range(d)})
     value = (F.ev[i] @ column).get(0, 0)
@@ -505,41 +457,48 @@ def verify_duality(F: FusionData, stop_early: bool = False) -> FusionReport:
 
 # -- hexagons ------------------------------------------------------------------
 #
-# Both hexagons act on vertices keyed (a,) with two legs.  _alpha is the
-# associator jump between them; the braiding jumps keep the key.
+# Both hexagons act on vertices keyed (a, u, v) with two legs.  _alpha is the
+# associator jump between them; the braiding jumps keep the labeling.
 
 
 def _alpha(F: FusionData, x: int, y: int, z: int, b: int) -> Jump:
-    """alpha_{x,y,z} at outer index b: (a,) with legs V[x,y->a], V[a,z->b] to (c,)."""
-    blocks = F._blocks
+    """alpha_{x,y,z} at outer index b: (a, u, v) on V[x,y->a], V[a,z->b] to (c, p, q)."""
 
-    def jump(key, legs):
-        (a,) = key
+    def jump(key):
+        a, u, v = key
         for c, _ in F.fuse(y, z):
-            if F.dim(x, c, b):
-                yield (c,), blocks.assoc(legs, (0, 1), x, y, z, a, b, c)
+            for (p, q), s in F.assoc_columns(x, y, z, a, b, c)[(u, v)]:
+                yield (c, p, q), s
     return jump
+
+
+def _hexagon_routes(F: FusionData, i: int, j: int, k: int, t: int):
+    """The start vertex and the jumps of both sides of the forward hexagon."""
+    start = [(a, u, v) for a, n in F.fuse(i, j) for u, v in _indices((n, F.dim(a, k, t)))]
+
+    def sigma_ij(key):  # sigma_{i,j} (x) 1
+        a, u, v = key
+        for (p,), s in F.braid_columns(i, j, a)[(u,)]:
+            yield (a, p, v), s
+
+    def sigma_ik(key):  # 1 (x) sigma_{i,k}
+        c, u, v = key
+        for (q,), s in F.braid_columns(i, k, c)[(v,)]:
+            yield (c, u, q), s
+
+    def flip_sigma_ic(key):  # flip . (sigma_{i,c} (x) 1)
+        c, u, v = key
+        for (p,), s in F.braid_columns(i, c, t)[(u,)]:
+            yield (c, v, p), s
+
+    return (start, (sigma_ij, _alpha(F, j, i, k, t), sigma_ik),
+            (_alpha(F, i, j, k, t), flip_sigma_ic, _alpha(F, j, k, i, t)))
 
 
 def _hexagon_forward(F: FusionData, i: int, j: int, k: int, t: int) -> bool:
     """Braid i past j then k, against braiding i past the fused pair."""
-    blocks = F._blocks
-    start = [((a,), (n, F.dim(a, k, t))) for a, n in F.fuse(i, j) if F.dim(a, k, t)]
-    if not start:
-        return True
-
-    def sigma_ij(key, legs):  # sigma_{i,j} (x) 1
-        yield key, blocks.braid(legs, (0,), i, j, key[0])
-
-    def sigma_ik(key, legs):  # 1 (x) sigma_{i,k}
-        yield key, blocks.braid(legs, (1,), i, k, key[0])
-
-    def flip_sigma_ic(key, legs):  # flip . (sigma_{i,c} (x) 1)
-        yield key, blocks.braid(legs, (0,), i, key[0], t, to=(1,))
-
-    left = _route(F, start, sigma_ij, _alpha(F, j, i, k, t), sigma_ik)
-    right = _route(F, start, _alpha(F, i, j, k, t), flip_sigma_ic, _alpha(F, j, k, i, t))
-    return left == right
+    start, left, right = _hexagon_routes(F, i, j, k, t)
+    return not start or _route(start, *left) == _route(start, *right)
 
 
 def _reversed(F: FusionData) -> Optional[FusionData]:
@@ -553,7 +512,10 @@ def _reversed(F: FusionData) -> Optional[FusionData]:
             braiding[(j, i, k)] = inverse(block)
         except ZeroDivisionError:
             return None
-    return replace(F, braiding=braiding)
+    mirror = replace(F, braiding=braiding)
+    # the same associator, so the columns read so far serve both
+    object.__setattr__(mirror, "_assoc_columns", F._assoc_columns)
+    return mirror
 
 
 def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:

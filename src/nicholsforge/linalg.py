@@ -314,6 +314,12 @@ def solve(M: Matrix, b: Matrix) -> Optional[Matrix]:
 def inverse(M: Matrix) -> Matrix:
     assert M.nrows == M.ncols, "inverse of a non-square matrix"
     n = M.nrows
+    if n == 1:
+        # a 1 x 1 matrix is its entry, inverted without an elimination
+        entry = M.entries.get((0, 0))
+        if entry is None:
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix._nonzero(1, 1, {(0, 0): entry.inverse()})
     pivots, R = rref(hstack([M, Matrix.identity(n)]))
     if pivots != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")

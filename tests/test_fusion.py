@@ -8,12 +8,13 @@ import pytest
 from nicholsforge.braided import YDDatum, yd_to_braiding
 from nicholsforge.fusion import (
     FusionData,
-    _assoc_full,
-    _MatrixBlocks,
     _hexagon_forward,
-    _offsets,
+    _hexagon_routes,
+    _matrix,
     _pentagon_holds,
+    _pentagon_routes,
     _reversed,
+    _route,
     line_braiding,
     pointed_center_data,
     verify_all,
@@ -26,6 +27,9 @@ from nicholsforge.fusion import (
 from nicholsforge.linalg import Matrix
 from nicholsforge.scalars import ONE, from_rational, root_of_unity
 from tests_support import (
+    _assoc_full,
+    _offsets,
+    deleted,
     flip_reference,
     fusion_entry_sites,
     fusion_mutation_detected,
@@ -272,7 +276,7 @@ def test_backward_hexagon_matches_the_literal_composite(name):
     assert failing > 0
 
 
-# -- scalar routes against the matrix references ---------------------------------
+# -- basis-key routes against the matrix references ------------------------------
 
 
 def multiplicity_two_data():
@@ -280,8 +284,8 @@ def multiplicity_two_data():
 
     Each full associator is unit lower triangular (the identity when a unit
     object is involved) and the braiding on V[X,X -> X] is [[1, 1], [0, -1]].
-    The pentagon and hexagons fail at some instances; only the matrix blocks
-    run here, since a multiplicity is above 1.
+    The pentagon and hexagons fail at some instances; the only fixture
+    whose routes reach a multiplicity index 1.
     """
     fusion = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 2}
     shape = FusionData(2, fusion, {}, {}, {}, {}, (0, 1), {}, {})
@@ -319,43 +323,91 @@ def test_multiplicity_two_data_is_well_formed_and_fails_located():
     )
 
 
-def _sample_block(rows, cols):
-    entries = {(r, c): from_rational(3 * r - 2 * c + 1)
-               for r in range(rows) for c in range(cols) if (r + 2 * c) % 3}
-    return Matrix(rows, cols, entries)
-
-
-def test_matrix_blocks_on_legs_match_the_kronecker_forms():
-    # the matrix blocks act on some legs of a component by reindexing; the
-    # references build the same maps from identity Kronecker products,
-    # pair02_reference and flip_reference
-    on_legs = _MatrixBlocks._on_legs
-    legs = (2, 3, 2)
-    A = _sample_block(4, 6)
-    assert on_legs(A, (1, 4), legs, (0, 1), (0, 1)) == ((1, 4, 2), A.kron(Matrix.identity(2)))
-    B = _sample_block(4, 6)
-    assert on_legs(B, (2, 2), legs, (1, 2), (1, 2)) == ((2, 2, 2), Matrix.identity(2).kron(B))
-    C = _sample_block(3, 4)
-    assert on_legs(C, (3, 1), legs, (0, 2), (0, 2)) == ((3, 3, 1),
-                                                         pair02_reference(C, legs, (3, 3, 1)))
-    sigma = _sample_block(4, 2)
-    assert on_legs(sigma, (4,), (2, 3), (0,), (1,)) == (
-        (3, 4), flip_reference(4, 3) @ sigma.kron(Matrix.identity(3)))
-    tau = _sample_block(2, 3)
-    assert on_legs(tau, (2,), (2, 3), (1,), (1,)) == ((2, 2), Matrix.identity(2).kron(tau))
-    # the accessor's jumps, on the data with a 2-dimensional leg
+def test_singular_full_associators_are_located():
+    # Z2 center: every full associator is 1 x 1.  Deleting the entry of
+    # alpha_{1,1,1} from (0, 1) to (0, 1) leaves the one at (1, 1, 1, 1)
+    # singular, the one the second zig-zag of the self-dual simple 1 inverts.
+    z2 = pointed_center_data([2])
+    key = (1, 1, 1, 0, 1, 0)
+    mutant = replace(z2, assoc={**z2.assoc, key: deleted(z2.assoc[key], (0, 0))})
+    assert well_formed(mutant).failures == (("assoc-not-invertible", 1, 1, 1, 1),)
+    assert verify_duality(mutant).failures == (("zigzag-1", 1), ("zigzag-2-associator", 1))
+    # multiplicity two: the full associator at (1, 1, 1, 1) is 5 x 5 and
+    # unit lower triangular; its (a, c) = (1, 1) block starts on the diagonal
     F = multiplicity_two_data()
-    blocks, one = F._blocks, Matrix.identity(2)
-    sigma = F.braid_block(1, 1, 1)
-    assert blocks.braid((2, 2), (0,), 1, 1, 1) == ((2, 2), sigma.kron(one))
-    assert blocks.braid((2, 2), (1,), 1, 1, 1) == ((2, 2), one.kron(sigma))
-    assert blocks.braid((2, 2), (0,), 1, 1, 1, to=(1,)) == (
-        (2, 2), flip_reference(2, 2) @ sigma.kron(one))
-    alpha = F.assoc_block(1, 1, 1, 1, 1, 1)
-    assert blocks.assoc((2, 2, 2), (0, 1), 1, 1, 1, 1, 1, 1) == ((2, 2, 2), alpha.kron(one))
-    assert blocks.assoc((2, 2, 2), (1, 2), 1, 1, 1, 1, 1, 1) == ((2, 2, 2), one.kron(alpha))
-    assert blocks.assoc((2, 2, 2), (0, 2), 1, 1, 1, 1, 1, 1) == (
-        (2, 2, 2), pair02_reference(alpha, (2, 2, 2), (2, 2, 2)))
+    key = (1, 1, 1, 1, 1, 1)
+    assert _assoc_full(F, 1, 1, 1, 1)[0].shape == (5, 5)
+    mutant = replace(F, assoc={**F.assoc, key: deleted(F.assoc[key], (0, 0))})
+    assert well_formed(mutant).failures == (("assoc-not-invertible", 1, 1, 1, 1),)
+
+
+def test_misshapen_associator_block_is_located_not_raised():
+    # a 2 x 2 block where the spaces are 1-dimensional: the full associator
+    # reads the block only where its spaces have coordinates
+    z2 = pointed_center_data([2])
+    key = (1, 1, 1, 0, 1, 0)
+    block = Matrix(2, 2, {(0, 0): ONE, (1, 1): ONE})
+    report = well_formed(replace(z2, assoc={**z2.assoc, key: block}))
+    assert report.failures == (("assoc-shape",) + key,)
+
+
+def _by_labeling(keys, n):
+    """Basis keys grouped by their labeling, the first n entries, with leg dims."""
+    groups = {}
+    for key in keys:
+        groups.setdefault(key[:n], []).append(key)
+    return {label: (ks, tuple(max(key[p] for key in ks) + 1 for p in range(n, len(ks[0]))))
+            for label, ks in groups.items()}
+
+
+def _jump_blocks_match(start, n, jumps, references):
+    """Each jump's map from one labeling to another, laid out over their
+    basis keys, against its reference form; returns the blocks compared."""
+    keys, compared = start, []
+    for jump, reference in zip(jumps, references):
+        for label_in, (cols, dims_in) in _by_labeling(keys, n).items():
+            out, total = _route(cols, jump)
+            for label_out, (rows, dims_out) in _by_labeling(out, n).items():
+                part = {pair: v for pair, v in total.items() if pair[0][:n] == label_out}
+                expected = reference(label_in, label_out, dims_in, dims_out)
+                assert _matrix(part, rows, cols) == expected, (jump, label_in, label_out)
+                compared.append((dims_in, dims_out))
+        keys = _route(keys, jump)[0]
+    return compared
+
+
+def test_jumps_match_the_kronecker_forms():
+    # a jump acts on some legs of a basis key by rewriting their indices; the
+    # references build the same maps from identity Kronecker products,
+    # pair02_reference and flip_reference, on the data with 2-dimensional legs
+    F = multiplicity_two_data()
+    one = Matrix.identity
+    i = j = k = l = t = 1
+    start, route1, route2 = _pentagon_routes(F, i, j, k, l, t)
+    compared = _jump_blocks_match(start, 2, route1, [
+        lambda a_b, c_b, dims, _: F.assoc_block(i, j, k, *a_b, c_b[0]).kron(one(dims[2])),
+        lambda c_b, c_f, dims, out: pair02_reference(
+            F.assoc_block(i, c_b[0], l, c_b[1], t, c_f[1]), dims, out),
+        lambda c_f, f_g, dims, _: one(dims[0]).kron(F.assoc_block(j, k, l, *c_f, f_g[1])),
+    ])
+    compared += _jump_blocks_match(start, 2, route2, [
+        lambda a_b, a_d, dims, _: one(dims[0]).kron(F.assoc_block(a_b[0], k, l, a_b[1], t, a_d[1])),
+        lambda a_d, f_d, dims, _: F.assoc_block(i, j, a_d[1], a_d[0], t, f_d[0]).kron(one(dims[2])),
+    ])
+    start, left, right = _hexagon_routes(F, i, j, k, t)
+    compared += _jump_blocks_match(start, 1, left, [
+        lambda a, _, dims, __: F.braid_block(i, j, *a).kron(one(dims[1])),
+        lambda a, c, _, __: F.assoc_block(j, i, k, *a, t, *c),
+        lambda c, _, dims, __: one(dims[0]).kron(F.braid_block(i, k, *c)),
+    ])
+    compared += _jump_blocks_match(start, 1, right, [
+        lambda a, c, _, __: F.assoc_block(i, j, k, *a, t, *c),
+        lambda c, _, dims, out: flip_reference(out[1], dims[1])
+        @ F.braid_block(i, *c, t).kron(one(dims[1])),
+        lambda c, d, _, __: F.assoc_block(j, k, i, *c, t, *d),
+    ])
+    assert len(compared) == 43
+    assert ((2, 2, 2), (2, 2, 2)) in compared and ((1, 1, 2), (2, 1, 1)) in compared
 
 
 def _instances(F):
@@ -431,15 +483,21 @@ FIXTURES = {
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_routes_match_the_matrix_references_instance_by_instance(name):
-    # The package composes scalar routes when every multiplicity is 0 or 1;
-    # the references build every block as a matrix.  Verdicts must agree at
+    # The package composes scalars on basis keys; the references build
+    # every block as a matrix.  Verdicts must agree at
     # every instance of the clean data and of every single-site mutant.  On
     # a mutant the reference is rerun only where it reads the mutated site;
     # the package is rerun everywhere, except on the Z3 center, where it too
     # is rerun only at those instances (6,561 pentagons times 846 mutants).
     F = FIXTURES[name]()
-    assert isinstance(F._blocks, _MatrixBlocks) == (name == "multiplicity-two")
     instances = _instances(F)
+    # only the fixture with a multiplicity above 1 reaches a multiplicity index 1
+    index_one = False
+    for kind, args in instances:
+        if kind == "pentagon":
+            start, route1, _ = _pentagon_routes(F, *args)
+            index_one |= any(1 in key[2:] for key in _route(start, *route1)[0])
+    assert index_one == (name == "multiplicity-two")
     reads, clean = _reference_reads(F, instances)
     readers = {}
     for inst in instances:

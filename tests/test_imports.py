@@ -1,4 +1,4 @@
-"""What the package imports: every name is used, and start-up stays lean."""
+"""What the code imports: every name is used, and start-up stays lean."""
 
 import ast
 import os
@@ -9,9 +9,10 @@ from pathlib import Path
 import nicholsforge
 
 PACKAGE = Path(nicholsforge.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _unused_imports(path: Path) -> list:
+def _unused_imports(path: Path, base: Path) -> list:
     tree = ast.parse(path.read_text())
     imported = {}
     used = set()
@@ -28,12 +29,16 @@ def _unused_imports(path: Path) -> list:
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-    where = path.relative_to(PACKAGE.parent)
+    where = path.relative_to(base)
     return [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
 def test_package_modules_have_no_unused_imports():
-    unused = [entry for path in sorted(PACKAGE.rglob("*.py")) for entry in _unused_imports(path)]
+    # the package, and the tests and benchmarks beside it
+    modules = [(path, PACKAGE.parent) for path in sorted(PACKAGE.rglob("*.py"))]
+    for folder in ("tests", "benchmarks"):
+        modules += [(path, ROOT) for path in sorted((ROOT / folder).glob("*.py"))]
+    unused = [entry for path, base in modules for entry in _unused_imports(path, base)]
     assert unused == []
 
 

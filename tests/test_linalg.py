@@ -72,6 +72,21 @@ def test_inverse_round_trip_with_roots_of_unity():
         inverse(m([[1, 2], [2, 4]]))
 
 
+def test_one_by_one_inverse_matches_the_elimination():
+    # a 1 x 1 inverse skips the rref of [M | I] and must give its very value,
+    # conductor included
+    for n in range(1, 13):
+        z = root_of_unity(n, 1)
+        values = (z, from_rational(2) + from_rational(3) * z - z * z, from_rational("-5/7") * z)
+        for value in values:
+            M = Matrix(1, 1, {(0, 0): value})
+            expected = rref(hstack([M, Matrix.identity(1)]))[1].get(0, 1)
+            got = inverse(M).get(0, 0)
+            assert (got.conductor, got.coeffs) == (expected.conductor, expected.coeffs), (n, value)
+    with pytest.raises(ZeroDivisionError):
+        inverse(Matrix(1, 1))
+
+
 def test_kron_mixed_shapes():
     A = m([[1, 2]])
     B = m([[3], [4]])

@@ -1,10 +1,10 @@
 """Shared builders for the test suite."""
 
+from math import prod
+
 from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.fusion import (
     FusionData,
-    _assemble,
-    _assoc_full,
     verify_braiding,
     verify_duality,
     verify_pentagon,
@@ -131,11 +131,48 @@ def fusion_mutation_detected(F):
 
 # -- references for the fusion checkers: every block a matrix -----------------
 #
-# The package composes scalars where every multiplicity is 0 or 1, and
-# reindexes matrix blocks onto their legs otherwise.  These routes build
-# every block as a matrix, with explicit identity Kronecker products,
+# The package composes scalars on basis keys, one per basis vector of a
+# tree's multiplicity spaces.  These routes work on components, one per
+# labeling of a tree, and build every block as a matrix on the direct sum
+# of their tensor products, with explicit identity Kronecker products,
 # pair02_reference and flip_reference; the package's verdicts must agree
-# with theirs instance by instance.
+# with theirs instance by instance.  A component is (key, legs), the legs
+# being the dimensions of the multiplicity spaces along the tree.
+
+
+def _total(comps):
+    return sum(prod(legs) for _, legs in comps)
+
+
+def _offsets(comps):
+    out = {}
+    pos = 0
+    for key, legs in comps:
+        out[key] = pos
+        pos += prod(legs)
+    return out
+
+
+def _assemble(comps_out, comps_in, blocks):
+    roff = _offsets(comps_out)
+    coff = _offsets(comps_in)
+    entries = {}
+    for (key_out, key_in), block in blocks.items():
+        r0 = roff[key_out]
+        c0 = coff[key_in]
+        for (r, c), v in block.entries.items():
+            entries[(r0 + r, c0 + c)] = v
+    return Matrix._nonzero(_total(comps_out), _total(comps_in), entries)
+
+
+def _assoc_full(F, x, y, z, b):
+    """The whole associator at fixed outer indices: sum over a to sum over c."""
+    src = [((a,), (n, F.dim(a, z, b))) for a, n in F.fuse(x, y) if F.dim(a, z, b)]
+    tgt = [((c,), (F.dim(x, c, b), n)) for c, n in F.fuse(y, z) if F.dim(x, c, b)]
+    blocks = {
+        ((c,), (a,)): F.assoc_block(x, y, z, a, b, c) for (a,), _ in src for (c,), _ in tgt
+    }
+    return _assemble(tgt, src, blocks), src, tgt
 
 
 def route_reference(comps, *jumps):
