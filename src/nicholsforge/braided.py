@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import Matrix
-from .scalars import ONE, Scalar, parse_scalar, scalar_to_json
+from .scalars import ONE, Scalar, parse_int, parse_scalar, scalar_to_json
 
 __all__ = [
     "DiagonalBraiding",
@@ -247,11 +247,11 @@ def braiding_from_json(obj: dict) -> DiagonalBraiding:
     if kind == "diagonal":
         return DiagonalBraiding.from_entries(obj["q"])
     if kind == "yetter-drinfeld-abelian":
-        orders = tuple(int(d) for d in obj["group"])
+        orders = tuple(parse_int(d, "group order") for d in obj["group"])
         elements = []
         characters = []
         for point in obj["points"]:
-            elements.append(tuple(int(e) for e in point["g"]))
+            elements.append(tuple(parse_int(e, "group exponent") for e in point["g"]))
             characters.append(tuple(parse_scalar(v) for v in point["chi"]))
         datum = YDDatum(orders, tuple(elements), tuple(characters))
         return yd_to_braiding(datum)

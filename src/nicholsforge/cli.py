@@ -224,15 +224,23 @@ def _load_well_formed_hopf(path: str):
 @_json_option
 def verify(hopf_file, as_json):
     """Check all Hopf axioms plus connectedness on both sides."""
-    from .structconst import AXIOM_KEYS, check_coconnected, check_connected, verify_axioms
+    from .structconst import (
+        AXIOM_KEYS,
+        check_coconnected,
+        check_connected,
+        dual_structure,
+        verify_axioms,
+        well_formed_problem,
+    )
 
     started = time.monotonic()
     t, digest = _load_hopf(hopf_file)
-    report = verify_axioms(t)
+    dual = None if well_formed_problem(t) else dual_structure(t)
+    report = verify_axioms(t, dual)
     connected = coconnected = None
     if report.passed:
         connected = check_connected(t)
-        coconnected = check_coconnected(t)
+        coconnected = check_coconnected(t, dual)
     ok = report.passed and bool(connected) and bool(coconnected)
     results = {
         "axioms": {key: report.results[key] for key in AXIOM_KEYS},
@@ -263,12 +271,23 @@ def _tristate(value) -> str:
 _FILTRATIONS = ("coradical", "radical")
 
 
-def _build_filtration(t, kind: str):
-    from .filtration import coradical_filtration, radical_filtration
+def _build_filtration(t, kind: str, dual):
+    """The filtration of t, handed the dual of t.
 
-    build = {"radical": radical_filtration, "coradical": coradical_filtration}[kind]
+    A constructor handed the dual computes the augmentation powers of one
+    side and takes the other side as checked, so that side is checked here.
+    """
+    from .filtration import _NOT_CCC, coradical_filtration, radical_filtration
+    from .structconst import check_coconnected, check_connected
+
+    if kind == "radical":
+        checked, build = check_coconnected(t, dual), radical_filtration
+    else:
+        checked, build = check_connected(t), coradical_filtration
     try:
-        return build(t)
+        if not checked:
+            raise ValueError(_NOT_CCC)
+        return build(t, dual)
     except ValueError as err:
         raise click.ClickException(f"filtration unavailable: {err}")
 
@@ -287,12 +306,13 @@ def _layer_table(f) -> list:
 def gr(hopf_file, kind, out, as_json):
     """Associated graded structure of the radical or coradical filtration."""
     from .filtration import associated_graded, filtration_conditions
-    from .structconst import AXIOM_KEYS, verify_axioms
+    from .structconst import AXIOM_KEYS, dual_structure, verify_axioms
 
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
-    f = _build_filtration(t, kind)
-    conditions = filtration_conditions(f)
+    dual = dual_structure(t)
+    f = _build_filtration(t, kind, dual)
+    conditions = filtration_conditions(f, dual)
     graded = associated_graded(t, f)
     axioms = verify_axioms(graded)
     ok = all(conditions.values()) and axioms.passed
@@ -336,7 +356,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
         primitive_dims_along_path,
         split_basis,
     )
-    from .structconst import AXIOM_KEYS, verify_axioms
+    from .structconst import AXIOM_KEYS, dual_structure, verify_axioms
 
     started = time.monotonic()
     parts = [part.strip() for part in samples.split(",") if part.strip()]
@@ -348,8 +368,9 @@ def degenerate(hopf_file, kind, samples, out, as_json):
     except (ValueError, KeyError) as err:
         raise InputError(f"bad --lambda-samples: {err}")
     t, digest = _load_well_formed_hopf(hopf_file)
-    f = _build_filtration(t, kind)
-    failed = ", ".join(name for name, good in filtration_conditions(f).items() if not good)
+    dual = dual_structure(t)
+    f = _build_filtration(t, kind, dual)
+    failed = ", ".join(name for name, good in filtration_conditions(f, dual).items() if not good)
     if failed:
         raise click.ClickException(f"filtration unavailable: {kind} filtration violates {failed}")
     split = split_basis(f)
@@ -389,15 +410,16 @@ def degenerate(hopf_file, kind, samples, out, as_json):
 def is_nichols(hopf_file, as_json):
     """Run the three recognition criteria on a structure file."""
     from .dualize import nichols_criteria
-    from .structconst import verify_axioms
+    from .structconst import dual_structure, verify_axioms
 
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
+    dual = dual_structure(t)
     try:
-        failure = verify_axioms(t).first_failure()
+        failure = verify_axioms(t, dual).first_failure()
         if failure is not None:
             raise ValueError(failure)
-        pairing, generation, gragrc = nichols_criteria(t)
+        pairing, generation, gragrc = nichols_criteria(t, dual)
     except ValueError as err:
         raise click.ClickException(f"criteria not applicable: {err}")
     verdicts = (pairing.verdict, generation.verdict, gragrc.verdict)

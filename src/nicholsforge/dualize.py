@@ -1,13 +1,8 @@
-"""Dual Hopf structures and the Nichols-ness criteria built on them.
+"""Graded duals and the Nichols-ness criteria built on duality.
 
-The pairing between a dual tensor product and a tensor product nests
-factors inside out: (xi (x) eta) applied to (x (x) y) is eta(x) * xi(y).
-With that convention the dual of a structure over sectors gamma lives over
-the negated labels, the braiding scalar between dual sectors equals the
-original one (exponents negate twice), and taking the dual twice returns
-the original structure on the nose.  For the abelian Yetter-Drinfeld
-picture this is the statement that the dual line of (g, chi) is
-(g^{-1}, chi^{-1}), which evaluates to the same q matrix.
+The transpose dual, dual_structure, lives in structconst, whose axiom
+verifier checks the coalgebra half of a structure on it; it is re-exported
+here beside graded_dual, which regrades it in positive degrees.
 
 Three Nichols criteria live here: nondegeneracy of the pairing between
 primitives and dual primitives, generation by primitives on both sides,
@@ -20,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .linalg import BasedSpace, Matrix, Subspace, rank
+from .linalg import Matrix, Subspace, rank
 from .scalars import ZERO
 from .structconst import (
     DecomposedObject,
     HopfStructure,
     check_coconnected,
     check_connected,
+    dual_structure,
     generated_by,
     graded_iso_search,
     primitive_sectors,
@@ -44,62 +40,6 @@ __all__ = [
     "gragrc_check",
     "nichols_criteria",
 ]
-
-
-def _dual_label(text: str) -> str:
-    # involutive marker so that dualizing twice restores the labels
-    return text[:-1] if text.endswith("*") else text + "*"
-
-
-def dual_structure(t: HopfStructure) -> HopfStructure:
-    """Transpose-dual: multiplication and coproduct trade places.
-
-    Sector labels negate; the grading does not transport (the graded dual
-    is a separate operation that also restores positive labels).
-    """
-    obj = t.obj
-    backend = obj.backend
-    neg = backend.neg
-    sectors = {
-        neg(label): BasedSpace(space.dim, tuple(_dual_label(s) for s in space.labels))
-        for label, space in obj.sectors.items()
-    }
-    dual_obj = DecomposedObject(backend, sectors)
-
-    mul = {}
-    for (beta, alpha), block in t.cop.items():
-        # m*[c, (a, b)] = cop^{beta, alpha}[(b, a), c]
-        d_alpha = obj.dim(alpha)
-        d_beta = obj.dim(beta)
-        target = obj.dim(backend.add(alpha, beta))
-        entries = {}
-        for (r, c), v in block.entries.items():
-            b, a = divmod(r, d_alpha)
-            entries[(c, a * d_beta + b)] = v
-        mul[(neg(alpha), neg(beta))] = Matrix(target, d_alpha * d_beta, entries)
-
-    cop = {}
-    for (beta, alpha), block in t.mul.items():
-        # cop*[(a, b), c] = m_{beta, alpha}[c, (b, a)]
-        d_alpha = obj.dim(alpha)
-        d_beta = obj.dim(beta)
-        source = obj.dim(backend.add(alpha, beta))
-        entries = {}
-        for (c, rc), v in block.entries.items():
-            b, a = divmod(rc, d_alpha)
-            entries[(a * d_beta + b, c)] = v
-        cop[(neg(alpha), neg(beta))] = Matrix(d_alpha * d_beta, source, entries)
-
-    antipode = {neg(i): block.transpose() for i, block in t.antipode.items()}
-    return HopfStructure(
-        dual_obj,
-        mul,
-        t.counit.transpose(),
-        cop,
-        t.unit.transpose(),
-        antipode,
-        None,
-    )
 
 
 def graded_dual(t: HopfStructure) -> HopfStructure:
@@ -159,9 +99,10 @@ class PairingReport:
     verdict: str  # "nichols" or "not-determined"
 
 
-def _checked_dual(t: HopfStructure) -> HopfStructure:
-    """The dual of t, once t is known to be connected and coconnected."""
-    dual = dual_structure(t)
+def _checked_dual(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfStructure:
+    """The dual of t (`dual`, when given), once t is known to be connected and coconnected."""
+    if dual is None:
+        dual = dual_structure(t)
     if not check_connected(t) or not check_coconnected(t, dual):
         raise ValueError("structure is not connected and coconnected")
     return dual
@@ -245,9 +186,13 @@ def gragrc_check(t: HopfStructure, dual: Optional[HopfStructure] = None) -> Grag
     return GragrcReport("nichols-by-gragrc", witness)
 
 
-def nichols_criteria(t: HopfStructure) -> Tuple[PairingReport, GenerationReport, GragrcReport]:
-    """All three criteria, deciding the preconditions, the dual and each side's primitives once."""
-    dual = _checked_dual(t)
+def nichols_criteria(t: HopfStructure, dual: Optional[HopfStructure] = None
+                     ) -> Tuple[PairingReport, GenerationReport, GragrcReport]:
+    """All three criteria, deciding the preconditions, the dual and each side's primitives once.
+
+    `dual`, when given, is dual_structure(t); the preconditions are still decided here.
+    """
+    dual = _checked_dual(t, dual)
     prims, dual_prims = primitive_sectors(t), primitive_sectors(dual)
     return (
         _pairing(t, dual, prims, dual_prims),

@@ -8,8 +8,9 @@ index 0.  The two are dual: the coradical chain of t at index n is the
 annihilator of the (n+1)-st power of the augmentation ideal of the dual,
 so both come from the same power computation, on t or on its dual.
 On a Hopf structure either one satisfies the seven compatibility
-conditions of filtration_conditions, and those conditions are exactly what
-makes the one-parameter family of conjugates by
+conditions of filtration_conditions, which checks the coalgebra ones as
+algebra conditions of the annihilator filtration on the dual.  Those
+conditions are exactly what makes the one-parameter family of conjugates by
 
     phi(lambda) = sum_i lambda^{-i} * (projection onto the i-th piece)
 
@@ -27,10 +28,10 @@ The two must agree entry for entry, which the tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dualize import dual_structure
-from .linalg import Matrix, Subspace, inverse, kernel, vstack
+from .linalg import Matrix, Subspace, inverse, kernel
 from .scalars import ONE, ZERO, Scalar, from_rational
 from .structconst import (
     DecomposedObject,
@@ -39,8 +40,8 @@ from .structconst import (
     augmentation_powers,
     check_coconnected,
     check_connected,
+    dual_structure,
     primitive_sectors,
-    product_span,
 )
 
 __all__ = [
@@ -97,6 +98,32 @@ def _layer_dims(layer: Layer) -> dict:
     return {label: sub.dim for label, sub in layer.items() if sub.dim}
 
 
+def _layer_at(window: Tuple[int, int], chain: Dict[int, Layer], full: Layer, i: int) -> Layer:
+    lo, hi = window
+    if i < lo:
+        return {}
+    if i > hi:
+        return full
+    return chain[i]
+
+
+def _annihilator(obj: DecomposedObject, layer: Layer) -> Layer:
+    """The annihilator in obj of a layer of the dual object.
+
+    Sector -gamma of the dual pairs with sector gamma coordinate for
+    coordinate, so the annihilator in sector gamma is the kernel of the rows
+    spanning the layer in sector -gamma; zero subspaces are left out.
+    """
+    neg = obj.backend.neg
+    out = {}
+    for label, space in obj.sectors.items():
+        rows = layer.get(neg(label))
+        sub = kernel(rows.row_matrix) if rows is not None else Subspace.full(space.dim)
+        if sub.dim:
+            out[label] = sub
+    return out
+
+
 class HopfFiltration:
     """Nested chain of labeled subspaces compatible with a Hopf structure.
 
@@ -132,91 +159,71 @@ class HopfFiltration:
         self.full = _full_layer(obj)
 
     def at(self, i: int) -> Layer:
-        lo, hi = self.window
-        if i < lo:
-            return {}
-        if i > hi:
-            return self.full
-        return self.chain[i]
-
-    def sector_at(self, i: int, label) -> Subspace:
-        sub = self.at(i).get(label)
-        if sub is None:
-            return Subspace.zero(self.structure.obj.dim(label))
-        return sub
+        return _layer_at(self.window, self.chain, self.full, i)
 
     def layer_dims(self) -> Dict[int, dict]:
         return {i: _layer_dims(self.chain[i]) for i in self.chain}
 
 
-def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
-    """Verify the seven compatibility conditions, one verdict per key."""
-    t = f.structure
-    obj = t.obj
-    backend = obj.backend
-    lo, hi = f.window
-    results = {}
+def _multiplicative(t: HopfStructure, window: Tuple[int, int], at) -> bool:
+    """Whether layer i times layer j lies in layer i + j, for all i and j.
 
-    results["exhausts"] = _layer_is_full(obj, f.at(hi))
+    A factor below the window is zero and a target above it is everything,
+    so only the pairs with both factors from lo and i + j <= hi can fail;
+    the image of each pair of sector bases must lie in its target sector.
+    """
+    lo, hi = window
+    add = t.obj.backend.add
+    for i in range(lo, hi + 2):
+        for j in range(lo, min(hi + 1, hi - i) + 1):
+            target = at(i + j)
+            for a, sub_a in at(i).items():
+                for b, sub_b in at(j).items():
+                    block = t.mul.get((a, b))
+                    if block is None:
+                        continue
+                    image = block @ sub_a.basis.kron(sub_b.basis)
+                    into = target.get(add(a, b))
+                    if not image.is_zero() and (into is None or not into.contains_columns(image)):
+                        return False
+    return True
+
+
+def _unit_in_zero(t: HopfStructure, at) -> bool:
+    zero = t.obj.backend.zero
+    return at(0).get(zero, Subspace.zero(t.obj.dim(zero))).contains_columns(t.unit)
+
+
+def filtration_conditions(f: HopfFiltration, dual: Optional[HopfStructure] = None) -> Dict[str, bool]:
+    """Verify the seven compatibility conditions, one verdict per key.
+
+    The coalgebra conditions are algebra conditions on the dual (`dual`, or
+    dual_structure of the filtered structure).  There the annihilators
+    G_n of F_{-n-1} form a filtration on the window (-hi-1, -lo-1); F is
+    comultiplicative exactly when G is multiplicative, and the counit
+    vanishes on F_{-1} exactly when the dual's unit lies in G_0.
+    """
+    t = f.structure
+    if dual is None:
+        dual = dual_structure(t)
+    lo, hi = f.window
+    g_window = (-hi - 1, -lo - 1)
+    g_chain = {-n - 1: _annihilator(dual.obj, layer) for n, layer in f.chain.items()}
+    g_at = partial(_layer_at, g_window, g_chain, _full_layer(dual.obj))
+    results = {"exhausts": _layer_is_full(t.obj, f.at(hi))}
     # `at` returns the empty layer below the window, so the filtration is
     # bounded below by construction and there is nothing to check
     results["bounded-below"] = True
-
-    # a factor below the window is zero and a target above it is everything,
-    # so only the pairs with both factors from lo and i + j <= hi can fail
-    ok = True
-    for i in range(lo, hi + 2):
-        for j in range(lo, min(hi + 1, hi - i) + 1):
-            image = product_span(t, f.at(i), f.at(j))
-            if not _layer_leq(obj, image, f.at(i + j)):
-                ok = False
-    results["multiplicative"] = ok
-
-    ok = True
-    for k in range(lo, hi + 2):
-        layer = f.at(k)
-        for s_label, sub in layer.items():
-            if sub.dim == 0:
-                continue
-            for i_label, j_label in obj.splits(s_label):
-                block = t.cop.get((i_label, j_label))
-                if block is None:
-                    continue
-                di = obj.dim(i_label)
-                dj = obj.dim(j_label)
-                pieces = []
-                for i in range(lo, hi + 2):
-                    j = k - i
-                    if j < lo:
-                        continue
-                    left = f.sector_at(i, i_label)
-                    right = f.sector_at(j, j_label)
-                    if left.dim == 0 or right.dim == 0:
-                        continue
-                    pieces.append(left.row_matrix.kron(right.row_matrix))
-                allowed = (
-                    Subspace.from_matrix_rows(vstack(pieces))
-                    if pieces
-                    else Subspace.zero(di * dj)
-                )
-                image = block @ sub.basis
-                if not allowed.contains_columns(image):
-                    ok = False
-    results["comultiplicative"] = ok
-
-    zero = backend.zero
-    below = f.sector_at(-1, zero)
-    results["counit-vanishing"] = below.dim == 0 or (t.counit @ below.basis).is_zero()
-    results["unit-in-zero"] = f.sector_at(0, zero).contains_columns(t.unit)
-
-    ok = True
-    for i in range(lo, hi + 1):
-        for label, sub in f.at(i).items():
-            if sub.dim == 0:
-                continue
-            if not sub.contains_columns(t.antipode_at(label) @ sub.basis):
-                ok = False
-    results["antipode-stable"] = ok
+    results["multiplicative"] = _multiplicative(t, f.window, f.at)
+    results["comultiplicative"] = _multiplicative(dual, g_window, g_at)
+    results["counit-vanishing"] = _unit_in_zero(dual, g_at)
+    results["unit-in-zero"] = _unit_in_zero(t, f.at)
+    results["antipode-stable"] = all(
+        sub.contains_columns(t.antipode_at(label) @ sub.basis)
+        for i in range(lo, hi + 1)
+        for label, sub in f.at(i).items()
+        if sub.dim
+    )
     return results
 
 
@@ -243,11 +250,9 @@ def coradical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None)
 
     For a finite-dimensional coalgebra the wedge chain C_n = C_{n-1} ^ C_0
     is the chain of annihilators of J*^{n+1}, J* the counit kernel of the
-    dual.  Dual sector -gamma pairs with sector gamma coordinate for
-    coordinate, so C_n in sector gamma is the kernel of the rows spanning
-    J*^{n+1} in sector -gamma, and the last nonzero power J*^N puts the
-    whole object at index N.  The powers exist exactly when t is
-    coconnected.  `dual` is as for radical_filtration, and is used here.
+    dual, and the last nonzero power J*^N puts the whole object at index N.
+    The powers exist exactly when t is coconnected.  `dual` is as for
+    radical_filtration, and is used here.
     """
     if dual is None:
         if not check_connected(t):
@@ -256,18 +261,8 @@ def coradical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None)
     powers = augmentation_powers(dual)
     if powers is None:
         raise ValueError(_NOT_CCC)
-    obj = t.obj
-    neg = obj.backend.neg
-    chain = {}
-    for n, power in enumerate(powers):
-        layer = {}
-        for label, space in obj.sectors.items():
-            rows = power.get(neg(label))
-            sub = kernel(rows.row_matrix) if rows is not None else Subspace.full(space.dim)
-            if sub.dim:
-                layer[label] = sub
-        chain[n] = layer
-    chain[len(powers)] = _full_layer(obj)
+    chain = {n: _annihilator(t.obj, power) for n, power in enumerate(powers)}
+    chain[len(powers)] = _full_layer(t.obj)
     return HopfFiltration(t, "coradical", (0, len(powers)), chain)
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Tuple
 
 from .braided import braiding_from_json, braiding_to_json
 from .linalg import BasedSpace, Matrix
-from .scalars import parse_scalar, scalar_to_json
+from .scalars import parse_int, parse_scalar, scalar_to_json
 
 # The readers import the structure layers when they run, so that loading
 # this module for canonical_dumps costs neither.
@@ -53,12 +53,12 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = parse_int(obj["rows"], "matrix rows"), parse_int(obj["cols"], "matrix cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"matrix shape {rows} x {cols} is negative")
     entries = {}
     for r, c, v in obj["entries"]:
-        r, c = int(r), int(c)
+        r, c = parse_int(r, "entry row"), parse_int(c, "entry column")
         if not (0 <= r < rows and 0 <= c < cols):
             raise ValueError(f"matrix entry ({r}, {c}) lies outside the {rows} x {cols} shape")
         entries[(r, c)] = parse_scalar(v)
@@ -96,6 +96,10 @@ def hopf_to_json(t: HopfStructure) -> dict:
     }
 
 
+def _label(raw, what: str) -> tuple:
+    return tuple(parse_int(x, what) for x in raw)
+
+
 def hopf_from_json(obj: dict) -> HopfStructure:
     from .structconst import DecomposedObject, HopfStructure, LabelBackend
 
@@ -106,8 +110,8 @@ def hopf_from_json(obj: dict) -> HopfStructure:
     grading: dict = {}
     graded = False
     for entry in obj["sectors"]:
-        label = tuple(int(x) for x in entry["label"])
-        dim, basis = int(entry["dim"]), tuple(entry["basis"])
+        label = _label(entry["label"], "sector label")
+        dim, basis = parse_int(entry["dim"], "sector dim"), tuple(entry["basis"])
         if label in sectors:
             raise ValueError(f"sector {list(label)} is listed twice")
         if dim < 0 or dim != len(basis):
@@ -117,17 +121,17 @@ def hopf_from_json(obj: dict) -> HopfStructure:
         sectors[label] = BasedSpace(dim, basis)
         if "degrees" in entry:
             graded = True
-            grading[label] = tuple(int(d) for d in entry["degrees"])
+            grading[label] = tuple(parse_int(d, "degree") for d in entry["degrees"])
     space = DecomposedObject(backend, sectors)
 
     def pair_key(raw) -> Tuple[tuple, tuple]:
         i, j = raw
-        return (tuple(int(x) for x in i), tuple(int(x) for x in j))
+        return (_label(i, "key label"), _label(j, "key label"))
 
     mul = {pair_key(e["key"]): matrix_from_json(e) for e in obj["mul"]}
     cop = {pair_key(e["key"]): matrix_from_json(e) for e in obj["cop"]}
     antipode = {
-        tuple(int(x) for x in e["key"]): matrix_from_json(e) for e in obj["antipode"]
+        _label(e["key"], "key label"): matrix_from_json(e) for e in obj["antipode"]
     }
     unit = matrix_from_json(obj["unit"])
     counit = matrix_from_json(obj["counit"])
@@ -163,10 +167,10 @@ def fusion_from_json(obj: dict) -> FusionData:
 
     if obj.get("format") != FUSION_FORMAT:
         raise ValueError(f"not a {FUSION_FORMAT} document")
-    size = int(obj["size"])
+    size = parse_int(obj["size"], "size")
 
     def simples(raw, arity: int, what: str) -> tuple:
-        key = tuple(int(x) for x in raw)
+        key = tuple(parse_int(x, what) for x in raw)
         if len(key) != arity or not all(0 <= x < size for x in key):
             raise ValueError(f"{what} must hold {arity} indices in 0..{size - 1}")
         return key
@@ -174,7 +178,7 @@ def fusion_from_json(obj: dict) -> FusionData:
     fusion = {}
     for row in obj["fusion"]:
         i, j, k, n = row
-        key, n = simples((i, j, k), 3, f"fusion row {row}"), int(n)
+        key, n = simples((i, j, k), 3, f"fusion row {row}"), parse_int(n, f"fusion row {row}")
         if n < 0:
             raise ValueError(f"fusion row {row} has a negative multiplicity")
         fusion[key] = n

@@ -271,7 +271,9 @@ def well_formed(F: FusionData) -> FusionReport:
     for (i, j, k), block in F.braiding.items():
         checked += 1
         n = F.dim(i, j, k)
-        if F.dim(j, i, k) != n or block.shape != (n, n) or (n and rank(block) != n):
+        # a 1 x 1 block is invertible when its one entry is nonzero
+        if (F.dim(j, i, k) != n or block.shape != (n, n)
+                or (block.is_zero() if n == 1 else n and rank(block) != n)):
             failures.append(("braiding-block", i, j, k))
     for (i, j, k), n in F.fusion.items():
         if n and (i, j, k) not in F.braiding:

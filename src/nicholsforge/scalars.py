@@ -34,6 +34,7 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
     "parse_scalar",
+    "parse_int",
     "scalar_to_json",
     "ZERO",
     "ONE",
@@ -394,6 +395,13 @@ def parse_scalar(obj) -> Scalar:
             return -value if sign == "-" else value
         return from_rational(text)
     raise ValueError(f"cannot parse scalar from {obj!r}")
+
+
+def parse_int(obj, what: str) -> int:
+    """A JSON integer; booleans, fractional numbers and strings are refused."""
+    if type(obj) is not int:  # bool is a subclass of int
+        raise ValueError(f"{what} must be an integer, got {obj!r}")
+    return obj
 
 
 def scalar_to_json(s: Scalar) -> dict:

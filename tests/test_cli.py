@@ -253,6 +253,40 @@ def test_malformed_sector_is_usage_error(runner, qp_hopf, edit):
     assert "bad structure document" in result.output
 
 
+def _set_first(values, old, new):
+    values[values.index(old)] = new
+
+
+# Every place a structure document holds an integer, set to `value` where it
+# held 1 or 0; int() would read True as 1, False as 0 and 0.5 as 0.
+STRUCTURE_INTEGER_SITES = [
+    pytest.param(lambda doc, value: doc["unit"].update(rows=value), id="matrix-rows"),
+    pytest.param(lambda doc, value: doc["counit"].update(cols=value), id="matrix-cols"),
+    pytest.param(lambda doc, value: doc["unit"]["entries"][0].__setitem__(0, value),
+                 id="entry-row"),
+    pytest.param(lambda doc, value: doc["unit"]["entries"][0].__setitem__(1, value),
+                 id="entry-column"),
+    pytest.param(lambda doc, value: _sector(doc, [0, 0]).update(label=[value, value]),
+                 id="sector-label"),
+    pytest.param(lambda doc, value: _sector(doc, [0, 0]).update(dim=value), id="sector-dim"),
+    pytest.param(lambda doc, value: _sector(doc, [1, 0]).update(degrees=[value]), id="degree"),
+    pytest.param(lambda doc, value: _set_first(_mul_block(doc, [[0, 0], [0, 1]])["key"][0], 0,
+                                               value), id="mul-key"),
+    pytest.param(lambda doc, value: _set_first(doc["cop"][0]["key"][1], 0, value), id="cop-key"),
+    pytest.param(lambda doc, value: _set_first(doc["antipode"][0]["key"], 0, value),
+                 id="antipode-key"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5], ids=["true", "false", "half"])
+@pytest.mark.parametrize("edit", STRUCTURE_INTEGER_SITES)
+def test_non_integer_in_structure_document_is_usage_error(runner, qp_hopf, edit, value):
+    _edit_document(qp_hopf, lambda doc: edit(doc, value))
+    result = runner.invoke(main, ["verify", qp_hopf])
+    assert result.exit_code == 2, result.output
+    assert "bad structure document" in result.output and "must be an integer" in result.output
+
+
 def _mul_block(doc, key):
     return next(b for b in doc["mul"] if b["key"] == key)
 
@@ -340,6 +374,32 @@ def test_bad_fusion_document_is_usage_error(runner, z2_file, edit):
     result = runner.invoke(main, ["fusion-verify", z2_file])
     assert result.exit_code == 2, result.output
     assert "bad fusion document" in result.output
+
+
+FUSION_INTEGER_SITES = [
+    pytest.param(lambda doc, value: doc.update(size=value), id="size"),
+    pytest.param(lambda doc, value: doc["fusion"][0].__setitem__(0, value), id="fusion-index"),
+    pytest.param(lambda doc, value: doc["fusion"][0].__setitem__(3, value),
+                 id="fusion-multiplicity"),
+    pytest.param(lambda doc, value: doc["dual"].__setitem__(0, value), id="dual"),
+    pytest.param(lambda doc, value: doc["assoc"][0]["key"].__setitem__(0, value), id="assoc-key"),
+    pytest.param(lambda doc, value: doc["braiding"][0]["key"].__setitem__(0, value),
+                 id="braiding-key"),
+    pytest.param(lambda doc, value: doc["left_units"][0].__setitem__(0, value),
+                 id="left-units-key"),
+    pytest.param(lambda doc, value: doc["ev"][0]["key"].__setitem__(0, value), id="ev-key"),
+    pytest.param(lambda doc, value: doc["ev"][0]["entries"][0].__setitem__(0, value),
+                 id="ev-entry-row"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5], ids=["true", "false", "half"])
+@pytest.mark.parametrize("edit", FUSION_INTEGER_SITES)
+def test_non_integer_in_fusion_document_is_usage_error(runner, z2_file, edit, value):
+    _edit_document(z2_file, lambda doc: edit(doc, value))
+    result = runner.invoke(main, ["fusion-verify", z2_file])
+    assert result.exit_code == 2, result.output
+    assert "bad fusion document" in result.output and "must be an integer" in result.output
 
 
 def test_json_reports_identical_across_thread_counts(runner, qp_file):
@@ -434,6 +494,32 @@ def test_degenerate_builds_the_split_and_the_limit_once(runner, qp_hopf, monkeyp
     assert calls == {"split_basis": 1, "degenerate_limit": 1, "associated_graded": 1}
 
 
+@pytest.mark.parametrize("command, built", [
+    (["verify"], 1),
+    (["gr", "--filtration", "radical"], 2),
+    (["gr", "--filtration", "coradical"], 2),
+    (["degenerate", "--filtration", "coradical", "--lambda-samples", "1,1/2"], 2),
+    (["is-nichols"], 1),
+])
+def test_structure_commands_build_each_dual_once(runner, qp_hopf, monkeypatch, command, built):
+    from nicholsforge import dualize, filtration, structconst
+
+    dualized = []
+    original = structconst.dual_structure
+
+    def counted(t):
+        dualized.append(t)
+        return original(t)
+
+    for module in (structconst, dualize, filtration):
+        monkeypatch.setattr(module, "dual_structure", counted)
+    result = runner.invoke(main, [command[0], qp_hopf, *command[1:], "--json"])
+    assert result.exit_code == 0, result.output
+    # the input's dual, handed to every check that needs it; gr and
+    # degenerate also verify the structure they build, on its own dual
+    assert len(dualized) == len({id(t) for t in dualized}) == built
+
+
 def test_is_nichols_refuses_disconnected_structure(runner, tmp_path):
     from tests_support import group_algebra_z2
 
@@ -483,6 +569,22 @@ def test_boolean_or_empty_braiding_is_usage_error(runner, tmp_path, doc, problem
     result = runner.invoke(main, ["nichols", str(path), "--max-degree", "3"])
     assert result.exit_code == 2, result.output
     assert "bad braiding document" in result.output and problem in result.output
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5], ids=["true", "false", "half"])
+@pytest.mark.parametrize("site", ["group-order", "group-exponent"])
+def test_non_integer_in_yetter_drinfeld_braiding_is_usage_error(runner, tmp_path, site, value):
+    doc = {"type": "yetter-drinfeld-abelian", "group": [3],
+           "points": [{"g": [1], "chi": ["zeta(3)"]}]}
+    if site == "group-order":
+        doc["group"] = [value]
+    else:
+        doc["points"][0]["g"] = [value]
+    path = tmp_path / "yd.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["nichols", str(path), "--max-degree", "3"])
+    assert result.exit_code == 2, result.output
+    assert "bad braiding document" in result.output and "must be an integer" in result.output
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "directory"])

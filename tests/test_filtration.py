@@ -1,5 +1,6 @@
 """Filtrations, one-parameter degenerations, associated graded structures."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,15 @@ from nicholsforge.structconst import (
     from_nichols,
     verify_axioms,
 )
-from tests_support import coradical_chain_reference, group_algebra_z2
+from tests_support import (
+    coradical_chain_reference,
+    deleted,
+    doubled,
+    filtration_conditions_reference,
+    group_algebra_z2,
+    hopf_entry_sites,
+    mutate_hopf,
+)
 
 QP = DiagonalBraiding.from_entries([["-1", "1"], ["1", "-1"]])
 
@@ -259,3 +268,55 @@ def test_coradical_chain_matches_the_wedge_recursion(name):
         assert f.window == window
         assert f.chain == chain
         assert coradical_filtration(s, dual_structure(s)).chain == chain
+
+
+# -- the coalgebra conditions as algebra conditions on the dual --------------
+
+
+def _sector_chains(t: HopfStructure, rng, count: int) -> list:
+    """Random chains of whole sectors, each layer adding sectors to the last."""
+    labels = list(t.obj.sectors)
+    chains = []
+    for _ in range(count):
+        lo = rng.randint(-2, 1)
+        hi = lo + rng.randint(0, 2)
+        kept, chain = set(), {}
+        for i in range(lo, hi + 1):
+            kept |= {label for label in labels if rng.random() < 0.4}
+            chain[i] = {label: Subspace.full(t.obj.dim(label)) for label in labels if label in kept}
+        chains.append(HopfFiltration(t, "sectors", (lo, hi), chain))
+    return chains
+
+
+def _filtrations(t: HopfStructure, rng) -> list:
+    out = [radical_filtration(t), coradical_filtration(t)]
+    if t.grading is not None:
+        out.append(degree_filtration(t))
+    return out + _sector_chains(t, rng, 4)
+
+
+@pytest.mark.parametrize("name", ["quantum-plane", "a2-at-minus-one", "exterior-3",
+                                  "exterior-by-charge"])
+def test_conditions_on_the_dual_match_the_direct_checks(name):
+    rng = random.Random(name)
+    if name == "exterior-by-charge":
+        t = _exterior_by_charge()
+    else:
+        entries, cutoff = CORADICAL_CASES[name]
+        t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
+    own = _filtrations(t, rng)
+    cases = own + _filtrations(act(_mixing(t), t), rng)
+    # the radical, coradical and degree chains of t and one chain of sectors,
+    # on about twenty doubled and twenty deleted entries of t
+    sites = hopf_entry_sites(t)
+    for edit in (doubled, deleted):
+        for site in sites[:: max(1, len(sites) // 20)]:
+            mutant = mutate_hopf(t, site, edit)
+            cases += [HopfFiltration(mutant, f.kind, f.window, f.chain) for f in own[:4]]
+    verdicts = []
+    for f in cases:
+        conditions = filtration_conditions(f)
+        assert conditions == filtration_conditions_reference(f)
+        verdicts.append(conditions)
+    for key in ("comultiplicative", "counit-vanishing"):
+        assert {v[key] for v in verdicts} == {True, False}

@@ -341,6 +341,24 @@ def test_singular_full_associators_are_located():
     assert well_formed(mutant).failures == (("assoc-not-invertible", 1, 1, 1, 1),)
 
 
+def test_one_by_one_braiding_blocks_are_decided_without_a_rank(monkeypatch):
+    import nicholsforge.fusion as fusion
+
+    calls = []
+    rank = fusion.rank
+    monkeypatch.setattr(fusion, "rank", lambda block: calls.append(block.shape) or rank(block))
+    z3 = pointed_center_data([3])
+    assert well_formed(z3).passed
+    assert calls == []  # every block of pointed data is 1 x 1
+    # a deleted 1 x 1 block is singular, and located
+    key = (1, 2, 0)
+    mutant = replace(z3, braiding={**z3.braiding, key: deleted(z3.braiding[key], (0, 0))})
+    assert well_formed(mutant).failures == (("braiding-block",) + key,)
+    # a 2 x 2 block still takes its rank
+    F = multiplicity_two_data()
+    assert well_formed(F).passed and (2, 2) in calls
+
+
 def test_misshapen_associator_block_is_located_not_raised():
     # a 2 x 2 block where the spaces are 1-dimensional: the full associator
     # reads the block only where its spaces have coordinates

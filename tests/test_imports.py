@@ -42,6 +42,26 @@ def test_package_modules_have_no_unused_imports():
     assert unused == []
 
 
+def test_private_module_level_helpers_are_used():
+    # a `_name` function or class defined at module level in the package is
+    # referenced somewhere in the package, so a refactor leaves none behind
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append(f"{path.relative_to(PACKAGE.parent)}:{node.lineno} {node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert [entry for entry in defined if entry.split()[-1] not in referenced] == []
+
+
 def test_cli_start_up_leaves_the_thread_pool_unimported():
     # the pool module costs about 10 ms per process and only --threads > 1 uses it
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

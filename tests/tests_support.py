@@ -12,7 +12,17 @@ from nicholsforge.fusion import (
 )
 from nicholsforge.linalg import BasedSpace, Matrix, Subspace, inverse, kernel, quotient, vstack
 from nicholsforge.scalars import ONE
-from nicholsforge.structconst import DecomposedObject, HopfStructure, LabelBackend, unit_span
+from nicholsforge.filtration import _layer_is_full, _layer_leq
+from nicholsforge.structconst import (
+    AXIOM_KEYS,
+    AxiomReport,
+    DecomposedObject,
+    HopfStructure,
+    LabelBackend,
+    product_span,
+    unit_span,
+    well_formed_problem,
+)
 
 
 def group_algebra_z2():
@@ -376,3 +386,221 @@ def coradical_chain_reference(t):
                 layer[s_label] = sub
         chain[n] = layer
     return (0, n), chain
+
+
+# -- references for the checks the package now runs on the dual --------------
+
+# verify_axioms checks the coalgebra axioms as the algebra axioms of the
+# dual, and filtration_conditions the coalgebra conditions as algebra
+# conditions of the annihilator filtration on the dual.  These are the
+# direct forms, on the structure itself, with their bodies as the package
+# had them (f.sector_at is _sector_at here); the package's reports must
+# equal theirs.
+
+
+def verify_axioms_reference(t):
+    """Exact blockwise verification of all Hopf axioms, the coalgebra half on t.
+
+    A malformed structure short-circuits: the shape problem is reported
+    under well-formed and every actual axiom is left unevaluated.
+    """
+    results: dict = {key: None for key in AXIOM_KEYS}
+    failures: dict = {}
+
+    problem = well_formed_problem(t)
+    results["well-formed"] = problem is None
+    if problem is not None:
+        failures["well-formed"] = problem
+        return AxiomReport(results, failures)
+
+    obj = t.obj
+    backend = obj.backend
+    labels = obj.labels
+    zero = backend.zero
+
+    def record(key, description, lhs, rhs):
+        if lhs == rhs:
+            return True
+        if key not in failures:
+            failures[key] = description
+        return False
+
+    eye = {label: Matrix.identity(obj.dim(label)) for label in labels}
+    flips: dict = {}  # a braiding flip depends only on its sector pair
+
+    # Both sides of (co)associativity at (i, j, k) are zero unless i+j+k
+    # is a sector and so is i+j or j+k; the rest are skipped, and the
+    # triples kept are visited in label order.
+    position = {label: n for n, label in enumerate(labels)}
+    triples = set()
+    for s in labels:
+        for ij, k in obj.splits(s):
+            triples.update((i, j, k) for i, j in obj.splits(ij))
+        for i, jk in obj.splits(s):
+            triples.update((i, j, k) for j, k in obj.splits(jk))
+    triples = sorted(triples, key=lambda ijk: [position[x] for x in ijk])
+
+    # associativity: m(m x 1) = m(1 x m) on B_i x B_j x B_k
+    ok = True
+    for i, j, k in triples:
+        lhs = t.mul_at(backend.add(i, j), k) @ t.mul_at(i, j).kron(eye[k])
+        rhs = t.mul_at(i, backend.add(j, k)) @ eye[i].kron(t.mul_at(j, k))
+        ok = record("assoc", f"assoc at {(i, j, k)}", lhs, rhs) and ok
+    results["assoc"] = ok
+
+    # unit: m(u x 1) = 1 = m(1 x u)
+    ok = True
+    for i in labels:
+        left = t.mul_at(zero, i) @ t.unit.kron(eye[i])
+        right = t.mul_at(i, zero) @ eye[i].kron(t.unit)
+        ok = record("unit", f"left unit at {i}", left, eye[i]) and ok
+        ok = record("unit", f"right unit at {i}", right, eye[i]) and ok
+    results["unit"] = ok
+
+    # coassociativity: (cop x 1)cop = (1 x cop)cop into B_i x B_j x B_k
+    ok = True
+    for i, j, k in triples:
+        lhs = t.cop_at(i, j).kron(eye[k]) @ t.cop_at(backend.add(i, j), k)
+        rhs = eye[i].kron(t.cop_at(j, k)) @ t.cop_at(i, backend.add(j, k))
+        ok = record("coassoc", f"coassoc at {(i, j, k)}", lhs, rhs) and ok
+    results["coassoc"] = ok
+
+    # counit: (eps x 1)cop = 1 = (1 x eps)cop
+    ok = True
+    for i in labels:
+        left = t.counit.kron(eye[i]) @ t.cop_at(zero, i)
+        right = eye[i].kron(t.counit) @ t.cop_at(i, zero)
+        ok = record("counit", f"left counit at {i}", left, eye[i]) and ok
+        ok = record("counit", f"right counit at {i}", right, eye[i]) and ok
+    results["counit"] = ok
+
+    # bialgebra: cop and counit are algebra maps, with the braiding insertion;
+    # the pieces over splits (a1, a2) of a and (b1, b2) of b land in
+    # (a1+b1, a2+b2)
+    ok = True
+    for a in labels:
+        for b in labels:
+            pieces: dict = {}
+            for a1, a2 in obj.splits(a):
+                for b1, b2 in obj.splits(b):
+                    i, j = backend.add(a1, b1), backend.add(a2, b2)
+                    if i not in obj.sectors or j not in obj.sectors:
+                        continue
+                    piece = t.mul_at(a1, b1).kron(t.mul_at(a2, b2))
+                    flip = flips.get((a2, b1))
+                    if flip is None:
+                        flip = flips[(a2, b1)] = t.braid_flip(a2, b1)
+                    swap = eye[a1].kron(flip).kron(eye[b2])
+                    piece = piece @ swap @ t.cop_at(a1, a2).kron(t.cop_at(b1, b2))
+                    pieces[(i, j)] = pieces[(i, j)] + piece if (i, j) in pieces else piece
+            for i, j in obj.splits(backend.add(a, b)):
+                lhs = t.cop_at(i, j) @ t.mul_at(a, b)
+                rhs = pieces.get((i, j))
+                if rhs is None:
+                    rhs = Matrix(obj.dim(i) * obj.dim(j), obj.dim(a) * obj.dim(b))
+                ok = record("bialgebra", f"cop o mul at {(a, b)} -> {(i, j)}", lhs, rhs) and ok
+    for i, j in obj.splits(zero):
+        # counit kills every product that lands in the unit sector except 0 x 0
+        lhs = t.counit @ t.mul_at(i, j)
+        rhs = t.counit.kron(t.counit) if i == zero else Matrix(1, obj.dim(i) * obj.dim(j))
+        ok = record("bialgebra", f"counit o mul at {(i, j)}", lhs, rhs) and ok
+    for i, j in obj.splits(zero):
+        lhs = t.cop_at(i, j) @ t.unit
+        rhs = t.unit.kron(t.unit) if i == zero else Matrix(obj.dim(i) * obj.dim(j), 1)
+        ok = record("bialgebra", f"cop o unit at {(i, j)}", lhs, rhs) and ok
+    one = Matrix.identity(1)
+    ok = record("bialgebra", "counit o unit", t.counit @ t.unit, one) and ok
+    results["bialgebra"] = ok
+
+    # antipode: m(S x 1)cop = u eps = m(1 x S)cop, per total sector
+    for key, use_left in (("antipode-left", True), ("antipode-right", False)):
+        ok = True
+        for s in labels:
+            total = Matrix(obj.dim(s), obj.dim(s))
+            for i, j in obj.splits(s):
+                if use_left:
+                    half = t.antipode_at(i).kron(eye[j])
+                else:
+                    half = eye[i].kron(t.antipode_at(j))
+                total = total + t.mul_at(i, j) @ half @ t.cop_at(i, j)
+            want = t.unit @ t.counit if s == zero else Matrix(obj.dim(s), obj.dim(s))
+            ok = record(key, f"antipode at sector {s}", total, want) and ok
+        results[key] = ok
+
+    return AxiomReport(results, failures)
+
+
+def _sector_at(f, i, label):
+    sub = f.at(i).get(label)
+    return Subspace.zero(f.structure.obj.dim(label)) if sub is None else sub
+
+
+def filtration_conditions_reference(f):
+    """The seven compatibility conditions, the coalgebra ones checked on f itself."""
+    t = f.structure
+    obj = t.obj
+    backend = obj.backend
+    lo, hi = f.window
+    results = {}
+
+    results["exhausts"] = _layer_is_full(obj, f.at(hi))
+    # `at` returns the empty layer below the window, so the filtration is
+    # bounded below by construction and there is nothing to check
+    results["bounded-below"] = True
+
+    # a factor below the window is zero and a target above it is everything,
+    # so only the pairs with both factors from lo and i + j <= hi can fail
+    ok = True
+    for i in range(lo, hi + 2):
+        for j in range(lo, min(hi + 1, hi - i) + 1):
+            image = product_span(t, f.at(i), f.at(j))
+            if not _layer_leq(obj, image, f.at(i + j)):
+                ok = False
+    results["multiplicative"] = ok
+
+    ok = True
+    for k in range(lo, hi + 2):
+        layer = f.at(k)
+        for s_label, sub in layer.items():
+            if sub.dim == 0:
+                continue
+            for i_label, j_label in obj.splits(s_label):
+                block = t.cop.get((i_label, j_label))
+                if block is None:
+                    continue
+                di = obj.dim(i_label)
+                dj = obj.dim(j_label)
+                pieces = []
+                for i in range(lo, hi + 2):
+                    j = k - i
+                    if j < lo:
+                        continue
+                    left = _sector_at(f, i, i_label)
+                    right = _sector_at(f, j, j_label)
+                    if left.dim == 0 or right.dim == 0:
+                        continue
+                    pieces.append(left.row_matrix.kron(right.row_matrix))
+                allowed = (
+                    Subspace.from_matrix_rows(vstack(pieces))
+                    if pieces
+                    else Subspace.zero(di * dj)
+                )
+                image = block @ sub.basis
+                if not allowed.contains_columns(image):
+                    ok = False
+    results["comultiplicative"] = ok
+
+    zero = backend.zero
+    below = _sector_at(f, -1, zero)
+    results["counit-vanishing"] = below.dim == 0 or (t.counit @ below.basis).is_zero()
+    results["unit-in-zero"] = _sector_at(f, 0, zero).contains_columns(t.unit)
+
+    ok = True
+    for i in range(lo, hi + 1):
+        for label, sub in f.at(i).items():
+            if sub.dim == 0:
+                continue
+            if not sub.contains_columns(t.antipode_at(label) @ sub.basis):
+                ok = False
+    results["antipode-stable"] = ok
+    return results
