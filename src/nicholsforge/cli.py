@@ -272,22 +272,10 @@ _FILTRATIONS = ("coradical", "radical")
 
 
 def _build_filtration(t, kind: str, dual):
-    """The filtration of t, handed the dual of t.
+    from .filtration import build_filtration
 
-    A constructor handed the dual computes the augmentation powers of one
-    side and takes the other side as checked, so that side is checked here.
-    """
-    from .filtration import _NOT_CCC, coradical_filtration, radical_filtration
-    from .structconst import check_coconnected, check_connected
-
-    if kind == "radical":
-        checked, build = check_coconnected(t, dual), radical_filtration
-    else:
-        checked, build = check_connected(t), coradical_filtration
     try:
-        if not checked:
-            raise ValueError(_NOT_CCC)
-        return build(t, dual)
+        return build_filtration(t, kind, dual)
     except ValueError as err:
         raise click.ClickException(f"filtration unavailable: {err}")
 

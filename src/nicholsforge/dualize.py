@@ -101,8 +101,7 @@ class PairingReport:
 
 def _checked_dual(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfStructure:
     """The dual of t (`dual`, when given), once t is known to be connected and coconnected."""
-    if dual is None:
-        dual = dual_structure(t)
+    dual = dual_structure(t) if dual is None else dual
     if not check_connected(t) or not check_coconnected(t, dual):
         raise ValueError("structure is not connected and coconnected")
     return dual

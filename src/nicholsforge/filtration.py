@@ -51,6 +51,7 @@ __all__ = [
     "filtration_conditions",
     "radical_filtration",
     "coradical_filtration",
+    "build_filtration",
     "degree_filtration",
     "split_basis",
     "one_param_orbit",
@@ -100,20 +101,13 @@ def _layer_dims(layer: Layer) -> dict:
 
 def _layer_at(window: Tuple[int, int], chain: Dict[int, Layer], full: Layer, i: int) -> Layer:
     lo, hi = window
-    if i < lo:
-        return {}
-    if i > hi:
-        return full
-    return chain[i]
+    return {} if i < lo else full if i > hi else chain[i]
 
 
 def _annihilator(obj: DecomposedObject, layer: Layer) -> Layer:
-    """The annihilator in obj of a layer of the dual object.
-
-    Sector -gamma of the dual pairs with sector gamma coordinate for
-    coordinate, so the annihilator in sector gamma is the kernel of the rows
-    spanning the layer in sector -gamma; zero subspaces are left out.
-    """
+    """The annihilator in obj of a layer of the dual object: sector -gamma of
+    the dual pairs with sector gamma coordinate for coordinate, so in sector
+    gamma it is the kernel of the rows spanning the layer in sector -gamma."""
     neg = obj.backend.neg
     out = {}
     for label, space in obj.sectors.items():
@@ -264,6 +258,18 @@ def coradical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None)
     chain = {n: _annihilator(t.obj, power) for n, power in enumerate(powers)}
     chain[len(powers)] = _full_layer(t.obj)
     return HopfFiltration(t, "coradical", (0, len(powers)), chain)
+
+
+def build_filtration(t: HopfStructure, kind: str, dual: HopfStructure) -> HopfFiltration:
+    """The radical or coradical filtration of t, handed dual = dual_structure(t).
+
+    Its constructor, handed the dual, takes as checked the side whose
+    augmentation powers it does not compute; that side is checked here.
+    """
+    radical = kind == "radical"
+    if not (check_coconnected(t, dual) if radical else check_connected(t)):
+        raise ValueError(_NOT_CCC)
+    return (radical_filtration if radical else coradical_filtration)(t, dual)
 
 
 def degree_filtration(t: HopfStructure) -> HopfFiltration:

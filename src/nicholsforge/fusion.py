@@ -226,6 +226,19 @@ def _full_associator(F: FusionData, x: int, y: int, z: int, b: int):
 # -- well-formedness -----------------------------------------------------------
 
 
+def _invertible(entries: dict, rows: Sequence, cols: Sequence) -> bool:
+    """Whether the map with these entries between the given basis keys is invertible.
+
+    Between spaces of dimension at most one it is when each key has its one
+    entry; a larger map takes a rank.
+    """
+    if len(rows) != len(cols):
+        return False
+    if len(cols) <= 1:
+        return len(entries) == len(cols)
+    return rank(_matrix(entries, rows, cols)) == len(cols)
+
+
 def well_formed(F: FusionData) -> FusionReport:
     """Shape and unit-multiplicity constraints plus invertibility checks."""
     failures = []
@@ -271,9 +284,8 @@ def well_formed(F: FusionData) -> FusionReport:
     for (i, j, k), block in F.braiding.items():
         checked += 1
         n = F.dim(i, j, k)
-        # a 1 x 1 block is invertible when its one entry is nonzero
         if (F.dim(j, i, k) != n or block.shape != (n, n)
-                or (block.is_zero() if n == 1 else n and rank(block) != n)):
+                or not _invertible(block.entries, range(n), range(n))):
             failures.append(("braiding-block", i, j, k))
     for (i, j, k), n in F.fusion.items():
         if n and (i, j, k) not in F.braiding:
@@ -289,13 +301,7 @@ def well_formed(F: FusionData) -> FusionReport:
     for i, j, k, b in product(range(s), repeat=4):
         full, src, tgt = _full_associator(F, i, j, k, b)
         checked += 1
-        if len(src) != len(tgt):
-            invertible = False
-        elif len(src) <= 1:  # invertible when each key has its one entry
-            invertible = len(full) == len(src)
-        else:
-            invertible = rank(_matrix(full, tgt, src)) == len(src)
-        if not invertible:
+        if not _invertible(full, tgt, src):
             failures.append(("assoc-not-invertible", i, j, k, b))
     return FusionReport("well-formed", not failures, tuple(failures[:32]), checked)
 

@@ -19,15 +19,14 @@ picture this is the statement that the dual line of (g, chi) is
 
 The axiom verifier works block by block in this decomposition and never
 materializes a full multiplication matrix; it finds the blocks that meet
-through the object's index of sector pairs by their sum.  It writes each
-algebra axiom once and checks the coalgebra axioms as the algebra axioms
-of the dual, whose blocks are the transposes of the original ones.
-Connectedness is the nilpotency of the counit kernel, bounded by the total
-dimension; coconnectedness is the same check on the dual structure.  The
-isomorphism search covers graded degree-one-generated structures whose
-degree-one sector parts are lines with independent labels; within that
-family the degree-by-degree search below is decisive, and label
-permutations are deliberately not searched.
+through the object's index of sector pairs by their sum, and checks the
+coalgebra axioms as the algebra axioms of the dual.  Connectedness is the
+nilpotency of the counit kernel, bounded by the total dimension;
+coconnectedness is the same check on the dual structure.  The isomorphism
+search covers graded degree-one-generated structures whose degree-one
+sector parts are lines with independent labels; within that family the
+degree-by-degree search below is decisive, and label permutations are
+deliberately not searched.
 """
 
 from __future__ import annotations
@@ -318,31 +317,48 @@ def dual_structure(t: HopfStructure) -> HopfStructure:
     is a separate operation that also restores positive labels).
     """
     obj = t.obj
-    neg = obj.backend.neg
+    backend = obj.backend
+    neg = backend.neg
     sectors = {
         neg(label): BasedSpace(space.dim, tuple(_dual_label(s) for s in space.labels))
         for label, space in obj.sectors.items()
     }
+    dual_obj = DecomposedObject(backend, sectors)
 
-    def swap(pair: int, d_beta: int, d_alpha: int) -> int:
-        # the index of (b, a) in B_beta (x) B_alpha -> that of (a, b) in B_alpha (x) B_beta
-        b, a = divmod(pair, d_alpha)
-        return a * d_beta + b
-
-    mul, cop = {}, {}
+    mul = {}
     for (beta, alpha), block in t.cop.items():
         # m*[c, (a, b)] = cop^{beta, alpha}[(b, a), c]
-        dims = obj.dim(beta), obj.dim(alpha)
-        entries = {(c, swap(r, *dims)): v for (r, c), v in block.entries.items()}
-        mul[(neg(alpha), neg(beta))] = Matrix._nonzero(block.ncols, block.nrows, entries)
+        d_alpha = obj.dim(alpha)
+        d_beta = obj.dim(beta)
+        target = obj.dim(backend.add(alpha, beta))
+        entries = {}
+        for (r, c), v in block.entries.items():
+            b, a = divmod(r, d_alpha)
+            entries[(c, a * d_beta + b)] = v
+        mul[(neg(alpha), neg(beta))] = Matrix(target, d_alpha * d_beta, entries)
+
+    cop = {}
     for (beta, alpha), block in t.mul.items():
         # cop*[(a, b), c] = m_{beta, alpha}[c, (b, a)]
-        dims = obj.dim(beta), obj.dim(alpha)
-        entries = {(swap(rc, *dims), c): v for (c, rc), v in block.entries.items()}
-        cop[(neg(alpha), neg(beta))] = Matrix._nonzero(block.ncols, block.nrows, entries)
+        d_alpha = obj.dim(alpha)
+        d_beta = obj.dim(beta)
+        source = obj.dim(backend.add(alpha, beta))
+        entries = {}
+        for (c, rc), v in block.entries.items():
+            b, a = divmod(rc, d_alpha)
+            entries[(a * d_beta + b, c)] = v
+        cop[(neg(alpha), neg(beta))] = Matrix(d_alpha * d_beta, source, entries)
+
     antipode = {neg(i): block.transpose() for i, block in t.antipode.items()}
-    return HopfStructure(DecomposedObject(obj.backend, sectors), mul, t.counit.transpose(), cop,
-                         t.unit.transpose(), antipode, None)
+    return HopfStructure(
+        dual_obj,
+        mul,
+        t.counit.transpose(),
+        cop,
+        t.unit.transpose(),
+        antipode,
+        None,
+    )
 
 
 def verify_axioms(t: HopfStructure, dual: Optional[HopfStructure] = None) -> AxiomReport:
@@ -376,9 +392,8 @@ def verify_axioms(t: HopfStructure, dual: Optional[HopfStructure] = None) -> Axi
     add, neg = obj.backend.add, obj.backend.neg
     labels = obj.labels
     zero = obj.backend.zero
-    eye = {}  # by label of t and of the dual
-    for label, space in obj.sectors.items():
-        eye[label] = eye[neg(label)] = Matrix.identity(space.dim)
+    # identities by dimension, as sectors at l and -l may differ in dimension
+    eye = {d: Matrix.identity(d) for d in {space.dim for space in obj.sectors.values()}}
 
     def check(key: str, sites) -> None:
         # one verdict over (description, lhs, rhs) sites, keeping the first failure
@@ -387,29 +402,26 @@ def verify_axioms(t: HopfStructure, dual: Optional[HopfStructure] = None) -> Axi
         if failed:
             failures[key] = failed[0]
 
-    # The algebra half, on s = t or s = dual.
-
+    # the algebra half, on s = t or s = dual
     def assoc(s, i, j, k):  # m(m x 1) = m(1 x m) on B_i x B_j x B_k
-        lhs = s.mul_at(add(i, j), k) @ s.mul_at(i, j).kron(eye[k])
-        rhs = s.mul_at(i, add(j, k)) @ eye[i].kron(s.mul_at(j, k))
-        return lhs, rhs
+        return (s.mul_at(add(i, j), k) @ s.mul_at(i, j).kron(eye[s.obj.dim(k)]),
+                s.mul_at(i, add(j, k)) @ eye[s.obj.dim(i)].kron(s.mul_at(j, k)))
 
     def unit(s, i, left):  # m(u x 1) = 1 or m(1 x u) = 1 on B_i
-        one = eye[i]
+        one = eye[s.obj.dim(i)]
         return (s.mul_at(zero, i) @ s.unit.kron(one) if left else
                 s.mul_at(i, zero) @ one.kron(s.unit)), one
 
     def counit_mul(s, i, j):
         # counit kills every product that lands in the unit sector except 0 x 0
-        lhs = s.counit @ s.mul_at(i, j)
-        rhs = s.counit.kron(s.counit) if i == zero else Matrix(1, s.obj.dim(i) * s.obj.dim(j))
-        return lhs, rhs
+        return s.counit @ s.mul_at(i, j), (s.counit.kron(s.counit) if i == zero else
+                                           Matrix(1, s.obj.dim(i) * s.obj.dim(j)))
 
     def antipode_left(s, label):  # m(S x 1)cop = u eps on B_label
         d = s.obj.dim(label)
         total = Matrix(d, d)
         for i, j in s.obj.splits(label):
-            half = s.antipode_at(i).kron(eye[j])
+            half = s.antipode_at(i).kron(eye[s.obj.dim(j)])
             total = total + s.mul_at(i, j) @ half @ s.cop_at(i, j)
         return total, (s.unit @ s.counit if label == zero else Matrix(d, d))
 
@@ -448,10 +460,9 @@ def verify_axioms(t: HopfStructure, dual: Optional[HopfStructure] = None) -> Axi
                         if i not in obj.sectors or j not in obj.sectors:
                             continue
                         piece = t.mul_at(a1, b1).kron(t.mul_at(a2, b2))
-                        flip = flips.get((a2, b1))
-                        if flip is None:
-                            flip = flips[(a2, b1)] = t.braid_flip(a2, b1)
-                        swap = eye[a1].kron(flip).kron(eye[b2])
+                        if (a2, b1) not in flips:
+                            flips[(a2, b1)] = t.braid_flip(a2, b1)
+                        swap = eye[obj.dim(a1)].kron(flips[(a2, b1)]).kron(eye[obj.dim(b2)])
                         piece = piece @ swap @ t.cop_at(a1, a2).kron(t.cop_at(b1, b2))
                         pieces[(i, j)] = pieces[(i, j)] + piece if (i, j) in pieces else piece
                 for i, j in obj.splits(add(a, b)):

@@ -520,6 +520,20 @@ def test_structure_commands_build_each_dual_once(runner, qp_hopf, monkeypatch, c
     assert len(dualized) == len({id(t) for t in dualized}) == built
 
 
+def test_verify_reads_sectors_of_unequal_dimension_at_opposite_labels(runner, tmp_path):
+    # graded by charge, the exterior algebra on three letters has sector 1
+    # of dimension 1 and sector -1 of dimension 3
+    from tests_support import exterior_by_charge
+
+    from nicholsforge.formats import hopf_to_json, save_document
+
+    path = tmp_path / "exterior.json"
+    save_document(str(path), hopf_to_json(exterior_by_charge(3)))
+    result = runner.invoke(main, ["verify", str(path), "--json"])
+    assert result.exit_code == 0, result.output
+    assert all(json.loads(result.output)["results"]["axioms"].values())
+
+
 def test_is_nichols_refuses_disconnected_structure(runner, tmp_path):
     from tests_support import group_algebra_z2
 

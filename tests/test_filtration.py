@@ -36,6 +36,7 @@ from tests_support import (
     coradical_chain_reference,
     deleted,
     doubled,
+    exterior_by_charge,
     filtration_conditions_reference,
     group_algebra_z2,
     hopf_entry_sites,
@@ -178,60 +179,6 @@ def test_primitive_dims_constant_along_path(qp_point, rad):
 # -- the coradical chain as annihilators of the dual's radical powers --------
 
 
-def _regrouped(t: HopfStructure, backend: LabelBackend, relabel) -> HopfStructure:
-    """The same structure over coarser sectors: each new sector is the direct
-    sum, in the old order, of the old sectors that relabel sends to it."""
-    obj = t.obj
-    offsets, dims, parts = {}, {}, {}
-    for label, space in obj.sectors.items():
-        new = relabel(label)
-        offsets[label] = dims.get(new, 0)
-        dims[new] = offsets[label] + space.dim
-        parts.setdefault(new, []).extend(space.labels)
-    sectors = {new: BasedSpace(dims[new], tuple(names)) for new, names in parts.items()}
-    mul, cop = {}, {}
-    for family, blocks in ((mul, t.mul), (cop, t.cop)):
-        for (i, j), block in blocks.items():
-            # pair index (a, b) of the old factors -> pair index of the new ones
-            s_label, dj, DJ = obj.backend.add(i, j), obj.dim(j), dims[relabel(j)]
-            entries = family.setdefault((relabel(i), relabel(j)), {})
-            for (r, c), v in block.entries.items():
-                a, b = divmod(c if family is mul else r, dj)
-                pair = (offsets[i] + a) * DJ + offsets[j] + b
-                if family is mul:
-                    entries[(offsets[s_label] + r, pair)] = v
-                else:
-                    entries[(pair, offsets[s_label] + c)] = v
-    antipode = {}
-    for label, block in t.antipode.items():
-        entries = antipode.setdefault(relabel(label), {})
-        o = offsets[label]
-        for (r, c), v in block.entries.items():
-            entries[(o + r, o + c)] = v
-    zero = obj.backend.zero
-    Z, oz = relabel(zero), offsets[zero]
-    grading = {}
-    for label in obj.sectors:
-        grading.setdefault(relabel(label), []).extend(t.grading[label])
-    return HopfStructure(
-        DecomposedObject(backend, sectors),
-        {(I, J): Matrix(dims[backend.add(I, J)], dims[I] * dims[J], e) for (I, J), e in mul.items()},
-        Matrix(dims[Z], 1, {(oz + r, 0): v for (r, _), v in t.unit.entries.items()}),
-        {(I, J): Matrix(dims[I] * dims[J], dims[backend.add(I, J)], e) for (I, J), e in cop.items()},
-        Matrix(1, dims[Z], {(0, oz + c): v for (_, c), v in t.counit.entries.items()}),
-        {L: Matrix(dims[L], dims[L], e) for L, e in antipode.items()},
-        grading,
-    )
-
-
-def _exterior_by_charge():
-    # the exterior algebra on x, y, graded by the charge a - b of x^a y^b:
-    # sector 0 holds 1 and xy, so layers cut through a sector
-    t = from_nichols(nichols_compute(DiagonalBraiding.from_entries([["-1", "-1"], ["-1", "-1"]]), 3))
-    backend = LabelBackend(DiagonalBraiding.from_entries([["-1"]]))
-    return _regrouped(t, backend, lambda c: (c[0] - c[1],))
-
-
 CORADICAL_CASES = {
     "quantum-plane": ([["-1", "1"], ["1", "-1"]], 6),
     "a2-at-minus-one": ([["-1", "-1"], ["1", "-1"]], 6),
@@ -256,7 +203,7 @@ def _mixing(t: HopfStructure) -> dict:
 @pytest.mark.parametrize("name", sorted(CORADICAL_CASES) + ["exterior-by-charge"])
 def test_coradical_chain_matches_the_wedge_recursion(name):
     if name == "exterior-by-charge":
-        t = _exterior_by_charge()
+        t = exterior_by_charge(2)
     else:
         entries, cutoff = CORADICAL_CASES[name]
         t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
@@ -296,11 +243,12 @@ def _filtrations(t: HopfStructure, rng) -> list:
 
 
 @pytest.mark.parametrize("name", ["quantum-plane", "a2-at-minus-one", "exterior-3",
-                                  "exterior-by-charge"])
+                                  "exterior-by-charge", "exterior-3-by-charge"])
 def test_conditions_on_the_dual_match_the_direct_checks(name):
     rng = random.Random(name)
-    if name == "exterior-by-charge":
-        t = _exterior_by_charge()
+    if name.endswith("by-charge"):
+        # on three letters sectors 1 and -1 have dimensions 1 and 3
+        t = exterior_by_charge(3 if name.startswith("exterior-3") else 2)
     else:
         entries, cutoff = CORADICAL_CASES[name]
         t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))

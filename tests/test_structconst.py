@@ -28,6 +28,7 @@ from nicholsforge.structconst import (
 from tests_support import (
     deleted,
     doubled,
+    exterior_by_charge,
     group_algebra_z2,
     hopf_entry_sites,
     mutate_hopf,
@@ -276,10 +277,17 @@ def _compared_report(t):
     return report
 
 
-@pytest.mark.parametrize("name", sorted(MUTATED_CASES) + ["k-z2"])
+# Regrouped by charge, sector l and sector -l of the exterior algebra on
+# three letters have dimensions 1 and 3: the dual's sector at -l is not t's.
+BY_CHARGE = {"exterior-by-charge": 2, "exterior-3-by-charge": 3}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_CASES) + sorted(BY_CHARGE) + ["k-z2"])
 def test_axioms_on_the_dual_match_the_direct_checks(name):
     if name == "k-z2":
         t = group_algebra_z2()
+    elif name in BY_CHARGE:
+        t = exterior_by_charge(BY_CHARGE[name])
     else:
         entries, cutoff = MUTATED_CASES[name]
         t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))

@@ -11,6 +11,7 @@ from nicholsforge.fusion import (
     verify_units,
 )
 from nicholsforge.linalg import BasedSpace, Matrix, Subspace, inverse, kernel, quotient, vstack
+from nicholsforge.nichols import nichols_compute
 from nicholsforge.scalars import ONE
 from nicholsforge.filtration import _layer_is_full, _layer_leq
 from nicholsforge.structconst import (
@@ -19,6 +20,7 @@ from nicholsforge.structconst import (
     DecomposedObject,
     HopfStructure,
     LabelBackend,
+    from_nichols,
     product_span,
     unit_span,
     well_formed_problem,
@@ -37,6 +39,65 @@ def group_algebra_z2():
         Matrix(1, 2, {(0, 0): ONE, (0, 1): ONE}),
         {(0,): Matrix.identity(2)},
     )
+
+
+def regrouped(t: HopfStructure, backend: LabelBackend, relabel) -> HopfStructure:
+    """The same structure over coarser sectors: each new sector is the direct
+    sum, in the old order, of the old sectors that relabel sends to it."""
+    obj = t.obj
+    offsets, dims, parts = {}, {}, {}
+    for label, space in obj.sectors.items():
+        new = relabel(label)
+        offsets[label] = dims.get(new, 0)
+        dims[new] = offsets[label] + space.dim
+        parts.setdefault(new, []).extend(space.labels)
+    sectors = {new: BasedSpace(dims[new], tuple(names)) for new, names in parts.items()}
+    mul, cop = {}, {}
+    for family, blocks in ((mul, t.mul), (cop, t.cop)):
+        for (i, j), block in blocks.items():
+            # pair index (a, b) of the old factors -> pair index of the new ones
+            s_label, dj, DJ = obj.backend.add(i, j), obj.dim(j), dims[relabel(j)]
+            entries = family.setdefault((relabel(i), relabel(j)), {})
+            for (r, c), v in block.entries.items():
+                a, b = divmod(c if family is mul else r, dj)
+                pair = (offsets[i] + a) * DJ + offsets[j] + b
+                if family is mul:
+                    entries[(offsets[s_label] + r, pair)] = v
+                else:
+                    entries[(pair, offsets[s_label] + c)] = v
+    antipode = {}
+    for label, block in t.antipode.items():
+        entries = antipode.setdefault(relabel(label), {})
+        o = offsets[label]
+        for (r, c), v in block.entries.items():
+            entries[(o + r, o + c)] = v
+    zero = obj.backend.zero
+    Z, oz = relabel(zero), offsets[zero]
+    grading = {}
+    for label in obj.sectors:
+        grading.setdefault(relabel(label), []).extend(t.grading[label])
+    return HopfStructure(
+        DecomposedObject(backend, sectors),
+        {(I, J): Matrix(dims[backend.add(I, J)], dims[I] * dims[J], e) for (I, J), e in mul.items()},
+        Matrix(dims[Z], 1, {(oz + r, 0): v for (r, _), v in t.unit.entries.items()}),
+        {(I, J): Matrix(dims[I] * dims[J], dims[backend.add(I, J)], e) for (I, J), e in cop.items()},
+        Matrix(1, dims[Z], {(0, oz + c): v for (_, c), v in t.counit.entries.items()}),
+        {L: Matrix(dims[L], dims[L], e) for L, e in antipode.items()},
+        grading,
+    )
+
+
+def exterior_by_charge(letters):
+    """The exterior algebra on x_1, ..., x_n, graded by the charge a_1 - a_2 - ... - a_n.
+
+    On two letters sector 0 holds 1 and x_1 x_2, so layers cut through a
+    sector; on three, sector 1 is 1-dimensional and sector -1 is
+    3-dimensional.
+    """
+    q = DiagonalBraiding.from_entries([["-1"] * letters] * letters)
+    t = from_nichols(nichols_compute(q, letters + 1))
+    backend = LabelBackend(DiagonalBraiding.from_entries([["-1"]]))
+    return regrouped(t, backend, lambda c: (c[0] - sum(c[1:]),))
 
 
 def doubled(block, pos):
