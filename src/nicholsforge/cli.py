@@ -26,7 +26,7 @@ from .formats import (
     hopf_to_json,
     save_document,
 )
-from .scalars import parse_scalar, scalar_to_json
+from .scalars import FieldTooLarge, parse_scalar, scalar_to_json
 
 # Each command imports the computing layers it runs (nichols, structconst,
 # filtration, dualize, fusion) when it runs, so that a process compiles only
@@ -101,7 +101,17 @@ def _threads_option(fn):
                         help="Worker threads (default: NICHOLS_FORGE_THREADS or 1).")(fn)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Refuses, as unusable input, a field too large to build wherever it arises."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FieldTooLarge as err:
+            raise InputError(str(err))
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact tools for Nichols algebras and braided fusion data."""
 
@@ -224,23 +234,15 @@ def _load_well_formed_hopf(path: str):
 @_json_option
 def verify(hopf_file, as_json):
     """Check all Hopf axioms plus connectedness on both sides."""
-    from .structconst import (
-        AXIOM_KEYS,
-        check_coconnected,
-        check_connected,
-        dual_structure,
-        verify_axioms,
-        well_formed_problem,
-    )
+    from .structconst import AXIOM_KEYS, check_coconnected, check_connected, verify_axioms
 
     started = time.monotonic()
     t, digest = _load_hopf(hopf_file)
-    dual = None if well_formed_problem(t) else dual_structure(t)
-    report = verify_axioms(t, dual)
+    report = verify_axioms(t)
     connected = coconnected = None
     if report.passed:
         connected = check_connected(t)
-        coconnected = check_coconnected(t, dual)
+        coconnected = check_coconnected(t)
     ok = report.passed and bool(connected) and bool(coconnected)
     results = {
         "axioms": {key: report.results[key] for key in AXIOM_KEYS},
@@ -271,11 +273,15 @@ def _tristate(value) -> str:
 _FILTRATIONS = ("coradical", "radical")
 
 
-def _build_filtration(t, kind: str, dual):
-    from .filtration import build_filtration
+def _build_filtration(t, kind: str):
+    # through the module, where a tracer may have wrapped the constructors
+    from . import filtration
 
+    build = filtration.radical_filtration if kind == "radical" else filtration.coradical_filtration
     try:
-        return build_filtration(t, kind, dual)
+        return build(t)
+    except FieldTooLarge:
+        raise
     except ValueError as err:
         raise click.ClickException(f"filtration unavailable: {err}")
 
@@ -294,13 +300,12 @@ def _layer_table(f) -> list:
 def gr(hopf_file, kind, out, as_json):
     """Associated graded structure of the radical or coradical filtration."""
     from .filtration import associated_graded, filtration_conditions
-    from .structconst import AXIOM_KEYS, dual_structure, verify_axioms
+    from .structconst import AXIOM_KEYS, verify_axioms
 
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
-    dual = dual_structure(t)
-    f = _build_filtration(t, kind, dual)
-    conditions = filtration_conditions(f, dual)
+    f = _build_filtration(t, kind)
+    conditions = filtration_conditions(f)
     graded = associated_graded(t, f)
     axioms = verify_axioms(graded)
     ok = all(conditions.values()) and axioms.passed
@@ -344,7 +349,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
         primitive_dims_along_path,
         split_basis,
     )
-    from .structconst import AXIOM_KEYS, dual_structure, verify_axioms
+    from .structconst import AXIOM_KEYS, verify_axioms
 
     started = time.monotonic()
     parts = [part.strip() for part in samples.split(",") if part.strip()]
@@ -356,9 +361,8 @@ def degenerate(hopf_file, kind, samples, out, as_json):
     except (ValueError, KeyError) as err:
         raise InputError(f"bad --lambda-samples: {err}")
     t, digest = _load_well_formed_hopf(hopf_file)
-    dual = dual_structure(t)
-    f = _build_filtration(t, kind, dual)
-    failed = ", ".join(name for name, good in filtration_conditions(f, dual).items() if not good)
+    f = _build_filtration(t, kind)
+    failed = ", ".join(name for name, good in filtration_conditions(f).items() if not good)
     if failed:
         raise click.ClickException(f"filtration unavailable: {kind} filtration violates {failed}")
     split = split_basis(f)
@@ -398,16 +402,17 @@ def degenerate(hopf_file, kind, samples, out, as_json):
 def is_nichols(hopf_file, as_json):
     """Run the three recognition criteria on a structure file."""
     from .dualize import nichols_criteria
-    from .structconst import dual_structure, verify_axioms
+    from .structconst import verify_axioms
 
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
-    dual = dual_structure(t)
     try:
-        failure = verify_axioms(t, dual).first_failure()
+        failure = verify_axioms(t).first_failure()
         if failure is not None:
             raise ValueError(failure)
-        pairing, generation, gragrc = nichols_criteria(t, dual)
+        pairing, generation, gragrc = nichols_criteria(t)
+    except FieldTooLarge:
+        raise
     except ValueError as err:
         raise click.ClickException(f"criteria not applicable: {err}")
     verdicts = (pairing.verdict, generation.verdict, gragrc.verdict)

@@ -1,8 +1,9 @@
 """Graded duals and the Nichols-ness criteria built on duality.
 
-The transpose dual, dual_structure, lives in structconst, whose axiom
-verifier checks the coalgebra half of a structure on it; it is re-exported
-here beside graded_dual, which regrades it in positive degrees.
+The transpose dual, dual_structure, lives in structconst, where each
+structure keeps its own (HopfStructure.dual) and the axiom verifier checks
+the coalgebra half of a structure on it; it is re-exported here beside
+graded_dual, which regrades it in positive degrees.
 
 Three Nichols criteria live here: nondegeneracy of the pairing between
 primitives and dual primitives, generation by primitives on both sides,
@@ -51,7 +52,7 @@ def graded_dual(t: HopfStructure) -> HopfStructure:
     """
     if t.grading is None:
         raise ValueError("graded dual needs a graded structure")
-    dual = dual_structure(t)
+    dual = t.dual
     backend = dual.obj.backend
     neg = backend.neg
     sectors = {neg(label): space for label, space in dual.obj.sectors.items()}
@@ -99,28 +100,25 @@ class PairingReport:
     verdict: str  # "nichols" or "not-determined"
 
 
-def _checked_dual(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfStructure:
-    """The dual of t (`dual`, when given), once t is known to be connected and coconnected."""
-    dual = dual_structure(t) if dual is None else dual
-    if not check_connected(t) or not check_coconnected(t, dual):
+def _checked_dual(t: HopfStructure) -> HopfStructure:
+    """The dual of t, once t is known to be connected and coconnected."""
+    if not check_connected(t) or not check_coconnected(t):
         raise ValueError("structure is not connected and coconnected")
-    return dual
+    return t.dual
 
 
 # Each criterion checks its preconditions when called alone; nichols_criteria
-# decides them once, computes the primitives of each side once, and hands the
-# checked dual on.
+# decides them once and computes the primitives of each side once.
 
 
-def pairing_report(t: HopfStructure, dual: Optional[HopfStructure] = None) -> PairingReport:
+def pairing_report(t: HopfStructure) -> PairingReport:
     """Evaluate dual primitives on primitives; nondegeneracy certifies Nichols.
 
     The flattened coordinates of the dual object align index by index with
     the original ones (sector gamma pairs with sector -gamma), so the
     pairing matrix is a plain product of the two echelon bases.
     """
-    if dual is None:
-        dual = _checked_dual(t)
+    dual = _checked_dual(t)
     return _pairing(t, dual, primitive_sectors(t), primitive_sectors(dual))
 
 
@@ -145,10 +143,9 @@ class GenerationReport:
         return "nichols" if both else "not-determined"
 
 
-def generation_check(t: HopfStructure, dual: Optional[HopfStructure] = None) -> GenerationReport:
+def generation_check(t: HopfStructure) -> GenerationReport:
     """Whether primitives generate the structure, and dually."""
-    if dual is None:
-        dual = _checked_dual(t)
+    dual = _checked_dual(t)
     return GenerationReport(
         generated_by(t, primitive_sectors(t)),
         generated_by(dual, primitive_sectors(dual)),
@@ -162,20 +159,22 @@ class GragrcReport:
     detail: str = ""
 
 
-def gragrc_check(t: HopfStructure, dual: Optional[HopfStructure] = None) -> GragrcReport:
+def gragrc_check(t: HopfStructure) -> GragrcReport:
     """Compare the radical and coradical associated graded structures.
 
     An isomorphism between them is a sufficient condition for t to be a
     Nichols algebra; anything short of a found isomorphism is reported as
     inconclusive, including structures the restricted search cannot handle.
-    `dual` is as for pairing_report.
     """
-    if dual is None:
-        dual = _checked_dual(t)
+    _checked_dual(t)
+    return _gragrc(t)
+
+
+def _gragrc(t: HopfStructure) -> GragrcReport:
     from .filtration import associated_graded, coradical_filtration, radical_filtration
 
-    gra = associated_graded(t, radical_filtration(t, dual))
-    grc = associated_graded(t, coradical_filtration(t, dual))
+    gra = associated_graded(t, radical_filtration(t))
+    grc = associated_graded(t, coradical_filtration(t))
     try:
         witness = graded_iso_search(gra, grc)
     except ValueError as err:
@@ -185,16 +184,12 @@ def gragrc_check(t: HopfStructure, dual: Optional[HopfStructure] = None) -> Grag
     return GragrcReport("nichols-by-gragrc", witness)
 
 
-def nichols_criteria(t: HopfStructure, dual: Optional[HopfStructure] = None
-                     ) -> Tuple[PairingReport, GenerationReport, GragrcReport]:
-    """All three criteria, deciding the preconditions, the dual and each side's primitives once.
-
-    `dual`, when given, is dual_structure(t); the preconditions are still decided here.
-    """
-    dual = _checked_dual(t, dual)
+def nichols_criteria(t: HopfStructure) -> Tuple[PairingReport, GenerationReport, GragrcReport]:
+    """All three criteria, deciding the preconditions and each side's primitives once."""
+    dual = _checked_dual(t)
     prims, dual_prims = primitive_sectors(t), primitive_sectors(dual)
     return (
         _pairing(t, dual, prims, dual_prims),
         GenerationReport(generated_by(t, prims), generated_by(dual, dual_prims)),
-        gragrc_check(t, dual),
+        _gragrc(t),
     )

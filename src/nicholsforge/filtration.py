@@ -6,7 +6,7 @@ The radical chain hangs the powers of the augmentation ideal at indices
 0, -1, -2, ...; the coradical chain climbs from the span of the unit at
 index 0.  The two are dual: the coradical chain of t at index n is the
 annihilator of the (n+1)-st power of the augmentation ideal of the dual,
-so both come from the same power computation, on t or on its dual.
+so both come from the powers the structure keeps, its own or its dual's.
 On a Hopf structure either one satisfies the seven compatibility
 conditions of filtration_conditions, which checks the coalgebra ones as
 algebra conditions of the annihilator filtration on the dual.  Those
@@ -33,16 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Subspace, inverse, kernel
 from .scalars import ONE, ZERO, Scalar, from_rational
-from .structconst import (
-    DecomposedObject,
-    HopfStructure,
-    act,
-    augmentation_powers,
-    check_coconnected,
-    check_connected,
-    dual_structure,
-    primitive_sectors,
-)
+from .structconst import DecomposedObject, HopfStructure, act, primitive_sectors
 
 __all__ = [
     "HopfFiltration",
@@ -51,7 +42,6 @@ __all__ = [
     "filtration_conditions",
     "radical_filtration",
     "coradical_filtration",
-    "build_filtration",
     "degree_filtration",
     "split_basis",
     "one_param_orbit",
@@ -188,18 +178,17 @@ def _unit_in_zero(t: HopfStructure, at) -> bool:
     return at(0).get(zero, Subspace.zero(t.obj.dim(zero))).contains_columns(t.unit)
 
 
-def filtration_conditions(f: HopfFiltration, dual: Optional[HopfStructure] = None) -> Dict[str, bool]:
+def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
     """Verify the seven compatibility conditions, one verdict per key.
 
-    The coalgebra conditions are algebra conditions on the dual (`dual`, or
-    dual_structure of the filtered structure).  There the annihilators
-    G_n of F_{-n-1} form a filtration on the window (-hi-1, -lo-1); F is
-    comultiplicative exactly when G is multiplicative, and the counit
-    vanishes on F_{-1} exactly when the dual's unit lies in G_0.
+    The coalgebra conditions are algebra conditions on the dual of the
+    filtered structure.  There the annihilators G_n of F_{-n-1} form a
+    filtration on the window (-hi-1, -lo-1); F is comultiplicative exactly
+    when G is multiplicative, and the counit vanishes on F_{-1} exactly
+    when the dual's unit lies in G_0.
     """
     t = f.structure
-    if dual is None:
-        dual = dual_structure(t)
+    dual = t.dual
     lo, hi = f.window
     g_window = (-hi - 1, -lo - 1)
     g_chain = {-n - 1: _annihilator(dual.obj, layer) for n, layer in f.chain.items()}
@@ -221,55 +210,36 @@ def filtration_conditions(f: HopfFiltration, dual: Optional[HopfStructure] = Non
     return results
 
 
-_NOT_CCC = "filtration needs a connected and coconnected structure"
+def _connected_both_ways(t: HopfStructure) -> None:
+    # both sides, whichever one a constructor reads: the structures keep
+    # their powers, so later checks and filtrations reuse them
+    if t.powers is None or t.dual.powers is None:
+        raise ValueError("filtration needs a connected and coconnected structure")
 
 
-def radical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfFiltration:
-    """Powers of the augmentation ideal, J^k sitting at index -k.
-
-    Passing `dual`, the dual of a t already known to be connected and
-    coconnected, skips the coconnectedness check.
-    """
-    powers = augmentation_powers(t)
-    if powers is None or (dual is None and not check_coconnected(t)):
-        raise ValueError(_NOT_CCC)
+def radical_filtration(t: HopfStructure) -> HopfFiltration:
+    """Powers of the augmentation ideal, J^k sitting at index -k."""
+    _connected_both_ways(t)
+    powers = t.powers
     chain = {0: _full_layer(t.obj)}
     for k, power in enumerate(powers, 1):
         chain[-k] = power
     return HopfFiltration(t, "radical", (-len(powers), 0), chain)
 
 
-def coradical_filtration(t: HopfStructure, dual: Optional[HopfStructure] = None) -> HopfFiltration:
+def coradical_filtration(t: HopfStructure) -> HopfFiltration:
     """Wedge powers of the unit span, read off the radical powers of the dual.
 
     For a finite-dimensional coalgebra the wedge chain C_n = C_{n-1} ^ C_0
     is the chain of annihilators of J*^{n+1}, J* the counit kernel of the
     dual, and the last nonzero power J*^N puts the whole object at index N.
-    The powers exist exactly when t is coconnected.  `dual` is as for
-    radical_filtration, and is used here.
+    The powers exist exactly when t is coconnected.
     """
-    if dual is None:
-        if not check_connected(t):
-            raise ValueError(_NOT_CCC)
-        dual = dual_structure(t)
-    powers = augmentation_powers(dual)
-    if powers is None:
-        raise ValueError(_NOT_CCC)
+    _connected_both_ways(t)
+    powers = t.dual.powers
     chain = {n: _annihilator(t.obj, power) for n, power in enumerate(powers)}
     chain[len(powers)] = _full_layer(t.obj)
     return HopfFiltration(t, "coradical", (0, len(powers)), chain)
-
-
-def build_filtration(t: HopfStructure, kind: str, dual: HopfStructure) -> HopfFiltration:
-    """The radical or coradical filtration of t, handed dual = dual_structure(t).
-
-    Its constructor, handed the dual, takes as checked the side whose
-    augmentation powers it does not compute; that side is checked here.
-    """
-    radical = kind == "radical"
-    if not (check_coconnected(t, dual) if radical else check_connected(t)):
-        raise ValueError(_NOT_CCC)
-    return (radical_filtration if radical else coradical_filtration)(t, dual)
 
 
 def degree_filtration(t: HopfStructure) -> HopfFiltration:

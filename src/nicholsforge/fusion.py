@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .braided import DiagonalBraiding
@@ -44,6 +44,7 @@ __all__ = [
     "verify_braiding",
     "verify_all",
     "pointed_center_data",
+    "MAX_CENTER_SIMPLES",
     "line_braiding",
 ]
 
@@ -567,6 +568,10 @@ def verify_all(F: FusionData, stop_early: bool = False) -> List[FusionReport]:
 
 # -- pointed generators --------------------------------------------------------
 
+# The center of a group of order n has n^2 simples and n^6 associator blocks:
+# 64 simples (order 8) take seconds and a 25 MB document, 144 do not finish.
+MAX_CENTER_SIMPLES = 64
+
 
 def pointed_center_data(factors: Sequence[int]) -> FusionData:
     """Drinfeld-center data of a finite abelian group given by cyclic factors.
@@ -578,6 +583,10 @@ def pointed_center_data(factors: Sequence[int]) -> FusionData:
     factors = tuple(int(d) for d in factors)
     if any(d < 1 for d in factors):
         raise ValueError("cyclic factors must be positive")
+    size = prod(factors) ** 2
+    if size > MAX_CENTER_SIMPLES:
+        raise ValueError(f"the center of a group of order {prod(factors)} has {size} simples, "
+                         f"above the bound of {MAX_CENTER_SIMPLES}")
     elements = list(product(*[range(d) for d in factors])) or [()]
     simples = [(g, chi) for g in elements for chi in elements]
     index = {gc: pos for pos, gc in enumerate(simples)}

@@ -10,6 +10,11 @@ zeta_N = zeta_L^(L/N); no conductor descent is attempted, so the same value
 may legitimately live at several conductors and equality compares after
 lifting.  For that reason Scalars are deliberately unhashable.
 
+Fields are built in field_context alone, which refuses any conductor above
+MAX_CONDUCTOR with FieldTooLarge, whether it was read or formed by lifting
+to a least common conductor: the largest admitted field builds in about
+half a second, and a conductor near 1000 already takes several.
+
 No floating point appears anywhere: every rank and kernel decision upstream
 depends on exact zero tests.  Rationals as `Fraction` are met only at the
 edges: parsing "p/q" input, and coercing a `Fraction` operand.
@@ -28,6 +33,8 @@ from ._rat import rat_from_string, rat_to_string
 
 __all__ = [
     "Scalar",
+    "MAX_CONDUCTOR",
+    "FieldTooLarge",
     "make_scalar",
     "root_of_unity",
     "from_rational",
@@ -106,6 +113,12 @@ class FieldContext(NamedTuple):
 _ctx_cache: dict[int, FieldContext] = {}
 _ctx_lock = threading.Lock()
 
+MAX_CONDUCTOR = 512
+
+
+class FieldTooLarge(ValueError):
+    """A cyclotomic field above MAX_CONDUCTOR was asked for."""
+
 
 def _reduce_list(coeffs: list, modpoly: tuple, phi: int) -> list:
     """Integer coefficients reduced modulo the monic modpoly, padded to phi."""
@@ -131,6 +144,9 @@ def field_context(n: int) -> FieldContext:
         ctx = _ctx_cache.get(n)
         if ctx is not None:
             return ctx
+        if n > MAX_CONDUCTOR:
+            raise FieldTooLarge(f"Q(zeta_{n}) is beyond the largest supported conductor, "
+                                f"{MAX_CONDUCTOR}")
         modpoly = cyclotomic_polynomial(n)
         phi = len(modpoly) - 1
         red = []
@@ -362,6 +378,7 @@ def root_of_unity(conductor: int, k: int = 1) -> Scalar:
     """zeta_N^k; its multiplicative order is N / gcd(N, k)."""
     if conductor < 1:
         raise ValueError(f"conductor must be >= 1, got {conductor}")
+    field_context(conductor)  # an oversized field is refused before raw is allocated
     k %= conductor
     raw = [0] * (k + 1)
     raw[k] = 1

@@ -22,7 +22,9 @@ materializes a full multiplication matrix; it finds the blocks that meet
 through the object's index of sector pairs by their sum, and checks the
 coalgebra axioms as the algebra axioms of the dual.  Connectedness is the
 nilpotency of the counit kernel, bounded by the total dimension;
-coconnectedness is the same check on the dual structure.  The isomorphism
+coconnectedness is the same check on the dual structure.  A structure keeps
+its dual and the powers of its counit kernel once built, so every check and
+filtration on it shares one computation of each.  The isomorphism
 search covers graded degree-one-generated structures whose degree-one
 sector parts are lines with independent labels; within that family the
 degree-by-degree search below is decisive, and label permutations are
@@ -152,6 +154,9 @@ class DecomposedObject:
         return f"DecomposedObject({len(self.sectors)} sectors, dim {self.total_dim()})"
 
 
+_UNSET = object()  # augmentation powers not computed yet; None is a result
+
+
 def _drop_zero_blocks(blocks: dict) -> dict:
     return {k: v for k, v in blocks.items() if not v.is_zero()}
 
@@ -163,10 +168,13 @@ class HopfStructure:
     B_i (x) B_j; antipode[i] is an endomorphism of B_i.  Absent blocks are
     zero maps.  grading, when present, assigns a degree to every basis
     vector of every sector; it rides along so filtration and isomorphism
-    machinery can stay graded-aware, and participates in equality.
+    machinery can stay graded-aware, and participates in equality.  The
+    dual and the augmentation powers are built on first use and kept, so
+    the blocks must not change after that.
     """
 
-    __slots__ = ("obj", "mul", "unit", "cop", "counit", "antipode", "grading")
+    __slots__ = ("obj", "mul", "unit", "cop", "counit", "antipode", "grading",
+                 "_dual", "_powers")
 
     def __init__(self, obj, mul, unit, cop, counit, antipode, grading=None):
         self.obj = obj
@@ -180,6 +188,22 @@ class HopfStructure:
                 label: tuple(grading[label]) for label in grading if label in obj.sectors
             }
         self.grading = grading
+        self._dual = None
+        self._powers = _UNSET
+
+    @property
+    def dual(self) -> "HopfStructure":
+        """dual_structure(self), built on first use."""
+        if self._dual is None:
+            self._dual = dual_structure(self)
+        return self._dual
+
+    @property
+    def powers(self) -> Optional[list]:
+        """augmentation_powers(self), computed on first use."""
+        if self._powers is _UNSET:
+            self._powers = augmentation_powers(self)
+        return self._powers
 
     # -- block access with zero defaults ---------------------------------
 
@@ -361,14 +385,13 @@ def dual_structure(t: HopfStructure) -> HopfStructure:
     )
 
 
-def verify_axioms(t: HopfStructure, dual: Optional[HopfStructure] = None) -> AxiomReport:
+def verify_axioms(t: HopfStructure) -> AxiomReport:
     """Exact blockwise verification of all Hopf axioms.
 
     A malformed structure short-circuits: the shape problem is reported
     under well-formed and every actual axiom is left unevaluated.  The
-    coalgebra half is the algebra half of the dual (`dual`, or
-    dual_structure(t)), checked at the mirrored sites in t's order and
-    reported under t's descriptions:
+    coalgebra half is the algebra half of the dual t.dual, checked at the
+    mirrored sites in t's order and reported under t's descriptions:
 
         coassoc at (i, j, k)        assoc of the dual at (-k, -j, -i)
         left / right counit at i    right / left unit of the dual at -i
@@ -385,9 +408,8 @@ def verify_axioms(t: HopfStructure, dual: Optional[HopfStructure] = None) -> Axi
     if problem is not None:
         failures["well-formed"] = problem
         return AxiomReport(results, failures)
-    if dual is None:
-        dual = dual_structure(t)
 
+    dual = t.dual
     obj = t.obj
     add, neg = obj.backend.add, obj.backend.neg
     labels = obj.labels
@@ -625,12 +647,12 @@ def augmentation_powers(t: HopfStructure) -> Optional[list]:
 
 def check_connected(t: HopfStructure) -> bool:
     """Nilpotency of the counit kernel.  Expects the axioms to hold."""
-    return augmentation_powers(t) is not None
+    return t.powers is not None
 
 
-def check_coconnected(t: HopfStructure, dual: Optional[HopfStructure] = None) -> bool:
-    """Connectedness of the dual; pass `dual` when it is already built."""
-    return check_connected(dual_structure(t) if dual is None else dual)
+def check_coconnected(t: HopfStructure) -> bool:
+    """Connectedness of the dual."""
+    return check_connected(t.dual)
 
 
 # -- group action -------------------------------------------------------------

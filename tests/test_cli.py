@@ -24,6 +24,32 @@ def qp_file(tmp_path):
 
 
 @pytest.fixture()
+def count_calls(monkeypatch):
+    """Wrap functions by name wherever the given modules hold them.
+
+    Returns, per name, the list of first arguments the calls were made with.
+    """
+
+    def count(names, modules):
+        calls = {name: [] for name in names}
+
+        def counted(seen, fn):
+            def wrapper(*args, **kwargs):
+                seen.append(args[0] if args else None)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(calls[name], getattr(module, name)))
+        return calls
+
+    return count
+
+
+@pytest.fixture()
 def qp_hopf(tmp_path, runner, qp_file):
     out = tmp_path / "qp_hopf.json"
     result = runner.invoke(
@@ -432,30 +458,14 @@ def test_failed_check_exits_one(runner, tmp_path):
     assert not all(doc["results"]["axioms"].values())
 
 
-def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
+def test_is_nichols_decides_preconditions_once(runner, qp_hopf, count_calls):
     from nicholsforge import cli, dualize, filtration, structconst
 
-    calls = {
-        "verify_axioms": 0,
-        "check_connected": 0,
-        "check_coconnected": 0,
-        "dual_structure": 0,
-        "primitive_sectors": 0,
-        "filtration_conditions": 0,
-    }
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        for module in (cli, structconst, dualize, filtration):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    names = ("verify_axioms", "check_connected", "check_coconnected", "dual_structure",
+             "primitive_sectors", "filtration_conditions")
+    seen = count_calls(names, (cli, structconst, dualize, filtration))
     result = runner.invoke(main, ["is-nichols", qp_hopf, "--json"])
+    calls = {name: len(args) for name, args in seen.items()}
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["results"]["verdict"] == "nichols"
     # the axioms once; connectedness of the structure and of its dual, inside
@@ -471,22 +481,13 @@ def test_is_nichols_decides_preconditions_once(runner, qp_hopf, monkeypatch):
     }
 
 
-def test_degenerate_builds_the_split_and_the_limit_once(runner, qp_hopf, monkeypatch):
+def test_degenerate_builds_the_split_and_the_limit_once(runner, qp_hopf, count_calls):
     from nicholsforge import filtration
 
-    calls = {"split_basis": 0, "degenerate_limit": 0, "associated_graded": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(filtration, name, counted(name, getattr(filtration, name)))
+    seen = count_calls(("split_basis", "degenerate_limit", "associated_graded"), (filtration,))
     result = runner.invoke(main, ["degenerate", qp_hopf, "--filtration", "coradical",
                                   "--lambda-samples", "1,1/2", "--json"])
+    calls = {name: len(args) for name, args in seen.items()}
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["results"]["limit_equals_associated_graded"]
     # associated_graded still builds the graded structure itself, only the
@@ -501,23 +502,20 @@ def test_degenerate_builds_the_split_and_the_limit_once(runner, qp_hopf, monkeyp
     (["degenerate", "--filtration", "coradical", "--lambda-samples", "1,1/2"], 2),
     (["is-nichols"], 1),
 ])
-def test_structure_commands_build_each_dual_once(runner, qp_hopf, monkeypatch, command, built):
+def test_structure_commands_build_each_dual_once(runner, qp_hopf, count_calls, command, built):
     from nicholsforge import dualize, filtration, structconst
 
-    dualized = []
-    original = structconst.dual_structure
-
-    def counted(t):
-        dualized.append(t)
-        return original(t)
-
-    for module in (structconst, dualize, filtration):
-        monkeypatch.setattr(module, "dual_structure", counted)
+    seen = count_calls(("dual_structure", "augmentation_powers"), (structconst, dualize, filtration))
     result = runner.invoke(main, [command[0], qp_hopf, *command[1:], "--json"])
     assert result.exit_code == 0, result.output
-    # the input's dual, handed to every check that needs it; gr and
-    # degenerate also verify the structure they build, on its own dual
+    # the input's dual, kept by the input for every check that needs it; gr
+    # and degenerate also verify the structure they build, on its own dual
+    dualized = seen["dual_structure"]
     assert len(dualized) == len({id(t) for t in dualized}) == built
+    # the powers of the input and of its dual, once each, however many
+    # connectedness checks and filtrations read them
+    powers = seen["augmentation_powers"]
+    assert len(powers) == len({id(t) for t in powers}) == 2
 
 
 def test_verify_reads_sectors_of_unequal_dimension_at_opposite_labels(runner, tmp_path):
@@ -576,6 +574,10 @@ def test_zero_denominator_in_braiding_is_usage_error(runner, tmp_path):
     pytest.param({"type": "diagonal", "q": []}, "braiding matrix q is empty", id="empty-q"),
     pytest.param({"type": "yetter-drinfeld-abelian", "group": [2], "points": []},
                  "braiding matrix q is empty", id="no-points"),
+    pytest.param({"type": "diagonal", "q": [["zeta(100000000)"]]},
+                 "beyond the largest supported conductor, 512", id="huge-conductor"),
+    pytest.param({"type": "diagonal", "q": [["zeta(997)", "zeta(991)"], ["1", "-1"]]},
+                 "beyond the largest supported conductor, 512", id="conductor-past-the-bound"),
 ])
 def test_boolean_or_empty_braiding_is_usage_error(runner, tmp_path, doc, problem):
     path = tmp_path / "bad.json"
@@ -614,6 +616,54 @@ def test_unwritable_output_is_usage_error(runner, qp_file, qp_hopf, tmp_path, co
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert f"cannot write {out}: " in result.output
+
+
+def _mix_conductors(doc):
+    # x1 x2 and x2 x1 span one sector, where the square of the counit kernel adds them
+    blocks = {tuple(map(tuple, block["key"])): block for block in doc["mul"]}
+    blocks[(0, 1), (1, 0)]["entries"][0][2] = "zeta(509)"
+    blocks[(1, 0), (0, 1)]["entries"][0][2] = "zeta(503)"
+
+
+# (input, arguments after it): the input names a field past the bound, or two
+# admitted fields meet in Q(zeta_(509 * 503)) during the computation
+CONDUCTOR_CASES = {
+    "lambda": ("qp", ["degenerate", "--filtration", "coradical",
+                      "--lambda-samples", "zeta(100000000)"]),
+    "lambda-power": ("qp", ["degenerate", "--filtration", "coradical",
+                            "--lambda-samples", "1,zeta(100000000)^99999999"]),
+    "nichols-lcm": ("braiding", ["nichols", "--max-degree", "4"]),
+    "verify-lcm": ("mixed", ["verify"]),
+    "gr-lcm": ("mixed", ["gr", "--filtration", "radical"]),
+    "is-nichols-lcm": ("mixed", ["is-nichols"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONDUCTOR_CASES))
+def test_field_beyond_the_conductor_bound_is_usage_error(runner, qp_hopf, tmp_path, case):
+    source, args = CONDUCTOR_CASES[case]
+    path = qp_hopf
+    if source == "mixed":
+        _edit_document(path, _mix_conductors)
+    if source == "braiding":
+        path = tmp_path / "lcm.json"
+        path.write_text(json.dumps({"type": "diagonal",
+                                    "q": [["zeta(509)", "1"], ["1", "zeta(503)"]]}))
+    started = time.monotonic()
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert time.monotonic() - started < 5
+    assert result.exit_code == 2, result.output
+    assert "beyond the largest supported conductor, 512" in result.output
+
+
+@pytest.mark.parametrize("group, order", [("1000000", 1000000), ("12", 12), ("2,2,2,2", 16)])
+def test_oversized_center_is_usage_error(runner, tmp_path, group, order):
+    started = time.monotonic()
+    result = runner.invoke(main, ["fusion-gen", "--group", group, "--out", str(tmp_path / "c.json")])
+    assert time.monotonic() - started < 1
+    assert result.exit_code == 2, result.output
+    assert f"group of order {order} has {order * order} simples, above the bound of 64" in result.output
+    assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "1,0/5", " , "], ids=["zero", "zero-fraction", "blank"])

@@ -214,7 +214,6 @@ def test_coradical_chain_matches_the_wedge_recursion(name):
         window, chain = coradical_chain_reference(s)
         assert f.window == window
         assert f.chain == chain
-        assert coradical_filtration(s, dual_structure(s)).chain == chain
 
 
 # -- the coalgebra conditions as algebra conditions on the dual --------------

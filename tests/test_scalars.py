@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicholsforge.scalars import (
+    MAX_CONDUCTOR,
     ONE,
     ZERO,
+    FieldTooLarge,
     from_rational,
     make_scalar,
     parse_scalar,
@@ -40,6 +42,19 @@ def test_conductor_lifting_is_transparent():
     b = root_of_unity(3, 1)
     prod = a * b
     assert prod == root_of_unity(12, 7)  # 1/4 + 1/3 = 7/12 of a turn
+
+
+def test_fields_past_the_conductor_bound_are_refused():
+    z = root_of_unity(MAX_CONDUCTOR, 1)
+    assert (z ** MAX_CONDUCTOR).is_one()
+    for build in (lambda: root_of_unity(MAX_CONDUCTOR + 1, 1),
+                  lambda: make_scalar(10**8, [0, 1]),
+                  lambda: parse_scalar("zeta(100000000)^99999999"),
+                  # each operand is admitted, their least common conductor is not
+                  lambda: root_of_unity(509, 1) * root_of_unity(503, 1),
+                  lambda: root_of_unity(256, 1) + root_of_unity(3, 1)):
+        with pytest.raises(FieldTooLarge, match=f"largest supported conductor, {MAX_CONDUCTOR}"):
+            build()
 
 
 def test_inverse_of_root_is_conjugate_power():
