@@ -1,29 +1,45 @@
 """Rationals at the edges of the package: parsing "p/q" and printing it.
 
 Inside the package a rational is an integer numerator over a positive
-denominator (scalars keep one denominator for all their coefficients), so
-`fractions` is met only where text is parsed.  `RAT_BACKEND` names that
-representation for the benchmark header.
+denominator (scalars keep one denominator for all their coefficients), and
+text parses straight into that pair, so no `fractions` import is needed to
+read a document.  `RAT_BACKEND` names that representation for the
+benchmark header.
 """
 
-from fractions import Fraction
 from math import gcd
 
 RAT_BACKEND = "integers"
 
 
+def _ascii_int(part: str) -> int:
+    """An optional sign and ASCII digits, with whitespace around them.
+
+    int() alone would also take underscores ("1_000") and non-ASCII digits.
+    """
+    text = part.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {part!r}")
+    return int(text)
+
+
 def rat_from_string(s):
-    """Parse "p/q" or "p" into a Fraction. Whitespace is tolerated.
+    """Parse "p/q" or "p" into (numerator, denominator), in lowest terms with
+    a positive denominator.  Whitespace is tolerated.
 
     Malformed text, a zero denominator included, raises ValueError.
     """
     s = s.strip()
-    if "/" in s:
-        num, den = (int(part) for part in s.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
+    if "/" not in s:
+        return _ascii_int(s), 1
+    num, den = (_ascii_int(part) for part in s.split("/", 1))
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def rat_to_string(num, den):

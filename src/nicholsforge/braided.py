@@ -14,8 +14,7 @@ check this exhaustively for small degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import Matrix
 from .scalars import ONE, Scalar, parse_int, parse_scalar, scalar_to_json
@@ -37,22 +36,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DiagonalBraiding:
     """Square matrix of nonzero scalars q_ij defining a diagonal braiding."""
 
-    q: tuple  # tuple of tuples of Scalar
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        n = len(self.q)
+    def __init__(self, q: tuple):
+        # q: tuple of tuples of Scalar
+        n = len(q)
         if n == 0:
             raise ValueError("braiding matrix q is empty; it needs at least one letter")
-        for row in self.q:
+        for row in q:
             if len(row) != n:
                 raise ValueError("braiding matrix must be square")
             for entry in row:
                 if not entry:
                     raise ValueError("braiding entries must be nonzero")
+        self.q = q
 
     @property
     def dim(self) -> int:
@@ -72,7 +72,6 @@ class DiagonalBraiding:
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
 class YDDatum:
     """Yetter-Drinfeld datum over a finite abelian group.
 
@@ -82,29 +81,32 @@ class YDDatum:
     unity of order dividing d_k.
     """
 
-    factor_orders: tuple  # (d_1, ..., d_r)
-    elements: tuple  # per point: exponent tuple of length r
-    characters: tuple  # per point: tuple of r Scalars
+    __slots__ = ("factor_orders", "elements", "characters")
 
-    def __post_init__(self):
-        r = len(self.factor_orders)
-        if any(d < 1 for d in self.factor_orders):
+    def __init__(self, factor_orders: tuple, elements: tuple, characters: tuple):
+        # factor_orders: (d_1, ..., d_r); elements: per point an exponent
+        # tuple of length r; characters: per point a tuple of r Scalars
+        r = len(factor_orders)
+        if any(d < 1 for d in factor_orders):
             raise ValueError("cyclic factor orders must be positive")
-        for g in self.elements:
+        for g in elements:
             if len(g) != r:
                 raise ValueError("group element has wrong number of exponents")
-        for chi in self.characters:
+        for chi in characters:
             if len(chi) != r:
                 raise ValueError("character has wrong number of values")
             for k, value in enumerate(chi):
-                d = self.factor_orders[k]
+                d = factor_orders[k]
                 order = value.multiplicative_order()
                 if order is None or d % order != 0:
                     raise ValueError(
                         f"character value {value} at generator {k + 1} must have order dividing {d}"
                     )
-        if len(self.elements) != len(self.characters):
+        if len(elements) != len(characters):
             raise ValueError("need one character per group element")
+        self.factor_orders = factor_orders
+        self.elements = elements
+        self.characters = characters
 
     @property
     def npoints(self) -> int:
@@ -198,8 +200,7 @@ def lex_minimal_reduced_word(perm: Sequence[int]) -> tuple:
             return tuple(word)
 
 
-@dataclass(frozen=True)
-class BraidLift:
+class BraidLift(NamedTuple):
     """Positive braid lift of a permutation acting on V^(x)degree."""
 
     degree: int

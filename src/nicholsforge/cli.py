@@ -4,17 +4,24 @@ Every command prints either a human-readable summary or, with --json, a
 canonical report object: sorted keys, compact separators, no timing and no
 absolute paths, so identical inputs produce identical bytes regardless of
 run, machine, or worker count.  Exit status is 0 when every check passed,
-1 when some mathematical check failed, and 2 for unusable input.
+1 when some mathematical check failed or a command cannot apply to its
+input, and 2 for unusable input, bad arguments included; every refusal
+prints one `Error: <message>` line on stderr.
+
+Arguments are parsed with argparse, one parser per command, built when that
+command runs.  `main.commands` maps each command name to a `Command`, whose
+`callback` the dispatcher reads at call time, so a caller may rebind it (the
+benchmark's tracer does).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 import time
-from typing import List, Optional
-
-import click
+from typing import List, NamedTuple, Optional
 
 from ._threads import pmap, resolve_threads
 from .braided import braiding_from_json
@@ -33,7 +40,15 @@ from .scalars import FieldTooLarge, parse_scalar, scalar_to_json
 # the modules its command needs.
 
 
-class InputError(click.ClickException):
+class CommandError(Exception):
+    """A command that cannot go on: `Error: <message>` on stderr, exit 1."""
+
+    exit_code = 1
+
+
+class InputError(CommandError):
+    """Unusable input: exit 2."""
+
     exit_code = 2
 
 
@@ -79,55 +94,228 @@ def _finish(command: str, digest: str, results: dict, warnings: List[str],
         "warnings": sorted(warnings),
     }
     if as_json:
-        click.echo(canonical_dumps(report), nl=False)
+        sys.stdout.write(canonical_dumps(report))
     else:
         for line in lines:
-            click.echo(line)
+            sys.stdout.write(f"{line}\n")
         for w in sorted(warnings):
-            click.echo(f"warning: {w}")
+            sys.stdout.write(f"warning: {w}\n")
         status = "all checks passed" if ok else "FAILED"
-        click.echo(f"{status} ({time.monotonic() - started:.2f}s)")
+        sys.stdout.write(f"{status} ({time.monotonic() - started:.2f}s)\n")
     if not ok:
         raise SystemExit(1)
 
 
-def _json_option(fn):
-    return click.option("--json", "as_json", is_flag=True,
-                        help="Emit the canonical JSON report.")(fn)
+# -- argument parsing ------------------------------------------------------------
+#
+# Argument errors keep the wording the command line has always printed
+# ("Missing option ...", "Invalid value for ..."), after the usage lines.
 
 
-def _threads_option(fn):
-    return click.option("--threads", type=click.IntRange(min=1), default=None,
-                        help="Worker threads (default: NICHOLS_FORGE_THREADS or 1).")(fn)
+class _UsageError(Exception):
+    pass
 
 
-class _Commands(click.Group):
-    """Refuses, as unusable input, a field too large to build wherever it arises."""
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
 
-    def invoke(self, ctx):
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer range.") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1.")
+    return value
+
+
+class _Choice:
+    def __init__(self, choices: tuple):
+        self.choices = choices
+
+    def __call__(self, text: str) -> str:
+        if text not in self.choices:
+            listed = ", ".join(repr(c) for c in self.choices)
+            raise argparse.ArgumentTypeError(f"{text!r} is not one of {listed}.")
+        return text
+
+
+class _Param(NamedTuple):
+    flag: str       # "--max-degree", or the metavar of the command's one argument
+    dest: str       # the callback's keyword
+    required: bool
+    spec: dict      # keywords for add_argument
+
+
+def _argument(metavar: str) -> _Param:
+    return _Param(metavar, metavar.lower(), True, {"nargs": "?", "metavar": metavar})
+
+
+def _option(flag: str, dest: Optional[str] = None, required: bool = False,
+            metavar: str = "TEXT", **spec) -> _Param:
+    if spec.get("action") != "store_true":
+        spec["metavar"] = metavar
+    if required:
+        spec["help"] = spec.get("help", "") + "  [required]"
+    return _Param(flag, dest or flag[2:].replace("-", "_"), required, spec)
+
+
+_JSON = _option("--json", "as_json", action="store_true", help="Emit the canonical JSON report.")
+_THREADS = _option("--threads", type=_worker_count, metavar="INTEGER RANGE",
+                   help="Worker threads (default: NICHOLS_FORGE_THREADS or 1).  [x>=1]")
+
+
+class Command:
+    """One command: its parameters, and the callback that runs it."""
+
+    def __init__(self, name: str, callback, params: tuple):
+        self.name = name
+        self.callback = callback
+        self.params = params
+        self.help = callback.__doc__
+
+    def parse(self, args: List[str], prog: str) -> dict:
+        """The callback's keywords for these arguments; _UsageError when unusable."""
+        parser = argparse.ArgumentParser(prog=f"{prog} {self.name}", usage=self._synopsis(prog),
+                                         description=self.help, add_help=False,
+                                         allow_abbrev=False, exit_on_error=False)
+        valued = set()
+        for param in self.params:
+            if param.flag.startswith("-"):
+                parser.add_argument(param.flag, dest=param.dest, **param.spec)
+                if param.spec.get("action") != "store_true":
+                    valued.add(param.flag)
+            else:
+                parser.add_argument(param.dest, **param.spec)
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
         try:
-            return super().invoke(ctx)
+            namespace, extra = parser.parse_known_args(_attach_values(args, valued))
+        except argparse.ArgumentError as err:
+            raise _UsageError(f"Invalid value for '{err.argument_name}': {err.message}")
+        values = vars(namespace)
+        if extra:
+            unknown = [arg for arg in extra if arg.startswith("-") and arg != "-"]
+            if unknown:
+                raise _UsageError(f"No such option '{unknown[0].split('=', 1)[0]}'.")
+            plural = "s" if len(extra) > 1 else ""
+            raise _UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+        for param in self.params:
+            if param.required and values[param.dest] is None:
+                if not param.flag.startswith("-"):
+                    raise _UsageError(f"Missing argument '{param.flag}'.")
+                choices = getattr(param.spec.get("type"), "choices", None)
+                listed = " Choose from:\n\t" + ",\n\t".join(choices) if choices else ""
+                raise _UsageError(f"Missing option '{param.flag}'.{listed}")
+        return values
+
+    def _synopsis(self, prog: str) -> str:
+        argument = "".join(f" {p.flag}" for p in self.params if not p.flag.startswith("-"))
+        return f"{prog} {self.name} [OPTIONS]{argument}"
+
+    def usage(self, prog: str) -> str:
+        return f"Usage: {self._synopsis(prog)}\nTry '{prog} {self.name} --help' for help.\n"
+
+
+def _attach_values(args: List[str], valued: set) -> List[str]:
+    """Join each valued option to the argument after it, as "--option=value".
+
+    An option takes the next argument as its value whatever it looks like,
+    so that "--lambda-samples -1/2" reads the value -1/2.
+    """
+    joined = []
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            joined += [arg, *rest]
+        elif arg in valued:
+            value = next(rest, None)
+            if value is None:
+                raise InputError(f"Option '{arg}' requires an argument.")
+            joined.append(f"{arg}={value}")
+        else:
+            joined.append(arg)
+    return joined
+
+
+class Group:
+    """The `nicholsforge` command: dispatches to one of `commands` by name."""
+
+    def __init__(self, help: str):
+        self.help = help
+        self.commands = {}
+
+    def command(self, *params: _Param):
+        """Register the decorated function as the command named after it."""
+
+        def register(fn):
+            name = fn.__name__.replace("_", "-")
+            self.commands[name] = Command(name, fn, params)
+            return fn
+
+        return register
+
+    def main(self, args: Optional[List[str]] = None, prog_name: Optional[str] = None):
+        """Run one command line and exit with its status."""
+        prog = prog_name or "nicholsforge"
+        sys.exit(self._run(sys.argv[1:] if args is None else list(args), prog))
+
+    __call__ = main
+
+    def _run(self, args: List[str], prog: str) -> int:
+        usage = f"Usage: {prog} [OPTIONS] COMMAND [ARGS]...\nTry '{prog} --help' for help.\n"
+        if not args or args[0] == "--help":
+            (sys.stdout if args else sys.stderr).write(self._help(prog))
+            return 0 if args else 2
+        name, rest = args[0], args[1:]
+        command = self.commands.get(name)
+        try:
+            if command is None:
+                kind = "option" if name.startswith("-") else "command"
+                raise _UsageError(f"No such {kind} '{name}'.")
+            usage = command.usage(prog)
+            # the callback is read only now: a caller may have rebound it
+            command.callback(**command.parse(rest, prog))
+        except _UsageError as err:
+            sys.stderr.write(f"{usage}\nError: {err}\n")
+            return 2
         except FieldTooLarge as err:
-            raise InputError(str(err))
+            # unusable input, wherever the field too large to build arises
+            sys.stderr.write(f"Error: {err}\n")
+            return 2
+        except CommandError as err:
+            sys.stderr.write(f"Error: {err}\n")
+            return err.exit_code
+        return 0
+
+    def _help(self, prog: str) -> str:
+        width = max(map(len, self.commands))
+        rows = "".join(f"  {name:<{width}}  {command.help}\n"
+                       for name, command in sorted(self.commands.items()))
+        return (f"Usage: {prog} [OPTIONS] COMMAND [ARGS]...\n\n  {self.help}\n\n"
+                f"Options:\n  --help  Show this message and exit.\n\nCommands:\n{rows}")
 
 
-@click.group(cls=_Commands)
-def main():
-    """Exact tools for Nichols algebras and braided fusion data."""
+main = Group("Exact tools for Nichols algebras and braided fusion data.")
 
 
 # -- nichols -------------------------------------------------------------------
 
 
-@main.command()
-@click.argument("braiding_file", type=click.Path())
-@click.option("--max-degree", type=int, required=True, help="Engine cutoff degree.")
-@click.option("--oracle-degree", type=int, default=None,
-              help="Cross-check graded dimensions up to this degree.")
-@click.option("--emit-hopf", type=click.Path(), default=None,
-              help="Write the finite result as a structure-constant file.")
-@_threads_option
-@_json_option
+@main.command(
+    _argument("BRAIDING_FILE"),
+    _option("--max-degree", type=_integer, required=True, metavar="INTEGER",
+            help="Engine cutoff degree."),
+    _option("--oracle-degree", type=_integer, metavar="INTEGER",
+            help="Cross-check graded dimensions up to this degree."),
+    _option("--emit-hopf", metavar="PATH",
+            help="Write the finite result as a structure-constant file."),
+    _THREADS,
+    _JSON,
+)
 def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_json):
     """Run the primitive-quotient engine on a braiding file."""
     from .nichols import (
@@ -229,9 +417,7 @@ def _load_well_formed_hopf(path: str):
     return t, digest
 
 
-@main.command()
-@click.argument("hopf_file", type=click.Path())
-@_json_option
+@main.command(_argument("HOPF_FILE"), _JSON)
 def verify(hopf_file, as_json):
     """Check all Hopf axioms plus connectedness on both sides."""
     from .structconst import AXIOM_KEYS, check_coconnected, check_connected, verify_axioms
@@ -283,7 +469,7 @@ def _build_filtration(t, kind: str):
     except FieldTooLarge:
         raise
     except ValueError as err:
-        raise click.ClickException(f"filtration unavailable: {err}")
+        raise CommandError(f"filtration unavailable: {err}")
 
 
 def _layer_table(f) -> list:
@@ -291,12 +477,16 @@ def _layer_table(f) -> list:
             for i, dims in sorted(f.layer_dims().items())]
 
 
-@main.command()
-@click.argument("hopf_file", type=click.Path())
-@click.option("--filtration", "kind", type=click.Choice(_FILTRATIONS), required=True)
-@click.option("--out", type=click.Path(), default=None,
-              help="Write the associated graded structure here.")
-@_json_option
+_FILTRATION = _option("--filtration", "kind", type=_Choice(_FILTRATIONS), required=True,
+                      metavar="[" + "|".join(_FILTRATIONS) + "]")
+
+
+@main.command(
+    _argument("HOPF_FILE"),
+    _FILTRATION,
+    _option("--out", metavar="PATH", help="Write the associated graded structure here."),
+    _JSON,
+)
 def gr(hopf_file, kind, out, as_json):
     """Associated graded structure of the radical or coradical filtration."""
     from .filtration import associated_graded, filtration_conditions
@@ -332,14 +522,14 @@ def gr(hopf_file, kind, out, as_json):
 # -- degenerate ------------------------------------------------------------
 
 
-@main.command()
-@click.argument("hopf_file", type=click.Path())
-@click.option("--filtration", "kind", type=click.Choice(_FILTRATIONS), required=True)
-@click.option("--lambda-samples", "samples", default="1",
-              help="Comma-separated parameters, e.g. '1,1/2,zeta(3)'.")
-@click.option("--out", type=click.Path(), default=None,
-              help="Write the exact limit structure here.")
-@_json_option
+@main.command(
+    _argument("HOPF_FILE"),
+    _FILTRATION,
+    _option("--lambda-samples", "samples", default="1",
+            help="Comma-separated parameters, e.g. '1,1/2,zeta(3)'."),
+    _option("--out", metavar="PATH", help="Write the exact limit structure here."),
+    _JSON,
+)
 def degenerate(hopf_file, kind, samples, out, as_json):
     """Walk the one-parameter family of a filtration split to its limit."""
     from .filtration import (
@@ -364,7 +554,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
     f = _build_filtration(t, kind)
     failed = ", ".join(name for name, good in filtration_conditions(f).items() if not good)
     if failed:
-        raise click.ClickException(f"filtration unavailable: {kind} filtration violates {failed}")
+        raise CommandError(f"filtration unavailable: {kind} filtration violates {failed}")
     split = split_basis(f)
     limit = degenerate_limit(t, split)
     dims = primitive_dims_along_path(t, split, lams, limit)
@@ -396,9 +586,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
 # -- is-nichols ------------------------------------------------------------
 
 
-@main.command(name="is-nichols")
-@click.argument("hopf_file", type=click.Path())
-@_json_option
+@main.command(_argument("HOPF_FILE"), _JSON)
 def is_nichols(hopf_file, as_json):
     """Run the three recognition criteria on a structure file."""
     from .dualize import nichols_criteria
@@ -414,7 +602,7 @@ def is_nichols(hopf_file, as_json):
     except FieldTooLarge:
         raise
     except ValueError as err:
-        raise click.ClickException(f"criteria not applicable: {err}")
+        raise CommandError(f"criteria not applicable: {err}")
     verdicts = (pairing.verdict, generation.verdict, gragrc.verdict)
     ok = verdicts == ("nichols", "nichols", "nichols-by-gragrc")
     results = {
@@ -445,10 +633,7 @@ def is_nichols(hopf_file, as_json):
 # -- fusion ----------------------------------------------------------------
 
 
-@main.command(name="fusion-verify")
-@click.argument("fusion_file", type=click.Path())
-@_threads_option
-@_json_option
+@main.command(_argument("FUSION_FILE"), _THREADS, _JSON)
 def fusion_verify(fusion_file, threads, as_json):
     """Check pentagon, units, duality, and both hexagons on fusion data."""
     from .fusion import verify_braiding, verify_duality, verify_pentagon, verify_units, well_formed
@@ -487,12 +672,12 @@ def fusion_verify(fusion_file, threads, as_json):
     _finish("fusion-verify", digest, results, [], as_json, lines, started, ok)
 
 
-@main.command(name="fusion-gen")
-@click.option("--group", required=True,
-              help="Cyclic factor orders of an abelian group, e.g. '2,2'.")
-@click.option("--out", type=click.Path(), required=True,
-              help="Write the generated fusion data here.")
-@_json_option
+@main.command(
+    _option("--group", required=True,
+            help="Cyclic factor orders of an abelian group, e.g. '2,2'."),
+    _option("--out", required=True, metavar="PATH", help="Write the generated fusion data here."),
+    _JSON,
+)
 def fusion_gen(group, out, as_json):
     """Emit Drinfeld-center fusion data of a finite abelian group."""
     from .fusion import pointed_center_data

@@ -13,8 +13,7 @@ reach a verdict they must agree; the tests hold them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .linalg import Matrix, Subspace, rank
 from .scalars import ZERO
@@ -91,8 +90,7 @@ def _flattened(t: HopfStructure, by_sector: dict) -> Subspace:
     return Subspace.from_vectors(total, vectors)
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     dim_primitives: int
     dim_dual_primitives: int
     matrix: Matrix  # rows: dual primitives, columns: primitives
@@ -132,8 +130,7 @@ def _pairing(t: HopfStructure, dual: HopfStructure, prims: dict, dual_prims: dic
     return PairingReport(flat.dim, dual_flat.dim, matrix, r, verdict)
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(NamedTuple):
     generated_by_primitives: bool
     dual_generated_by_primitives: bool
 
@@ -152,8 +149,7 @@ def generation_check(t: HopfStructure) -> GenerationReport:
     )
 
 
-@dataclass(frozen=True)
-class GragrcReport:
+class GragrcReport(NamedTuple):
     verdict: str  # "nichols-by-gragrc" or "inconclusive"
     witness: Optional[dict]  # sector automorphism when found
     detail: str = ""

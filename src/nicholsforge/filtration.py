@@ -27,9 +27,8 @@ The two must agree entry for entry, which the tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Subspace, inverse, kernel
 from .scalars import ONE, ZERO, Scalar, from_rational
@@ -266,8 +265,7 @@ def degree_filtration(t: HopfStructure) -> HopfFiltration:
     return HopfFiltration(t, "degree", (0, hi), chain)
 
 
-@dataclass(frozen=True)
-class GradingSplit:
+class GradingSplit(NamedTuple):
     """A basis refining a filtration, tagged by filtration index.
 
     basis[label] has the chosen vectors as columns, ordered by increasing

@@ -24,11 +24,10 @@ Every verifier reports located failures instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .braided import DiagonalBraiding
 from .linalg import Matrix, _times, inverse, rank
@@ -54,34 +53,48 @@ __all__ = [
 Column = List[Tuple[tuple, Optional[Scalar]]]
 
 
-@dataclass(frozen=True)
 class FusionData:
-    size: int
-    fusion: Dict[Tuple[int, int, int], int]
-    assoc: Dict[Tuple[int, int, int, int, int, int], Matrix]
-    braiding: Dict[Tuple[int, int, int], Matrix]
-    left_units: Dict[int, Scalar]   # coordinate of l_i in V[0,i -> i]
-    right_units: Dict[int, Scalar]  # coordinate of r_i in V[i,0 -> i]
-    dual: Tuple[int, ...]
-    ev: Dict[int, Matrix]    # 1 x dim V[dual(i),i -> 0]
-    coev: Dict[int, Matrix]  # dim V[i,dual(i) -> 0] x 1
-    # (i, j) -> ((k, N_ij^k), ...) over the nonzero entries, k ascending
-    _rules: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    # assoc and braiding keys -> the block's columns, filled as routes read
-    # them; threads that race on a key store equal values
-    _assoc_columns: Dict[tuple, Dict[tuple, Column]] = field(init=False, compare=False, repr=False)
-    _braid_columns: Dict[tuple, Dict[tuple, Column]] = field(init=False, compare=False, repr=False)
+    __slots__ = ("size", "fusion", "assoc", "braiding", "left_units", "right_units", "dual",
+                 "ev", "coev", "_rules", "_assoc_columns", "_braid_columns")
+    _FIELDS = __slots__[:9]
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        size: int,
+        fusion: Dict[Tuple[int, int, int], int],
+        assoc: Dict[Tuple[int, int, int, int, int, int], Matrix],
+        braiding: Dict[Tuple[int, int, int], Matrix],
+        left_units: Dict[int, Scalar],   # coordinate of l_i in V[0,i -> i]
+        right_units: Dict[int, Scalar],  # coordinate of r_i in V[i,0 -> i]
+        dual: Tuple[int, ...],
+        ev: Dict[int, Matrix],    # 1 x dim V[dual(i),i -> 0]
+        coev: Dict[int, Matrix],  # dim V[i,dual(i) -> 0] x 1
+    ):
+        self.size = size
+        self.fusion = fusion
+        self.assoc = assoc
+        self.braiding = braiding
+        self.left_units = left_units
+        self.right_units = right_units
+        self.dual = dual
+        self.ev = ev
+        self.coev = coev
+        # (i, j) -> ((k, N_ij^k), ...) over the nonzero entries, k ascending
         rules: Dict[Tuple[int, int], list] = {}
-        for (i, j, k), n in sorted(self.fusion.items()):
+        for (i, j, k), n in sorted(fusion.items()):
             if n:
                 rules.setdefault((i, j), []).append((k, n))
-        object.__setattr__(self, "_rules", {key: tuple(v) for key, v in rules.items()})
-        object.__setattr__(self, "_assoc_columns", {})
-        object.__setattr__(self, "_braid_columns", {})
+        self._rules = {key: tuple(v) for key, v in rules.items()}
+        # assoc and braiding keys -> the block's columns, filled as routes read
+        # them; threads that race on a key store equal values
+        self._assoc_columns: Dict[tuple, Dict[tuple, Column]] = {}
+        self._braid_columns: Dict[tuple, Dict[tuple, Column]] = {}
+
+    def replace(self, **changes) -> "FusionData":
+        """A copy with the given fields changed and nothing read yet."""
+        fields = {name: getattr(self, name) for name in self._FIELDS}
+        fields.update(changes)
+        return FusionData(**fields)
 
     def dim(self, i: int, j: int, k: int) -> int:
         return self.fusion.get((i, j, k), 0)
@@ -126,8 +139,7 @@ class FusionData:
         return columns
 
 
-@dataclass(frozen=True)
-class FusionReport:
+class FusionReport(NamedTuple):
     check: str
     passed: bool
     failures: Tuple[tuple, ...]
@@ -521,9 +533,9 @@ def _reversed(F: FusionData) -> Optional[FusionData]:
             braiding[(j, i, k)] = inverse(block)
         except ZeroDivisionError:
             return None
-    mirror = replace(F, braiding=braiding)
+    mirror = F.replace(braiding=braiding)
     # the same associator, so the columns read so far serve both
-    object.__setattr__(mirror, "_assoc_columns", F._assoc_columns)
+    mirror._assoc_columns = F._assoc_columns
     return mirror
 
 

@@ -12,7 +12,6 @@ without locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -329,16 +328,27 @@ def inverse(M: Matrix) -> Matrix:
 # -- spaces ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BasedSpace:
     """A finite-dimensional space with a fixed, named basis."""
 
-    dim: int
-    labels: tuple
+    __slots__ = ("dim", "labels")
 
-    def __post_init__(self):
-        assert len(self.labels) == self.dim, "label count must match dimension"
-        assert len(set(self.labels)) == self.dim, "labels must be distinct"
+    def __init__(self, dim: int, labels: tuple):
+        assert len(labels) == dim, "label count must match dimension"
+        assert len(set(labels)) == dim, "labels must be distinct"
+        self.dim = dim
+        self.labels = labels
+
+    def __eq__(self, other):
+        if not isinstance(other, BasedSpace):
+            return NotImplemented
+        return self.dim == other.dim and self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.dim, self.labels))
+
+    def __repr__(self) -> str:
+        return f"BasedSpace({self.dim}, {self.labels!r})"
 
     @classmethod
     def standard(cls, dim: int, prefix: str = "e") -> "BasedSpace":

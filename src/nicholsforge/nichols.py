@@ -27,9 +27,8 @@ degree multiplies the pair count by n * (d + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .braided import DiagonalBraiding, all_words, word_index
 from .freehopf import GradedQuotient, primitives, quotient_by_hopf_ideal
@@ -54,8 +53,7 @@ UNDETERMINED = "undetermined-at-cutoff"
 ORACLE_MAX_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class NicholsReport:
+class NicholsReport(NamedTuple):
     braiding: DiagonalBraiding
     cutoff: int
     dims: tuple

@@ -16,15 +16,15 @@ to a least common conductor: the largest admitted field builds in about
 half a second, and a conductor near 1000 already takes several.
 
 No floating point appears anywhere: every rank and kernel decision upstream
-depends on exact zero tests.  Rationals as `Fraction` are met only at the
-edges: parsing "p/q" input, and coercing a `Fraction` operand.
+depends on exact zero tests.  Text parses straight into integers; `fractions`
+is imported only where a `Fraction` (or another non-integer number) is
+handed in as an operand or a coefficient.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -204,9 +204,12 @@ class Scalar:
     def _coerce(other):
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(1, (other.numerator, other.denominator))
-        return None
+        if not isinstance(other, int):
+            from fractions import Fraction
+
+            if not isinstance(other, Fraction):
+                return None
+        return Scalar(1, (other.numerator, other.denominator))
 
     # The three hot operations go straight to the kernel when both operands
     # are Scalars at one conductor.
@@ -355,8 +358,15 @@ ZERO = Scalar(1, (0, 1))
 ONE = Scalar(1, (1, 1))
 
 
-def _as_fraction(c) -> Fraction:
-    return rat_from_string(c) if isinstance(c, str) else Fraction(c)
+def _as_pair(c) -> tuple:
+    """A rational coefficient as (numerator, positive denominator) in lowest terms."""
+    if isinstance(c, str):
+        return rat_from_string(c)
+    if not isinstance(c, int):
+        from fractions import Fraction
+
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 def make_scalar(conductor: int, raw_coeffs) -> Scalar:
@@ -368,9 +378,9 @@ def make_scalar(conductor: int, raw_coeffs) -> Scalar:
     if conductor < 1:
         raise ValueError(f"conductor must be >= 1, got {conductor}")
     ctx = field_context(conductor)
-    coeffs = [_as_fraction(c) for c in raw_coeffs]
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    coeffs = [_as_pair(c) for c in raw_coeffs]
+    den = lcm(*(d for _, d in coeffs))
+    nums = [n * (den // d) for n, d in coeffs]
     return Scalar(conductor, _K.poly_canonical([*_reduce_list(nums, ctx.modpoly, ctx.phi), den]))
 
 
@@ -386,11 +396,10 @@ def root_of_unity(conductor: int, k: int = 1) -> Scalar:
 
 
 def from_rational(value) -> Scalar:
-    value = _as_fraction(value)
-    return Scalar(1, (value.numerator, value.denominator))
+    return Scalar(1, _as_pair(value))
 
 
-_ZETA_RE = re.compile(r"^(-?)zeta\((\d+)\)(?:\^(-?\d+))?$")
+_ZETA_RE = re.compile(r"^(-?)zeta\(([0-9]+)\)(?:\^(-?[0-9]+))?$")
 
 
 def parse_scalar(obj) -> Scalar:

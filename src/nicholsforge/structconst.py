@@ -33,13 +33,16 @@ deliberately not searched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .braided import DiagonalBraiding
 from .linalg import BasedSpace, Matrix, Subspace, hstack, inverse, kernel, rank, rref, vstack
-from .nichols import FINITE, NicholsReport
 from .scalars import ONE, ZERO, Scalar
+
+# Only from_nichols reads engine output, so the structure commands never
+# compile the engine (see from_nichols).
+if TYPE_CHECKING:
+    from .nichols import NicholsReport
 
 __all__ = [
     "LabelBackend",
@@ -67,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabelBackend:
+class LabelBackend(NamedTuple):
     """Formal lines indexed by integer vectors, braided diagonally.
 
     The braiding between lines a and b is the scalar qform(a, b) times the
@@ -270,12 +272,14 @@ AXIOM_KEYS = (
 )
 
 
-@dataclass
 class AxiomReport:
     """Verdict per axiom; None marks a check skipped after malformed blocks."""
 
-    results: dict
-    failures: dict = field(default_factory=dict)
+    __slots__ = ("results", "failures")
+
+    def __init__(self, results: dict, failures: Optional[dict] = None):
+        self.results = results
+        self.failures = {} if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -851,6 +855,8 @@ def from_nichols(report: NicholsReport) -> HopfStructure:
     they stand.  Raises on an undetermined report: only a certified finite
     algebra is a point.
     """
+    from .nichols import FINITE
+
     if report.termination != FINITE:
         raise ValueError("structure constants need a finite Nichols algebra")
     Q = report.quotient

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from click.testing import CliRunner
+from tests_support import CliRunner
 
 from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.cli import main

@@ -42,3 +42,34 @@ def test_perfbench_targets_resolve(module_name, path):
         assert hasattr(obj, part), f"{module_name}.{path}: no attribute {part}"
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_perfbench_drives_the_command_line_it_expects(tmp_path, monkeypatch, capsys):
+    # launch.py runs main.main(args=..., prog_name=...), and the tracer
+    # rebinds each main.commands[name].callback to a wrapper around it
+    from nicholsforge import cli
+
+    layers = _load("perfbench_layers", LAYERS)
+    assert set(cli.main.commands) == set(layers.CLI_COMMANDS)
+
+    command = cli.main.commands["fusion-gen"]
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    original = command.callback
+    monkeypatch.setattr(command, "callback", wrapper)
+    out = tmp_path / "z2.json"
+    with pytest.raises(SystemExit) as stop:
+        cli.main.main(args=["fusion-gen", "--group", "2", "--out", str(out), "--json"],
+                      prog_name="nicholsforge")
+    assert stop.value.code == 0
+    assert [call["group"] for call in calls] == ["2"] and out.is_file()
+    assert '"command":"fusion-gen"' in capsys.readouterr().out
+
+    # the benchmark's warm-up job
+    with pytest.raises(SystemExit) as stop:
+        cli.main.main(args=["--help"], prog_name="nicholsforge")
+    assert stop.value.code == 0

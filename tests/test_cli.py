@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from click.testing import CliRunner
+from tests_support import CliRunner
 
 from nicholsforge.cli import main
 
@@ -240,6 +240,12 @@ def _first_block(doc, kind, shape):
                  id="zero-denominator"),
     pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(2, True),
                  id="boolean-entry"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
+        2, "1_000"), id="underscore-in-digits"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
+        2, "\u0663"), id="non-ascii-digit"),
+    pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
+        2, "zeta(\u0663)"), id="non-ascii-conductor"),
     pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
         2, {"conductor": True, "coeffs": ["1"]}), id="boolean-conductor"),
     pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(

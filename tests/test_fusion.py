@@ -1,6 +1,5 @@
 """Fusion data verification and pointed Drinfeld-center examples."""
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -329,7 +328,7 @@ def test_singular_full_associators_are_located():
     # singular, the one the second zig-zag of the self-dual simple 1 inverts.
     z2 = pointed_center_data([2])
     key = (1, 1, 1, 0, 1, 0)
-    mutant = replace(z2, assoc={**z2.assoc, key: deleted(z2.assoc[key], (0, 0))})
+    mutant = z2.replace(assoc={**z2.assoc, key: deleted(z2.assoc[key], (0, 0))})
     assert well_formed(mutant).failures == (("assoc-not-invertible", 1, 1, 1, 1),)
     assert verify_duality(mutant).failures == (("zigzag-1", 1), ("zigzag-2-associator", 1))
     # multiplicity two: the full associator at (1, 1, 1, 1) is 5 x 5 and
@@ -337,7 +336,7 @@ def test_singular_full_associators_are_located():
     F = multiplicity_two_data()
     key = (1, 1, 1, 1, 1, 1)
     assert _assoc_full(F, 1, 1, 1, 1)[0].shape == (5, 5)
-    mutant = replace(F, assoc={**F.assoc, key: deleted(F.assoc[key], (0, 0))})
+    mutant = F.replace(assoc={**F.assoc, key: deleted(F.assoc[key], (0, 0))})
     assert well_formed(mutant).failures == (("assoc-not-invertible", 1, 1, 1, 1),)
 
 
@@ -352,7 +351,7 @@ def test_one_by_one_braiding_blocks_are_decided_without_a_rank(monkeypatch):
     assert calls == []  # every block of pointed data is 1 x 1
     # a deleted 1 x 1 block is singular, and located
     key = (1, 2, 0)
-    mutant = replace(z3, braiding={**z3.braiding, key: deleted(z3.braiding[key], (0, 0))})
+    mutant = z3.replace(braiding={**z3.braiding, key: deleted(z3.braiding[key], (0, 0))})
     assert well_formed(mutant).failures == (("braiding-block",) + key,)
     # a 2 x 2 block still takes its rank
     F = multiplicity_two_data()
@@ -365,7 +364,7 @@ def test_misshapen_associator_block_is_located_not_raised():
     z2 = pointed_center_data([2])
     key = (1, 1, 1, 0, 1, 0)
     block = Matrix(2, 2, {(0, 0): ONE, (1, 1): ONE})
-    report = well_formed(replace(z2, assoc={**z2.assoc, key: block}))
+    report = well_formed(z2.replace(assoc={**z2.assoc, key: block}))
     assert report.failures == (("assoc-shape",) + key,)
 
 
@@ -473,11 +472,11 @@ def _reference_reads(F, instances):
     """
     assoc, braiding = _Reads(F.assoc), _Reads(F.braiding)
     assoc.seen, braiding.seen = set(), set()
-    G = replace(F, assoc=assoc, braiding=braiding)
+    G = F.replace(assoc=assoc, braiding=braiding)
     mirror = _reversed(G)
     reverse = _Reads(mirror.braiding)
     reverse.seen = set()
-    mirror = replace(mirror, braiding=reverse)
+    mirror = mirror.replace(braiding=reverse)
     reads, verdicts = {}, {}
     for instance in instances:
         for table in (assoc, braiding, reverse):
@@ -527,7 +526,7 @@ def test_routes_match_the_matrix_references_instance_by_instance(name):
     failing = 0
     for site in fusion_entry_sites(F):
         G = mutate_fusion(F, site)
-        mirror = _reversed(G) if site[0] == "braiding" else replace(clean_mirror, assoc=G.assoc)
+        mirror = _reversed(G) if site[0] == "braiding" else clean_mirror.replace(assoc=G.assoc)
         touched = readers.get(site[:2], [])
         expected = dict(clean) if everywhere else {}
         expected.update({inst: _verdict(G, mirror, inst, reference=True) for inst in touched})

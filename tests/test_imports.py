@@ -82,3 +82,51 @@ def test_cli_start_up_leaves_the_computing_layers_unimported():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.stdout.strip() == "[]", result.stderr
+
+
+# Runs one command line and writes the names in sys.modules at exit to the
+# file named by the first argument.
+_MODULES_AT_EXIT = """
+import sys
+from nicholsforge.cli import main
+try:
+    main.main(args=sys.argv[2:], prog_name="nicholsforge")
+finally:
+    with open(sys.argv[1], "w") as fh:
+        fh.write("\\n".join(sorted(sys.modules)))
+"""
+
+# Each costs start-up time that no command needs: click with inspect,
+# dataclasses (which imports inspect), and fractions with decimal.
+_NEVER_IMPORTED = {"click", "dataclasses", "inspect", "fractions", "decimal"}
+
+
+def _modules_at_exit(tmp_path: Path, args: list) -> set:
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = tmp_path / "modules.txt"
+    result = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, str(out), *args],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, (args, result.stderr)
+    return set(out.read_text().split())
+
+
+def test_every_command_starts_without_unneeded_modules(tmp_path):
+    (tmp_path / "qp.json").write_text('{"type": "diagonal", "q": [["-1", "1"], ["1", "-1"]]}')
+    runs = {
+        "nichols": ["nichols", "qp.json", "--max-degree", "6", "--emit-hopf", "qp_hopf.json"],
+        "fusion-gen": ["fusion-gen", "--group", "2", "--out", "z2.json"],
+        "verify": ["verify", "qp_hopf.json"],
+        "gr": ["gr", "qp_hopf.json", "--filtration", "radical"],
+        "degenerate": ["degenerate", "qp_hopf.json", "--filtration", "coradical"],
+        "is-nichols": ["is-nichols", "qp_hopf.json"],
+        "fusion-verify": ["fusion-verify", "z2.json"],
+    }
+    held = {}
+    for name, args in runs.items():  # in order: the first two write the later inputs
+        modules = _modules_at_exit(tmp_path, [*args, "--json"])
+        unneeded = set(_NEVER_IMPORTED)
+        if name in ("verify", "gr", "degenerate", "is-nichols"):
+            # the structure commands read a document and never run the engine
+            unneeded |= {"nicholsforge.nichols", "nicholsforge.freehopf"}
+        held[name] = sorted(modules & unneeded)
+    assert held == {name: [] for name in runs}

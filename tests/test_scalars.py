@@ -89,6 +89,25 @@ def test_parse_scalar_forms():
     assert parse_scalar({"conductor": 4, "coeffs": ["0", "1"]}) == root_of_unity(4, 1)
 
 
+@pytest.mark.parametrize("text, value", [
+    (" -3 / 4 ", Fraction(-3, 4)),
+    ("1/-2", Fraction(-1, 2)),
+    ("+6/4", Fraction(3, 2)),
+    ("-0", Fraction(0)),
+    (" 12 ", Fraction(12)),
+])
+def test_rational_text_forms(text, value):
+    # the pair parsed from text is in lowest terms with a positive denominator
+    assert parse_scalar(text).coeffs == (value.numerator, value.denominator)
+
+
+@pytest.mark.parametrize("text", ["1_000", "\u0663", "zeta(\u0663)", "1/\u0663", "- 3", "", "1/"])
+def test_scalar_text_takes_ascii_digits_only(text):
+    # int() alone would read "1_000" as 1000 and the Arabic-Indic digit three as 3
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
 def test_json_round_trip():
     value = root_of_unity(12, 5) * from_rational(Fraction(3, 7)) + ONE
     assert parse_scalar(scalar_to_json(value)) == value

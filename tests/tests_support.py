@@ -1,6 +1,10 @@
 """Shared builders for the test suite."""
 
+import contextlib
+import io
+import os
 from math import prod
+from typing import NamedTuple, Optional
 
 from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.fusion import (
@@ -25,6 +29,50 @@ from nicholsforge.structconst import (
     unit_span,
     well_formed_problem,
 )
+
+
+class InvokeResult(NamedTuple):
+    exit_code: int
+    output: str  # standard output and standard error, in the order written
+    exception: Optional[BaseException]
+
+
+class CliRunner:
+    """Runs a command line in this process and keeps what it printed.
+
+    `invoke` calls `cli.main(args=..., prog_name=...)`, which always exits.
+    A nonzero exit keeps its SystemExit as `exception`; any other exception
+    counts as exit 1, or propagates when catch_exceptions is false.  `env`
+    sets environment variables for the call, and a None value unsets one.
+    """
+
+    def invoke(self, cli, args=(), env=None, catch_exceptions=True) -> InvokeResult:
+        stream = io.StringIO()
+        saved = {name: os.environ.get(name) for name in env or {}}
+        exit_code, exception = 0, None
+        try:
+            _set_environ(env or {})
+            with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+                cli.main(args=list(args), prog_name="nicholsforge")
+        except SystemExit as stop:
+            code = stop.code
+            exit_code = 0 if code is None else code if isinstance(code, int) else 1
+            exception = stop if exit_code else None
+        except Exception as err:
+            if not catch_exceptions:
+                raise
+            exit_code, exception = 1, err
+        finally:
+            _set_environ(saved)
+        return InvokeResult(exit_code, stream.getvalue(), exception)
+
+
+def _set_environ(values: dict) -> None:
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
 
 
 def group_algebra_z2():
