@@ -12,10 +12,12 @@ from math import gcd
 RAT_BACKEND = "integers"
 
 
-def _ascii_int(part: str) -> int:
+def integer(part: str) -> int:
     """An optional sign and ASCII digits, with whitespace around them.
 
     int() alone would also take underscores ("1_000") and non-ASCII digits.
+    The command line parses its integers here too, and argparse names this
+    function in its message for text that does not parse.
     """
     text = part.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
@@ -32,8 +34,8 @@ def rat_from_string(s):
     """
     s = s.strip()
     if "/" not in s:
-        return _ascii_int(s), 1
-    num, den = (_ascii_int(part) for part in s.split("/", 1))
+        return integer(s), 1
+    num, den = (integer(part) for part in s.split("/", 1))
     if den == 0:
         raise ValueError(f"zero denominator in {s!r}")
     if den < 0:

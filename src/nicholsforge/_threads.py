@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from ._rat import integer
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -16,12 +18,17 @@ ENV_VAR = "NICHOLS_FORGE_THREADS"
 
 
 def resolve_threads(explicit: Optional[int] = None) -> int:
+    """The worker count: `explicit`, else the environment variable, else 1.
+
+    The one check that a count is at least 1, for the flag and the
+    environment alike; ValueError when it is not.
+    """
     if explicit is not None:
-        value = int(explicit)
+        value = explicit
     else:
         raw = os.environ.get(ENV_VAR, "").strip()
         try:
-            value = int(raw) if raw else 1
+            value = integer(raw) if raw else 1
         except ValueError:
             raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:

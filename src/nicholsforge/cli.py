@@ -9,20 +9,31 @@ input, and 2 for unusable input, bad arguments included; every refusal
 prints one `Error: <message>` line on stderr.
 
 Arguments are parsed with argparse, one parser per command, built when that
-command runs.  `main.commands` maps each command name to a `Command`, whose
-`callback` the dispatcher reads at call time, so a caller may rebind it (the
-benchmark's tracer does).
+command runs, and argparse words every argument error: the command's usage
+line, then its `Error: <message>` line, exit 2.  Integers on the command
+line, like those in documents, are ASCII digits with an optional sign.
+`main.commands` maps each command name to a `Command`, whose `callback` the
+dispatcher reads at call time, so a caller may rebind it (the benchmark's
+tracer does).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL for it
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 renamed the module
+    except ImportError:
+        from hashlib import sha256
+
+from ._rat import integer
 from ._threads import pmap, resolve_threads
 from .braided import braiding_from_json
 from .formats import (
@@ -53,7 +64,7 @@ class InputError(CommandError):
 
 
 def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + sha256(data).hexdigest()
 
 
 def _read_json(path: str):
@@ -108,65 +119,24 @@ def _finish(command: str, digest: str, results: dict, warnings: List[str],
 
 # -- argument parsing ------------------------------------------------------------
 #
-# Argument errors keep the wording the command line has always printed
-# ("Missing option ...", "Invalid value for ..."), after the usage lines.
+# A command's parameters are add_argument specs, (name, keywords) pairs, and
+# argparse words every argument error.
 
 
 class _UsageError(Exception):
-    pass
+    """An argument error, already worded with the usage line: exit 2."""
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}Error: {message}")
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer range.") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1.")
-    return value
-
-
-class _Choice:
-    def __init__(self, choices: tuple):
-        self.choices = choices
-
-    def __call__(self, text: str) -> str:
-        if text not in self.choices:
-            listed = ", ".join(repr(c) for c in self.choices)
-            raise argparse.ArgumentTypeError(f"{text!r} is not one of {listed}.")
-        return text
-
-
-class _Param(NamedTuple):
-    flag: str       # "--max-degree", or the metavar of the command's one argument
-    dest: str       # the callback's keyword
-    required: bool
-    spec: dict      # keywords for add_argument
-
-
-def _argument(metavar: str) -> _Param:
-    return _Param(metavar, metavar.lower(), True, {"nargs": "?", "metavar": metavar})
-
-
-def _option(flag: str, dest: Optional[str] = None, required: bool = False,
-            metavar: str = "TEXT", **spec) -> _Param:
-    if spec.get("action") != "store_true":
-        spec["metavar"] = metavar
-    if required:
-        spec["help"] = spec.get("help", "") + "  [required]"
-    return _Param(flag, dest or flag[2:].replace("-", "_"), required, spec)
-
-
-_JSON = _option("--json", "as_json", action="store_true", help="Emit the canonical JSON report.")
-_THREADS = _option("--threads", type=_worker_count, metavar="INTEGER RANGE",
-                   help="Worker threads (default: NICHOLS_FORGE_THREADS or 1).  [x>=1]")
+_HOPF_FILE = ("hopf_file", {})
+_JSON = ("--json", dict(dest="as_json", action="store_true",
+                        help="Emit the canonical JSON report."))
+_THREADS = ("--threads", dict(type=integer,
+                              help="Worker threads (default: NICHOLS_FORGE_THREADS or 1)."))
 
 
 class Command:
@@ -180,44 +150,14 @@ class Command:
 
     def parse(self, args: List[str], prog: str) -> dict:
         """The callback's keywords for these arguments; _UsageError when unusable."""
-        parser = argparse.ArgumentParser(prog=f"{prog} {self.name}", usage=self._synopsis(prog),
-                                         description=self.help, add_help=False,
-                                         allow_abbrev=False, exit_on_error=False)
-        valued = set()
-        for param in self.params:
-            if param.flag.startswith("-"):
-                parser.add_argument(param.flag, dest=param.dest, **param.spec)
-                if param.spec.get("action") != "store_true":
-                    valued.add(param.flag)
-            else:
-                parser.add_argument(param.dest, **param.spec)
+        parser = _Parser(prog=f"{prog} {self.name}", description=self.help,
+                         add_help=False, allow_abbrev=False)
+        for name, spec in self.params:
+            parser.add_argument(name, **spec)
         parser.add_argument("--help", action="help", help="Show this message and exit.")
-        try:
-            namespace, extra = parser.parse_known_args(_attach_values(args, valued))
-        except argparse.ArgumentError as err:
-            raise _UsageError(f"Invalid value for '{err.argument_name}': {err.message}")
-        values = vars(namespace)
-        if extra:
-            unknown = [arg for arg in extra if arg.startswith("-") and arg != "-"]
-            if unknown:
-                raise _UsageError(f"No such option '{unknown[0].split('=', 1)[0]}'.")
-            plural = "s" if len(extra) > 1 else ""
-            raise _UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
-        for param in self.params:
-            if param.required and values[param.dest] is None:
-                if not param.flag.startswith("-"):
-                    raise _UsageError(f"Missing argument '{param.flag}'.")
-                choices = getattr(param.spec.get("type"), "choices", None)
-                listed = " Choose from:\n\t" + ",\n\t".join(choices) if choices else ""
-                raise _UsageError(f"Missing option '{param.flag}'.{listed}")
-        return values
-
-    def _synopsis(self, prog: str) -> str:
-        argument = "".join(f" {p.flag}" for p in self.params if not p.flag.startswith("-"))
-        return f"{prog} {self.name} [OPTIONS]{argument}"
-
-    def usage(self, prog: str) -> str:
-        return f"Usage: {self._synopsis(prog)}\nTry '{prog} {self.name} --help' for help.\n"
+        valued = {name for name, spec in self.params
+                  if name.startswith("-") and spec.get("action") != "store_true"}
+        return vars(parser.parse_args(_attach_values(args, valued)))
 
 
 def _attach_values(args: List[str], valued: set) -> List[str]:
@@ -233,9 +173,8 @@ def _attach_values(args: List[str], valued: set) -> List[str]:
             joined += [arg, *rest]
         elif arg in valued:
             value = next(rest, None)
-            if value is None:
-                raise InputError(f"Option '{arg}' requires an argument.")
-            joined.append(f"{arg}={value}")
+            # an option with nothing after it is left for argparse to refuse
+            joined.append(arg if value is None else f"{arg}={value}")
         else:
             joined.append(arg)
     return joined
@@ -248,7 +187,7 @@ class Group:
         self.help = help
         self.commands = {}
 
-    def command(self, *params: _Param):
+    def command(self, *params: tuple):
         """Register the decorated function as the command named after it."""
 
         def register(fn):
@@ -266,21 +205,18 @@ class Group:
     __call__ = main
 
     def _run(self, args: List[str], prog: str) -> int:
-        usage = f"Usage: {prog} [OPTIONS] COMMAND [ARGS]...\nTry '{prog} --help' for help.\n"
-        if not args or args[0] == "--help":
-            (sys.stdout if args else sys.stderr).write(self._help(prog))
-            return 0 if args else 2
-        name, rest = args[0], args[1:]
-        command = self.commands.get(name)
+        if args[:1] == ["--help"]:
+            sys.stdout.write(self._help(prog))
+            return 0
+        command = self.commands.get(args[0]) if args else None
         try:
             if command is None:
-                kind = "option" if name.startswith("-") else "command"
-                raise _UsageError(f"No such {kind} '{name}'.")
-            usage = command.usage(prog)
+                problem = f"no such command {args[0]!r}" if args else "no command given"
+                raise _UsageError(f"usage: {prog} COMMAND [ARGS]...\nError: {problem}")
             # the callback is read only now: a caller may have rebound it
-            command.callback(**command.parse(rest, prog))
+            command.callback(**command.parse(args[1:], prog))
         except _UsageError as err:
-            sys.stderr.write(f"{usage}\nError: {err}\n")
+            sys.stderr.write(f"{err}\n")
             return 2
         except FieldTooLarge as err:
             # unusable input, wherever the field too large to build arises
@@ -295,8 +231,7 @@ class Group:
         width = max(map(len, self.commands))
         rows = "".join(f"  {name:<{width}}  {command.help}\n"
                        for name, command in sorted(self.commands.items()))
-        return (f"Usage: {prog} [OPTIONS] COMMAND [ARGS]...\n\n  {self.help}\n\n"
-                f"Options:\n  --help  Show this message and exit.\n\nCommands:\n{rows}")
+        return f"usage: {prog} COMMAND [ARGS]...\n\n{self.help}\n\ncommands:\n{rows}"
 
 
 main = Group("Exact tools for Nichols algebras and braided fusion data.")
@@ -306,13 +241,11 @@ main = Group("Exact tools for Nichols algebras and braided fusion data.")
 
 
 @main.command(
-    _argument("BRAIDING_FILE"),
-    _option("--max-degree", type=_integer, required=True, metavar="INTEGER",
-            help="Engine cutoff degree."),
-    _option("--oracle-degree", type=_integer, metavar="INTEGER",
-            help="Cross-check graded dimensions up to this degree."),
-    _option("--emit-hopf", metavar="PATH",
-            help="Write the finite result as a structure-constant file."),
+    ("braiding_file", {}),
+    ("--max-degree", dict(type=integer, required=True, help="Engine cutoff degree.")),
+    ("--oracle-degree", dict(type=integer,
+                             help="Cross-check graded dimensions up to this degree.")),
+    ("--emit-hopf", dict(help="Write the finite result as a structure-constant file.")),
     _THREADS,
     _JSON,
 )
@@ -417,7 +350,7 @@ def _load_well_formed_hopf(path: str):
     return t, digest
 
 
-@main.command(_argument("HOPF_FILE"), _JSON)
+@main.command(_HOPF_FILE, _JSON)
 def verify(hopf_file, as_json):
     """Check all Hopf axioms plus connectedness on both sides."""
     from .structconst import AXIOM_KEYS, check_coconnected, check_connected, verify_axioms
@@ -477,14 +410,13 @@ def _layer_table(f) -> list:
             for i, dims in sorted(f.layer_dims().items())]
 
 
-_FILTRATION = _option("--filtration", "kind", type=_Choice(_FILTRATIONS), required=True,
-                      metavar="[" + "|".join(_FILTRATIONS) + "]")
+_FILTRATION = ("--filtration", dict(dest="kind", choices=_FILTRATIONS, required=True))
 
 
 @main.command(
-    _argument("HOPF_FILE"),
+    _HOPF_FILE,
     _FILTRATION,
-    _option("--out", metavar="PATH", help="Write the associated graded structure here."),
+    ("--out", dict(help="Write the associated graded structure here.")),
     _JSON,
 )
 def gr(hopf_file, kind, out, as_json):
@@ -523,11 +455,11 @@ def gr(hopf_file, kind, out, as_json):
 
 
 @main.command(
-    _argument("HOPF_FILE"),
+    _HOPF_FILE,
     _FILTRATION,
-    _option("--lambda-samples", "samples", default="1",
-            help="Comma-separated parameters, e.g. '1,1/2,zeta(3)'."),
-    _option("--out", metavar="PATH", help="Write the exact limit structure here."),
+    ("--lambda-samples", dict(dest="samples", default="1",
+                              help="Comma-separated parameters, e.g. '1,1/2,zeta(3)'.")),
+    ("--out", dict(help="Write the exact limit structure here.")),
     _JSON,
 )
 def degenerate(hopf_file, kind, samples, out, as_json):
@@ -586,7 +518,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
 # -- is-nichols ------------------------------------------------------------
 
 
-@main.command(_argument("HOPF_FILE"), _JSON)
+@main.command(_HOPF_FILE, _JSON)
 def is_nichols(hopf_file, as_json):
     """Run the three recognition criteria on a structure file."""
     from .dualize import nichols_criteria
@@ -633,7 +565,7 @@ def is_nichols(hopf_file, as_json):
 # -- fusion ----------------------------------------------------------------
 
 
-@main.command(_argument("FUSION_FILE"), _THREADS, _JSON)
+@main.command(("fusion_file", {}), _THREADS, _JSON)
 def fusion_verify(fusion_file, threads, as_json):
     """Check pentagon, units, duality, and both hexagons on fusion data."""
     from .fusion import verify_braiding, verify_duality, verify_pentagon, verify_units, well_formed
@@ -673,9 +605,9 @@ def fusion_verify(fusion_file, threads, as_json):
 
 
 @main.command(
-    _option("--group", required=True,
-            help="Cyclic factor orders of an abelian group, e.g. '2,2'."),
-    _option("--out", required=True, metavar="PATH", help="Write the generated fusion data here."),
+    ("--group", dict(required=True,
+                     help="Cyclic factor orders of an abelian group, e.g. '2,2'.")),
+    ("--out", dict(required=True, help="Write the generated fusion data here.")),
     _JSON,
 )
 def fusion_gen(group, out, as_json):
@@ -684,7 +616,7 @@ def fusion_gen(group, out, as_json):
 
     started = time.monotonic()
     try:
-        factors = [int(part) for part in group.split(",") if part.strip()]
+        factors = [integer(part) for part in group.split(",") if part.strip()]
         data = pointed_center_data(factors)
     except ValueError as err:
         raise InputError(f"bad --group: {err}")

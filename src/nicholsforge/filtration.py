@@ -67,7 +67,7 @@ def _full_layer(obj: DecomposedObject) -> Layer:
     return {label: Subspace.full(space.dim) for label, space in obj.sectors.items()}
 
 
-def _layer_leq(obj: DecomposedObject, lower: Layer, upper: Layer) -> bool:
+def _layer_leq(lower: Layer, upper: Layer) -> bool:
     for label, sub in lower.items():
         if sub.dim == 0:
             continue
@@ -133,7 +133,7 @@ class HopfFiltration:
                 if sub.ambient_dim != obj.sectors[label].dim:
                     raise ValueError(f"subspace in sector {label} has wrong ambient dimension")
         for i in range(lo, hi):
-            if not _layer_leq(obj, chain[i], chain[i + 1]):
+            if not _layer_leq(chain[i], chain[i + 1]):
                 raise ValueError(f"filtration chain is not nested at index {i}")
         self.structure = structure
         self.kind = kind

@@ -243,15 +243,7 @@ class HopfStructure:
     def __eq__(self, other):
         if not isinstance(other, HopfStructure):
             return NotImplemented
-        return (
-            self.obj == other.obj
-            and self.mul == other.mul
-            and self.unit == other.unit
-            and self.cop == other.cop
-            and self.counit == other.counit
-            and self.antipode == other.antipode
-            and self.grading == other.grading
-        )
+        return self.obj == other.obj and structurally_equal(self, other)
 
     __hash__ = None  # type: ignore[assignment]
 

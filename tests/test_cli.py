@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, JSON reports, file round trips."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 from tests_support import CliRunner
@@ -73,7 +75,7 @@ def test_nichols_json_report_shape(runner, qp_file):
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["command"] == "nichols"
-    assert doc["input"].startswith("sha256:")
+    assert doc["input"] == "sha256:" + hashlib.sha256(Path(qp_file).read_bytes()).hexdigest()
     assert doc["results"]["hilbert_series"] == [1, 2, 1]
     assert doc["results"]["total_dim"] == 4
     assert all(row["agree"] for row in doc["results"]["oracle"])
@@ -150,6 +152,8 @@ def z2_file(tmp_path, runner):
     pytest.param(["--threads", "0"], {}, id="flag-0"),
     pytest.param([], {"NICHOLS_FORGE_THREADS": "0"}, id="env-0"),
     pytest.param([], {"NICHOLS_FORGE_THREADS": "abc"}, id="env-abc"),
+    pytest.param(["--threads", "1_0"], {}, id="flag-underscore"),
+    pytest.param([], {"NICHOLS_FORGE_THREADS": "\u0662"}, id="env-arabic-indic-digit"),
 ])
 @pytest.mark.parametrize("command", ["nichols", "fusion-verify"])
 def test_bad_thread_count_is_usage_error(runner, qp_file, z2_file, command, flag, env):
@@ -159,6 +163,22 @@ def test_bad_thread_count_is_usage_error(runner, qp_file, z2_file, command, flag
     result = runner.invoke(main, args + flag, env=env)
     assert result.exit_code == 2, result.output
     assert "Error" in result.output
+
+
+@pytest.mark.parametrize("text, code", [("\u0662", 2), ("2_0", 2), (" 2 ", 0), ("+2", 0)],
+                         ids=["arabic-indic-digit", "underscore", "spaces", "plus"])
+@pytest.mark.parametrize("option", ["--max-degree", "--oracle-degree", "--group"])
+def test_command_line_integers_are_ascii_digits(runner, qp_file, tmp_path, option, text, code):
+    # the grammar of integers in documents: int() alone would read these as 2 and 20
+    out = tmp_path / "z2.json"
+    args = {
+        "--max-degree": ["nichols", qp_file, "--max-degree", text],
+        "--oracle-degree": ["nichols", qp_file, "--max-degree", "6", "--oracle-degree", text],
+        "--group": ["fusion-gen", "--group", text, "--out", str(out)],
+    }[option]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
 
 
 def test_emit_hopf_refused_when_undetermined(runner, tmp_path):
@@ -746,3 +766,48 @@ def test_is_nichols_refuses_every_structure_that_fails_the_axioms(runner, a2_hop
                 and lines[0].startswith("Error: criteria not applicable: ")):
             accepted.append((key, result.exit_code, result.output))
     assert not accepted, accepted[:3]
+
+
+# command lines that argparse refuses; QP and HOPF stand for the input files
+ARGUMENT_ERRORS = {
+    "no-command": ["--json"],
+    "unknown-command": ["frobnicate", "HOPF"],
+    "missing-positional": ["verify", "--json"],
+    "missing-required-option": ["gr", "HOPF"],
+    "unknown-option": ["verify", "HOPF", "--frobnicate"],
+    "extra-argument": ["verify", "HOPF", "extra"],
+    "non-integer": ["nichols", "QP", "--max-degree", "six"],
+    "bad-choice": ["gr", "HOPF", "--filtration", "sideways"],
+    "option-without-value": ["nichols", "QP", "--max-degree"],
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_argument_errors_exit_two_with_one_error_line(runner, qp_file, qp_hopf, case):
+    # the contract only, not the wording: exit 2, no traceback, one Error line
+    files = {"QP": qp_file, "HOPF": qp_hopf}
+    result = runner.invoke(main, [files.get(arg, arg) for arg in ARGUMENT_ERRORS[case]])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1, result.output
+
+
+def test_option_values_may_start_with_a_minus(runner, qp_file, qp_hopf):
+    result = runner.invoke(main, ["degenerate", qp_hopf, "--filtration", "coradical",
+                                  "--lambda-samples", "-1/2", "--json"])
+    assert result.exit_code == 0, result.output
+    samples = json.loads(result.output)["results"]["samples"]
+    assert samples == [{"coeffs": ["-1/2"], "conductor": 1}]
+    result = runner.invoke(main, ["nichols", qp_file, "--max-degree", "4",
+                                  "--oracle-degree", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "cannot be negative" in result.output
+
+
+def test_every_command_has_help(runner):
+    for name in sorted(main.commands):
+        result = runner.invoke(main, [name, "--help"])
+        assert result.exit_code == 0, (name, result.output)
+    assert runner.invoke(main, ["--help"]).exit_code == 0

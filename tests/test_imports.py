@@ -97,8 +97,10 @@ finally:
 """
 
 # Each costs start-up time that no command needs: click with inspect,
-# dataclasses (which imports inspect), and fractions with decimal.
-_NEVER_IMPORTED = {"click", "dataclasses", "inspect", "fractions", "decimal"}
+# dataclasses (which imports inspect), fractions with decimal, and hashlib,
+# which loads OpenSSL's _hashlib for the input digest.
+_NEVER_IMPORTED = {"click", "dataclasses", "inspect", "fractions", "decimal",
+                   "hashlib", "_hashlib"}
 
 
 def _modules_at_exit(tmp_path: Path, args: list) -> set:

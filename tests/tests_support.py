@@ -663,7 +663,7 @@ def filtration_conditions_reference(f):
     for i in range(lo, hi + 2):
         for j in range(lo, min(hi + 1, hi - i) + 1):
             image = product_span(t, f.at(i), f.at(j))
-            if not _layer_leq(obj, image, f.at(i + j)):
+            if not _layer_leq(image, f.at(i + j)):
                 ok = False
     results["multiplicative"] = ok
 
