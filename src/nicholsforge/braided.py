@@ -1,33 +1,24 @@
-"""Braided vector spaces of diagonal type and braid lifts on tensor powers.
+"""Braided vector spaces of diagonal type, Yetter-Drinfeld data, and tensor words.
 
 The braiding on basis vectors is c(x_i (x) x_j) = q_ij * x_j (x) x_i, with
-q_ij nonzero scalars.  Such a braiding always satisfies the braid equation,
-which is asserted rather than assumed.  Tensor words of length d over n
-letters index V^(x)d in mixed-radix order: word (w_0, ..., w_{d-1}) sits at
-position sum w_t * n^(d-1-t), so concatenation is exactly the Kronecker
-index identification used in linalg.
-
-Braid lifts T_w act through a fixed reduced word of w (lexicographically
-minimal one), and the result does not depend on that choice; the tests
-check this exhaustively for small degrees.
+q_ij nonzero scalars.  Such a braiding always satisfies the braid equation.
+Tensor words of length d over n letters index V^(x)d in mixed-radix order:
+word (w_0, ..., w_{d-1}) sits at position sum w_t * n^(d-1-t), so
+concatenation is exactly the Kronecker index identification used in linalg.
+Braid lifts and the braid-equation check are reference code for the tests
+(tests/tests_support.py); no computation in the package uses them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .linalg import Matrix
 from .scalars import ONE, Scalar, parse_int, parse_scalar, scalar_to_json
 
 __all__ = [
     "DiagonalBraiding",
     "YDDatum",
-    "BraidLift",
     "yd_to_braiding",
-    "braiding_on_pair",
-    "check_braid_equation",
-    "braid_lift",
-    "lex_minimal_reduced_word",
     "all_words",
     "word_index",
     "word_label",
@@ -152,92 +143,6 @@ def word_label(word: Sequence[int]) -> str:
     if not word:
         return "1"
     return "*".join(f"x{a + 1}" for a in word)
-
-
-# -- braid lifts -------------------------------------------------------------
-
-
-def braiding_on_pair(braiding: DiagonalBraiding) -> Matrix:
-    """The n^2 x n^2 matrix of c on V (x) V: e_i (x) e_j -> q_ij e_j (x) e_i."""
-    n = braiding.dim
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            entries[(j * n + i, i * n + j)] = braiding.q[i][j]
-    return Matrix(n * n, n * n, entries)
-
-
-def _crossing(word: tuple, k: int, braiding: DiagonalBraiding) -> tuple:
-    """Apply c at positions (k, k+1): returns (new word, scalar factor)."""
-    a, b = word[k], word[k + 1]
-    swapped = word[:k] + (b, a) + word[k + 2 :]
-    return swapped, braiding.q[a][b]
-
-
-def lex_minimal_reduced_word(perm: Sequence[int]) -> tuple:
-    """Lexicographically minimal reduced word of a permutation.
-
-    Generators are 0-based: letter k means the transposition of positions
-    k and k+1.  Greedy: repeatedly take the smallest k whose positions are
-    out of order in the remaining permutation.
-    """
-    w = list(perm)
-    d = len(w)
-    assert sorted(w) == list(range(d)), "not a permutation"
-    inv = [0] * d
-    for pos, val in enumerate(w):
-        inv[val] = pos
-    word = []
-    while True:
-        for k in range(d - 1):
-            if inv[k] > inv[k + 1]:
-                word.append(k)
-                pk, pk1 = inv[k], inv[k + 1]
-                w[pk], w[pk1] = w[pk1], w[pk]
-                inv[k], inv[k + 1] = pk1, pk
-                break
-        else:
-            return tuple(word)
-
-
-class BraidLift(NamedTuple):
-    """Positive braid lift of a permutation acting on V^(x)degree."""
-
-    degree: int
-    word: tuple  # reduced word, 0-based generator letters
-    matrix: Matrix
-
-
-def braid_lift(perm: Sequence[int], braiding: DiagonalBraiding) -> BraidLift:
-    """Lift of the permutation to V^(x)d via its lex-minimal reduced word.
-
-    The action convention is (pi . w)_m = w_{pi^{-1}(m)}: letters travel to
-    the positions the permutation sends them to.  Composition applies the
-    reduced word right to left, one crossing at a time.
-    """
-    perm = tuple(perm)
-    d = len(perm)
-    assert d >= 1
-    word = lex_minimal_reduced_word(perm)
-    n = braiding.dim
-    dim = n**d
-    entries = {}
-    for w in all_words(n, d):
-        state, factor = w, ONE
-        for k in reversed(word):
-            state, q = _crossing(state, k, braiding)
-            factor = factor * q
-        entries[(word_index(state, n), word_index(w, n))] = factor
-    return BraidLift(d, word, Matrix(dim, dim, entries))
-
-
-def check_braid_equation(braiding: DiagonalBraiding) -> bool:
-    """(c x 1)(1 x c)(c x 1) = (1 x c)(c x 1)(1 x c) on V^(x)3."""
-    c = braiding_on_pair(braiding)
-    eye = Matrix.identity(braiding.dim)
-    left = c.kron(eye)
-    right = eye.kron(c)
-    return left @ right @ left == right @ left @ right
 
 
 # -- JSON forms --------------------------------------------------------------

@@ -111,7 +111,10 @@ def hopf_from_json(obj: dict) -> HopfStructure:
     graded = False
     for entry in obj["sectors"]:
         label = _label(entry["label"], "sector label")
-        dim, basis = parse_int(entry["dim"], "sector dim"), tuple(entry["basis"])
+        dim, basis = parse_int(entry["dim"], "sector dim"), entry["basis"]
+        if not isinstance(basis, list) or not all(isinstance(name, str) for name in basis):
+            raise ValueError(f"sector {list(label)} basis must be a list of strings")
+        basis = tuple(basis)
         if label in sectors:
             raise ValueError(f"sector {list(label)} is listed twice")
         if dim < 0 or dim != len(basis):

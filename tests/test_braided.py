@@ -6,18 +6,21 @@ from nicholsforge.braided import (
     DiagonalBraiding,
     YDDatum,
     all_words,
-    braid_lift,
     braiding_from_json,
-    braiding_on_pair,
     braiding_to_json,
-    check_braid_equation,
-    lex_minimal_reduced_word,
     word_index,
     word_label,
     yd_to_braiding,
 )
 from nicholsforge.linalg import Matrix
 from nicholsforge.scalars import ONE, root_of_unity
+
+from tests_support import (
+    braid_lift,
+    braiding_on_pair,
+    check_braid_equation,
+    lex_minimal_reduced_word,
+)
 
 MINUS = root_of_unity(2, 1)
 Z3 = root_of_unity(3, 1)

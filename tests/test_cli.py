@@ -293,6 +293,11 @@ def _sector(doc, label):
                  id="repeated-basis-label"),
     pytest.param(lambda doc: doc["sectors"].append(dict(_sector(doc, [0, 1]))),
                  id="repeated-sector"),
+    pytest.param(lambda doc: _sector(doc, [1, 0]).update(basis=[3]), id="integer-basis-label"),
+    pytest.param(lambda doc: _sector(doc, [1, 0]).update(basis=[None]), id="null-basis-label"),
+    pytest.param(lambda doc: _sector(doc, [1, 0]).update(basis=[True]), id="boolean-basis-label"),
+    pytest.param(lambda doc: _sector(doc, [1, 0]).update(basis=[[1]]), id="list-basis-label"),
+    pytest.param(lambda doc: _sector(doc, [1, 0]).update(basis="x"), id="string-basis"),
 ])
 def test_malformed_sector_is_usage_error(runner, qp_hopf, edit):
     with open(qp_hopf) as fh:

@@ -15,9 +15,10 @@ from nicholsforge.nichols import nichols_compute
 from nicholsforge.structconst import (
     HopfStructure,
     from_nichols,
-    grading_respected,
     verify_axioms,
 )
+
+from tests_support import grading_respected
 
 QP = DiagonalBraiding.from_entries([["-1", "1"], ["1", "-1"]])
 

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from nicholsforge.braided import DiagonalBraiding, braid_lift
+from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.linalg import Matrix
 from nicholsforge.nichols import (
     FINITE,
@@ -16,6 +16,8 @@ from nicholsforge.nichols import (
     nichols_compute,
     symmetrizer_rank,
 )
+
+from tests_support import braid_lift
 
 
 def test_rank_one_truncated_line():

@@ -1,8 +1,12 @@
 """Structure-constant presentations: axioms, automorphisms, isomorphism
 search, connectedness."""
 
+import ast
+from collections import Counter
+
 import pytest
 
+from nicholsforge import structconst
 from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.linalg import BasedSpace, Matrix
 from nicholsforge.nichols import nichols_compute
@@ -14,21 +18,21 @@ from nicholsforge.structconst import (
     act,
     check_coconnected,
     check_connected,
-    compose_automorphisms,
     degree_one_generated,
     from_nichols,
     generated_by,
     graded_iso_search,
-    grading_respected,
     primitive_sectors,
     structurally_equal,
     verify_axioms,
 )
 
 from tests_support import (
+    compose_automorphisms,
     deleted,
     doubled,
     exterior_by_charge,
+    grading_respected,
     group_algebra_z2,
     hopf_entry_sites,
     mutate_hopf,
@@ -305,3 +309,129 @@ def test_axioms_on_the_dual_match_the_direct_checks_at_zeta3():
         DiagonalBraiding.from_entries([["zeta(3)", "1"], ["zeta(3)^2", "zeta(3)"]]), 10))
     site = next(site for site in hopf_entry_sites(t) if site[0] == "cop" and site[1][0] != site[1][1])
     assert "coassoc" in _compared_report(mutate_hopf(t, site)).failures
+
+
+# -- the reduced checks on the generating sectors ------------------------------
+
+A3_MINUS_ONE = DiagonalBraiding.from_entries([["-1", "-1", "1"], ["1", "-1", "-1"],
+                                              ["1", "1", "-1"]])
+REDUCIBLE = ("assoc", "coassoc", "bialgebra")
+SITE_AXIOMS = (("assoc at", "assoc"), ("coassoc at", "coassoc"), ("left unit", "unit"),
+               ("right unit", "unit"), ("left counit", "counit"), ("right counit", "counit"),
+               ("cop o", "bialgebra"), ("counit o", "bialgebra"), ("antipode at", "antipode"))
+
+
+def _axiom_of(description):
+    return next(axiom for prefix, axiom in SITE_AXIOMS if description.startswith(prefix))
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """Record every scan verify_axioms runs as (kind, axiom, site descriptions, outcome).
+
+    A reduced scan (_holds) only answers whether its sites hold; a full scan
+    (_first_failure) names the first site that fails.
+    """
+    seen = []
+
+    def recorded(kind, scan):
+        def wrapper(sites):
+            sites = list(sites)
+            outcome = scan(iter(sites))
+            descriptions = [description for description, _, _ in sites]
+            seen.append((kind, _axiom_of(descriptions[0]), descriptions, outcome))
+            return outcome
+
+        return wrapper
+
+    monkeypatch.setattr(structconst, "_holds", recorded("reduced", structconst._holds))
+    monkeypatch.setattr(structconst, "_first_failure",
+                        recorded("full", structconst._first_failure))
+    return seen
+
+
+def _scan_counts(seen):
+    return Counter((kind, axiom) for kind, axiom, _, _ in seen)
+
+
+def _full_scan_report(t):
+    # the kept decision forced to None: every axiom is checked by its full scan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HopfStructure, "seeds", property(lambda self: None))
+        return verify_axioms(t)
+
+
+def _reducible(t, results):
+    # the preconditions of facts (a)-(c) in the structconst docstring
+    gens, cogens = t.seeds or (None, None)
+    return {
+        "assoc": gens is not None and results["unit"],
+        "coassoc": cogens is not None and results["counit"],
+        "bialgebra": gens is not None and results["assoc"] and results["unit"],
+    }
+
+
+# The a2-at-minus-one mutants include those of
+# test_doubled_entries_fail_at_pinned_sites: cutoffs 5 and 6 give one structure.
+@pytest.mark.parametrize("name", sorted(MUTATED_CASES))
+def test_reduced_checks_fail_wherever_the_full_scan_does(name, scans):
+    entries, cutoff = MUTATED_CASES[name]
+    t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
+    reduced_failures = Counter()
+    for s in _mutants(t):
+        full = _full_scan_report(s)
+        del scans[:]
+        report = verify_axioms(s)
+        assert (report.results, report.failures) == (full.results, full.failures)
+        for axiom, reducible in _reducible(s, report.results).items():
+            ran = [(kind, outcome) for kind, key, _, outcome in scans if key == axiom]
+            if not reducible:
+                assert [kind for kind, _ in ran] == ["full"]
+            elif full.results[axiom]:
+                assert ran == [("reduced", True)]
+            else:
+                # the reduced sites alone fail, and only then the full scan runs
+                assert ran == [("reduced", False), ("full", full.failures[axiom])]
+                reduced_failures[axiom] += 1
+    # in the quantum plane every product of three generators is zero, so a
+    # mutant that keeps the unit axiom stays associative, and one that keeps
+    # the counit axiom coassociative
+    assert set(reduced_failures) == ({"bialgebra"} if name == "quantum-plane" else set(REDUCIBLE))
+
+
+def test_scans_per_axiom_are_pinned(scans):
+    t = from_nichols(nichols_compute(A2_MINUS_ONE, 5))
+    assert verify_axioms(t).passed
+    # the three reducible axioms by their reduced scans alone
+    assert _scan_counts(scans) == {
+        ("full", "unit"): 1, ("reduced", "assoc"): 1, ("full", "counit"): 1,
+        ("reduced", "coassoc"): 1, ("reduced", "bialgebra"): 1, ("full", "antipode"): 2,
+    }
+    del scans[:]
+    mutant = mutate_hopf(t, ("mul", ((0, 1), (1, 0)), (1, 0)))
+    report = verify_axioms(mutant)
+    assert report.failures["assoc"] == "assoc at ((0, 1), (1, 0), (0, 1))"
+    # assoc falls back to its full scan, and the bialgebra axiom, whose
+    # reduced check needs associativity, is scanned in full
+    assert _scan_counts(scans) == {
+        ("full", "unit"): 1, ("reduced", "assoc"): 1, ("full", "assoc"): 1,
+        ("full", "counit"): 1, ("reduced", "coassoc"): 1, ("full", "bialgebra"): 1,
+        ("full", "antipode"): 2,
+    }
+
+
+def test_a3_at_minus_one_passes_on_its_reduced_sites(scans):
+    t = from_nichols(nichols_compute(A3_MINUS_ONE, 11))
+    assert verify_axioms(t).passed
+    assert not [axiom for kind, axiom, _, _ in scans if kind == "full" and axiom in REDUCIBLE]
+    sites = {axiom: descriptions for kind, axiom, descriptions, _ in scans if kind == "reduced"}
+    # 859 of the 3,596 triples on each side: those whose first factor is a
+    # degree-one sector, (g, j, k) with j + k no sector included
+    assert len(sites["assoc"]) == len(sites["coassoc"]) == 859
+    # the bialgebra pieces formed for the cop o mul sites visited: 1,996 of 74,155
+    obj, add = t.obj, t.obj.backend.add
+    pairs = {ast.literal_eval(d[len("cop o mul at "):d.index(" ->")])
+             for d in sites["bialgebra"] if d.startswith("cop o mul")}
+    pieces = sum(add(a1, b1) in obj.sectors and add(a2, b2) in obj.sectors
+                 for a, b in pairs for a1, a2 in obj.splits(a) for b1, b2 in obj.splits(b))
+    assert pieces == 1996

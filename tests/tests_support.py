@@ -4,9 +4,9 @@ import contextlib
 import io
 import os
 from math import prod
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from nicholsforge.braided import DiagonalBraiding
+from nicholsforge.braided import DiagonalBraiding, all_words, word_index
 from nicholsforge.fusion import (
     FusionData,
     verify_braiding,
@@ -713,3 +713,135 @@ def filtration_conditions_reference(f):
                 ok = False
     results["antipode-stable"] = ok
     return results
+
+
+# -- reference code no package computation uses ------------------------------
+
+# Braid lifts through lex-minimal reduced words and the braid equation, which
+# the tests compare the symmetrizer and the braidings against, and two
+# structure-constant helpers the tests use.
+
+
+def braiding_on_pair(braiding: DiagonalBraiding) -> Matrix:
+    """The n^2 x n^2 matrix of c on V (x) V: e_i (x) e_j -> q_ij e_j (x) e_i."""
+    n = braiding.dim
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            entries[(j * n + i, i * n + j)] = braiding.q[i][j]
+    return Matrix(n * n, n * n, entries)
+
+
+def _crossing(word: tuple, k: int, braiding: DiagonalBraiding) -> tuple:
+    """Apply c at positions (k, k+1): returns (new word, scalar factor)."""
+    a, b = word[k], word[k + 1]
+    swapped = word[:k] + (b, a) + word[k + 2 :]
+    return swapped, braiding.q[a][b]
+
+
+def lex_minimal_reduced_word(perm: Sequence[int]) -> tuple:
+    """Lexicographically minimal reduced word of a permutation.
+
+    Generators are 0-based: letter k means the transposition of positions
+    k and k+1.  Greedy: repeatedly take the smallest k whose positions are
+    out of order in the remaining permutation.
+    """
+    w = list(perm)
+    d = len(w)
+    assert sorted(w) == list(range(d)), "not a permutation"
+    inv = [0] * d
+    for pos, val in enumerate(w):
+        inv[val] = pos
+    word = []
+    while True:
+        for k in range(d - 1):
+            if inv[k] > inv[k + 1]:
+                word.append(k)
+                pk, pk1 = inv[k], inv[k + 1]
+                w[pk], w[pk1] = w[pk1], w[pk]
+                inv[k], inv[k + 1] = pk1, pk
+                break
+        else:
+            return tuple(word)
+
+
+class BraidLift(NamedTuple):
+    """Positive braid lift of a permutation acting on V^(x)degree."""
+
+    degree: int
+    word: tuple  # reduced word, 0-based generator letters
+    matrix: Matrix
+
+
+def braid_lift(perm: Sequence[int], braiding: DiagonalBraiding) -> BraidLift:
+    """Lift of the permutation to V^(x)d via its lex-minimal reduced word.
+
+    The action convention is (pi . w)_m = w_{pi^{-1}(m)}: letters travel to
+    the positions the permutation sends them to.  Composition applies the
+    reduced word right to left, one crossing at a time.
+    """
+    perm = tuple(perm)
+    d = len(perm)
+    assert d >= 1
+    word = lex_minimal_reduced_word(perm)
+    n = braiding.dim
+    dim = n**d
+    entries = {}
+    for w in all_words(n, d):
+        state, factor = w, ONE
+        for k in reversed(word):
+            state, q = _crossing(state, k, braiding)
+            factor = factor * q
+        entries[(word_index(state, n), word_index(w, n))] = factor
+    return BraidLift(d, word, Matrix(dim, dim, entries))
+
+
+def check_braid_equation(braiding: DiagonalBraiding) -> bool:
+    """(c x 1)(1 x c)(c x 1) = (1 x c)(c x 1)(1 x c) on V^(x)3."""
+    c = braiding_on_pair(braiding)
+    eye = Matrix.identity(braiding.dim)
+    left = c.kron(eye)
+    right = eye.kron(c)
+    return left @ right @ left == right @ left @ right
+
+
+def grading_respected(t: HopfStructure) -> bool:
+    """Whether every stored block is homogeneous for the carried grading."""
+    if t.grading is None:
+        return False
+    g = t.grading
+    obj = t.obj
+    for (i, j), block in t.mul.items():
+        target = obj.backend.add(i, j)
+        dj = obj.dim(j)
+        for (r, c), _ in block.entries.items():
+            if g[target][r] != g[i][c // dj] + g[j][c % dj]:
+                return False
+    for (i, j), block in t.cop.items():
+        source = obj.backend.add(i, j)
+        dj = obj.dim(j)
+        for (r, c), _ in block.entries.items():
+            if g[source][c] != g[i][r // dj] + g[j][r % dj]:
+                return False
+    for i, block in t.antipode.items():
+        for (r, c), _ in block.entries.items():
+            if g[i][r] != g[i][c]:
+                return False
+    zero = obj.backend.zero
+    for (r, _), _ in t.unit.entries.items():
+        if g[zero][r] != 0:
+            return False
+    for (_, c), _ in t.counit.entries.items():
+        if g[zero][c] != 0:
+            return False
+    return True
+
+
+def compose_automorphisms(t: HopfStructure, outer: dict, inner: dict) -> dict:
+    """Per-sector product outer o inner, filling identities for gaps."""
+    out = {}
+    for label, space in t.obj.sectors.items():
+        a = outer.get(label, Matrix.identity(space.dim))
+        b = inner.get(label, Matrix.identity(space.dim))
+        out[label] = a @ b
+    return out
