@@ -31,8 +31,16 @@ from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Subspace, inverse, kernel
-from .scalars import ONE, ZERO, Scalar, from_rational
-from .structconst import DecomposedObject, HopfStructure, act, primitive_sectors
+from .scalars import Scalar, from_rational
+from .structconst import (
+    DecomposedObject,
+    HopfStructure,
+    act,
+    degree_layer,
+    full_layer,
+    layer_dims,
+    primitive_sectors,
+)
 
 __all__ = [
     "HopfFiltration",
@@ -63,10 +71,6 @@ FILTRATION_CONDITIONS = (
 )
 
 
-def _full_layer(obj: DecomposedObject) -> Layer:
-    return {label: Subspace.full(space.dim) for label, space in obj.sectors.items()}
-
-
 def _layer_leq(lower: Layer, upper: Layer) -> bool:
     for label, sub in lower.items():
         if sub.dim == 0:
@@ -75,17 +79,6 @@ def _layer_leq(lower: Layer, upper: Layer) -> bool:
         if target is None or not target.contains_columns(sub.basis):
             return False
     return True
-
-
-def _layer_is_full(obj: DecomposedObject, layer: Layer) -> bool:
-    return all(
-        label in layer and layer[label].dim == space.dim
-        for label, space in obj.sectors.items()
-    )
-
-
-def _layer_dims(layer: Layer) -> dict:
-    return {label: sub.dim for label, sub in layer.items() if sub.dim}
 
 
 def _layer_at(window: Tuple[int, int], chain: Dict[int, Layer], full: Layer, i: int) -> Layer:
@@ -139,13 +132,13 @@ class HopfFiltration:
         self.kind = kind
         self.window = window
         self.chain = chain
-        self.full = _full_layer(obj)
+        self.full = full_layer(obj)
 
     def at(self, i: int) -> Layer:
         return _layer_at(self.window, self.chain, self.full, i)
 
     def layer_dims(self) -> Dict[int, dict]:
-        return {i: _layer_dims(self.chain[i]) for i in self.chain}
+        return {i: layer_dims(self.chain[i]) for i in self.chain}
 
 
 def _multiplicative(t: HopfStructure, window: Tuple[int, int], at) -> bool:
@@ -191,8 +184,8 @@ def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
     lo, hi = f.window
     g_window = (-hi - 1, -lo - 1)
     g_chain = {-n - 1: _annihilator(dual.obj, layer) for n, layer in f.chain.items()}
-    g_at = partial(_layer_at, g_window, g_chain, _full_layer(dual.obj))
-    results = {"exhausts": _layer_is_full(t.obj, f.at(hi))}
+    g_at = partial(_layer_at, g_window, g_chain, full_layer(dual.obj))
+    results = {"exhausts": layer_dims(f.at(hi)) == layer_dims(full_layer(t.obj))}
     # `at` returns the empty layer below the window, so the filtration is
     # bounded below by construction and there is nothing to check
     results["bounded-below"] = True
@@ -220,7 +213,7 @@ def radical_filtration(t: HopfStructure) -> HopfFiltration:
     """Powers of the augmentation ideal, J^k sitting at index -k."""
     _connected_both_ways(t)
     powers = t.powers
-    chain = {0: _full_layer(t.obj)}
+    chain = {0: full_layer(t.obj)}
     for k, power in enumerate(powers, 1):
         chain[-k] = power
     return HopfFiltration(t, "radical", (-len(powers), 0), chain)
@@ -237,7 +230,7 @@ def coradical_filtration(t: HopfStructure) -> HopfFiltration:
     _connected_both_ways(t)
     powers = t.dual.powers
     chain = {n: _annihilator(t.obj, power) for n, power in enumerate(powers)}
-    chain[len(powers)] = _full_layer(t.obj)
+    chain[len(powers)] = full_layer(t.obj)
     return HopfFiltration(t, "coradical", (0, len(powers)), chain)
 
 
@@ -249,19 +242,7 @@ def degree_filtration(t: HopfStructure) -> HopfFiltration:
     if any(d < 0 for d in degrees):
         raise ValueError("degree filtration needs non-negative degrees")
     hi = max(degrees, default=0)
-    chain = {}
-    for i in range(hi + 1):
-        layer = {}
-        for label, space in t.obj.sectors.items():
-            vectors = []
-            for pos, d in enumerate(t.grading[label]):
-                if d <= i:
-                    vec = [ZERO] * space.dim
-                    vec[pos] = ONE
-                    vectors.append(vec)
-            if vectors:
-                layer[label] = Subspace.from_vectors(space.dim, vectors)
-        chain[i] = layer
+    chain = {i: degree_layer(t, range(i + 1)) for i in range(hi + 1)}
     return HopfFiltration(t, "degree", (0, hi), chain)
 
 

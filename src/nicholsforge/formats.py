@@ -100,6 +100,13 @@ def _label(raw, what: str) -> tuple:
     return tuple(parse_int(x, what) for x in raw)
 
 
+def _put(table: dict, key, value, what: str) -> None:
+    """Enter value under key, refusing a key the document already gave."""
+    if key in table:
+        raise ValueError(f"{what} is listed twice")
+    table[key] = value
+
+
 def hopf_from_json(obj: dict) -> HopfStructure:
     from .structconst import DecomposedObject, HopfStructure, LabelBackend
 
@@ -115,13 +122,11 @@ def hopf_from_json(obj: dict) -> HopfStructure:
         if not isinstance(basis, list) or not all(isinstance(name, str) for name in basis):
             raise ValueError(f"sector {list(label)} basis must be a list of strings")
         basis = tuple(basis)
-        if label in sectors:
-            raise ValueError(f"sector {list(label)} is listed twice")
         if dim < 0 or dim != len(basis):
             raise ValueError(f"sector {list(label)} has dim {dim} but {len(basis)} basis labels")
         if len(set(basis)) != dim:
             raise ValueError(f"sector {list(label)} repeats a basis label")
-        sectors[label] = BasedSpace(dim, basis)
+        _put(sectors, label, BasedSpace(dim, basis), f"sector {list(label)}")
         if "degrees" in entry:
             graded = True
             grading[label] = tuple(parse_int(d, "degree") for d in entry["degrees"])
@@ -131,11 +136,14 @@ def hopf_from_json(obj: dict) -> HopfStructure:
         i, j = raw
         return (_label(i, "key label"), _label(j, "key label"))
 
-    mul = {pair_key(e["key"]): matrix_from_json(e) for e in obj["mul"]}
-    cop = {pair_key(e["key"]): matrix_from_json(e) for e in obj["cop"]}
-    antipode = {
-        _label(e["key"], "key label"): matrix_from_json(e) for e in obj["antipode"]
-    }
+    def blocks(kind: str, key_of) -> dict:
+        out: dict = {}
+        for e in obj[kind]:
+            _put(out, key_of(e["key"]), matrix_from_json(e), f"{kind} key {e['key']}")
+        return out
+
+    mul, cop = blocks("mul", pair_key), blocks("cop", pair_key)
+    antipode = blocks("antipode", lambda raw: _label(raw, "key label"))
     unit = matrix_from_json(obj["unit"])
     counit = matrix_from_json(obj["counit"])
     return HopfStructure(space, mul, unit, cop, counit, antipode, grading if graded else None)
@@ -184,17 +192,22 @@ def fusion_from_json(obj: dict) -> FusionData:
         key, n = simples((i, j, k), 3, f"fusion row {row}"), parse_int(n, f"fusion row {row}")
         if n < 0:
             raise ValueError(f"fusion row {row} has a negative multiplicity")
-        fusion[key] = n
+        _put(fusion, key, n, f"fusion row {list(key)}")
     dual = simples(obj["dual"], size, f"dual {obj['dual']}")
 
     def blocks(kind: str, arity: int) -> dict:
-        return {
-            simples(e["key"], arity, f"{kind} key {e['key']}"): matrix_from_json(e)
-            for e in obj[kind]
-        }
+        out: dict = {}
+        for e in obj[kind]:
+            what = f"{kind} key {e['key']}"
+            _put(out, simples(e["key"], arity, what), matrix_from_json(e), what)
+        return out
 
     def units(kind: str) -> dict:
-        return {simples([i], 1, f"{kind} key {i}")[0]: parse_scalar(v) for i, v in obj[kind]}
+        out: dict = {}
+        for i, v in obj[kind]:
+            what = f"{kind} key {i}"
+            _put(out, simples([i], 1, what)[0], parse_scalar(v), what)
+        return out
 
     assoc, braiding = blocks("assoc", 6), blocks("braiding", 3)
     ev = {i: block for (i,), block in blocks("ev", 1).items()}

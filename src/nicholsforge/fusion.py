@@ -30,7 +30,7 @@ from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .braided import DiagonalBraiding
-from .linalg import Matrix, _times, inverse, rank
+from .linalg import Matrix, compose, inverse, rank
 from .scalars import ONE, Scalar, root_of_unity
 
 __all__ = [
@@ -183,27 +183,6 @@ def _columns(block: Matrix, dims_in: tuple, dims_out: tuple) -> Dict[tuple, Colu
     return columns
 
 
-def _compose(step: dict, total: dict) -> dict:
-    """step after total.  Products of nonzero scalars are nonzero, so only a
-    sum can leave a zero to drop."""
-    by_mid: dict = {}
-    for (mid, key_in), v in total.items():
-        by_mid.setdefault(mid, []).append((key_in, v, v.is_one()))
-    out: dict = {}
-    summed = False
-    for (key_out, mid), s in step.items():
-        s_one = s.is_one()
-        for key_in, v, v_one in by_mid.get(mid, ()):
-            term = _times(s, s_one, v, v_one)
-            cur = out.get((key_out, key_in))
-            if cur is None:
-                out[(key_out, key_in)] = term
-            else:
-                out[(key_out, key_in)] = cur + term
-                summed = True
-    return {key: v for key, v in out.items() if v} if summed else out
-
-
 def _route(keys: List[tuple], *jumps: Jump):
     """Apply the jumps in order; return the end vertex and the composite map."""
     total = None
@@ -216,7 +195,7 @@ def _route(keys: List[tuple], *jumps: Jump):
                 if v is not None:
                     step[(key_out, key)] = v
         keys = sorted(reached)
-        total = step if total is None else _compose(step, total)
+        total = step if total is None else compose(step, total)
     return keys, total
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "quotient",
     "hstack",
     "vstack",
+    "compose",
 ]
 
 
@@ -53,6 +54,28 @@ def _times(va: Scalar, a_one: bool, vb: Scalar, b_one: bool) -> Scalar:
     if b_one and va.conductor % vb.conductor == 0:
         return va
     return va * vb
+
+
+def compose(step: dict, total: dict) -> dict:
+    """step after total, for sparse maps keyed (row, col).  Products of
+    nonzero scalars are nonzero, so only a sum can leave a zero to drop."""
+    by_mid: dict = {}
+    for (mid, key_in), v in total.items():
+        by_mid.setdefault(mid, []).append((key_in, v, v.is_one()))
+    out: dict = {}
+    summed = False
+    for (key_out, mid), s in step.items():
+        s_one = s.is_one()
+        for key_in, v, v_one in by_mid.get(mid, ()):
+            key = (key_out, key_in)
+            term = _times(s, s_one, v, v_one)
+            cur = out.get(key)
+            if cur is None:
+                out[key] = term
+            else:
+                out[key] = cur + term
+                summed = True
+    return {key: v for key, v in out.items() if v} if summed else out
 
 
 class Matrix:
@@ -162,18 +185,7 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         assert self.ncols == other.nrows, f"shape mismatch {self.shape} @ {other.shape}"
-        by_row: dict[int, list] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v, v.is_one()))
-        acc: dict[tuple, Scalar] = {}
-        for (r, k), va in self.entries.items():
-            a_one = va.is_one()
-            for c, vb, b_one in by_row.get(k, ()):
-                key = (r, c)
-                cur = acc.get(key)
-                prod = _times(va, a_one, vb, b_one)
-                acc[key] = prod if cur is None else cur + prod
-        return Matrix(self.nrows, other.ncols, acc)
+        return Matrix._nonzero(self.nrows, other.ncols, compose(self.entries, other.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix._nonzero(self.ncols, self.nrows,

@@ -22,9 +22,12 @@ materializes a full multiplication matrix; it finds the blocks that meet
 through the object's index of sector pairs by their sum, and checks the
 coalgebra axioms as the algebra axioms of the dual.  Connectedness is the
 nilpotency of the counit kernel, bounded by the total dimension;
-coconnectedness is the same check on the dual structure.  A structure keeps
-its dual and the powers of its counit kernel once built, so every check and
-filtration on it shares one computation of each.
+coconnectedness is the same check on the dual structure.  The powers, like
+every labeled span (a subspace of each sector, by label), come from
+product_span, which gathers the columns landing in each sector and
+eliminates them once.  A structure keeps its dual and the powers of its
+counit kernel once built, so every check and filtration on it shares one
+computation of each.
 
 A structure generated by a few sectors needs associativity, coassociativity
 and the bialgebra axiom checked only where the first factor lies in them.
@@ -96,6 +99,9 @@ __all__ = [
     "generated_by",
     "degree_one_generated",
     "unit_span",
+    "layer_dims",
+    "full_layer",
+    "degree_layer",
 ]
 
 
@@ -581,59 +587,49 @@ def unit_span(t: HopfStructure) -> dict:
     return {zero: sub} if not sub.is_zero() else {}
 
 
-def product_span(t: HopfStructure, A: dict, B: dict) -> dict:
-    """Labeled span of m(A (x) B)."""
-    out: dict = {}
+def product_span(t: HopfStructure, A: dict, B: dict, *extra: dict) -> dict:
+    """Labeled span of m(A (x) B) plus the labeled spans in extra, with the
+    columns gathered for each label eliminated once.  An elimination writes
+    every entry at the lcm of its input's conductors, so this is the sum a
+    chain of Subspace.add gives, conductors included."""
+    add = t.obj.backend.add
+    columns: dict = {}
+    right = [(j, sub_b.basis) for j, sub_b in B.items()]
     for i, sub_a in A.items():
-        for j, sub_b in B.items():
-            target = t.obj.backend.add(i, j)
-            if target not in t.obj.sectors:
+        basis_a = sub_a.basis
+        for j, basis_b in right:
+            block = t.mul.get((i, j))
+            target = add(i, j)
+            if block is None or target not in t.obj.sectors:
                 continue
-            image = t.mul_at(i, j) @ sub_a.basis.kron(sub_b.basis)
-            if image.is_zero():
-                continue
-            span = Subspace.from_columns(image)
-            cur = out.get(target)
-            out[target] = span if cur is None else cur.add(span)
-    return {label: sub for label, sub in out.items() if not sub.is_zero()}
+            image = block @ basis_a.kron(basis_b)
+            if not image.is_zero():
+                columns.setdefault(target, []).append(image)
+    for span in extra:
+        for label, sub in span.items():
+            if sub.dim:
+                columns.setdefault(label, []).append(sub.basis)
+    return {label: Subspace.from_columns(hstack(mats)) for label, mats in columns.items()}
 
 
-def _labeled_union(A: dict, B: dict) -> dict:
-    out = dict(A)
-    for label, sub in B.items():
-        cur = out.get(label)
-        out[label] = sub if cur is None else cur.add(sub)
-    return out
+def layer_dims(layer: dict) -> dict:
+    """The dimension of each nonzero subspace of a labeled span."""
+    return {label: sub.dim for label, sub in layer.items() if sub.dim}
 
 
-def _labeled_dims(A: dict) -> dict:
-    return {label: sub.dim for label, sub in A.items()}
+def full_layer(obj: DecomposedObject) -> dict:
+    """Every sector of obj as a labeled span."""
+    return {label: Subspace.full(space.dim) for label, space in obj.sectors.items()}
 
 
-def generated_by(t: HopfStructure, seed: dict) -> bool:
-    """Whether the unit plus the seed generates everything under products.
-
-    The closure grows by products with the seed, which by associativity
-    reaches the same subalgebra as products of the closure with itself.
-    """
-    closure = _labeled_union(unit_span(t), seed)
-    while True:
-        grown = _labeled_union(closure, product_span(t, closure, seed))
-        if _labeled_dims(grown) == _labeled_dims(closure):
-            break
-        closure = grown
-    full = {label: space.dim for label, space in t.obj.sectors.items()}
-    return _labeled_dims(closure) == full
-
-
-def _degree_parts(t: HopfStructure, degree: int) -> dict:
-    """Labeled span of the basis vectors sitting in one degree."""
+def degree_layer(t: HopfStructure, keep) -> dict:
+    """Labeled span of the basis vectors whose degree lies in keep."""
     assert t.grading is not None
     out = {}
     for label, space in t.obj.sectors.items():
         vectors = []
-        for k in range(space.dim):
-            if t.grading[label][k] == degree:
+        for k, d in enumerate(t.grading[label]):
+            if d in keep:
                 row = [ZERO] * space.dim
                 row[k] = ONE
                 vectors.append(row)
@@ -642,10 +638,25 @@ def _degree_parts(t: HopfStructure, degree: int) -> dict:
     return out
 
 
+def generated_by(t: HopfStructure, seed: dict) -> bool:
+    """Whether the unit plus the seed generates everything under products.
+
+    The closure grows by products with the seed, which by associativity
+    reaches the same subalgebra as products of the closure with itself.
+    """
+    closure = product_span(t, {}, {}, unit_span(t), seed)
+    while True:
+        grown = product_span(t, closure, seed, closure)
+        if layer_dims(grown) == layer_dims(closure):
+            break
+        closure = grown
+    return layer_dims(closure) == layer_dims(full_layer(t.obj))
+
+
 def degree_one_generated(t: HopfStructure) -> bool:
     if t.grading is None:
         raise ValueError("structure carries no grading")
-    return generated_by(t, _degree_parts(t, 1))
+    return generated_by(t, degree_layer(t, (1,)))
 
 
 def generating_seeds(t: HopfStructure) -> Optional[tuple]:
@@ -658,7 +669,7 @@ def generating_seeds(t: HopfStructure) -> Optional[tuple]:
     """
     if t.grading is None or not degree_one_generated(t):
         return None
-    gens = frozenset(_degree_parts(t, 1))
+    gens = frozenset(degree_layer(t, (1,)))
     neg = t.obj.backend.neg
     coseed = {neg(g): Subspace.full(t.obj.dim(g)) for g in gens}
     return gens, (frozenset(coseed) if generated_by(t.dual, coseed) else None)
@@ -689,7 +700,7 @@ def augmentation_powers(t: HopfStructure) -> Optional[list]:
             return None
         powers.append(power)
         nxt = product_span(t, power, ideal)
-        if _labeled_dims(nxt) == _labeled_dims(power):
+        if layer_dims(nxt) == layer_dims(power):
             return None
         power = nxt
     return powers
@@ -841,8 +852,8 @@ def graded_iso_search(t1: HopfStructure, t2: HopfStructure) -> Optional[dict]:
         return None
 
     obj = t1.obj
-    deg1_1 = _degree_parts(t1, 1)
-    deg1_2 = _degree_parts(t2, 1)
+    deg1_1 = degree_layer(t1, (1,))
+    deg1_2 = degree_layer(t2, (1,))
     if sorted(deg1_1) != sorted(deg1_2):
         return None
     if any(sub.dim != 1 for sub in deg1_1.values()):

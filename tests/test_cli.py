@@ -270,6 +270,11 @@ def _first_block(doc, kind, shape):
         2, {"conductor": True, "coeffs": ["1"]}), id="boolean-conductor"),
     pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
         2, {"conductor": 2, "coeffs": [False, True]}), id="boolean-coefficient"),
+    # a repeated block key, even with the same entries, used to let the last one win
+    pytest.param(lambda doc: doc["mul"].append(dict(doc["mul"][0])), id="repeated-mul-key"),
+    pytest.param(lambda doc: doc["cop"].append(dict(doc["cop"][-1])), id="repeated-cop-key"),
+    pytest.param(lambda doc: doc["antipode"].append(dict(doc["antipode"][1])),
+                 id="repeated-antipode-key"),
 ])
 def test_malformed_matrix_is_usage_error(runner, qp_hopf, edit):
     with open(qp_hopf) as fh:
@@ -421,6 +426,21 @@ def test_fusion_gen_and_verify(runner, tmp_path):
     pytest.param(lambda doc: doc["ev"].append({**doc["ev"][0], "key": []}), id="ev-key-empty"),
     pytest.param(lambda doc: doc["assoc"].append({**doc["assoc"][0], "key": [0, 0, 0, 0, 0]}),
                  id="assoc-key-short"),
+    # a repeated key used to let the last one win: a repeated row with
+    # multiplicity 0 removed a fusion channel, an identical one passed
+    pytest.param(lambda doc: doc["fusion"].append(doc["fusion"][1][:3] + [0]),
+                 id="repeated-fusion-row-zero"),
+    pytest.param(lambda doc: doc["fusion"].append(list(doc["fusion"][1])),
+                 id="repeated-fusion-row"),
+    pytest.param(lambda doc: doc["assoc"].append(dict(doc["assoc"][1])), id="repeated-assoc-key"),
+    pytest.param(lambda doc: doc["braiding"].append(dict(doc["braiding"][1])),
+                 id="repeated-braiding-key"),
+    pytest.param(lambda doc: doc["ev"].append(dict(doc["ev"][1])), id="repeated-ev-key"),
+    pytest.param(lambda doc: doc["coev"].append(dict(doc["coev"][1])), id="repeated-coev-key"),
+    pytest.param(lambda doc: doc["left_units"].append(list(doc["left_units"][1])),
+                 id="repeated-left-units-key"),
+    pytest.param(lambda doc: doc["right_units"].append(list(doc["right_units"][1])),
+                 id="repeated-right-units-key"),
 ])
 def test_bad_fusion_document_is_usage_error(runner, z2_file, edit):
     with open(z2_file) as fh:

@@ -62,6 +62,19 @@ def test_private_module_level_helpers_are_used():
     assert [entry for entry in defined if entry.split()[-1] not in referenced] == []
 
 
+def test_package_modules_import_no_private_names_of_each_other():
+    # `from .x import _name` reaches into another module's internals; the
+    # private modules themselves (`._kernel`, `._rat`) may be imported
+    reached = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                    "nicholsforge")):
+                reached += [f"{path.relative_to(PACKAGE.parent)}:{node.lineno} {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert reached == []
+
+
 def test_cli_start_up_leaves_the_thread_pool_unimported():
     # the pool module costs about 10 ms per process and only --threads > 1 uses it
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

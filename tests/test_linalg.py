@@ -8,6 +8,7 @@ from nicholsforge.linalg import (
     BasedSpace,
     Matrix,
     Subspace,
+    compose,
     hstack,
     inverse,
     kernel,
@@ -181,3 +182,25 @@ def test_matrix_constructor_drops_zeros():
                     hstack([M, M]), vstack([M, M])):
         assert all(v for v in derived.entries.values())
 
+
+
+def test_identity_at_conductor_one_keeps_a_block_at_conductor_three():
+    z = root_of_unity(3, 1)
+    block = m([[z, z ** 2], [z ** 3, z]])
+    assert all(v.conductor == 3 for v in block.entries.values())
+    for product in (Matrix.identity(2) @ block, block @ Matrix.identity(2)):
+        assert product == block
+        assert all(v.conductor == 3 for v in product.entries.values())
+
+
+def test_a_sum_that_cancels_drops_its_entry():
+    product = m([[1, 1], [1, 0]]) @ m([[1], [-1]])
+    assert product.entries == {(1, 0): ONE}
+    assert compose({(0, 0): ONE, (0, 1): ONE}, {(0, 0): ONE, (1, 0): -ONE}) == {}
+
+
+def test_a_sum_of_roots_stays_at_their_conductor():
+    z = root_of_unity(3, 1)
+    product = m([[z, z ** 2]]) @ m([[1], [1]])
+    assert scalar_to_json(product.get(0, 0)) == {"conductor": 3, "coeffs": ["-1", "0"]}
+    assert product.get(0, 0) == -ONE

@@ -6,24 +6,30 @@ from collections import Counter
 
 import pytest
 
-from nicholsforge import structconst
+from nicholsforge import _kernel, structconst
 from nicholsforge.braided import DiagonalBraiding
-from nicholsforge.linalg import BasedSpace, Matrix
+from nicholsforge.linalg import BasedSpace, Matrix, Subspace
 from nicholsforge.nichols import nichols_compute
-from nicholsforge.scalars import ONE, root_of_unity
+from nicholsforge.scalars import ONE, root_of_unity, scalar_to_json
 from nicholsforge.structconst import (
     AXIOM_KEYS,
     DecomposedObject,
     HopfStructure,
     act,
+    augmentation_powers,
     check_coconnected,
     check_connected,
+    degree_layer,
     degree_one_generated,
     from_nichols,
+    full_layer,
     generated_by,
     graded_iso_search,
+    layer_dims,
     primitive_sectors,
+    product_span,
     structurally_equal,
+    unit_span,
     verify_axioms,
 )
 
@@ -36,6 +42,7 @@ from tests_support import (
     group_algebra_z2,
     hopf_entry_sites,
     mutate_hopf,
+    product_span_reference,
     verify_axioms_reference,
 )
 
@@ -435,3 +442,101 @@ def test_a3_at_minus_one_passes_on_its_reduced_sites(scans):
     pieces = sum(add(a1, b1) in obj.sectors and add(a2, b2) in obj.sectors
                  for a, b in pairs for a1, a2 in obj.splits(a) for b1, b2 in obj.splits(b))
     assert pieces == 1996
+
+
+# -- labeled spans ---------------------------------------------------------------
+
+# The six structures the benchmark emits, at one choice of Galois conjugate
+# and twist, with the cutoff that certifies each one finite.
+BENCHMARK_POINTS = {
+    "qp": ([["-1", "1"], ["1", "-1"]], 3),
+    "a2m1": ([["-1", "-1"], ["1", "-1"]], 5),
+    "ext3": ([["-1", "1", "1"], ["1", "-1", "1"], ["1", "1", "-1"]], 4),
+    "z3z3": ([["zeta(3)", "1"], ["1", "zeta(3)"]], 5),
+    "z4z4": ([["zeta(4)", "1"], ["1", "zeta(4)"]], 7),
+    "line7": ([["zeta(7)"]], 7),
+}
+
+
+def _written(span):
+    # every entry as the documents write it, so with its conductor, which
+    # Scalar equality does not compare
+    return {label: (sub.ambient_dim, [(key, scalar_to_json(v))
+                                      for key, v in sorted(sub.row_matrix.entries.items())])
+            for label, sub in span.items()}
+
+
+def _assert_matches_pairwise(t, A, B, *extra):
+    span = product_span(t, A, B, *extra)
+    assert _written(span) == _written(product_span_reference(t, A, B, *extra))
+    return span
+
+
+def _check_closure(t, seed):
+    # the steps of generated_by, each checked against the pairwise sums
+    closure = _assert_matches_pairwise(t, {}, {}, unit_span(t), seed)
+    while True:
+        grown = _assert_matches_pairwise(t, closure, seed, closure)
+        if layer_dims(grown) == layer_dims(closure):
+            return grown
+        closure = grown
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_POINTS))
+def test_product_span_matches_the_pairwise_sums(name):
+    entries, cutoff = BENCHMARK_POINTS[name]
+    t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
+    for s in (t, t.dual):
+        ideal = s.powers[0]
+        for power in s.powers:
+            _assert_matches_pairwise(s, power, ideal)
+    gens = degree_layer(t, (1,))
+    assert layer_dims(_check_closure(t, gens)) == layer_dims(full_layer(t.obj))
+    neg = t.obj.backend.neg
+    coseed = {neg(g): Subspace.full(t.obj.dim(g)) for g in gens}
+    _check_closure(t.dual, coseed)
+
+
+def test_product_span_matches_the_pairwise_sums_across_conductors():
+    # products at conductors 1 and 3 joined with spans at conductors 4 and 1:
+    # each label's elimination writes its entries at the lcm of its inputs
+    t = from_nichols(nichols_compute(
+        DiagonalBraiding.from_entries([["zeta(3)", "1"], ["zeta(3)^2", "zeta(3)"]]), 10))
+    i = root_of_unity(4, 1)
+    extra = {(1, 1): Subspace.from_vectors(2, [[ONE, i]]),
+             (1, 2): Subspace.from_vectors(2, [[ONE, i]]), (0, 1): Subspace.full(1)}
+    ideal = t.powers[0]
+    span = _assert_matches_pairwise(t, ideal, ideal, extra)
+    conductors = {label: {v.conductor for v in span[label].row_matrix.entries.values()}
+                  for label in ((1, 1), (1, 2), (2, 2), (0, 1))}
+    assert conductors == {(1, 1): {4}, (1, 2): {12}, (2, 2): {3}, (0, 1): {1}}
+
+
+@pytest.fixture()
+def eliminations(monkeypatch):
+    """A list that grows by one entry for every elimination the kernel runs."""
+    calls = []
+    real = _kernel.active.rref_rows
+    monkeypatch.setattr(_kernel.active, "rref_rows",
+                        lambda *args: calls.append(None) or real(*args))
+    return calls
+
+
+def test_product_span_eliminates_once_per_label(eliminations):
+    t = from_nichols(nichols_compute(A2_MINUS_ONE, 5))
+    ideal = t.powers[0]
+    gens = degree_layer(t, (1,))
+    for args in ((ideal, ideal), (ideal, gens, ideal), ({}, {}, unit_span(t), gens)):
+        del eliminations[:]
+        span = product_span(t, *args)
+        assert len(eliminations) == len(span) > 0
+
+
+def test_a3_at_minus_one_powers_take_few_eliminations(eliminations):
+    t = from_nichols(nichols_compute(A3_MINUS_ONE, 11))
+    del eliminations[:]
+    powers = augmentation_powers(t)
+    assert [sum(layer_dims(p).values()) for p in powers][:2] == [63, 60]
+    # one per sector of each power after J, and one for the counit kernel;
+    # an elimination per product and per sum took 2,408
+    assert len(eliminations) <= 200

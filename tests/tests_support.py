@@ -17,7 +17,7 @@ from nicholsforge.fusion import (
 from nicholsforge.linalg import BasedSpace, Matrix, Subspace, inverse, kernel, quotient, vstack
 from nicholsforge.nichols import nichols_compute
 from nicholsforge.scalars import ONE
-from nicholsforge.filtration import _layer_is_full, _layer_leq
+from nicholsforge.filtration import _layer_leq
 from nicholsforge.structconst import (
     AXIOM_KEYS,
     AxiomReport,
@@ -25,6 +25,8 @@ from nicholsforge.structconst import (
     HopfStructure,
     LabelBackend,
     from_nichols,
+    full_layer,
+    layer_dims,
     product_span,
     unit_span,
     well_formed_problem,
@@ -458,6 +460,28 @@ def hexagon_backward_reference(F, i, j, k, t):
     return left == right
 
 
+def product_span_reference(t, A, B, *extra):
+    """Labeled span of m(A (x) B) plus the spans in extra, summed pairwise:
+    one elimination per nonzero product and one per Subspace.add."""
+    out = {}
+    for i, sub_a in A.items():
+        for j, sub_b in B.items():
+            target = t.obj.backend.add(i, j)
+            if target not in t.obj.sectors:
+                continue
+            image = t.mul_at(i, j) @ sub_a.basis.kron(sub_b.basis)
+            if image.is_zero():
+                continue
+            span = Subspace.from_columns(image)
+            cur = out.get(target)
+            out[target] = span if cur is None else cur.add(span)
+    for span in extra:
+        for label, sub in span.items():
+            cur = out.get(label)
+            out[label] = sub if cur is None else cur.add(sub)
+    return {label: sub for label, sub in out.items() if not sub.is_zero()}
+
+
 def coradical_chain_reference(t):
     """Coradical chain by the wedge recursion C_n = C_{n-1} ^ C_0.
 
@@ -652,7 +676,7 @@ def filtration_conditions_reference(f):
     lo, hi = f.window
     results = {}
 
-    results["exhausts"] = _layer_is_full(obj, f.at(hi))
+    results["exhausts"] = layer_dims(f.at(hi)) == layer_dims(full_layer(obj))
     # `at` returns the empty layer below the window, so the filtration is
     # bounded below by construction and there is nothing to check
     results["bounded-below"] = True
