@@ -253,7 +253,7 @@ def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_jso
     """Run the primitive-quotient engine on a braiding file."""
     from .nichols import (
         FINITE,
-        ORACLE_MAX_DEGREE,
+        check_oracle_work,
         dims_symmetry_warning,
         hilbert_series,
         nichols_compute,
@@ -272,8 +272,10 @@ def nichols(braiding_file, max_degree, oracle_degree, emit_hopf, threads, as_jso
             raise InputError("--oracle-degree cannot be negative")
         if oracle_degree > max_degree:
             raise InputError("--oracle-degree cannot exceed --max-degree")
-        if oracle_degree > ORACLE_MAX_DEGREE:
-            raise InputError(f"--oracle-degree cannot exceed {ORACLE_MAX_DEGREE}")
+        try:
+            check_oracle_work(braiding.dim, oracle_degree)
+        except ValueError as err:
+            raise InputError(f"--oracle-degree: {err}")
     try:
         report = nichols_compute(braiding, max_degree)
     except ValueError as err:

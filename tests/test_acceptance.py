@@ -39,7 +39,7 @@ from nicholsforge.filtration import (
 from nicholsforge.formats import fusion_to_json, save_document
 from nicholsforge.fusion import pointed_center_data, verify_all
 from nicholsforge.nichols import nichols_compute, symmetrizer_rank
-from nicholsforge.scalars import ONE, root_of_unity
+from nicholsforge.scalars import root_of_unity
 from nicholsforge.structconst import (
     check_coconnected,
     check_connected,
@@ -48,6 +48,8 @@ from nicholsforge.structconst import (
     verify_axioms,
 )
 from tests_support import (
+    SEED,
+    criterion_03_braidings,
     fusion_entry_sites,
     fusion_mutation_detected,
     hopf_entry_sites,
@@ -55,7 +57,6 @@ from tests_support import (
     mutate_hopf,
 )
 
-SEED = 20260815
 QP_ENTRIES = [["-1", "1"], ["1", "-1"]]
 
 
@@ -164,17 +165,8 @@ def test_criterion_02_quantum_plane(tmp_path):
 
 
 def test_criterion_03_random_braidings_match_oracle():
-    rng = random.Random(SEED)
-    z3 = root_of_unity(3, 1)
-    i4 = root_of_unity(4, 1)
-    pool = [ONE, -ONE, z3, z3 * z3, i4, -i4]  # all orders divide 4 or 3
     started = time.monotonic()
-    for trial in range(20):
-        rank = rng.randint(1, 2)
-        rows = tuple(
-            tuple(rng.choice(pool) for _ in range(rank)) for _ in range(rank)
-        )
-        b = DiagonalBraiding(rows)
+    for trial, b in enumerate(criterion_03_braidings()):
         report = nichols_compute(b, 6)
         for d in range(7):
             expected = symmetrizer_rank(b, d)

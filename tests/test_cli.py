@@ -101,6 +101,22 @@ def test_bad_oracle_degree_is_refused_before_the_engine(runner, qp_file, monkeyp
     assert calls == []
 
 
+def test_oracle_work_past_the_pair_cap_is_refused(runner, tmp_path):
+    # three letters at degree 8 are 3^8 * 8! = 264,539,520 (word, permutation)
+    # pairs, minutes of oracle walk for an engine run of 0.01 s
+    path = tmp_path / "ext3.json"
+    q = [["-1" if a == b else "1" for b in range(3)] for a in range(3)]
+    path.write_text(json.dumps({"type": "diagonal", "q": q}))
+    started = time.monotonic()
+    result = runner.invoke(main, ["nichols", str(path), "--max-degree", "8",
+                                  "--oracle-degree", "8"])
+    elapsed = time.monotonic() - started
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("Error: --oracle-degree")
+    assert result.output.count("\n") == 1 and "264539520" in result.output
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
 def test_runaway_cutoff_is_refused(runner, tmp_path):
     # four letters with unrelated rational q span the free algebra, whose
     # content (1, 1, 1, 2) has all 5!/2 = 60 orderings as candidates

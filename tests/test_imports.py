@@ -129,6 +129,8 @@ def test_every_command_starts_without_unneeded_modules(tmp_path):
     (tmp_path / "qp.json").write_text('{"type": "diagonal", "q": [["-1", "1"], ["1", "-1"]]}')
     runs = {
         "nichols": ["nichols", "qp.json", "--max-degree", "6", "--emit-hopf", "qp_hopf.json"],
+        "nichols-oracle": ["nichols", "qp.json", "--max-degree", "6", "--oracle-degree", "4",
+                           "--threads", "1"],
         "fusion-gen": ["fusion-gen", "--group", "2", "--out", "z2.json"],
         "verify": ["verify", "qp_hopf.json"],
         "gr": ["gr", "qp_hopf.json", "--filtration", "radical"],
@@ -143,5 +145,8 @@ def test_every_command_starts_without_unneeded_modules(tmp_path):
         if name in ("verify", "gr", "degenerate", "is-nichols"):
             # the structure commands read a document and never run the engine
             unneeded |= {"nicholsforge.nichols", "nicholsforge.freehopf"}
+        if name == "nichols-oracle":
+            # the oracle walk on one thread runs without the pool
+            unneeded.add("concurrent.futures")
         held[name] = sorted(modules & unneeded)
     assert held == {name: [] for name in runs}

@@ -9,15 +9,18 @@ from nicholsforge.linalg import Matrix
 from nicholsforge.nichols import (
     FINITE,
     ORACLE_MAX_DEGREE,
+    ORACLE_MAX_PAIRS,
     UNDETERMINED,
     _symmetrizer_matrix,
+    check_oracle_work,
     dims_symmetry_warning,
     hilbert_series,
     nichols_compute,
+    symmetrizer_content_ranks,
     symmetrizer_rank,
 )
 
-from tests_support import braid_lift
+from tests_support import braid_lift, criterion_03_braidings, symmetrizer_matrix_reference
 
 
 def test_rank_one_truncated_line():
@@ -91,10 +94,61 @@ def test_symmetrizer_matrix_is_sum_of_braid_lifts(entries, degrees):
         assert _symmetrizer_matrix(b, d) == expected, f"degree {d}"
 
 
+@pytest.mark.parametrize(
+    "entries, degrees",
+    [
+        # q_ab = 1 off the diagonal, whose exponent digits the walk leaves out
+        ([["zeta(3)", "1"], ["1", "-1"]], range(6)),
+        # an entry of infinite order beside a root of unity
+        ([["2", "zeta(4)"], ["-1", "-1"]], range(6)),
+        # the mixed-conductor case of test_symmetrizer_matrix_is_sum_of_braid_lifts
+        ([["zeta(3)", "zeta(4)"], ["-1", "zeta(3)^2"]], range(6)),
+        # three letters, with q_ab = 1 and -1 mixed
+        ([["-1", "1", "zeta(3)"], ["1", "zeta(4)", "-1"], ["zeta(3)^2", "1", "1"]], range(5)),
+        # one letter: one word against all 8! permutations
+        ([["zeta(7)"]], [8]),
+    ],
+)
+def test_symmetrizer_matrix_matches_the_pair_by_pair_walk(entries, degrees):
+    b = DiagonalBraiding.from_entries(entries)
+    for d in degrees:
+        assert _symmetrizer_matrix(b, d) == symmetrizer_matrix_reference(b, d), f"degree {d}"
+
+
+def test_symmetrizer_matrix_matches_the_pair_by_pair_walk_on_criterion_03():
+    for trial, b in enumerate(criterion_03_braidings()):
+        for d in range(6):
+            assert _symmetrizer_matrix(b, d) == symmetrizer_matrix_reference(b, d), (trial, d)
+
+
+def test_symmetrizer_content_ranks_are_the_engine_content_dims():
+    # the symmetrizer is block diagonal by letter content, so the oracle
+    # checks every content dimension of the engine, not only their sums
+    for trial, b in enumerate(criterion_03_braidings()):
+        spaces = nichols_compute(b, 6).quotient.spaces
+        for d in range(7):
+            ranks = symmetrizer_content_ranks(b, d)
+            assert {c for c in spaces if sum(c) == d} <= set(ranks), (trial, d)
+            assert ranks == {c: spaces[c].dim if c in spaces else 0 for c in ranks}, (trial, d)
+
+
 def test_symmetrizer_rank_degree_cap():
     b = DiagonalBraiding.from_entries([["-1"]])
     with pytest.raises(ValueError):
         symmetrizer_rank(b, ORACLE_MAX_DEGREE + 1)
+
+
+def test_symmetrizer_rank_pair_cap():
+    # two letters are admitted up to the degree cap, three letters stop at
+    # degree 6 (3^7 * 7! pairs is past the cap), and the refusal does no work
+    assert ORACLE_MAX_PAIRS == 2**ORACLE_MAX_DEGREE * 40320
+    check_oracle_work(2, ORACLE_MAX_DEGREE)
+    check_oracle_work(3, 6)
+    with pytest.raises(ValueError, match="pairs"):
+        check_oracle_work(3, 7)
+    ext3 = DiagonalBraiding.from_entries([["-1", "1", "1"], ["1", "-1", "1"], ["1", "1", "-1"]])
+    with pytest.raises(ValueError, match="pairs"):
+        symmetrizer_content_ranks(ext3, 8)
 
 
 def test_cutoff_validation():

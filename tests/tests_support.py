@@ -3,6 +3,8 @@
 import contextlib
 import io
 import os
+import random
+from itertools import permutations
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -16,7 +18,7 @@ from nicholsforge.fusion import (
 )
 from nicholsforge.linalg import BasedSpace, Matrix, Subspace, inverse, kernel, quotient, vstack
 from nicholsforge.nichols import nichols_compute
-from nicholsforge.scalars import ONE
+from nicholsforge.scalars import ONE, root_of_unity
 from nicholsforge.filtration import _layer_leq
 from nicholsforge.structconst import (
     AXIOM_KEYS,
@@ -31,6 +33,10 @@ from nicholsforge.structconst import (
     unit_span,
     well_formed_problem,
 )
+
+
+# The seed of every random choice in the acceptance suite.
+SEED = 20260815
 
 
 class InvokeResult(NamedTuple):
@@ -818,6 +824,75 @@ def braid_lift(perm: Sequence[int], braiding: DiagonalBraiding) -> BraidLift:
             factor = factor * q
         entries[(word_index(state, n), word_index(w, n))] = factor
     return BraidLift(d, word, Matrix(dim, dim, entries))
+
+
+def symmetrizer_matrix_reference(braiding: DiagonalBraiding, degree: int) -> Matrix:
+    """The quantum symmetrizer: every permutation's braid lift, summed.
+
+    On a word w the lift of a permutation carries the factor
+    prod q_ab^(m_ab), where m_ab counts its inversions (i, j) with
+    (w_i, w_j) = (a, b).  Column by column, the permutations are only
+    counted per (target word, exponent vector m); each distinct monomial is
+    then evaluated once and added with its integer count.  The oracle's
+    first walk, one (word, permutation) pair at a time, which its table
+    walk is compared against entry for entry.
+    """
+    n = braiding.dim
+    # m travels packed into one integer: m_ab is its digit a * n + b in base
+    # `radix`, which no exponent reaches (each is at most the pair count).
+    pairs = [(i, j) for i in range(degree) for j in range(i + 1, degree)]
+    radix = len(pairs) + 1
+    place = [n ** (degree - 1 - k) for k in range(degree)]
+    monomials: dict = {}
+    entries: dict = {}
+    for w in all_words(n, degree):
+        weighted = [(i, j, radix ** (w[i] * n + w[j])) for i, j in pairs]
+        counts: dict = {}
+        for perm in permutations(range(degree)):
+            m = sum([weight for i, j, weight in weighted if perm[i] > perm[j]])
+            # (perm . w) puts the letter at position pos onto position perm[pos]
+            target = sum([letter * place[perm[pos]] for pos, letter in enumerate(w)])
+            key = (target, m)
+            counts[key] = counts.get(key, 0) + 1
+        source = word_index(w, n)
+        for (target, m), count in counts.items():
+            value = monomials.get(m)
+            if value is None:
+                value = monomials[m] = _monomial_reference(braiding, m, radix)
+            key = (target, source)
+            cur = entries.get(key)
+            entries[key] = value * count if cur is None else cur + value * count
+    dim = n**degree
+    return Matrix(dim, dim, entries)
+
+
+def _monomial_reference(braiding: DiagonalBraiding, packed: int, radix: int):
+    """prod q_ab^(m_ab) for the exponents packed base-radix at digit a * n + b."""
+    n = braiding.dim
+    value = ONE
+    for ab in range(n * n):
+        packed, e = divmod(packed, radix)
+        if e:
+            value = value * braiding.q[ab // n][ab % n] ** e
+    return value
+
+
+def criterion_03_braidings() -> list:
+    """The 20 random braidings of acceptance criterion 03, drawn from SEED.
+
+    Rank 1 or 2, every entry from a pool of roots of unity whose orders
+    divide 3 or 4.
+    """
+    rng = random.Random(SEED)
+    z3 = root_of_unity(3, 1)
+    i4 = root_of_unity(4, 1)
+    pool = [ONE, -ONE, z3, z3 * z3, i4, -i4]
+    braidings = []
+    for _ in range(20):
+        rank = rng.randint(1, 2)
+        rows = tuple(tuple(rng.choice(pool) for _ in range(rank)) for _ in range(rank))
+        braidings.append(DiagonalBraiding(rows))
+    return braidings
 
 
 def check_braid_equation(braiding: DiagonalBraiding) -> bool:
