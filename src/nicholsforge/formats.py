@@ -8,17 +8,18 @@ reproducible reports; equal scalars stored at different conductors are
 written differently.
 
 Scalars use the cyclotomic object form {"conductor": N, "coeffs": [...]};
-readers also accept the "zeta(N)^k" and "p/q" shorthands.
+readers also accept the "zeta(N)^k" and "p/q" shorthands, and parse each
+distinct JSON form of a scalar once per document.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 from .braided import braiding_from_json, braiding_to_json
 from .linalg import BasedSpace, Matrix
-from .scalars import parse_int, parse_scalar, scalar_to_json
+from .scalars import Scalar, parse_int, parse_scalar, scalar_to_json
 
 # The readers import the structure layers when they run, so that loading
 # this module for canonical_dumps costs neither.
@@ -52,7 +53,39 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> Matrix:
+def _scalar_key(raw):
+    """A key for a scalar's JSON form that tells the JSON types apart, or
+    None for a form of other types, which parse_scalar refuses or reads
+    as a shorthand each time."""
+    kind = type(raw)
+    if kind is int or kind is str:
+        return raw
+    if kind is dict and type(raw.get("conductor")) is int and type(raw.get("coeffs")) is list:
+        if all(type(c) is str or type(c) is int for c in raw["coeffs"]):
+            return (raw["conductor"], *raw["coeffs"])
+    return None
+
+
+def _scalar_reader() -> Callable[[object], Scalar]:
+    """parse_scalar for one document, parsing each distinct JSON form once.
+
+    The keys compare JSON types exactly, so 1, true and 1.0 never share an
+    entry; a form parse_scalar refuses is refused each time it is read.
+    """
+    parsed: dict = {}
+
+    def read(raw) -> Scalar:
+        key = _scalar_key(raw)
+        if key is None:
+            return parse_scalar(raw)
+        value = parsed.get(key)
+        if value is None:
+            value = parsed[key] = parse_scalar(raw)
+        return value
+    return read
+
+
+def matrix_from_json(obj: dict, scalar: Callable[[object], Scalar] = parse_scalar) -> Matrix:
     rows, cols = parse_int(obj["rows"], "matrix rows"), parse_int(obj["cols"], "matrix cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"matrix shape {rows} x {cols} is negative")
@@ -61,7 +94,7 @@ def matrix_from_json(obj: dict) -> Matrix:
         r, c = parse_int(r, "entry row"), parse_int(c, "entry column")
         if not (0 <= r < rows and 0 <= c < cols):
             raise ValueError(f"matrix entry ({r}, {c}) lies outside the {rows} x {cols} shape")
-        entries[(r, c)] = parse_scalar(v)
+        entries[(r, c)] = scalar(v)
     return Matrix(rows, cols, entries)
 
 
@@ -131,6 +164,7 @@ def hopf_from_json(obj: dict) -> HopfStructure:
             graded = True
             grading[label] = tuple(parse_int(d, "degree") for d in entry["degrees"])
     space = DecomposedObject(backend, sectors)
+    scalar = _scalar_reader()
 
     def pair_key(raw) -> Tuple[tuple, tuple]:
         i, j = raw
@@ -139,13 +173,13 @@ def hopf_from_json(obj: dict) -> HopfStructure:
     def blocks(kind: str, key_of) -> dict:
         out: dict = {}
         for e in obj[kind]:
-            _put(out, key_of(e["key"]), matrix_from_json(e), f"{kind} key {e['key']}")
+            _put(out, key_of(e["key"]), matrix_from_json(e, scalar), f"{kind} key {e['key']}")
         return out
 
     mul, cop = blocks("mul", pair_key), blocks("cop", pair_key)
     antipode = blocks("antipode", lambda raw: _label(raw, "key label"))
-    unit = matrix_from_json(obj["unit"])
-    counit = matrix_from_json(obj["counit"])
+    unit = matrix_from_json(obj["unit"], scalar)
+    counit = matrix_from_json(obj["counit"], scalar)
     return HopfStructure(space, mul, unit, cop, counit, antipode, grading if graded else None)
 
 
@@ -194,19 +228,20 @@ def fusion_from_json(obj: dict) -> FusionData:
             raise ValueError(f"fusion row {row} has a negative multiplicity")
         _put(fusion, key, n, f"fusion row {list(key)}")
     dual = simples(obj["dual"], size, f"dual {obj['dual']}")
+    scalar = _scalar_reader()
 
     def blocks(kind: str, arity: int) -> dict:
         out: dict = {}
         for e in obj[kind]:
             what = f"{kind} key {e['key']}"
-            _put(out, simples(e["key"], arity, what), matrix_from_json(e), what)
+            _put(out, simples(e["key"], arity, what), matrix_from_json(e, scalar), what)
         return out
 
     def units(kind: str) -> dict:
         out: dict = {}
         for i, v in obj[kind]:
             what = f"{kind} key {i}"
-            _put(out, simples([i], 1, what)[0], parse_scalar(v), what)
+            _put(out, simples([i], 1, what)[0], scalar(v), what)
         return out
 
     assoc, braiding = blocks("assoc", 6), blocks("braiding", 3)

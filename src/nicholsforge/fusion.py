@@ -16,9 +16,13 @@ hexagon is composed in coordinates, and the backward hexagon is the forward
 one of the reverse braiding, so it needs no second form.  The pentagon,
 hexagon and full-associator routes compose scalars on basis coordinates,
 one key per basis vector of a tree's multiplicity spaces, whatever the
-multiplicities (see _route).  Only the second duality zig-zag is still
-derived by hand (see docs/FORMATS.md for the composition tables, including
-the convention that reordering multiplicity factors uses the plain flip).
+multiplicities (see _route).  The pentagon composes all instances (k, l, t)
+of one outer pair (i, j) together, on keys prefixed by (k, l, t), and the
+full associators all outer indices b of one (x, y, z); each instance's end
+vertex and map are then compared on their own.  Only the second duality
+zig-zag is still derived by hand (see docs/FORMATS.md for the composition
+tables, including the convention that reordering multiplicity factors uses
+the plain flip).
 Every verifier reports located failures instead of raising.
 """
 
@@ -91,10 +95,17 @@ class FusionData:
         self._braid_columns: Dict[tuple, Dict[tuple, Column]] = {}
 
     def replace(self, **changes) -> "FusionData":
-        """A copy with the given fields changed and nothing read yet."""
+        """A copy with the given fields changed.  Under the same fusion rules
+        it keeps the column tables read so far of every assoc and braiding
+        block it shares with self, and shares the tables of a family it
+        does not change at all, filled by either."""
         fields = {name: getattr(self, name) for name in self._FIELDS}
         fields.update(changes)
-        return FusionData(**fields)
+        copy = FusionData(**fields)
+        if copy.fusion is self.fusion:
+            copy._assoc_columns = _kept(self._assoc_columns, self.assoc, copy.assoc)
+            copy._braid_columns = _kept(self._braid_columns, self.braiding, copy.braiding)
+        return copy
 
     def dim(self, i: int, j: int, k: int) -> int:
         return self.fusion.get((i, j, k), 0)
@@ -139,6 +150,14 @@ class FusionData:
         return columns
 
 
+def _kept(tables: dict, blocks: dict, copied: dict) -> dict:
+    """The column tables of blocks that still hold in copied: the same table
+    dict when copied is blocks, else those whose block is the same object."""
+    if copied is blocks:
+        return tables
+    return {key: columns for key, columns in tables.items() if copied.get(key) is blocks.get(key)}
+
+
 class FusionReport(NamedTuple):
     check: str
     passed: bool
@@ -150,8 +169,11 @@ class FusionReport(NamedTuple):
 #
 # A basis key is a labeling of the internal edges of a fusion tree followed
 # by one index per leg, the multiplicity spaces along the tree, all in one
-# flat tuple: the pentagon's keys are (a, b, u, v, w).  A vertex is the
-# sorted list of basis keys a route reaches.  A jump maps one key to the
+# flat tuple, after a prefix that names the instance: the pentagon's keys
+# are (k, l, t, a, b, u, v, w), the full associators' (b, a, u, v), the
+# hexagons' (t, a, u, v).  Jumps never rewrite the prefix, so one route
+# composes many instances side by side without mixing them (_split parts
+# them).  A vertex is the sorted list of basis keys a route reaches.  A jump maps one key to the
 # (key_out, value) pairs it reaches, None for a zero value: it reads its
 # block's column at the indices of the legs it acts on (assoc_columns,
 # braid_columns), rewrites those indices and keeps the others.  _route
@@ -183,7 +205,7 @@ def _columns(block: Matrix, dims_in: tuple, dims_out: tuple) -> Dict[tuple, Colu
     return columns
 
 
-def _route(keys: List[tuple], *jumps: Jump):
+def _route(keys: Iterable[tuple], *jumps: Jump):
     """Apply the jumps in order; return the end vertex and the composite map."""
     total = None
     for jump in jumps:
@@ -194,9 +216,20 @@ def _route(keys: List[tuple], *jumps: Jump):
                 reached.add(key_out)
                 if v is not None:
                     step[(key_out, key)] = v
-        keys = sorted(reached)
+        keys = reached
         total = step if total is None else compose(step, total)
-    return keys, total
+    return sorted(keys), total
+
+
+def _split(keys: List[tuple], total: dict, n: int) -> dict:
+    """A batched route's end vertex and map by instance, the first n entries
+    of each key: prefix -> (its end keys, its map)."""
+    out: dict = {}
+    for key in keys:
+        out.setdefault(key[:n], ([], {}))[0].append(key)
+    for pair, v in total.items():
+        out[pair[0][:n]][1][pair] = v
+    return out
 
 
 def _matrix(total: dict, rows: List[tuple], cols: List[tuple]) -> Matrix:
@@ -207,12 +240,24 @@ def _matrix(total: dict, rows: List[tuple], cols: List[tuple]) -> Matrix:
     return Matrix._nonzero(len(rows), len(cols), entries)
 
 
-def _full_associator(F: FusionData, x: int, y: int, z: int, b: int):
-    """The whole associator at outer index b: its map, from the keys (a, u, v)
-    of the sum over a to the keys (c, p, q) of the sum over c."""
-    src = [(a, u, v) for a, n in F.fuse(x, y) for u, v in _indices((n, F.dim(a, z, b)))]
-    tgt = [(c, p, q) for c, n in F.fuse(y, z) for p, q in _indices((F.dim(x, c, b), n))]
-    return _route(src, _alpha(F, x, y, z, b))[1], src, tgt
+def _full_associators(F: FusionData, x: int, y: int, z: int, outer: Iterable[int]) -> dict:
+    """The whole associator alpha_{x,y,z} at each outer index b in outer,
+    composed as one route on the keys (b, a, u, v): b -> (its map, from the
+    keys (b, a, u, v) of the sum over a, to the keys (b, c, p, q) of the sum
+    over c; those two key lists)."""
+    src: dict = {b: [] for b in outer}
+    tgt: dict = {b: [] for b in src}
+    for a, n in F.fuse(x, y):
+        for b, m in F.fuse(a, z):
+            if b in src:
+                src[b] += [(b, a, u, v) for u, v in _indices((n, m))]
+    for c, n in F.fuse(y, z):
+        for b, m in F.fuse(x, c):
+            if b in tgt:
+                tgt[b] += [(b, c, p, q) for p, q in _indices((m, n))]
+    start = [key for keys in src.values() for key in keys]
+    ends = _split(*_route(start, _alpha(F, x, y, z)), 1)
+    return {b: (ends.get((b,), ((), {}))[1], src[b], tgt[b]) for b in src}
 
 
 # -- well-formedness -----------------------------------------------------------
@@ -290,75 +335,97 @@ def well_formed(F: FusionData) -> FusionReport:
         cols = F.dim(i, j, a) * F.dim(a, k, b)
         if block.shape != (rows, cols):
             failures.append(("assoc-shape",) + key)
-    for i, j, k, b in product(range(s), repeat=4):
-        full, src, tgt = _full_associator(F, i, j, k, b)
-        checked += 1
-        if not _invertible(full, tgt, src):
-            failures.append(("assoc-not-invertible", i, j, k, b))
+    for i, j, k in product(range(s), repeat=3):
+        fulls = _full_associators(F, i, j, k, range(s))
+        for b in range(s):
+            full, src, tgt = fulls[b]
+            checked += 1
+            if not _invertible(full, tgt, src):
+                failures.append(("assoc-not-invertible", i, j, k, b))
     return FusionReport("well-formed", not failures, tuple(failures[:32]), checked)
 
 
 # -- the pentagon --------------------------------------------------------------
 
 
-def _pentagon_routes(F: FusionData, i: int, j: int, k: int, l: int, t: int):
-    """The start vertex, keyed (a, b, u, v, w), and the jumps of both routes."""
+def _pentagon_routes(F: FusionData, i: int, j: int, only: Optional[tuple] = None):
+    """The start vertex and the jumps of both routes of every pentagon
+    instance (k, l, t) of the outer pair (i, j), or of the one instance
+    `only`.  Keys are (k, l, t, a, b, u, v, w): the instance, then the
+    labeling and leg indices; the jumps keep the instance, so a route
+    composes each one on its own."""
+    outer = product(range(F.size), repeat=2) if only is None else [only[:2]]
     start = [
-        (a, b, u, v, w)
+        (k, l, t, a, b, u, v, w)
+        for k, l in outer
         for a, n_a in F.fuse(i, j)
         for b, n_b in F.fuse(a, k)
-        for u, v, w in _indices((n_a, n_b, F.dim(b, l, t)))
+        for t, n_t in F.fuse(b, l)
+        if only is None or t == only[2]
+        for u, v, w in _indices((n_a, n_b, n_t))
     ]
 
     # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
     def alpha_ijk(key):
-        a, b, u, v, w = key
+        k, l, t, a, b, u, v, w = key
         for c, _ in F.fuse(j, k):
             for (p, q), s in F.assoc_columns(i, j, k, a, b, c)[(u, v)]:
-                yield (c, b, p, q, w), s
+                yield (k, l, t, c, b, p, q, w), s
 
     def alpha_icl(key):
-        c, b, u, v, w = key
+        k, l, t, c, b, u, v, w = key
         for f, _ in F.fuse(c, l):
             for (p, q), s in F.assoc_columns(i, c, l, b, t, f)[(u, w)]:
-                yield (c, f, p, v, q), s
+                yield (k, l, t, c, f, p, v, q), s
 
     def alpha_jkl(key):
-        c, f, u, v, w = key
+        k, l, t, c, f, u, v, w = key
         for g, _ in F.fuse(k, l):
             for (p, q), s in F.assoc_columns(j, k, l, c, f, g)[(v, w)]:
-                yield (f, g, u, p, q), s
+                yield (k, l, t, f, g, u, p, q), s
 
     # route 2: alpha on legs (2,3), then alpha on legs (1,2)
     def alpha_akl(key):
-        a, b, u, v, w = key
+        k, l, t, a, b, u, v, w = key
         for d, _ in F.fuse(k, l):
             for (p, q), s in F.assoc_columns(a, k, l, b, t, d)[(v, w)]:
-                yield (a, d, u, p, q), s
+                yield (k, l, t, a, d, u, p, q), s
 
     def alpha_ijd(key):
-        a, d, u, v, w = key
+        k, l, t, a, d, u, v, w = key
         for f, _ in F.fuse(j, d):
             for (p, q), s in F.assoc_columns(i, j, d, a, t, f)[(u, v)]:
-                yield (f, d, p, q, w), s
+                yield (k, l, t, f, d, p, q, w), s
 
     return start, (alpha_ijk, alpha_icl, alpha_jkl), (alpha_akl, alpha_ijd)
 
 
-def _pentagon_holds(F: FusionData, i: int, j: int, k: int, l: int, t: int) -> bool:
-    start, route1, route2 = _pentagon_routes(F, i, j, k, l, t)
-    return _route(start, *route1) == _route(start, *route2)
+def _pentagon_verdicts(F: FusionData, i: int, j: int, only: Optional[tuple] = None) -> list:
+    """(k, l, t, whether the pentagon holds) for every instance of the outer
+    pair (i, j), k, l, t ascending, or for the one instance `only`.
+
+    Both routes run once over all the instances.  Routes that agree agree
+    at every instance; routes that differ are split by instance, whose end
+    vertex and map are then compared on their own.
+    """
+    start, route1, route2 = _pentagon_routes(F, i, j, only)
+    ends1, ends2 = _route(start, *route1), _route(start, *route2)
+    instances = sorted({key[:3] for key in start})
+    if ends1 == ends2:
+        return [instance + (True,) for instance in instances]
+    ends1, ends2 = _split(*ends1, 3), _split(*ends2, 3)
+    return [instance + (ends1.get(instance) == ends2.get(instance),) for instance in instances]
 
 
 def verify_pentagon(F: FusionData, stop_early: bool = False) -> FusionReport:
-    """Both re-association routes around the pentagon agree, tuple by tuple."""
+    """Both re-association routes around the pentagon agree, instance by
+    instance (i, j, k, l, t), composed one outer pair (i, j) at a time."""
     failures = []
     checked = 0
-    for i, j, k, l in product(range(F.size), repeat=4):
-        targets = {t for a, _ in F.fuse(i, j) for b, _ in F.fuse(a, k) for t, _ in F.fuse(b, l)}
-        for t in sorted(targets):
+    for i, j in product(range(F.size), repeat=2):
+        for k, l, t, holds in _pentagon_verdicts(F, i, j):
             checked += 1
-            if not _pentagon_holds(F, i, j, k, l, t):
+            if not holds:
                 failures.append((i, j, k, l, t))
                 if stop_early:
                     return FusionReport("pentagon", False, tuple(failures), checked)
@@ -417,21 +484,22 @@ def _zigzag_two(F: FusionData, i: int) -> Optional[tuple]:
     ib = F.dual[i]
     # start: r_ib (x) coev_i in V[ib,0 -> ib] (x) V[i,ib -> 0]
     start = Matrix(1, 1, {(0, 0): F.right_units[ib]}).kron(F.coev[i])
-    full, src, tgt = _full_associator(F, ib, i, ib, ib)
+    full, src, tgt = _full_associators(F, ib, i, ib, (ib,))[ib]
     try:
         inv = inverse(_matrix(full, tgt, src))
     except ZeroDivisionError:
         return ("zigzag-2-associator", i)
-    # both spaces have a unit leg: their keys (0, 0, q) and (0, u, 0) follow
-    # one another from (0, 0, 0)
-    if (0, 0, 0) not in tgt or (0, 0, 0) not in src:
+    # both spaces have a unit leg: their keys (ib, 0, 0, q) and (ib, 0, u, 0)
+    # follow one another from (ib, 0, 0, 0)
+    first = (ib, 0, 0, 0)
+    if first not in tgt or first not in src:
         return ("zigzag-2-space", i)
     vec = Matrix(
-        len(tgt), 1, {(tgt.index((0, 0, 0)) + r, 0): start.get(r, 0) for r in range(start.nrows)}
+        len(tgt), 1, {(tgt.index(first) + r, 0): start.get(r, 0) for r in range(start.nrows)}
     )
     out = inv @ vec
     # result sits in V[ib,i -> 0] (x) V[0,ib -> ib]; close with ev and l_ib
-    base = src.index((0, 0, 0))
+    base = src.index(first)
     d = F.dim(ib, i, 0)
     column = Matrix(d, 1, {(r, 0): out.get(base + r, 0) for r in range(d)})
     value = (F.ev[i] @ column).get(0, 0)
@@ -457,42 +525,43 @@ def verify_duality(F: FusionData, stop_early: bool = False) -> FusionReport:
 
 # -- hexagons ------------------------------------------------------------------
 #
-# Both hexagons act on vertices keyed (a, u, v) with two legs.  _alpha is the
-# associator jump between them; the braiding jumps keep the labeling.
+# Both hexagons act on vertices keyed (t, a, u, v): the outer index, then a
+# labeling with two legs.  _alpha is the associator jump between them, the
+# one the full associators take; the braiding jumps keep the labeling.
 
 
-def _alpha(F: FusionData, x: int, y: int, z: int, b: int) -> Jump:
-    """alpha_{x,y,z} at outer index b: (a, u, v) on V[x,y->a], V[a,z->b] to (c, p, q)."""
+def _alpha(F: FusionData, x: int, y: int, z: int) -> Jump:
+    """alpha_{x,y,z}: (b, a, u, v) on V[x,y->a], V[a,z->b] to (b, c, p, q)."""
 
     def jump(key):
-        a, u, v = key
+        b, a, u, v = key
         for c, _ in F.fuse(y, z):
             for (p, q), s in F.assoc_columns(x, y, z, a, b, c)[(u, v)]:
-                yield (c, p, q), s
+                yield (b, c, p, q), s
     return jump
 
 
 def _hexagon_routes(F: FusionData, i: int, j: int, k: int, t: int):
     """The start vertex and the jumps of both sides of the forward hexagon."""
-    start = [(a, u, v) for a, n in F.fuse(i, j) for u, v in _indices((n, F.dim(a, k, t)))]
+    start = [(t, a, u, v) for a, n in F.fuse(i, j) for u, v in _indices((n, F.dim(a, k, t)))]
 
     def sigma_ij(key):  # sigma_{i,j} (x) 1
-        a, u, v = key
+        t, a, u, v = key
         for (p,), s in F.braid_columns(i, j, a)[(u,)]:
-            yield (a, p, v), s
+            yield (t, a, p, v), s
 
     def sigma_ik(key):  # 1 (x) sigma_{i,k}
-        c, u, v = key
+        t, c, u, v = key
         for (q,), s in F.braid_columns(i, k, c)[(v,)]:
-            yield (c, u, q), s
+            yield (t, c, u, q), s
 
     def flip_sigma_ic(key):  # flip . (sigma_{i,c} (x) 1)
-        c, u, v = key
+        t, c, u, v = key
         for (p,), s in F.braid_columns(i, c, t)[(u,)]:
-            yield (c, v, p), s
+            yield (t, c, v, p), s
 
-    return (start, (sigma_ij, _alpha(F, j, i, k, t), sigma_ik),
-            (_alpha(F, i, j, k, t), flip_sigma_ic, _alpha(F, j, k, i, t)))
+    return (start, (sigma_ij, _alpha(F, j, i, k), sigma_ik),
+            (_alpha(F, i, j, k), flip_sigma_ic, _alpha(F, j, k, i)))
 
 
 def _hexagon_forward(F: FusionData, i: int, j: int, k: int, t: int) -> bool:
@@ -512,10 +581,7 @@ def _reversed(F: FusionData) -> Optional[FusionData]:
             braiding[(j, i, k)] = inverse(block)
         except ZeroDivisionError:
             return None
-    mirror = F.replace(braiding=braiding)
-    # the same associator, so the columns read so far serve both
-    mirror._assoc_columns = F._assoc_columns
-    return mirror
+    return F.replace(braiding=braiding)
 
 
 def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:

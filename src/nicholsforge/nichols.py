@@ -157,12 +157,13 @@ def symmetrizer_content_ranks(braiding: DiagonalBraiding, degree: int) -> dict:
     contents: dict = {}
     for w in all_words(n, degree):
         contents.setdefault(tuple(map(w.count, range(n))), []).append(w)
-    return {c: rank(_symmetrizer_matrix(braiding, degree, words))
+    cache = ({}, {})  # the monomial values of the degree, shared by its contents
+    return {c: rank(_symmetrizer_matrix(braiding, degree, words, cache))
             for c, words in contents.items()}
 
 
 def _symmetrizer_matrix(braiding: DiagonalBraiding, degree: int,
-                        words: Optional[list] = None) -> Matrix:
+                        words: Optional[list] = None, cache: Optional[tuple] = None) -> Matrix:
     """The quantum symmetrizer: every permutation's braid lift, summed.
 
     On the span of `words`, all words of the degree by default, which must
@@ -180,6 +181,8 @@ def _symmetrizer_matrix(braiding: DiagonalBraiding, degree: int,
     counted per (target word, exponent vector m), and each entry sums those
     counts per monomial value up to sign (see _signed_key); each distinct
     value whose signed count is nonzero is then multiplied once by it.
+    The monomial values found so far are kept in `cache`, a pair of dicts
+    that calls of the same braiding and degree may share.
     """
     n = braiding.dim
     if words is None:
@@ -196,8 +199,9 @@ def _symmetrizer_matrix(braiding: DiagonalBraiding, degree: int,
               for a, row in enumerate(braiding.q)]
     place = [n ** (degree - 1 - t) for t in range(degree)]
     placements = _placements(degree)
-    values: dict = {}  # packed m -> (key, sign) of its monomial (_signed_key)
-    monomials: dict = {}  # key -> the monomial it stands for
+    # packed m -> (key, sign) of its monomial (_signed_key), and key -> the
+    # monomial it stands for
+    values, monomials = ({}, {}) if cache is None else cache
     counts: dict = {}  # (target index, col, key) -> permutations counted there, signed
     for col, w in enumerate(words):
         table = []

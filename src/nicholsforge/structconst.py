@@ -643,13 +643,20 @@ def generated_by(t: HopfStructure, seed: dict) -> bool:
 
     The closure grows by products with the seed, which by associativity
     reaches the same subalgebra as products of the closure with itself.
+    A label whose subspace did not grow in the last round only adds
+    products the closure already holds, so each round multiplies the
+    labels that grew, and sums only the labels their products reach.
     """
+    add = t.obj.backend.add
     closure = product_span(t, {}, {}, unit_span(t), seed)
-    while True:
-        grown = product_span(t, closure, seed, closure)
-        if layer_dims(grown) == layer_dims(closure):
-            break
-        closure = grown
+    grew = closure
+    while grew:
+        reached = {add(i, j) for i in grew for j in seed if (i, j) in t.mul}
+        sums = {label: closure[label] for label in reached if label in closure}
+        step = product_span(t, grew, seed, sums)
+        grew = {label: sub for label, sub in step.items()
+                if label not in closure or sub.dim > closure[label].dim}
+        closure = {**closure, **step}
     return layer_dims(closure) == layer_dims(full_layer(t.obj))
 
 
@@ -667,9 +674,12 @@ def generating_seeds(t: HopfStructure) -> Optional[tuple]:
     the negated labels -G when the full dual sectors there generate t.dual,
     else None.
     """
-    if t.grading is None or not degree_one_generated(t):
+    if t.grading is None:
         return None
-    gens = frozenset(degree_layer(t, (1,)))
+    seed = degree_layer(t, (1,))
+    if not generated_by(t, seed):
+        return None
+    gens = frozenset(seed)
     neg = t.obj.backend.neg
     coseed = {neg(g): Subspace.full(t.obj.dim(g)) for g in gens}
     return gens, (frozenset(coseed) if generated_by(t.dual, coseed) else None)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from nicholsforge.formats import (
 from nicholsforge.fusion import pointed_center_data, verify_all
 from nicholsforge.linalg import Matrix
 from nicholsforge.nichols import nichols_compute
-from nicholsforge.scalars import from_rational, root_of_unity
+from nicholsforge.scalars import from_rational, parse_scalar, root_of_unity
 from nicholsforge.structconst import from_nichols
 
 
@@ -98,3 +99,40 @@ def test_matrix_round_trip_random_sparse(entries):
     doc = matrix_to_json(m)
     json.dumps(doc)  # must be plain JSON data
     assert matrix_from_json(doc) == m
+
+
+def test_each_distinct_scalar_is_parsed_once_per_document(monkeypatch):
+    import nicholsforge.formats as formats
+
+    calls = []
+    parse = formats.parse_scalar
+    monkeypatch.setattr(formats, "parse_scalar", lambda raw: calls.append(raw) or parse(raw))
+    doc = fusion_to_json(pointed_center_data([3]))
+    assert fusion_to_json(fusion_from_json(doc)) == doc
+    assert len(calls) == len({json.dumps(raw, sort_keys=True) for raw in calls}) == 4
+    del calls[:]
+    # a second document parses its scalars afresh
+    fusion_from_json(doc)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("first, second", [
+    (1, True),
+    (1, 1.0),
+    ("1", "1/0"),
+    ({"conductor": 1, "coeffs": ["1"]}, {"conductor": True, "coeffs": ["1"]}),
+    ({"conductor": 2, "coeffs": [0, 1]}, {"conductor": 2, "coeffs": [False, True]}),
+    ({"conductor": 2, "coeffs": ["1"]}, {"conductor": 2, "coeffs": ["1.5"]}),
+])
+def test_a_parsed_scalar_never_admits_a_refused_form(first, second):
+    # the reader keys its parsed scalars on exact JSON types, so a form it
+    # refuses is refused with parse_scalar's message after an equal-looking
+    # form was read
+    doc = fusion_to_json(pointed_center_data([2]))
+    doc["braiding"][0]["entries"][0][2] = first
+    doc["braiding"][-1]["entries"][0][2] = second
+    with pytest.raises(ValueError) as expected:
+        parse_scalar(second)
+    with pytest.raises(ValueError) as got:
+        fusion_from_json(doc)
+    assert str(got.value) == str(expected.value)

@@ -10,8 +10,8 @@ from nicholsforge.fusion import (
     _hexagon_forward,
     _hexagon_routes,
     _matrix,
-    _pentagon_holds,
     _pentagon_routes,
+    _pentagon_verdicts,
     _reversed,
     _route,
     line_braiding,
@@ -377,16 +377,19 @@ def _by_labeling(keys, n):
             for label, ks in groups.items()}
 
 
-def _jump_blocks_match(start, n, jumps, references):
+def _jump_blocks_match(start, prefix, n, jumps, references):
     """Each jump's map from one labeling to another, laid out over their
-    basis keys, against its reference form; returns the blocks compared."""
+    basis keys, against its reference form; returns the blocks compared.
+    Keys start with an instance prefix of that many entries, which the
+    references do not see."""
     keys, compared = start, []
+    n += prefix
     for jump, reference in zip(jumps, references):
         for label_in, (cols, dims_in) in _by_labeling(keys, n).items():
             out, total = _route(cols, jump)
             for label_out, (rows, dims_out) in _by_labeling(out, n).items():
                 part = {pair: v for pair, v in total.items() if pair[0][:n] == label_out}
-                expected = reference(label_in, label_out, dims_in, dims_out)
+                expected = reference(label_in[prefix:], label_out[prefix:], dims_in, dims_out)
                 assert _matrix(part, rows, cols) == expected, (jump, label_in, label_out)
                 compared.append((dims_in, dims_out))
         keys = _route(keys, jump)[0]
@@ -400,24 +403,24 @@ def test_jumps_match_the_kronecker_forms():
     F = multiplicity_two_data()
     one = Matrix.identity
     i = j = k = l = t = 1
-    start, route1, route2 = _pentagon_routes(F, i, j, k, l, t)
-    compared = _jump_blocks_match(start, 2, route1, [
+    start, route1, route2 = _pentagon_routes(F, i, j, (k, l, t))
+    compared = _jump_blocks_match(start, 3, 2, route1, [
         lambda a_b, c_b, dims, _: F.assoc_block(i, j, k, *a_b, c_b[0]).kron(one(dims[2])),
         lambda c_b, c_f, dims, out: pair02_reference(
             F.assoc_block(i, c_b[0], l, c_b[1], t, c_f[1]), dims, out),
         lambda c_f, f_g, dims, _: one(dims[0]).kron(F.assoc_block(j, k, l, *c_f, f_g[1])),
     ])
-    compared += _jump_blocks_match(start, 2, route2, [
+    compared += _jump_blocks_match(start, 3, 2, route2, [
         lambda a_b, a_d, dims, _: one(dims[0]).kron(F.assoc_block(a_b[0], k, l, a_b[1], t, a_d[1])),
         lambda a_d, f_d, dims, _: F.assoc_block(i, j, a_d[1], a_d[0], t, f_d[0]).kron(one(dims[2])),
     ])
     start, left, right = _hexagon_routes(F, i, j, k, t)
-    compared += _jump_blocks_match(start, 1, left, [
+    compared += _jump_blocks_match(start, 1, 1, left, [
         lambda a, _, dims, __: F.braid_block(i, j, *a).kron(one(dims[1])),
         lambda a, c, _, __: F.assoc_block(j, i, k, *a, t, *c),
         lambda c, _, dims, __: one(dims[0]).kron(F.braid_block(i, k, *c)),
     ])
-    compared += _jump_blocks_match(start, 1, right, [
+    compared += _jump_blocks_match(start, 1, 1, right, [
         lambda a, c, _, __: F.assoc_block(i, j, k, *a, t, *c),
         lambda c, _, dims, out: flip_reference(out[1], dims[1])
         @ F.braid_block(i, *c, t).kron(one(dims[1])),
@@ -445,7 +448,9 @@ def _verdict(F, mirror, instance, reference):
     """One instance as verify_pentagon or verify_braiding decides it."""
     name, args = instance
     if name == "pentagon":
-        return (pentagon_reference if reference else _pentagon_holds)(F, *args)
+        if reference:
+            return pentagon_reference(F, *args)
+        return all(verdict[-1] for verdict in _pentagon_verdicts(F, *args[:2], args[2:]))
     data = F if name == "hexagon-forward" else mirror
     holds = hexagon_forward_reference if reference else _hexagon_forward
     try:
@@ -512,8 +517,8 @@ def test_routes_match_the_matrix_references_instance_by_instance(name):
     index_one = False
     for kind, args in instances:
         if kind == "pentagon":
-            start, route1, _ = _pentagon_routes(F, *args)
-            index_one |= any(1 in key[2:] for key in _route(start, *route1)[0])
+            start, route1, _ = _pentagon_routes(F, *args[:2], args[2:])
+            index_one |= any(1 in key[5:] for key in _route(start, *route1)[0])
     assert index_one == (name == "multiplicity-two")
     reads, clean = _reference_reads(F, instances)
     readers = {}
@@ -534,4 +539,54 @@ def test_routes_match_the_matrix_references_instance_by_instance(name):
                for inst in (instances if everywhere else touched)}
         assert got == expected, site
         failing += sum(not verdict for verdict in expected.values())
+    assert failing > 0
+
+
+def test_routes_run_once_per_outer_pair(monkeypatch):
+    # the pentagon composes its two routes once per outer pair (i, j), for
+    # all 81 instances (k, l, t) of the pair on the Z3 center, and the full
+    # associators one route per (x, y, z), for all 9 outer indices b
+    import nicholsforge.fusion as fusion
+
+    calls = []
+    route = fusion._route
+    monkeypatch.setattr(fusion, "_route", lambda *args: calls.append(1) or route(*args))
+    z3 = pointed_center_data([3])
+    assert well_formed(z3).checked == 7749 and len(calls) == 729
+    del calls[:]
+    assert verify_pentagon(z3).checked == 6561 and len(calls) == 162
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_batched_pentagon_matches_the_reference_on_every_mutant(name):
+    # verify_pentagon, with and without stop_early, against pentagon_reference
+    # walked over every instance in the verifier's order, on the clean data
+    # and every single-site mutant; on the Z3 center every third site, with
+    # the reference rerun only where it reads the mutated site
+    F = FIXTURES[name]()
+    instances = [args for kind, args in _instances(F) if kind == "pentagon"]
+    sites = fusion_entry_sites(F)
+    if name == "z3-center":
+        reads, clean = _reference_reads(F, [("pentagon", args) for args in instances])
+        sites = sites[::3]
+    failing = 0
+    for site in [None] + sites:
+        G = F if site is None else mutate_fusion(F, site)
+        if name == "z3-center":
+            rerun = [args for args in instances if site and site[:2] in reads[("pentagon", args)]]
+            verdicts = {args: clean[("pentagon", args)] for args in instances}
+        else:
+            rerun, verdicts = instances, {}
+        verdicts.update({args: pentagon_reference(G, *args) for args in rerun})
+        expected = [args for args in instances if not verdicts[args]]
+        report = verify_pentagon(G)
+        assert report.failures == tuple(expected[:32]), site
+        assert (report.passed, report.checked) == (not expected, len(instances)), site
+        first = verify_pentagon(G, stop_early=True)
+        if expected:
+            stop = instances.index(expected[0]) + 1
+            assert first == ("pentagon", False, (expected[0],), stop), site
+        else:
+            assert first == report, site
+        failing += bool(expected)
     assert failing > 0

@@ -132,6 +132,23 @@ def test_symmetrizer_content_ranks_are_the_engine_content_dims():
             assert ranks == {c: spaces[c].dim if c in spaces else 0 for c in ranks}, (trial, d)
 
 
+def test_symmetrizer_content_blocks_share_their_monomial_values(monkeypatch):
+    # the content blocks of one degree share one cache of monomial values,
+    # so ranking them block by block computes each value as often as one
+    # walk of the whole matrix: 326 on A2 at zeta_3 in degree 6
+    import nicholsforge.nichols as nichols
+
+    calls = []
+    monomial = nichols._monomial
+    monkeypatch.setattr(nichols, "_monomial", lambda *args: calls.append(1) or monomial(*args))
+    b = DiagonalBraiding.from_entries([["zeta(3)", "zeta(3)^2"], ["1", "zeta(3)"]])
+    symmetrizer_content_ranks(b, 6)
+    assert len(calls) == 326
+    del calls[:]
+    _symmetrizer_matrix(b, 6)
+    assert len(calls) == 326
+
+
 def test_symmetrizer_rank_degree_cap():
     b = DiagonalBraiding.from_entries([["-1"]])
     with pytest.raises(ValueError):

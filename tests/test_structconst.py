@@ -22,8 +22,8 @@ from nicholsforge.structconst import (
     degree_layer,
     degree_one_generated,
     from_nichols,
-    full_layer,
     generated_by,
+    generating_seeds,
     graded_iso_search,
     layer_dims,
     primitive_sectors,
@@ -472,29 +472,24 @@ def _assert_matches_pairwise(t, A, B, *extra):
     return span
 
 
-def _check_closure(t, seed):
-    # the steps of generated_by, each checked against the pairwise sums
-    closure = _assert_matches_pairwise(t, {}, {}, unit_span(t), seed)
-    while True:
-        grown = _assert_matches_pairwise(t, closure, seed, closure)
-        if layer_dims(grown) == layer_dims(closure):
-            return grown
-        closure = grown
-
-
 @pytest.mark.parametrize("name", sorted(BENCHMARK_POINTS))
-def test_product_span_matches_the_pairwise_sums(name):
+def test_product_span_matches_the_pairwise_sums(name, monkeypatch):
     entries, cutoff = BENCHMARK_POINTS[name]
     t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
     for s in (t, t.dual):
         ideal = s.powers[0]
         for power in s.powers:
             _assert_matches_pairwise(s, power, ideal)
+    # every step generated_by takes, checked against the pairwise sums
+    steps = []
+    monkeypatch.setattr(structconst, "product_span",
+                        lambda *args: steps.append(args) or _assert_matches_pairwise(*args))
     gens = degree_layer(t, (1,))
-    assert layer_dims(_check_closure(t, gens)) == layer_dims(full_layer(t.obj))
+    assert generated_by(t, gens)
     neg = t.obj.backend.neg
     coseed = {neg(g): Subspace.full(t.obj.dim(g)) for g in gens}
-    _check_closure(t.dual, coseed)
+    assert generated_by(t.dual, coseed)
+    assert steps
 
 
 def test_product_span_matches_the_pairwise_sums_across_conductors():
@@ -530,6 +525,21 @@ def test_product_span_eliminates_once_per_label(eliminations):
         del eliminations[:]
         span = product_span(t, *args)
         assert len(eliminations) == len(span) > 0
+
+
+def test_generating_seeds_multiply_only_the_labels_that_grew(eliminations, monkeypatch):
+    # each round of generated_by multiplies by the seed only the labels
+    # that grew in the round before, and eliminates only the labels their
+    # products reach; multiplying and eliminating the whole closure every
+    # round took 164 eliminations here
+    entries, cutoff = BENCHMARK_POINTS["z4z4"]
+    t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
+    calls = []
+    span = structconst.product_span
+    monkeypatch.setattr(structconst, "product_span", lambda *args: calls.append(1) or span(*args))
+    del eliminations[:]
+    assert generating_seeds(t) == ({(1, 0), (0, 1)}, {(-1, 0), (0, -1)})
+    assert (len(calls), len(eliminations)) == (14, 40)
 
 
 def test_a3_at_minus_one_powers_take_few_eliminations(eliminations):

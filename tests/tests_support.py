@@ -10,7 +10,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from nicholsforge.braided import DiagonalBraiding, all_words, word_index
 from nicholsforge.fusion import (
-    FusionData,
     verify_braiding,
     verify_duality,
     verify_pentagon,
@@ -229,23 +228,16 @@ def fusion_entry_sites(F):
 
 
 def mutate_fusion(F, site):
+    """F with the entry at site doubled, built by F.replace, so that it keeps
+    the column tables F has read of every block it does not change."""
     family, key, pos = site
-    assoc, braiding = dict(F.assoc), dict(F.braiding)
-    left, right = dict(F.left_units), dict(F.right_units)
-    ev, coev = dict(F.ev), dict(F.coev)
-    if family == "assoc":
-        assoc[key] = doubled(assoc[key], pos)
-    elif family == "braiding":
-        braiding[key] = doubled(braiding[key], pos)
-    elif family == "left-unit":
-        left[key] = left[key] + left[key]
-    elif family == "right-unit":
-        right[key] = right[key] + right[key]
-    elif family == "ev":
-        ev[key] = doubled(ev[key], pos)
+    field = {"left-unit": "left_units", "right-unit": "right_units"}.get(family, family)
+    table = dict(getattr(F, field))
+    if pos is None:  # a unit scalar
+        table[key] = table[key] + table[key]
     else:
-        coev[key] = doubled(coev[key], pos)
-    return FusionData(F.size, F.fusion, assoc, braiding, left, right, F.dual, ev, coev)
+        table[key] = doubled(table[key], pos)
+    return F.replace(**{field: table})
 
 
 def fusion_mutation_detected(F):
