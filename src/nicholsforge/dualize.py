@@ -34,7 +34,6 @@ __all__ = [
     "GragrcReport",
     "dual_structure",
     "graded_dual",
-    "primitives_of",
     "pairing_report",
     "generation_check",
     "gragrc_check",
@@ -61,15 +60,6 @@ def graded_dual(t: HopfStructure) -> HopfStructure:
     antipode = {neg(i): block for i, block in dual.antipode.items()}
     grading = {label: t.grading[label] for label in sectors}
     return HopfStructure(obj, mul, dual.unit, cop, dual.counit, antipode, grading)
-
-
-def primitives_of(t: HopfStructure) -> Subspace:
-    """Primitive elements as one subspace over the flattened coordinates.
-
-    Sectors are flattened in the object's own order; the labeled version of
-    the same computation is primitive_sectors in the structconst module.
-    """
-    return _flattened(t, primitive_sectors(t))
 
 
 def _flattened(t: HopfStructure, by_sector: dict) -> Subspace:

@@ -36,7 +36,6 @@ from .structconst import (
     DecomposedObject,
     HopfStructure,
     act,
-    degree_layer,
     full_layer,
     layer_dims,
     primitive_sectors,
@@ -49,7 +48,6 @@ __all__ = [
     "filtration_conditions",
     "radical_filtration",
     "coradical_filtration",
-    "degree_filtration",
     "split_basis",
     "one_param_orbit",
     "degenerate_limit",
@@ -232,18 +230,6 @@ def coradical_filtration(t: HopfStructure) -> HopfFiltration:
     chain = {n: _annihilator(t.obj, power) for n, power in enumerate(powers)}
     chain[len(powers)] = full_layer(t.obj)
     return HopfFiltration(t, "coradical", (0, len(powers)), chain)
-
-
-def degree_filtration(t: HopfStructure) -> HopfFiltration:
-    """The filtration a grading already carries: everything of degree <= i."""
-    if t.grading is None:
-        raise ValueError("degree filtration needs a graded structure")
-    degrees = [d for degs in t.grading.values() for d in degs]
-    if any(d < 0 for d in degrees):
-        raise ValueError("degree filtration needs non-negative degrees")
-    hi = max(degrees, default=0)
-    chain = {i: degree_layer(t, range(i + 1)) for i in range(hi + 1)}
-    return HopfFiltration(t, "degree", (0, hi), chain)
 
 
 class GradingSplit(NamedTuple):

@@ -14,15 +14,14 @@ distinct JSON form of a scalar once per document.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Callable, Tuple
 
-from .braided import braiding_from_json, braiding_to_json
+from ._command import canonical_dumps, save_document
 from .linalg import BasedSpace, Matrix
 from .scalars import Scalar, parse_int, parse_scalar, scalar_to_json
 
-# The readers import the structure layers when they run, so that loading
-# this module for canonical_dumps costs neither.
+# The readers and writers import the structure layers and the braidings
+# when they run, so a fusion command loads neither.
 if TYPE_CHECKING:
     from .fusion import FusionData
     from .structconst import HopfStructure
@@ -38,7 +37,6 @@ __all__ = [
     "fusion_from_json",
     "canonical_dumps",
     "save_document",
-    "load_document",
 ]
 
 HOPF_FORMAT = "nicholsforge/hopf"
@@ -99,6 +97,8 @@ def matrix_from_json(obj: dict, scalar: Callable[[object], Scalar] = parse_scala
 
 
 def hopf_to_json(t: HopfStructure) -> dict:
+    from .braided import braiding_to_json
+
     obj = t.obj
     sectors = []
     for label in sorted(obj.sectors):
@@ -141,6 +141,7 @@ def _put(table: dict, key, value, what: str) -> None:
 
 
 def hopf_from_json(obj: dict) -> HopfStructure:
+    from .braided import braiding_from_json
     from .structconst import DecomposedObject, HopfStructure, LabelBackend
 
     if obj.get("format") != HOPF_FORMAT:
@@ -249,17 +250,3 @@ def fusion_from_json(obj: dict) -> FusionData:
     coev = {i: block for (i,), block in blocks("coev", 1).items()}
     left, right = units("left_units"), units("right_units")
     return FusionData(size, fusion, assoc, braiding, left, right, dual, ev, coev)
-
-
-def canonical_dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def save_document(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
-
-
-def load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -33,7 +33,6 @@ from itertools import product
 from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .braided import DiagonalBraiding
 from .linalg import Matrix, compose, inverse, rank
 from .scalars import ONE, Scalar, root_of_unity
 
@@ -48,7 +47,6 @@ __all__ = [
     "verify_all",
     "pointed_center_data",
     "MAX_CENTER_SIMPLES",
-    "line_braiding",
 ]
 
 
@@ -697,21 +695,3 @@ def pointed_center_data(factors: Sequence[int]) -> FusionData:
     ev = {i: Matrix(1, 1, {(0, 0): ONE}) for i in range(s)}
     coev = {i: Matrix(1, 1, {(0, 0): ONE}) for i in range(s)}
     return FusionData(s, fusion, assoc, braiding, left, right, dual, ev, coev)
-
-
-def line_braiding(F: FusionData, lines: Sequence[int]) -> DiagonalBraiding:
-    """Diagonal braiding carried by chosen invertible simples.
-
-    Requires each pairwise fusion to be multiplicity-free so the braiding
-    block is a single scalar.
-    """
-    q = []
-    for i in lines:
-        row = []
-        for j in lines:
-            candidates = F.fuse(i, j)
-            if len(candidates) != 1 or candidates[0][1] != 1:
-                raise ValueError(f"simples {i} and {j} do not fuse to a single line")
-            row.append(F.braid_block(i, j, candidates[0][0]).get(0, 0))
-        q.append(tuple(row))
-    return DiagonalBraiding(tuple(q))

@@ -25,7 +25,6 @@ __all__ = [
     "rank",
     "rref",
     "kernel",
-    "solve",
     "inverse",
     "quotient",
     "hstack",
@@ -306,20 +305,6 @@ def kernel(M: Matrix) -> "Subspace":
                 v[p] = -entry
         vectors.append(v)
     return Subspace.from_vectors(M.ncols, vectors)
-
-
-def solve(M: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Some x with M @ x = b, or None.  Free variables are set to zero."""
-    assert b.nrows == M.nrows and b.ncols == 1
-    pivots, R = rref(hstack([M, b]))
-    if M.ncols in pivots:
-        return None
-    entries = {}
-    for i, p in enumerate(pivots):
-        v = R.get(i, M.ncols)
-        if v:
-            entries[(p, 0)] = v
-    return Matrix(M.ncols, 1, entries)
 
 
 def inverse(M: Matrix) -> Matrix:

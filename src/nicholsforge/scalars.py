@@ -2,7 +2,7 @@
 
 A Scalar is the unique reduced representative of an element of Q(zeta_N)
 modulo the N-th cyclotomic polynomial: a conductor N plus a residue tuple of
-euler_phi(N) integer numerators, lowest degree first, and one positive
+phi(N) integer numerators, lowest degree first, and one positive
 denominator, divided through by their gcd (see the kernel package).  Equal
 values at one conductor are therefore equal tuples.  Arithmetic between different
 conductors lifts both operands to the least common conductor via
@@ -38,7 +38,6 @@ __all__ = [
     "make_scalar",
     "root_of_unity",
     "from_rational",
-    "euler_phi",
     "cyclotomic_polynomial",
     "parse_scalar",
     "parse_int",
@@ -46,22 +45,6 @@ __all__ = [
     "ZERO",
     "ONE",
 ]
-
-
-def euler_phi(n: int) -> int:
-    assert n >= 1
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _divisors(n: int) -> list[int]:
@@ -247,6 +230,11 @@ class Scalar:
         if other.__class__ is Scalar and other.conductor == self.conductor:
             red = field_context(self.conductor).red
             return Scalar(self.conductor, _K.poly_mul(self.coeffs, other.coeffs, red))
+        if isinstance(other, int):
+            # an integer scales the numerators, at self's conductor, which is
+            # where lifting it to a Scalar would have put the product too
+            *nums, den = self.coeffs
+            return Scalar(self.conductor, _K.poly_canonical([c * other for c in nums] + [den]))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -274,17 +262,22 @@ class Scalar:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
+        if exponent == 0:
+            return ONE
         base = self
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        result = ONE
-        while exponent:
+        # the first factor is a power of base itself, not a product with ONE,
+        # which would lift through conductor 1
+        result = None
+        while True:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     # -- predicates -------------------------------------------------------
 

@@ -737,7 +737,7 @@ def test_oversized_center_is_usage_error(runner, tmp_path, group, order):
 def test_empty_or_zero_lambda_samples_are_refused_before_the_filtration(runner, qp_hopf,
                                                                         monkeypatch, samples):
     calls = []
-    monkeypatch.setattr("nicholsforge.cli._build_filtration", lambda *args: calls.append(args))
+    monkeypatch.setattr("nicholsforge.cmd_structures._build_filtration", lambda *args: calls.append(args))
     result = runner.invoke(main, ["degenerate", qp_hopf, "--filtration", "radical",
                                   "--lambda-samples", samples])
     assert result.exit_code == 2, result.output

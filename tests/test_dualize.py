@@ -9,7 +9,6 @@ from nicholsforge.dualize import (
     graded_dual,
     gragrc_check,
     pairing_report,
-    primitives_of,
 )
 from nicholsforge.nichols import nichols_compute
 from nicholsforge.structconst import (
@@ -18,7 +17,7 @@ from nicholsforge.structconst import (
     verify_axioms,
 )
 
-from tests_support import grading_respected
+from tests_support import grading_respected, primitives_of
 
 QP = DiagonalBraiding.from_entries([["-1", "1"], ["1", "-1"]])
 

@@ -12,7 +12,6 @@ from nicholsforge.filtration import (
     associated_graded,
     coradical_filtration,
     degenerate_limit,
-    degree_filtration,
     filtration_conditions,
     lambda_exponent_report,
     one_param_orbit,
@@ -34,6 +33,7 @@ from nicholsforge.structconst import (
 )
 from tests_support import (
     coradical_chain_reference,
+    degree_filtration,
     deleted,
     doubled,
     exterior_by_charge,

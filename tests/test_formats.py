@@ -15,7 +15,6 @@ from nicholsforge.formats import (
     fusion_to_json,
     hopf_from_json,
     hopf_to_json,
-    load_document,
     matrix_from_json,
     matrix_to_json,
     save_document,
@@ -25,6 +24,7 @@ from nicholsforge.linalg import Matrix
 from nicholsforge.nichols import nichols_compute
 from nicholsforge.scalars import from_rational, parse_scalar, root_of_unity
 from nicholsforge.structconst import from_nichols
+from tests_support import load_document
 
 
 def test_matrix_round_trip_mixed_scalars():

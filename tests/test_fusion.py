@@ -14,7 +14,6 @@ from nicholsforge.fusion import (
     _pentagon_verdicts,
     _reversed,
     _route,
-    line_braiding,
     pointed_center_data,
     verify_all,
     verify_braiding,
@@ -34,6 +33,7 @@ from tests_support import (
     fusion_mutation_detected,
     hexagon_backward_reference,
     hexagon_forward_reference,
+    line_braiding,
     mutate_fusion,
     pair02_reference,
     pentagon_reference,

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nicholsforge
 
 PACKAGE = Path(nicholsforge.__file__).parent
@@ -125,9 +127,21 @@ def _modules_at_exit(tmp_path: Path, args: list) -> set:
     return set(out.read_text().split())
 
 
+# The computing layers and the kernel, which --help needs none of.
+_LAYERS = {f"nicholsforge.{name}" for name in (
+    "scalars", "linalg", "braided", "freehopf", "nichols", "structconst", "filtration",
+    "dualize", "fusion", "formats", "_kernel", "_kernel.py_impl")}
+
+# The module holding each command's body; a command loads no other body.
+_BODIES = {"nichols": "cmd_nichols", "verify": "cmd_structures", "gr": "cmd_structures",
+           "degenerate": "cmd_structures", "is-nichols": "cmd_structures",
+           "fusion-verify": "cmd_fusion", "fusion-gen": "cmd_fusion"}
+
+
 def test_every_command_starts_without_unneeded_modules(tmp_path):
     (tmp_path / "qp.json").write_text('{"type": "diagonal", "q": [["-1", "1"], ["1", "-1"]]}')
     runs = {
+        "help": ["--help"],
         "nichols": ["nichols", "qp.json", "--max-degree", "6", "--emit-hopf", "qp_hopf.json"],
         "nichols-oracle": ["nichols", "qp.json", "--max-degree", "6", "--oracle-degree", "4",
                            "--threads", "1"],
@@ -138,15 +152,47 @@ def test_every_command_starts_without_unneeded_modules(tmp_path):
         "is-nichols": ["is-nichols", "qp_hopf.json"],
         "fusion-verify": ["fusion-verify", "z2.json"],
     }
+    bodies = {f"nicholsforge.{body}" for body in _BODIES.values()}
     held = {}
     for name, args in runs.items():  # in order: the first two write the later inputs
-        modules = _modules_at_exit(tmp_path, [*args, "--json"])
+        modules = _modules_at_exit(tmp_path, args if name == "help" else [*args, "--json"])
         unneeded = set(_NEVER_IMPORTED)
+        if name == "help":
+            # the command list is all --help prints: no body, no layer, no parser
+            unneeded |= _LAYERS | bodies | {"nicholsforge._command", "argparse"}
+        else:
+            unneeded |= bodies - {f"nicholsforge.{_BODIES[args[0]]}"}
         if name in ("verify", "gr", "degenerate", "is-nichols"):
             # the structure commands read a document and never run the engine
             unneeded |= {"nicholsforge.nichols", "nicholsforge.freehopf"}
         if name == "nichols-oracle":
-            # the oracle walk on one thread runs without the pool
-            unneeded.add("concurrent.futures")
+            # the oracle walk on one thread runs without the pool, and a
+            # command that writes no structure never loads formats
+            unneeded |= {"concurrent.futures", "nicholsforge.formats",
+                         "nicholsforge.structconst"}
+        if name in ("fusion-gen", "fusion-verify"):
+            # fusion data is neither a Hopf structure nor a braiding
+            unneeded |= {"nicholsforge.braided", "nicholsforge.structconst"}
         held[name] = sorted(modules & unneeded)
     assert held == {name: [] for name in runs}
+
+
+@pytest.mark.parametrize("args", [
+    ["nichols", "missing.json", "--max-degree", "2"],
+    ["nichols", "bad.json", "--max-degree", "2"],
+    ["verify", "missing.json"],
+    ["degenerate", "bad.json", "--filtration", "radical"],
+    ["fusion-verify", "bad.json"],
+    ["fusion-gen", "--group", "1000000", "--out", "z.json"],
+], ids=lambda args: "-".join(args[:2]))
+def test_body_input_errors_exit_2_under_python_m(tmp_path, args):
+    # under `python -m nicholsforge.cli` the dispatcher runs as __main__; a
+    # body's InputError must still be the class the dispatcher catches
+    (tmp_path / "bad.json").write_text('{"type": "diagonal", "q": [["zeta(100000)"]]}')
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-m", "nicholsforge.cli", *args, "--json"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("Error: ")

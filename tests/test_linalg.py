@@ -15,10 +15,10 @@ from nicholsforge.linalg import (
     quotient,
     rank,
     rref,
-    solve,
     vstack,
 )
 from nicholsforge.scalars import ONE, ZERO, from_rational, root_of_unity, scalar_to_json
+from tests_support import solve
 
 
 def m(rows):

@@ -80,6 +80,35 @@ def test_integer_powers():
     assert z**10 == root_of_unity(8, 2)
 
 
+def _samples(n):
+    # a root, and a value with a denominator and mixed signs, at conductor n
+    return [root_of_unity(n, 1), make_scalar(n, ["3/4", "-5/6", "7", "-1/2"][: max(n - 1, 1)])]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_integer_factors_scale_as_lifted_scalars_did(n):
+    # an int factor once became a conductor-1 Scalar lifted to n; scaling the
+    # numerators must give the same conductor and the same tuple
+    for x in _samples(n):
+        for k in (0, 1, -1, 7, -7, 10**30):
+            lifted = x * from_rational(k)
+            for product in (x * k, k * x):
+                assert (product.conductor, product.coeffs) == (lifted.conductor, lifted.coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_powers_match_products_from_one(n):
+    for x in _samples(n):
+        for e in (1, 2, 3, 5, 8, 11, -1, -4):
+            base = x if e > 0 else x.inverse()
+            expected = ONE
+            for _ in range(abs(e)):
+                expected = expected * base
+            power = x**e
+            assert (power.conductor, power.coeffs) == (expected.conductor, expected.coeffs)
+        assert x**0 is ONE
+
+
 def test_parse_scalar_forms():
     assert parse_scalar("zeta(3)") == root_of_unity(3, 1)
     assert parse_scalar("-zeta(4)") == -root_of_unity(4, 1)

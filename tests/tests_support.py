@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import random
 from itertools import permutations
@@ -9,25 +10,39 @@ from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from nicholsforge.braided import DiagonalBraiding, all_words, word_index
+from nicholsforge.dualize import _flattened
+from nicholsforge.filtration import HopfFiltration, _layer_leq
 from nicholsforge.fusion import (
+    FusionData,
     verify_braiding,
     verify_duality,
     verify_pentagon,
     verify_units,
 )
-from nicholsforge.linalg import BasedSpace, Matrix, Subspace, inverse, kernel, quotient, vstack
+from nicholsforge.linalg import (
+    BasedSpace,
+    Matrix,
+    Subspace,
+    hstack,
+    inverse,
+    kernel,
+    quotient,
+    rref,
+    vstack,
+)
 from nicholsforge.nichols import nichols_compute
 from nicholsforge.scalars import ONE, root_of_unity
-from nicholsforge.filtration import _layer_leq
 from nicholsforge.structconst import (
     AXIOM_KEYS,
     AxiomReport,
     DecomposedObject,
+    degree_layer,
     HopfStructure,
     LabelBackend,
     from_nichols,
     full_layer,
     layer_dims,
+    primitive_sectors,
     product_span,
     unit_span,
     well_formed_problem,
@@ -936,3 +951,64 @@ def compose_automorphisms(t: HopfStructure, outer: dict, inner: dict) -> dict:
         b = inner.get(label, Matrix.identity(space.dim))
         out[label] = a @ b
     return out
+
+
+# -- helpers only the tests call ---------------------------------------------
+
+
+def load_document(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def solve(M: Matrix, b: Matrix) -> Optional[Matrix]:
+    """Some x with M @ x = b, or None.  Free variables are set to zero."""
+    assert b.nrows == M.nrows and b.ncols == 1
+    pivots, R = rref(hstack([M, b]))
+    if M.ncols in pivots:
+        return None
+    entries = {}
+    for i, p in enumerate(pivots):
+        v = R.get(i, M.ncols)
+        if v:
+            entries[(p, 0)] = v
+    return Matrix(M.ncols, 1, entries)
+
+
+def line_braiding(F: FusionData, lines: Sequence[int]) -> DiagonalBraiding:
+    """Diagonal braiding carried by chosen invertible simples.
+
+    Requires each pairwise fusion to be multiplicity-free so the braiding
+    block is a single scalar.
+    """
+    q = []
+    for i in lines:
+        row = []
+        for j in lines:
+            candidates = F.fuse(i, j)
+            if len(candidates) != 1 or candidates[0][1] != 1:
+                raise ValueError(f"simples {i} and {j} do not fuse to a single line")
+            row.append(F.braid_block(i, j, candidates[0][0]).get(0, 0))
+        q.append(tuple(row))
+    return DiagonalBraiding(tuple(q))
+
+
+def degree_filtration(t: HopfStructure) -> HopfFiltration:
+    """The filtration a grading already carries: everything of degree <= i."""
+    if t.grading is None:
+        raise ValueError("degree filtration needs a graded structure")
+    degrees = [d for degs in t.grading.values() for d in degs]
+    if any(d < 0 for d in degrees):
+        raise ValueError("degree filtration needs non-negative degrees")
+    hi = max(degrees, default=0)
+    chain = {i: degree_layer(t, range(i + 1)) for i in range(hi + 1)}
+    return HopfFiltration(t, "degree", (0, hi), chain)
+
+
+def primitives_of(t: HopfStructure) -> Subspace:
+    """Primitive elements as one subspace over the flattened coordinates.
+
+    Sectors are flattened in the object's own order; the labeled version of
+    the same computation is primitive_sectors in the structconst module.
+    """
+    return _flattened(t, primitive_sectors(t))
