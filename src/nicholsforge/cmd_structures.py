@@ -92,14 +92,15 @@ def _layer_table(f) -> list:
 
 
 def gr(hopf_file, kind, out, as_json):
-    from .filtration import associated_graded, filtration_conditions
+    from .filtration import associated_graded, filtration_conditions, split_basis
     from .structconst import AXIOM_KEYS, verify_axioms
 
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
-    conditions = filtration_conditions(f)
-    graded = associated_graded(t, f)
+    split = split_basis(f)
+    conditions = filtration_conditions(f, split)
+    graded = associated_graded(t, f, split)
     axioms = verify_axioms(graded)
     ok = all(conditions.values()) and axioms.passed
     results = {
@@ -146,10 +147,10 @@ def degenerate(hopf_file, kind, samples, out, as_json):
         raise InputError(f"bad --lambda-samples: {err}")
     t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
-    failed = ", ".join(name for name, good in filtration_conditions(f).items() if not good)
+    split = split_basis(f)
+    failed = ", ".join(name for name, good in filtration_conditions(f, split).items() if not good)
     if failed:
         raise CommandError(f"filtration unavailable: {kind} filtration violates {failed}")
-    split = split_basis(f)
     limit = degenerate_limit(t, split)
     dims = primitive_dims_along_path(t, split, lams, limit)
     axioms = verify_axioms(limit)

@@ -8,9 +8,9 @@ index 0.  The two are dual: the coradical chain of t at index n is the
 annihilator of the (n+1)-st power of the augmentation ideal of the dual,
 so both come from the powers the structure keeps, its own or its dual's.
 On a Hopf structure either one satisfies the seven compatibility
-conditions of filtration_conditions, which checks the coalgebra ones as
-algebra conditions of the annihilator filtration on the dual.  Those
-conditions are exactly what makes the one-parameter family of conjugates by
+conditions of filtration_conditions, which reads all seven from the signs
+of the lambda exponents of one split.  Those conditions are exactly what
+makes the one-parameter family of conjugates by
 
     phi(lambda) = sum_i lambda^{-i} * (projection onto the i-th piece)
 
@@ -20,6 +20,27 @@ conditions hold, and the limit keeps the exponent-zero entries only.
 The constructors only build the chain; a caller that relies on the
 conditions runs filtration_conditions itself.
 
+Why the exponents decide the conditions.  split_basis tags each basis
+vector v_a of a sector with tau(a), the window index where its pivot first
+appears, or hi + 1 for the unit vectors that complete a chain that does
+not exhaust.  Pivots of nested echelon forms nest, so the vectors tagged
+at most n lie in F_n, have distinct leading columns and number dim F_n.
+None is tagged below lo and all at most hi + 1, so F_n = span{v_a :
+tau(a) <= n} for every integer n, and the sum of F_n (x) F_m over n + m = k
+is span{v_a (x) v_b : tau(a) + tau(b) <= k}.  Each condition says that
+a structure map sends the span of index k into the span of index k, for
+every k, the ground field sitting at index 0: unit-in-zero is 1 in F_0,
+counit-vanishing is counit(F_{-1}) = 0.  That holds exactly when no entry
+of the map in these coordinates has a negative exponent, the source
+vector's index minus the target vector's: a basis vector of index k must
+have no coordinate on a target tagged above k, and linearity does the
+rest.  The entries are those of mul (source index tau(a) + tau(b)), cop
+(target index tau(a) + tau(b)), the unit (source index 0), the counit
+(target index 0) and S, each against its own condition.  exhausts holds
+when nothing is tagged hi + 1, and bounded-below always holds.  The
+coordinates need a well-formed structure, every block of the shape its
+sectors give it, which the structure commands check on loading.
+
 The limit is computed twice by design: once by that exponent filter and
 once degree by degree from the filtration quotients (associated_graded).
 The two must agree entry for entry, which the tests pin down.
@@ -27,11 +48,10 @@ The two must agree entry for entry, which the tests pin down.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Subspace, inverse, kernel
-from .scalars import Scalar, from_rational
+from .scalars import ONE, ZERO, Scalar, from_rational
 from .structconst import (
     DecomposedObject,
     HopfStructure,
@@ -77,11 +97,6 @@ def _layer_leq(lower: Layer, upper: Layer) -> bool:
         if target is None or not target.contains_columns(sub.basis):
             return False
     return True
-
-
-def _layer_at(window: Tuple[int, int], chain: Dict[int, Layer], full: Layer, i: int) -> Layer:
-    lo, hi = window
-    return {} if i < lo else full if i > hi else chain[i]
 
 
 def _annihilator(obj: DecomposedObject, layer: Layer) -> Layer:
@@ -133,70 +148,33 @@ class HopfFiltration:
         self.full = full_layer(obj)
 
     def at(self, i: int) -> Layer:
-        return _layer_at(self.window, self.chain, self.full, i)
+        lo, hi = self.window
+        return {} if i < lo else self.full if i > hi else self.chain[i]
 
     def layer_dims(self) -> Dict[int, dict]:
         return {i: layer_dims(self.chain[i]) for i in self.chain}
 
 
-def _multiplicative(t: HopfStructure, window: Tuple[int, int], at) -> bool:
-    """Whether layer i times layer j lies in layer i + j, for all i and j.
-
-    A factor below the window is zero and a target above it is everything,
-    so only the pairs with both factors from lo and i + j <= hi can fail;
-    the image of each pair of sector bases must lie in its target sector.
-    """
-    lo, hi = window
-    add = t.obj.backend.add
-    for i in range(lo, hi + 2):
-        for j in range(lo, min(hi + 1, hi - i) + 1):
-            target = at(i + j)
-            for a, sub_a in at(i).items():
-                for b, sub_b in at(j).items():
-                    block = t.mul.get((a, b))
-                    if block is None:
-                        continue
-                    image = block @ sub_a.basis.kron(sub_b.basis)
-                    into = target.get(add(a, b))
-                    if not image.is_zero() and (into is None or not into.contains_columns(image)):
-                        return False
-    return True
-
-
-def _unit_in_zero(t: HopfStructure, at) -> bool:
-    zero = t.obj.backend.zero
-    return at(0).get(zero, Subspace.zero(t.obj.dim(zero))).contains_columns(t.unit)
-
-
-def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
+def filtration_conditions(f: HopfFiltration, split: Optional[GradingSplit] = None) -> Dict[str, bool]:
     """Verify the seven compatibility conditions, one verdict per key.
 
-    The coalgebra conditions are algebra conditions on the dual of the
-    filtered structure.  There the annihilators G_n of F_{-n-1} form a
-    filtration on the window (-hi-1, -lo-1); F is comultiplicative exactly
-    when G is multiplicative, and the counit vanishes on F_{-1} exactly
-    when the dual's unit lies in G_0.
+    Each is read from the signs of the lambda exponents in split
+    coordinates (split_basis(f), unless the caller has it), as the module
+    docstring proves; the structure must be well-formed.
     """
+    if split is None:
+        split = split_basis(f)
     t = f.structure
-    dual = t.dual
-    lo, hi = f.window
-    g_window = (-hi - 1, -lo - 1)
-    g_chain = {-n - 1: _annihilator(dual.obj, layer) for n, layer in f.chain.items()}
-    g_at = partial(_layer_at, g_window, g_chain, full_layer(dual.obj))
-    results = {"exhausts": layer_dims(f.at(hi)) == layer_dims(full_layer(t.obj))}
-    # `at` returns the empty layer below the window, so the filtration is
-    # bounded below by construction and there is nothing to check
+    negative = {family for family, _, _, _, _, e in _split_entry_exponents(t, split) if e < 0}
+    top = f.window[1] + 1
+    results = {"exhausts": all(top not in tags for tags in split.indices.values())}
+    # nothing is tagged below the window, where every layer is zero, so the
+    # filtration is bounded below by construction and there is nothing to check
     results["bounded-below"] = True
-    results["multiplicative"] = _multiplicative(t, f.window, f.at)
-    results["comultiplicative"] = _multiplicative(dual, g_window, g_at)
-    results["counit-vanishing"] = _unit_in_zero(dual, g_at)
-    results["unit-in-zero"] = _unit_in_zero(t, f.at)
-    results["antipode-stable"] = all(
-        sub.contains_columns(t.antipode_at(label) @ sub.basis)
-        for i in range(lo, hi + 1)
-        for label, sub in f.at(i).items()
-        if sub.dim
-    )
+    for name, family in (("multiplicative", "mul"), ("comultiplicative", "cop"),
+                         ("counit-vanishing", "counit"), ("unit-in-zero", "unit"),
+                         ("antipode-stable", "antipode")):
+        results[name] = family not in negative
     return results
 
 
@@ -261,6 +239,9 @@ def split_basis(f: HopfFiltration) -> GradingSplit:
     Within each sector the reduced rows of layer i whose pivot column is
     new relative to layer i-1 represent the i-th graded piece; stacking
     them in index order gives a deterministic basis adapted to the chain.
+    A chain that does not exhaust is completed by the unit vectors of the
+    missing pivot columns, tagged hi + 1, where every layer is the whole
+    object.
     """
     t = f.structure
     lo, hi = f.window
@@ -281,8 +262,10 @@ def split_basis(f: HopfFiltration) -> GradingSplit:
                 seen.add(pivot)
                 columns.append([sub.row_matrix.get(row_idx, c) for c in range(space.dim)])
                 tags.append(i)
-        if len(columns) != space.dim:
-            raise ValueError(f"filtration misses {space.dim - len(columns)} directions in sector {label}")
+        for c in range(space.dim):
+            if c not in seen:
+                columns.append([ONE if r == c else ZERO for r in range(space.dim)])
+                tags.append(hi + 1)
         mat = Matrix.from_columns(columns)
         basis[label] = mat
         inverse_basis[label] = inverse(mat)

@@ -562,6 +562,20 @@ def test_degenerate_builds_the_split_and_the_limit_once(runner, qp_hopf, count_c
     assert calls == {"split_basis": 1, "degenerate_limit": 1, "associated_graded": 1}
 
 
+@pytest.mark.parametrize("kind", ["radical", "coradical"])
+def test_gr_builds_the_split_once(runner, qp_hopf, count_calls, kind):
+    from nicholsforge import filtration
+
+    names = ("split_basis", "filtration_conditions", "associated_graded")
+    seen = count_calls(names, (filtration,))
+    result = runner.invoke(main, ["gr", qp_hopf, "--filtration", kind, "--json"])
+    calls = {name: len(args) for name, args in seen.items()}
+    assert result.exit_code == 0, result.output
+    assert all(json.loads(result.output)["results"]["conditions"].values())
+    # the conditions and the graded structure read the one split gr builds
+    assert calls == {"split_basis": 1, "filtration_conditions": 1, "associated_graded": 1}
+
+
 @pytest.mark.parametrize("command, built", [
     (["verify"], 1),
     (["gr", "--filtration", "radical"], 2),

@@ -216,7 +216,19 @@ def test_coradical_chain_matches_the_wedge_recursion(name):
         assert f.chain == chain
 
 
-# -- the coalgebra conditions as algebra conditions on the dual --------------
+# -- the seven conditions against their direct forms -------------------------
+
+
+DIRECT_CHECK_CASES = ["quantum-plane", "a2-at-minus-one", "exterior-3",
+                      "exterior-by-charge", "exterior-3-by-charge"]
+
+
+def _fixture(name: str) -> HopfStructure:
+    if name.endswith("by-charge"):
+        # on three letters sectors 1 and -1 have dimensions 1 and 3
+        return exterior_by_charge(3 if name.startswith("exterior-3") else 2)
+    entries, cutoff = CORADICAL_CASES[name]
+    return from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
 
 
 def _sector_chains(t: HopfStructure, rng, count: int) -> list:
@@ -241,16 +253,10 @@ def _filtrations(t: HopfStructure, rng) -> list:
     return out + _sector_chains(t, rng, 4)
 
 
-@pytest.mark.parametrize("name", ["quantum-plane", "a2-at-minus-one", "exterior-3",
-                                  "exterior-by-charge", "exterior-3-by-charge"])
+@pytest.mark.parametrize("name", DIRECT_CHECK_CASES)
 def test_conditions_on_the_dual_match_the_direct_checks(name):
     rng = random.Random(name)
-    if name.endswith("by-charge"):
-        # on three letters sectors 1 and -1 have dimensions 1 and 3
-        t = exterior_by_charge(3 if name.startswith("exterior-3") else 2)
-    else:
-        entries, cutoff = CORADICAL_CASES[name]
-        t = from_nichols(nichols_compute(DiagonalBraiding.from_entries(entries), cutoff))
+    t = _fixture(name)
     own = _filtrations(t, rng)
     cases = own + _filtrations(act(_mixing(t), t), rng)
     # the radical, coradical and degree chains of t and one chain of sectors,
@@ -266,4 +272,53 @@ def test_conditions_on_the_dual_match_the_direct_checks(name):
         assert conditions == filtration_conditions_reference(f)
         verdicts.append(conditions)
     for key in ("comultiplicative", "counit-vanishing"):
+        assert {v[key] for v in verdicts} == {True, False}
+
+
+# -- the completed split and the exponent verdicts ---------------------------
+
+
+@pytest.mark.parametrize("name", DIRECT_CHECK_CASES)
+def test_completed_split_spans_every_layer(name):
+    rng = random.Random(name)
+    t = _fixture(name)
+    chains = [f for s in (t, act(_mixing(t), t)) for f in _filtrations(s, rng)]
+    assert any(not filtration_conditions(f)["exhausts"] for f in chains)
+    for f in chains:
+        split = split_basis(f)
+        lo, hi = f.window
+        completed = False
+        for label, tags in split.indices.items():
+            basis = split.basis[label]
+            dim = f.structure.obj.dim(label)
+            for i in range(lo, hi + 1):
+                span = basis.select_columns([c for c, tag in enumerate(tags) if tag <= i])
+                layer = f.at(i).get(label, Subspace.zero(dim))
+                assert Subspace.from_columns(span) == layer, (f.kind, f.window, label, i)
+            for c, tag in enumerate(tags):
+                assert lo <= tag <= hi + 1
+                if tag == hi + 1:
+                    completed = True
+                    assert list(basis.select_columns([c]).entries.values()) == [ONE]
+        assert completed is not filtration_conditions(f, split)["exhausts"]
+
+
+def test_exponent_verdicts_match_the_reference_on_every_mutant():
+    # every doubled and every deleted entry of each structure, under its
+    # radical and coradical filtrations and two chains of whole sectors
+    verdicts = []
+    for name in ("quantum-plane", "exterior-by-charge", "a2-at-minus-one"):
+        t = _fixture(name)
+        own = [radical_filtration(t), coradical_filtration(t)]
+        own += _sector_chains(t, random.Random(name), 2)
+        for edit in (doubled, deleted):
+            for site in hopf_entry_sites(t):
+                mutant = mutate_hopf(t, site, edit)
+                for f in own:
+                    g = HopfFiltration(mutant, f.kind, f.window, f.chain)
+                    conditions = filtration_conditions(g)
+                    assert conditions == filtration_conditions_reference(g), (name, site, edit)
+                    verdicts.append(conditions)
+    assert len(verdicts) > 900
+    for key in ("multiplicative", "comultiplicative"):
         assert {v[key] for v in verdicts} == {True, False}

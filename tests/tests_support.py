@@ -537,11 +537,11 @@ def coradical_chain_reference(t):
 # -- references for the checks the package now runs on the dual --------------
 
 # verify_axioms checks the coalgebra axioms as the algebra axioms of the
-# dual, and filtration_conditions the coalgebra conditions as algebra
-# conditions of the annihilator filtration on the dual.  These are the
-# direct forms, on the structure itself, with their bodies as the package
-# had them (f.sector_at is _sector_at here); the package's reports must
-# equal theirs.
+# dual, and filtration_conditions reads every condition from the signs of
+# the lambda exponents of one split.  These are the direct forms, on the
+# structure itself and its layers, with their bodies as the package had
+# them (f.sector_at is _sector_at here); the package's reports must equal
+# theirs.
 
 
 def verify_axioms_reference(t):
