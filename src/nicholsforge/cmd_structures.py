@@ -92,15 +92,14 @@ def _layer_table(f) -> list:
 
 
 def gr(hopf_file, kind, out, as_json):
-    from .filtration import associated_graded, filtration_conditions, split_basis
+    from .filtration import associated_graded, filtration_conditions
     from .structconst import AXIOM_KEYS, verify_axioms
 
     started = time.monotonic()
     t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
-    split = split_basis(f)
-    conditions = filtration_conditions(f, split)
-    graded = associated_graded(t, f, split)
+    conditions = filtration_conditions(f)
+    graded = associated_graded(t, f)
     axioms = verify_axioms(graded)
     ok = all(conditions.values()) and axioms.passed
     results = {
@@ -132,7 +131,6 @@ def degenerate(hopf_file, kind, samples, out, as_json):
         degenerate_limit,
         filtration_conditions,
         primitive_dims_along_path,
-        split_basis,
     )
     from .structconst import AXIOM_KEYS, verify_axioms
 
@@ -147,16 +145,15 @@ def degenerate(hopf_file, kind, samples, out, as_json):
         raise InputError(f"bad --lambda-samples: {err}")
     t, digest = _load_well_formed_hopf(hopf_file)
     f = _build_filtration(t, kind)
-    split = split_basis(f)
-    failed = ", ".join(name for name, good in filtration_conditions(f, split).items() if not good)
+    failed = ", ".join(name for name, good in filtration_conditions(f).items() if not good)
     if failed:
         raise CommandError(f"filtration unavailable: {kind} filtration violates {failed}")
-    limit = degenerate_limit(t, split)
-    dims = primitive_dims_along_path(t, split, lams, limit)
+    limit = degenerate_limit(t, f.split)
+    dims = primitive_dims_along_path(t, f.split, lams, limit)
     axioms = verify_axioms(limit)
-    # associated_graded builds the graded structure on its own, from the
-    # same split, so that the comparison means something
-    matches = limit == associated_graded(t, f, split)
+    # associated_graded filters the filtration's one conjugate with its own
+    # exponents, so that the comparison means something
+    matches = limit == associated_graded(t, f)
     ok = axioms.passed and matches
     results = {
         "filtration": kind,

@@ -41,9 +41,10 @@ when nothing is tagged hi + 1, and bounded-below always holds.  The
 coordinates need a well-formed structure, every block of the shape its
 sectors give it, which the structure commands check on loading.
 
-The limit is computed twice by design: once by that exponent filter and
-once degree by degree from the filtration quotients (associated_graded).
-The two must agree entry for entry, which the tests pin down.
+There is one conjugation per split: split_basis holds the basis P and its
+inverse and forms P^{-1} . t . P once.  The limit (through the exponent
+pass) and associated_graded (through exponents of its own) are two filters
+of it, which the tests pin down to agree entry for entry.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .scalars import ONE, ZERO, Scalar, from_rational
 from .structconst import (
     DecomposedObject,
     HopfStructure,
-    act,
+    conjugate,
     full_layer,
     layer_dims,
     primitive_sectors,
@@ -121,9 +122,10 @@ class HopfFiltration:
     the subspace is zero.  Below the window the filtration is zero, above
     it the whole object (the layer `full`).  Construction checks only the
     chain's shape and nesting; filtration_conditions judges compatibility.
+    The split is built on first use and kept.
     """
 
-    __slots__ = ("structure", "kind", "window", "chain", "full")
+    __slots__ = ("structure", "kind", "window", "chain", "full", "_split")
 
     def __init__(self, structure: HopfStructure, kind: str, window: Tuple[int, int], chain: Dict[int, Layer]):
         lo, hi = window
@@ -146,6 +148,14 @@ class HopfFiltration:
         self.window = window
         self.chain = chain
         self.full = full_layer(obj)
+        self._split = None
+
+    @property
+    def split(self) -> "GradingSplit":
+        """split_basis(self), built on first use."""
+        if self._split is None:
+            self._split = split_basis(self)
+        return self._split
 
     def at(self, i: int) -> Layer:
         lo, hi = self.window
@@ -155,17 +165,16 @@ class HopfFiltration:
         return {i: layer_dims(self.chain[i]) for i in self.chain}
 
 
-def filtration_conditions(f: HopfFiltration, split: Optional[GradingSplit] = None) -> Dict[str, bool]:
+def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
     """Verify the seven compatibility conditions, one verdict per key.
 
-    Each is read from the signs of the lambda exponents in split
-    coordinates (split_basis(f), unless the caller has it), as the module
-    docstring proves; the structure must be well-formed.
+    Each is read from the signs of the lambda exponents in the coordinates
+    of f.split, as the module docstring proves; the structure must be
+    well-formed.
     """
-    if split is None:
-        split = split_basis(f)
-    t = f.structure
-    negative = {family for family, _, _, _, _, e in _split_entry_exponents(t, split) if e < 0}
+    split = f.split
+    negative = {family for family, _, _, exponents in _split_exponents(split)
+                if any(e < 0 for e in exponents.values())}
     top = f.window[1] + 1
     results = {"exhausts": all(top not in tags for tags in split.indices.values())}
     # nothing is tagged below the window, where every layer is zero, so the
@@ -214,17 +223,18 @@ class GradingSplit(NamedTuple):
     """A basis refining a filtration, tagged by filtration index.
 
     basis[label] has the chosen vectors as columns, ordered by increasing
-    index; indices[label] records the filtration index of each column and
-    degrees[label] its non-negative renaming (indices are negated for
-    chains that descend below zero, kept as-is otherwise).
+    index, and inverse_basis[label] is its inverse; indices[label] records
+    the filtration index of each column and degrees(label) its non-negative
+    renaming (indices are negated for chains that descend below zero, kept
+    as-is otherwise).  coords is the structure in these coordinates,
+    inverse_basis . t . basis.
     """
 
-    structure: HopfStructure
     kind: str
-    window: Tuple[int, int]
     basis: Dict[tuple, Matrix]
     inverse_basis: Dict[tuple, Matrix]
     indices: Dict[tuple, Tuple[int, ...]]
+    coords: HopfStructure
 
     def degree_of(self, index: int) -> int:
         return -index if self.kind == "radical" else index
@@ -241,7 +251,7 @@ def split_basis(f: HopfFiltration) -> GradingSplit:
     them in index order gives a deterministic basis adapted to the chain.
     A chain that does not exhaust is completed by the unit vectors of the
     missing pivot columns, tagged hi + 1, where every layer is the whole
-    object.
+    object.  This is the one place a filtration inverts anything.
     """
     t = f.structure
     lo, hi = f.window
@@ -270,7 +280,7 @@ def split_basis(f: HopfFiltration) -> GradingSplit:
         basis[label] = mat
         inverse_basis[label] = inverse(mat)
         indices[label] = tuple(tags)
-    return GradingSplit(t, f.kind, f.window, basis, inverse_basis, indices)
+    return GradingSplit(f.kind, basis, inverse_basis, indices, conjugate(t, inverse_basis, basis))
 
 
 def _as_scalar(value) -> Scalar:
@@ -280,108 +290,86 @@ def _as_scalar(value) -> Scalar:
 
 
 def one_param_orbit(t: HopfStructure, split: GradingSplit, lam) -> HopfStructure:
-    """Conjugate by phi(lambda) = basis . diag(lambda^{-index}) . basis^{-1}."""
+    """Conjugate by phi(lambda) = basis . diag(lambda^{-index}) . basis^{-1},
+    whose inverse, with lambda^{index}, comes from the same split."""
     lam = _as_scalar(lam)
     if lam.is_zero():
         raise ValueError("the orbit parameter must be invertible; take degenerate_limit for 0")
     gamma = {}
+    gamma_inverse = {}
     for label, mat in split.basis.items():
-        diag = Matrix.diagonal([lam ** (-i) for i in split.indices[label]])
-        gamma[label] = mat @ diag @ split.inverse_basis[label]
-    return act(gamma, t)
+        tags = split.indices[label]
+        back = split.inverse_basis[label]
+        gamma[label] = mat @ Matrix.diagonal([lam ** (-i) for i in tags]) @ back
+        gamma_inverse[label] = mat @ Matrix.diagonal([lam ** i for i in tags]) @ back
+    return conjugate(t, gamma, gamma_inverse)
 
 
-def _split_entry_exponents(t: HopfStructure, split: GradingSplit):
-    """Structure constants in split coordinates with their lambda exponents.
+def _split_exponents(split: GradingSplit):
+    """The structure in split coordinates, block by block, with exponents.
 
-    Yields (family, key, row, col, value, exponent) for every nonzero
-    entry of the conjugated structure.  Exponent conventions follow from
-    phi(lambda) scaling the index-i piece by lambda^{-i}.
+    Yields (family, key, block, exponents) for every block of split.coords,
+    exponents mapping each entry position of the block to its lambda
+    exponent, the source index minus the target index, as phi(lambda)
+    scales the index-i piece by lambda^{-i}.
     """
-    conj = act(dict(split.inverse_basis), t)
-    obj = t.obj
+    coords = split.coords
+    obj = coords.obj
     backend = obj.backend
     idx = split.indices
     zero = backend.zero
 
-    for (i_label, j_label), block in conj.mul.items():
-        s_label = backend.add(i_label, j_label)
-        dj = obj.dim(j_label)
-        for (r, c), v in block.entries.items():
-            a, b = divmod(c, dj)
-            e = idx[i_label][a] + idx[j_label][b] - idx[s_label][r]
-            yield ("mul", (i_label, j_label), r, c, v, e)
-    for (i_label, j_label), block in conj.cop.items():
-        s_label = backend.add(i_label, j_label)
-        dj = obj.dim(j_label)
-        for (r, c), v in block.entries.items():
-            a, b = divmod(r, dj)
-            e = idx[s_label][c] - idx[i_label][a] - idx[j_label][b]
-            yield ("cop", (i_label, j_label), r, c, v, e)
-    for (r, c), v in conj.unit.entries.items():
-        yield ("unit", zero, r, c, v, -idx[zero][r])
-    for (r, c), v in conj.counit.entries.items():
-        yield ("counit", zero, r, c, v, idx[zero][c])
-    for label, block in conj.antipode.items():
-        for (r, c), v in block.entries.items():
-            yield ("antipode", label, r, c, v, idx[label][c] - idx[label][r])
+    for (i, j), block in coords.mul.items():
+        s, dj = backend.add(i, j), obj.dim(j)
+        yield "mul", (i, j), block, {
+            (r, c): idx[i][c // dj] + idx[j][c % dj] - idx[s][r] for r, c in block.entries}
+    for (i, j), block in coords.cop.items():
+        s, dj = backend.add(i, j), obj.dim(j)
+        yield "cop", (i, j), block, {
+            (r, c): idx[s][c] - idx[i][r // dj] - idx[j][r % dj] for r, c in block.entries}
+    yield "unit", zero, coords.unit, {(r, c): -idx[zero][r] for r, c in coords.unit.entries}
+    yield "counit", zero, coords.counit, {(r, c): idx[zero][c] for r, c in coords.counit.entries}
+    for label, block in coords.antipode.items():
+        yield "antipode", label, block, {
+            (r, c): idx[label][c] - idx[label][r] for r, c in block.entries}
 
 
 def degenerate_limit(t: HopfStructure, split: GradingSplit) -> HopfStructure:
     """Send the orbit parameter to zero: keep the exponent-0 entries.
 
+    split is the split of a filtration of t and holds t in its coordinates.
     Entries with positive exponent vanish in the limit; a negative
     exponent means the split does not refine a compatible filtration and
     is reported as an error rather than truncated.
     """
-    obj = t.obj
-    kept = {"mul": {}, "cop": {}, "unit": {}, "counit": {}, "antipode": {}}
+    blocks = {"mul": {}, "cop": {}, "unit": {}, "counit": {}, "antipode": {}}
     violations = []
-    for family, key, r, c, v, e in _split_entry_exponents(t, split):
-        if e < 0:
-            violations.append((family, key, r, c, e))
-        elif e == 0:
-            kept[family].setdefault(key, {})[(r, c)] = v
+    for family, key, block, exponents in _split_exponents(split):
+        violations += [(family, key, r, c, e) for (r, c), e in exponents.items() if e < 0]
+        entries = {pos: v for pos, v in block.entries.items() if exponents[pos] == 0}
+        blocks[family][key] = Matrix(block.nrows, block.ncols, entries)
     if violations:
         raise ValueError(f"split is not compatible with the structure: negative lambda exponents at {violations[:4]}")
-
-    backend = obj.backend
-    zero = backend.zero
-    d0 = obj.dim(zero)
-
-    def rebuild(family: str, shape) -> dict:
-        blocks = {}
-        for key, entries in kept[family].items():
-            nrows, ncols = shape(key)
-            blocks[key] = Matrix(nrows, ncols, entries)
-        return blocks
-
-    mul = rebuild("mul", lambda k: (obj.dim(backend.add(*k)), obj.dim(k[0]) * obj.dim(k[1])))
-    cop = rebuild("cop", lambda k: (obj.dim(k[0]) * obj.dim(k[1]), obj.dim(backend.add(*k))))
-    antipode = rebuild("antipode", lambda k: (obj.dim(k), obj.dim(k)))
-    unit = Matrix(d0, 1, kept["unit"].get(zero, {}))
-    counit = Matrix(1, d0, kept["counit"].get(zero, {}))
-    grading = {label: split.degrees(label) for label in obj.sectors}
-    return HopfStructure(obj, mul, unit, cop, counit, antipode, grading)
+    zero = t.obj.backend.zero
+    grading = {label: split.degrees(label) for label in t.obj.sectors}
+    return HopfStructure(t.obj, blocks["mul"], blocks["unit"][zero], blocks["cop"],
+                         blocks["counit"][zero], blocks["antipode"], grading)
 
 
-def associated_graded(t: HopfStructure, f: HopfFiltration,
-                      split: Optional[GradingSplit] = None) -> HopfStructure:
+def associated_graded(t: HopfStructure, f: HopfFiltration) -> HopfStructure:
     """Build the graded structure from the filtration quotients directly.
 
-    Works in the split basis (split_basis(f), unless the caller has it) and
-    keeps, per structure constant, the part where the filtration indices
-    balance exactly; this is the layerwise composition projection . map .
-    inclusion written in one matrix per block.  Independent of
-    degenerate_limit, which must agree with it.
+    Works in the coordinates of f.split and keeps, per structure constant,
+    the part where the filtration indices balance exactly; this is the
+    layerwise composition projection . map . inclusion written in one
+    matrix per block.  Its exponent filter is its own, independent of the
+    exponent pass that degenerate_limit reads, which must agree with it.
     """
-    if split is None:
-        split = split_basis(f)
+    split = f.split
+    coords = split.coords
     obj = t.obj
     backend = obj.backend
     idx = split.indices
-    P = split.basis
-    Pinv = split.inverse_basis
     zero = backend.zero
 
     def filter_entries(block: Matrix, exponent) -> Matrix:
@@ -389,29 +377,26 @@ def associated_graded(t: HopfStructure, f: HopfFiltration,
         return Matrix(block.nrows, block.ncols, entries)
 
     mul = {}
-    for (i_label, j_label), block in t.mul.items():
+    for (i_label, j_label), block in coords.mul.items():
         s_label = backend.add(i_label, j_label)
         dj = obj.dim(j_label)
-        full = Pinv[s_label] @ block @ P[i_label].kron(P[j_label])
         mul[(i_label, j_label)] = filter_entries(
-            full,
+            block,
             lambda r, c: idx[i_label][c // dj] + idx[j_label][c % dj] - idx[s_label][r],
         )
     cop = {}
-    for (i_label, j_label), block in t.cop.items():
+    for (i_label, j_label), block in coords.cop.items():
         s_label = backend.add(i_label, j_label)
         dj = obj.dim(j_label)
-        full = Pinv[i_label].kron(Pinv[j_label]) @ block @ P[s_label]
         cop[(i_label, j_label)] = filter_entries(
-            full,
+            block,
             lambda r, c: idx[s_label][c] - idx[i_label][r // dj] - idx[j_label][r % dj],
         )
     antipode = {}
-    for label, block in t.antipode.items():
-        full = Pinv[label] @ block @ P[label]
-        antipode[label] = filter_entries(full, lambda r, c: idx[label][c] - idx[label][r])
-    unit = filter_entries(Pinv[zero] @ t.unit, lambda r, c: -idx[zero][r])
-    counit = filter_entries(t.counit @ P[zero], lambda r, c: idx[zero][c])
+    for label, block in coords.antipode.items():
+        antipode[label] = filter_entries(block, lambda r, c: idx[label][c] - idx[label][r])
+    unit = filter_entries(coords.unit, lambda r, c: -idx[zero][r])
+    counit = filter_entries(coords.counit, lambda r, c: idx[zero][c])
     grading = {label: split.degrees(label) for label in obj.sectors}
     return HopfStructure(obj, mul, unit, cop, counit, antipode, grading)
 
@@ -420,11 +405,12 @@ def lambda_exponent_report(t: HopfStructure, split: GradingSplit) -> dict:
     """Exponent inventory of the one-parameter family, for reports."""
     entries = []
     violations = []
-    for family, key, r, c, _, e in _split_entry_exponents(t, split):
-        record = {"family": family, "key": key, "row": r, "col": c, "exponent": e}
-        entries.append(record)
-        if e < 0:
-            violations.append(record)
+    for family, key, _, exponents in _split_exponents(split):
+        for (r, c), e in exponents.items():
+            record = {"family": family, "key": key, "row": r, "col": c, "exponent": e}
+            entries.append(record)
+            if e < 0:
+                violations.append(record)
     return {"entries": entries, "violations": violations}
 
 

@@ -126,10 +126,6 @@ class Matrix:
         return cls.from_rows(list(columns)).transpose() if columns else cls(0, 0)
 
     @classmethod
-    def column(cls, values: Sequence) -> "Matrix":
-        return cls.from_rows([[v] for v in values])
-
-    @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
         n = len(values)
         entries = {}

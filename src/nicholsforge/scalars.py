@@ -35,6 +35,8 @@ __all__ = [
     "Scalar",
     "MAX_CONDUCTOR",
     "FieldTooLarge",
+    "FieldContext",
+    "field_context",
     "make_scalar",
     "root_of_unity",
     "from_rational",

@@ -58,6 +58,10 @@ way to the full scan, so verdicts and first failures do not depend on it.
     dual triples (-k, -j, -i) with -k in -G, given the counit axiom (the
     dual's unit axiom), when the full dual sectors at -G generate the dual.
 
+Block automorphisms act by conjugation, written once in conjugate, which
+takes each block with its inverse; act inverts the blocks for a caller
+that holds only gamma, where a filtration's split holds both.
+
 The isomorphism search covers graded degree-one-generated structures whose
 degree-one sector parts are lines with independent labels; within that
 family the degree-by-degree search below is decisive, and label
@@ -91,6 +95,7 @@ __all__ = [
     "check_connected",
     "check_coconnected",
     "act",
+    "conjugate",
     "structurally_equal",
     "graded_iso_search",
     "from_nichols",
@@ -748,29 +753,37 @@ def _normalize_automorphism(t: HopfStructure, gamma: dict) -> tuple:
 
 
 def act(gamma: dict, t: HopfStructure) -> HopfStructure:
-    """Conjugate the structure constants by a block automorphism.
+    """Conjugate by a block automorphism, inverting each block.
 
     gamma maps sector labels to invertible matrices; missing sectors act as
-    the identity.  The grading survives exactly when every block preserves
-    it, otherwise the result is ungraded.
+    the identity.
     """
-    full, inv = _normalize_automorphism(t, gamma)
+    return conjugate(t, *_normalize_automorphism(t, gamma))
+
+
+def conjugate(t: HopfStructure, gamma: dict, gamma_inverse: dict) -> HopfStructure:
+    """The structure gamma . t . gamma^{-1}, given gamma and its inverse.
+
+    gamma and gamma_inverse map every sector label to mutually inverse
+    matrices.  The grading survives exactly when every block of gamma
+    preserves it, otherwise the result is ungraded.
+    """
     backend = t.obj.backend
     mul = {}
     for (i, j), block in t.mul.items():
         target = backend.add(i, j)
-        mul[(i, j)] = full[target] @ block @ inv[i].kron(inv[j])
+        mul[(i, j)] = gamma[target] @ block @ gamma_inverse[i].kron(gamma_inverse[j])
     cop = {}
     for (i, j), block in t.cop.items():
         source = backend.add(i, j)
-        cop[(i, j)] = full[i].kron(full[j]) @ block @ inv[source]
-    antipode = {i: full[i] @ block @ inv[i] for i, block in t.antipode.items()}
+        cop[(i, j)] = gamma[i].kron(gamma[j]) @ block @ gamma_inverse[source]
+    antipode = {i: gamma[i] @ block @ gamma_inverse[i] for i, block in t.antipode.items()}
     zero = backend.zero
-    unit = full[zero] @ t.unit
-    counit = t.counit @ inv[zero]
+    unit = gamma[zero] @ t.unit
+    counit = t.counit @ gamma_inverse[zero]
     grading = t.grading
     if grading is not None:
-        for label, block in full.items():
+        for label, block in gamma.items():
             degrees = grading[label]
             if any(degrees[r] != degrees[c] for (r, c) in block.entries):
                 grading = None

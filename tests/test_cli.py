@@ -562,6 +562,24 @@ def test_degenerate_builds_the_split_and_the_limit_once(runner, qp_hopf, count_c
     assert calls == {"split_basis": 1, "degenerate_limit": 1, "associated_graded": 1}
 
 
+@pytest.mark.parametrize("command", [
+    ["gr", "--filtration", "radical"],
+    ["gr", "--filtration", "coradical"],
+    ["degenerate", "--filtration", "coradical", "--lambda-samples", "1,1/2"],
+], ids=["gr-radical", "gr-coradical", "degenerate"])
+def test_filtration_commands_invert_once_per_sector(runner, qp_hopf, count_calls, command):
+    from nicholsforge import filtration, formats, linalg, structconst
+
+    sectors = formats.hopf_from_json(json.loads(Path(qp_hopf).read_text())).obj.sectors
+    seen = count_calls(("inverse", "act"), (filtration, structconst, linalg))
+    result = runner.invoke(main, [command[0], qp_hopf, *command[1:], "--json"])
+    assert result.exit_code == 0, result.output
+    # the split inverts its basis once per sector and conjugates with both
+    # sides; the orbit takes its inverse from the same split
+    assert len(seen["inverse"]) == len(sectors)
+    assert seen["act"] == []
+
+
 @pytest.mark.parametrize("kind", ["radical", "coradical"])
 def test_gr_builds_the_split_once(runner, qp_hopf, count_calls, kind):
     from nicholsforge import filtration

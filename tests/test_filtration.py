@@ -20,9 +20,10 @@ from nicholsforge.filtration import (
     split_basis,
 )
 from nicholsforge.dualize import dual_structure, graded_dual
+from nicholsforge.formats import canonical_dumps, hopf_to_json
 from nicholsforge.linalg import BasedSpace, Matrix, Subspace
 from nicholsforge.nichols import nichols_compute
-from nicholsforge.scalars import ONE, from_rational
+from nicholsforge.scalars import ONE, from_rational, root_of_unity
 from nicholsforge.structconst import (
     DecomposedObject,
     HopfStructure,
@@ -33,6 +34,7 @@ from nicholsforge.structconst import (
 )
 from tests_support import (
     coradical_chain_reference,
+    degenerate_limit_reference,
     degree_filtration,
     deleted,
     doubled,
@@ -41,6 +43,8 @@ from tests_support import (
     group_algebra_z2,
     hopf_entry_sites,
     mutate_hopf,
+    one_param_orbit_reference,
+    split_entry_exponents_reference,
 )
 
 QP = DiagonalBraiding.from_entries([["-1", "1"], ["1", "-1"]])
@@ -141,10 +145,22 @@ def test_orbit_stays_hopf(qp_point, rad):
     assert verify_axioms(moved).passed
 
 
+def _dumps(t: HopfStructure) -> str:
+    return canonical_dumps(hopf_to_json(t))
+
+
 def test_limit_equals_associated_graded(qp_point, rad, cor):
-    for f in (rad, cor):
-        split = split_basis(f)
-        assert degenerate_limit(qp_point, split) == associated_graded(qp_point, f)
+    # byte for byte, on the quantum plane and on every chain of the direct
+    # check fixtures, theirs and their conjugates', that meets the conditions
+    cases = [rad, cor]
+    for name in DIRECT_CHECK_CASES:
+        cases += [f for f in _own_and_mixed_chains(name) if all(filtration_conditions(f).values())]
+    assert len(cases) > 2 + 2 * len(DIRECT_CHECK_CASES)
+    for f in cases:
+        limit = degenerate_limit(f.structure, f.split)
+        graded = associated_graded(f.structure, f)
+        assert limit == graded
+        assert _dumps(limit) == _dumps(graded), (f.kind, f.window)
 
 
 def test_associated_graded_passes_axioms(qp_point, rad, cor):
@@ -168,8 +184,6 @@ def test_no_negative_lambda_exponents(qp_point, rad, cor):
 
 def test_primitive_dims_constant_along_path(qp_point, rad):
     split = split_basis(rad)
-    from nicholsforge.scalars import root_of_unity
-
     dims = primitive_dims_along_path(qp_point, split, [1, Fraction(1, 2), root_of_unity(3, 1)])
     assert len(dims) == 4  # three samples plus the limit
     assert dims[0] == dims[1] == dims[2]
@@ -253,6 +267,12 @@ def _filtrations(t: HopfStructure, rng) -> list:
     return out + _sector_chains(t, rng, 4)
 
 
+def _own_and_mixed_chains(name: str) -> list:
+    t = _fixture(name)
+    rng = random.Random(name)
+    return [f for s in (t, act(_mixing(t), t)) for f in _filtrations(s, rng)]
+
+
 @pytest.mark.parametrize("name", DIRECT_CHECK_CASES)
 def test_conditions_on_the_dual_match_the_direct_checks(name):
     rng = random.Random(name)
@@ -300,7 +320,38 @@ def test_completed_split_spans_every_layer(name):
                 if tag == hi + 1:
                     completed = True
                     assert list(basis.select_columns([c]).entries.values()) == [ONE]
-        assert completed is not filtration_conditions(f, split)["exhausts"]
+        assert completed is not filtration_conditions(f)["exhausts"]
+
+
+def _limit_or_error(limit, t, split) -> str:
+    try:
+        return _dumps(limit(t, split))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@pytest.mark.parametrize("name", DIRECT_CHECK_CASES)
+def test_split_coordinates_match_the_act_references(name):
+    # the exponent pass, the limit and the orbit read the split's one
+    # conjugate and its inverse; the references conjugate through act,
+    # which inverts every block by elimination
+    samples = [1, Fraction(1, 2), -3, root_of_unity(3, 1)]
+    limits = 0
+    for f in _own_and_mixed_chains(name):
+        s, split = f.structure, f.split
+        report = lambda_exponent_report(s, split)
+        reference = split_entry_exponents_reference(s, split)
+        assert [(e["family"], e["key"], e["row"], e["col"], e["exponent"])
+                for e in report["entries"]] == [(*entry[:4], entry[5]) for entry in reference]
+        # byte for byte where the chain meets the conditions, and the same
+        # error where a negative exponent refuses the limit
+        limit = _limit_or_error(degenerate_limit, s, split)
+        assert limit == _limit_or_error(degenerate_limit_reference, s, split), (f.kind, f.window)
+        assert limit.startswith("ValueError") is bool(report["violations"])
+        limits += all(filtration_conditions(f).values())
+        for lam in samples:
+            assert one_param_orbit(s, split, lam) == one_param_orbit_reference(s, split, lam)
+    assert limits >= 2
 
 
 def test_exponent_verdicts_match_the_reference_on_every_mutant():

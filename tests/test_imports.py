@@ -1,10 +1,12 @@
 """What the code imports: every name is used, and start-up stays lean."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -14,10 +16,19 @@ PACKAGE = Path(nicholsforge.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _listed_names(tree: ast.Module) -> Optional[list]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
 def _unused_imports(path: Path, base: Path) -> list:
     tree = ast.parse(path.read_text())
     imported = {}
-    used = set()
+    used = set(_listed_names(tree) or ())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -27,10 +38,6 @@ def _unused_imports(path: Path, base: Path) -> list:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     where = path.relative_to(base)
     return [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
 
@@ -75,6 +82,27 @@ def test_package_modules_import_no_private_names_of_each_other():
                 reached += [f"{path.relative_to(PACKAGE.parent)}:{node.lineno} {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert reached == []
+
+
+def test_all_lists_every_public_name_and_only_names_that_exist():
+    # a module that declares __all__ lists each public function and class it
+    # defines at module level, so other modules never reach past it, and
+    # every name it lists resolves on the imported module
+    problems = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        listed = _listed_names(tree)
+        if listed is None:
+            continue
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = importlib.import_module(name)
+        problems += [f"{name}.{node.name} is not listed" for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_") and node.name not in listed]
+        problems += [f"{name}.{entry} does not resolve" for entry in listed
+                     if not hasattr(module, entry)]
+    assert problems == []
 
 
 def test_cli_start_up_leaves_the_thread_pool_unimported():

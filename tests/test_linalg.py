@@ -57,12 +57,12 @@ def test_kernel_of_invertible_is_zero():
 
 def test_solve_consistent_and_inconsistent():
     M = m([[1, 2], [3, 4]])
-    b = Matrix.column([5, 6])
+    b = Matrix.from_rows([[5], [6]])
     x = solve(M, b)
     assert x is not None and M @ x == b
 
     singular = m([[1, 1], [1, 1]])
-    assert solve(singular, Matrix.column([0, 1])) is None
+    assert solve(singular, Matrix.from_rows([[0], [1]])) is None
 
 
 def test_inverse_round_trip_with_roots_of_unity():

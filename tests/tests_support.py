@@ -31,7 +31,7 @@ from nicholsforge.linalg import (
     vstack,
 )
 from nicholsforge.nichols import nichols_compute
-from nicholsforge.scalars import ONE, root_of_unity
+from nicholsforge.scalars import ONE, Scalar, from_rational, root_of_unity
 from nicholsforge.structconst import (
     AXIOM_KEYS,
     AxiomReport,
@@ -39,6 +39,7 @@ from nicholsforge.structconst import (
     degree_layer,
     HopfStructure,
     LabelBackend,
+    act,
     from_nichols,
     full_layer,
     layer_dims,
@@ -750,6 +751,83 @@ def filtration_conditions_reference(f):
                 ok = False
     results["antipode-stable"] = ok
     return results
+
+
+def split_entry_exponents_reference(t, split):
+    """Structure constants in split coordinates with their lambda exponents.
+
+    Conjugates through act, which inverts split.inverse_basis sector by
+    sector instead of reading split.basis.  Yields (family, key, row, col,
+    value, exponent) for every nonzero entry of the conjugated structure,
+    phi(lambda) scaling the index-i piece by lambda^{-i}.
+    """
+    conj = act(dict(split.inverse_basis), t)
+    obj = t.obj
+    backend = obj.backend
+    idx = split.indices
+    zero = backend.zero
+
+    for (i_label, j_label), block in conj.mul.items():
+        s_label = backend.add(i_label, j_label)
+        dj = obj.dim(j_label)
+        for (r, c), v in block.entries.items():
+            a, b = divmod(c, dj)
+            e = idx[i_label][a] + idx[j_label][b] - idx[s_label][r]
+            yield ("mul", (i_label, j_label), r, c, v, e)
+    for (i_label, j_label), block in conj.cop.items():
+        s_label = backend.add(i_label, j_label)
+        dj = obj.dim(j_label)
+        for (r, c), v in block.entries.items():
+            a, b = divmod(r, dj)
+            e = idx[s_label][c] - idx[i_label][a] - idx[j_label][b]
+            yield ("cop", (i_label, j_label), r, c, v, e)
+    for (r, c), v in conj.unit.entries.items():
+        yield ("unit", zero, r, c, v, -idx[zero][r])
+    for (r, c), v in conj.counit.entries.items():
+        yield ("counit", zero, r, c, v, idx[zero][c])
+    for label, block in conj.antipode.items():
+        for (r, c), v in block.entries.items():
+            yield ("antipode", label, r, c, v, idx[label][c] - idx[label][r])
+
+
+def degenerate_limit_reference(t, split):
+    """The exponent-0 entries of split_entry_exponents_reference, rebuilt into
+    blocks of the shapes the sectors give them; a negative exponent raises."""
+    obj = t.obj
+    kept = {"mul": {}, "cop": {}, "unit": {}, "counit": {}, "antipode": {}}
+    violations = []
+    for family, key, r, c, v, e in split_entry_exponents_reference(t, split):
+        if e < 0:
+            violations.append((family, key, r, c, e))
+        elif e == 0:
+            kept[family].setdefault(key, {})[(r, c)] = v
+    if violations:
+        raise ValueError(f"split is not compatible with the structure: negative lambda exponents at {violations[:4]}")
+
+    backend = obj.backend
+    zero = backend.zero
+    d0 = obj.dim(zero)
+
+    def rebuild(family, shape):
+        return {key: Matrix(*shape(key), entries) for key, entries in kept[family].items()}
+
+    mul = rebuild("mul", lambda k: (obj.dim(backend.add(*k)), obj.dim(k[0]) * obj.dim(k[1])))
+    cop = rebuild("cop", lambda k: (obj.dim(k[0]) * obj.dim(k[1]), obj.dim(backend.add(*k))))
+    antipode = rebuild("antipode", lambda k: (obj.dim(k), obj.dim(k)))
+    unit = Matrix(d0, 1, kept["unit"].get(zero, {}))
+    counit = Matrix(1, d0, kept["counit"].get(zero, {}))
+    grading = {label: split.degrees(label) for label in obj.sectors}
+    return HopfStructure(obj, mul, unit, cop, counit, antipode, grading)
+
+
+def one_param_orbit_reference(t, split, lam):
+    """Conjugate through act by phi(lambda), which act inverts by elimination."""
+    lam = lam if isinstance(lam, Scalar) else from_rational(lam)
+    gamma = {}
+    for label, mat in split.basis.items():
+        diag = Matrix.diagonal([lam ** (-i) for i in split.indices[label]])
+        gamma[label] = mat @ diag @ split.inverse_basis[label]
+    return act(gamma, t)
 
 
 # -- reference code no package computation uses ------------------------------
