@@ -334,6 +334,28 @@ def _split_exponents(split: GradingSplit):
             (r, c): idx[label][c] - idx[label][r] for r, c in block.entries}
 
 
+def _scaled_coords(split: GradingSplit, lam) -> HopfStructure:
+    """split.coords with every entry times lambda to its exponent: the orbit
+    point one_param_orbit(t, split, lam) in split coordinates."""
+    lam = _as_scalar(lam)
+    if lam.is_zero():
+        raise ValueError("the orbit parameter must be invertible; take degenerate_limit for 0")
+    powers: Dict[int, Scalar] = {}
+    blocks = {"mul": {}, "cop": {}, "unit": {}, "counit": {}, "antipode": {}}
+    for family, key, block, exponents in _split_exponents(split):
+        entries = dict(block.entries)
+        for pos, e in exponents.items():
+            if e:
+                if e not in powers:
+                    powers[e] = lam ** e
+                entries[pos] = entries[pos] * powers[e]
+        blocks[family][key] = Matrix._nonzero(block.nrows, block.ncols, entries)
+    coords = split.coords
+    zero = coords.obj.backend.zero
+    return HopfStructure(coords.obj, blocks["mul"], blocks["unit"][zero], blocks["cop"],
+                         blocks["counit"][zero], blocks["antipode"], coords.grading)
+
+
 def degenerate_limit(t: HopfStructure, split: GradingSplit) -> HopfStructure:
     """Send the orbit parameter to zero: keep the exponent-0 entries.
 
@@ -418,12 +440,17 @@ def primitive_dims_along_path(t: HopfStructure, split: GradingSplit, lams: Seque
                               limit: Optional[HopfStructure] = None) -> List[int]:
     """Total primitive dimension at each sample parameter, then at the limit.
 
-    The limit is degenerate_limit(t, split), unless the caller has it.
+    The orbit point at lambda is basis . (split.coords scaled) . basis^{-1},
+    where each entry of split.coords is scaled by lambda to its exponent.
+    Conjugating by the basis keeps primitive dimensions, so each sample
+    takes them from the scaled coordinates, with one power of lambda per
+    distinct exponent and no matrix product.  The limit is
+    degenerate_limit(t, split), unless the caller has it.
     """
 
     def total(structure: HopfStructure) -> int:
         return sum(sub.dim for sub in primitive_sectors(structure).values())
 
-    dims = [total(one_param_orbit(t, split, lam)) for lam in lams]
+    dims = [total(_scaled_coords(split, lam)) for lam in lams]
     dims.append(total(degenerate_limit(t, split) if limit is None else limit))
     return dims

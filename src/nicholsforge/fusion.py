@@ -16,10 +16,17 @@ hexagon is composed in coordinates, and the backward hexagon is the forward
 one of the reverse braiding, so it needs no second form.  The pentagon,
 hexagon and full-associator routes compose scalars on basis coordinates,
 one key per basis vector of a tree's multiplicity spaces, whatever the
-multiplicities (see _route).  The pentagon composes all instances (k, l, t)
-of one outer pair (i, j) together, on keys prefixed by (k, l, t), and the
-full associators all outer indices b of one (x, y, z); each instance's end
-vertex and map are then compared on their own.  Only the second duality
+multiplicities.  A route walks each start key's column through its jumps
+on its own, summing only where two paths meet, and skips the product with
+an entry that is 1, which each block's column table marks once (see
+_columns and _route).  Keys carry the instance they belong to, so one route
+composes a batch of instances: the pentagon all instances (k, l, t) of one
+outer pair (i, j), on keys prefixed by (k, l, t); the full associators all
+z and all outer indices b of one (x, y), on keys prefixed by (z, b); and
+each hexagon family all instances (i, j, k, t) of one outer index i, on keys
+prefixed by the whole instance.  Each instance's end vertex and map are
+then compared on their own, and a hexagon batch that raises is rerun one
+instance at a time, so failures stay located.  Only the second duality
 zig-zag is still derived by hand (see docs/FORMATS.md for the composition
 tables, including the convention that reordering multiplicity factors uses
 the plain flip).
@@ -33,7 +40,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import Matrix, compose, inverse, rank
+from .linalg import Matrix, inverse, rank
 from .scalars import ONE, Scalar, root_of_unity
 
 __all__ = [
@@ -57,7 +64,7 @@ Column = List[Tuple[tuple, Optional[Scalar]]]
 
 class FusionData:
     __slots__ = ("size", "fusion", "assoc", "braiding", "left_units", "right_units", "dual",
-                 "ev", "coev", "_rules", "_assoc_columns", "_braid_columns")
+                 "ev", "coev", "_rules", "assoc_columns", "braid_columns")
     _FIELDS = __slots__[:9]
 
     def __init__(
@@ -87,22 +94,25 @@ class FusionData:
             if n:
                 rules.setdefault((i, j), []).append((k, n))
         self._rules = {key: tuple(v) for key, v in rules.items()}
-        # assoc and braiding keys -> the block's columns, filled as routes read
+        # assoc and braiding keys -> the block's columns, built as routes read
         # them; threads that race on a key store equal values
-        self._assoc_columns: Dict[tuple, Dict[tuple, Column]] = {}
-        self._braid_columns: Dict[tuple, Dict[tuple, Column]] = {}
+        self.assoc_columns = _ColumnTable(self._assoc_block_columns)
+        self.braid_columns = _ColumnTable(self._braid_block_columns)
 
     def replace(self, **changes) -> "FusionData":
         """A copy with the given fields changed.  Under the same fusion rules
-        it keeps the column tables read so far of every assoc and braiding
-        block it shares with self, and shares the tables of a family it
-        does not change at all, filled by either."""
+        it reads the columns of every assoc and braiding block it shares
+        with self from self's tables, which build and keep them for self and
+        for every other such copy, and shares the tables of a family it
+        does not change at all."""
         fields = {name: getattr(self, name) for name in self._FIELDS}
         fields.update(changes)
         copy = FusionData(**fields)
         if copy.fusion is self.fusion:
-            copy._assoc_columns = _kept(self._assoc_columns, self.assoc, copy.assoc)
-            copy._braid_columns = _kept(self._braid_columns, self.braiding, copy.braiding)
+            copy.assoc_columns = _kept(self.assoc_columns, self.assoc, copy.assoc,
+                                       copy._assoc_block_columns)
+            copy.braid_columns = _kept(self.braid_columns, self.braiding, copy.braiding,
+                                       copy._braid_block_columns)
         return copy
 
     def dim(self, i: int, j: int, k: int) -> int:
@@ -126,34 +136,48 @@ class FusionData:
             return block
         return Matrix(self.dim(j, i, k), self.dim(i, j, k))
 
-    def assoc_columns(self, x: int, y: int, z: int, a: int, b: int, c: int) -> Dict[tuple, Column]:
+    def _assoc_block_columns(self, x: int, y: int, z: int, a: int, b: int, c: int
+                             ) -> Dict[tuple, Column]:
         """alpha_{x,y,z} from (a, b) to (c, b) by columns: each index pair of
         V[x,y -> a] (x) V[a,z -> b] maps to every index pair of
         V[x,c -> b] (x) V[y,z -> c] with its entry, None for a zero."""
-        key = (x, y, z, a, b, c)
-        columns = self._assoc_columns.get(key)
-        if columns is None:
-            columns = self._assoc_columns[key] = _columns(
-                self.assoc_block(*key), (self.dim(x, y, a), self.dim(a, z, b)),
-                (self.dim(x, c, b), self.dim(y, z, c)))
+        return _columns(self.assoc_block(x, y, z, a, b, c),
+                        (self.dim(x, y, a), self.dim(a, z, b)),
+                        (self.dim(x, c, b), self.dim(y, z, c)))
+
+    def _braid_block_columns(self, i: int, j: int, k: int) -> Dict[tuple, Column]:
+        """sigma_{i,j} at k by columns, as _assoc_block_columns."""
+        return _columns(self.braid_block(i, j, k), (self.dim(i, j, k),), (self.dim(j, i, k),))
+
+
+class _ColumnTable(dict):
+    """Block keys -> the block's columns, built on the first lookup of a key."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[..., Dict[tuple, Column]]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: tuple) -> Dict[tuple, Column]:
+        columns = self[key] = self.build(*key)
         return columns
 
-    def braid_columns(self, i: int, j: int, k: int) -> Dict[tuple, Column]:
-        """sigma_{i,j} at k by columns, as assoc_columns."""
-        key = (i, j, k)
-        columns = self._braid_columns.get(key)
-        if columns is None:
-            columns = self._braid_columns[key] = _columns(
-                self.braid_block(*key), (self.dim(i, j, k),), (self.dim(j, i, k),))
-        return columns
 
-
-def _kept(tables: dict, blocks: dict, copied: dict) -> dict:
-    """The column tables of blocks that still hold in copied: the same table
-    dict when copied is blocks, else those whose block is the same object."""
+def _kept(tables: _ColumnTable, blocks: dict, copied: dict, build) -> _ColumnTable:
+    """A copy's column table of one family: tables itself when copied is
+    blocks, else a table that takes the columns of each block copied
+    shares with blocks from tables, which builds and keeps them, and builds
+    the columns of the other blocks with build."""
     if copied is blocks:
         return tables
-    return {key: columns for key, columns in tables.items() if copied.get(key) is blocks.get(key)}
+
+    def shared_or_own(*key):
+        if copied.get(key) is blocks.get(key):
+            return tables[key]
+        return build(*key)
+
+    return _ColumnTable(shared_or_own)
 
 
 class FusionReport(NamedTuple):
@@ -168,20 +192,21 @@ class FusionReport(NamedTuple):
 # A basis key is a labeling of the internal edges of a fusion tree followed
 # by one index per leg, the multiplicity spaces along the tree, all in one
 # flat tuple, after a prefix that names the instance: the pentagon's keys
-# are (k, l, t, a, b, u, v, w), the full associators' (b, a, u, v), the
-# hexagons' (t, a, u, v).  Jumps never rewrite the prefix, so one route
-# composes many instances side by side without mixing them (_split parts
-# them).  A vertex is the sorted list of basis keys a route reaches.  A jump maps one key to the
-# (key_out, value) pairs it reaches, None for a zero value: it reads its
-# block's column at the indices of the legs it acts on (assoc_columns,
-# braid_columns), rewrites those indices and keeps the others.  _route
-# composes the jumps into maps {(key_out, key_in): Scalar} with no zeros.
-# Zero values are kept as keys, so a vertex lists every basis key of every
-# reachable labeling; a labeling with a zero-dimensional leg has no keys, so
-# no jump tests admissibility.  For associative, symmetric fusion rules that
-# is every admissible labeling of its tree, so two routes between the same
-# trees end on equal vertices.  When every multiplicity is 1, each index is 0 and a
-# map holds one scalar per pair of labelings.
+# are (k, l, t, a, b, u, v, w), the full associators' (z, b, a, u, v), the
+# hexagons' (i, j, k, t, a, u, v).  Jumps never rewrite the prefix, so one
+# route composes many instances side by side without mixing them (_split
+# parts them).  A vertex is the sorted list of basis keys a route reaches.
+# A jump maps one key to the (key_out, value) pairs it reaches, None for a
+# zero value: it reads its block's column at the indices of the legs it
+# acts on (assoc_columns, braid_columns), rewrites those indices and keeps
+# the others.  _route composes the jumps into maps {(key_out, key_in):
+# Scalar} with no zeros.  Zero values are kept as keys, so a vertex lists
+# every basis key of every reachable labeling; a labeling with a
+# zero-dimensional leg has no keys, so no jump tests admissibility.  For
+# associative, symmetric fusion rules that is every admissible labeling of
+# its tree, so two routes between the same trees end on equal vertices.
+# When every multiplicity is 1, each index is 0 and a map holds one scalar
+# per pair of labelings.
 
 Jump = Callable[[tuple], Iterable[Tuple[tuple, Optional[Scalar]]]]
 
@@ -194,29 +219,61 @@ def _indices(dims: tuple) -> tuple:
 
 def _columns(block: Matrix, dims_in: tuple, dims_out: tuple) -> Dict[tuple, Column]:
     """The block's columns keyed by input leg indices, each listing every
-    tuple of output leg indices (first leg slowest) with its entry."""
+    tuple of output leg indices (first leg slowest) with its entry.  An
+    entry equal to 1 is stored as the object ONE, which is how _route tells
+    it apart without testing it again."""
     get = block.entries.get
     outs = _indices(dims_out)
     columns = {}
     for c, idx in enumerate(_indices(dims_in)):
-        columns[idx] = [(out, get((r, c))) for r, out in enumerate(outs)]
+        column = []
+        for r, out in enumerate(outs):
+            v = get((r, c))
+            column.append((out, ONE if v is not None and v.is_one() else v))
+        columns[idx] = column
     return columns
 
 
 def _route(keys: Iterable[tuple], *jumps: Jump):
-    """Apply the jumps in order; return the end vertex and the composite map."""
-    total = None
-    for jump in jumps:
-        reached = set()
-        step = {}
-        for key in keys:
-            for key_out, v in jump(key):
-                reached.add(key_out)
-                if v is not None:
-                    step[(key_out, key)] = v
-        keys = reached
-        total = step if total is None else compose(step, total)
-    return sorted(keys), total
+    """Apply the jumps in order; return the end vertex and the composite map.
+
+    Each start key's column, a sparse vector of (key, value or None) pairs,
+    is carried through the jumps on its own.  None marks a key reached with
+    a zero value: it is part of the vertex, and its jumps are followed for
+    their keys only.  A factor that is ONE (see _columns) is not multiplied,
+    and values are summed only where two paths meet, in a step that reaches
+    more than one key.
+    """
+    end = set()
+    total = {}
+    for key_in in keys:
+        column = [(key_in, ONE)]
+        for jump in jumps:
+            step = []
+            for key, v in column:
+                for key_out, s in jump(key):
+                    step.append((key_out, None if s is None or v is None else
+                                 v if s is ONE else s if v is ONE else s * v))
+            column = _merged(step) if len(step) > 1 else step
+        for key_out, v in column:
+            end.add(key_out)
+            if v is not None:
+                total[(key_out, key_in)] = v
+    return sorted(end), total
+
+
+def _merged(step: list) -> list:
+    """A column step with the values of equal keys summed, a zero sum None."""
+    merged: dict = {}
+    for key_out, v in step:
+        if key_out not in merged:
+            merged[key_out] = v
+        elif v is not None:
+            cur = merged[key_out]
+            if cur is not None:
+                v = cur + v
+            merged[key_out] = v if v else None
+    return list(merged.items())
 
 
 def _split(keys: List[tuple], total: dict, n: int) -> dict:
@@ -238,24 +295,49 @@ def _matrix(total: dict, rows: List[tuple], cols: List[tuple]) -> Matrix:
     return Matrix._nonzero(len(rows), len(cols), entries)
 
 
-def _full_associators(F: FusionData, x: int, y: int, z: int, outer: Iterable[int]) -> dict:
-    """The whole associator alpha_{x,y,z} at each outer index b in outer,
-    composed as one route on the keys (b, a, u, v): b -> (its map, from the
-    keys (b, a, u, v) of the sum over a, to the keys (b, c, p, q) of the sum
-    over c; those two key lists)."""
-    src: dict = {b: [] for b in outer}
-    tgt: dict = {b: [] for b in src}
-    for a, n in F.fuse(x, y):
-        for b, m in F.fuse(a, z):
-            if b in src:
-                src[b] += [(b, a, u, v) for u, v in _indices((n, m))]
-    for c, n in F.fuse(y, z):
-        for b, m in F.fuse(x, c):
-            if b in tgt:
-                tgt[b] += [(b, c, p, q) for p, q in _indices((m, n))]
-    start = [key for keys in src.values() for key in keys]
-    ends = _split(*_route(start, _alpha(F, x, y, z)), 1)
-    return {b: (ends.get((b,), ((), {}))[1], src[b], tgt[b]) for b in src}
+def _associator_route(F: FusionData, x: int, y: int, zs: Iterable[int],
+                      outer: Iterable[int]):
+    """The keys and the jump of alpha_{x,y,z} at each z in zs and each
+    outer index b in outer, on the keys (z, b, a, u, v): (z, b) -> (the
+    keys (z, b, a, u, v) of the sum over a, the keys (z, b, c, p, q) of the
+    sum over c) for each (z, b) whose spaces have keys, ascending, and the
+    jump between them."""
+    outer = set(outer)
+    spaces: dict = {}
+    for z in zs:
+        for a, n in F.fuse(x, y):
+            for b, m in F.fuse(a, z):
+                if b in outer:
+                    spaces.setdefault((z, b), ([], []))[0].extend(
+                        (z, b, a, u, v) for u, v in _indices((n, m)))
+        for c, n in F.fuse(y, z):
+            for b, m in F.fuse(x, c):
+                if b in outer:
+                    spaces.setdefault((z, b), ([], []))[1].extend(
+                        (z, b, c, p, q) for p, q in _indices((m, n)))
+
+    rules, assoc = F._rules, F.assoc_columns
+
+    def alpha(key):
+        z, b, a, u, v = key
+        for c, _ in rules.get((y, z), ()):
+            for (p, q), s in assoc[(x, y, z, a, b, c)][(u, v)]:
+                yield (z, b, c, p, q), s
+
+    return dict(sorted(spaces.items())), alpha
+
+
+def _full_associators(F: FusionData, x: int, y: int, zs: Iterable[int],
+                      outer: Iterable[int]) -> dict:
+    """The whole associator alpha_{x,y,z} at each z in zs and each outer
+    index b in outer whose spaces have keys, composed as one route: (z, b)
+    -> (its map, from the keys of the sum over a to those of the sum over c;
+    those two key lists), as _associator_route lists them."""
+    spaces, alpha = _associator_route(F, x, y, zs, outer)
+    start = [key for src, _ in spaces.values() for key in src]
+    ends = _split(*_route(start, alpha), 2)
+    return {zb: (ends[zb][1] if zb in ends else {}, src, tgt)
+            for zb, (src, tgt) in spaces.items()}
 
 
 # -- well-formedness -----------------------------------------------------------
@@ -333,11 +415,10 @@ def well_formed(F: FusionData) -> FusionReport:
         cols = F.dim(i, j, a) * F.dim(a, k, b)
         if block.shape != (rows, cols):
             failures.append(("assoc-shape",) + key)
-    for i, j, k in product(range(s), repeat=3):
-        fulls = _full_associators(F, i, j, k, range(s))
-        for b in range(s):
-            full, src, tgt = fulls[b]
-            checked += 1
+    for i, j in product(range(s), repeat=2):
+        # a full associator between spaces with no keys is invertible
+        checked += s * s
+        for (k, b), (full, src, tgt) in _full_associators(F, i, j, range(s), range(s)).items():
             if not _invertible(full, tgt, src):
                 failures.append(("assoc-not-invertible", i, j, k, b))
     return FusionReport("well-formed", not failures, tuple(failures[:32]), checked)
@@ -352,47 +433,51 @@ def _pentagon_routes(F: FusionData, i: int, j: int, only: Optional[tuple] = None
     `only`.  Keys are (k, l, t, a, b, u, v, w): the instance, then the
     labeling and leg indices; the jumps keep the instance, so a route
     composes each one on its own."""
-    outer = product(range(F.size), repeat=2) if only is None else [only[:2]]
+    ks, ls = (range(F.size), range(F.size)) if only is None else ((only[0],), (only[1],))
+    fuse_ij = F.fuse(i, j)
     start = [
         (k, l, t, a, b, u, v, w)
-        for k, l in outer
-        for a, n_a in F.fuse(i, j)
+        for k in ks
+        for a, n_a in fuse_ij
         for b, n_b in F.fuse(a, k)
+        for l in ls
         for t, n_t in F.fuse(b, l)
         if only is None or t == only[2]
         for u, v, w in _indices((n_a, n_b, n_t))
     ]
 
+    rules, assoc = F._rules, F.assoc_columns
+
     # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
     def alpha_ijk(key):
         k, l, t, a, b, u, v, w = key
-        for c, _ in F.fuse(j, k):
-            for (p, q), s in F.assoc_columns(i, j, k, a, b, c)[(u, v)]:
+        for c, _ in rules.get((j, k), ()):
+            for (p, q), s in assoc[(i, j, k, a, b, c)][(u, v)]:
                 yield (k, l, t, c, b, p, q, w), s
 
     def alpha_icl(key):
         k, l, t, c, b, u, v, w = key
-        for f, _ in F.fuse(c, l):
-            for (p, q), s in F.assoc_columns(i, c, l, b, t, f)[(u, w)]:
+        for f, _ in rules.get((c, l), ()):
+            for (p, q), s in assoc[(i, c, l, b, t, f)][(u, w)]:
                 yield (k, l, t, c, f, p, v, q), s
 
     def alpha_jkl(key):
         k, l, t, c, f, u, v, w = key
-        for g, _ in F.fuse(k, l):
-            for (p, q), s in F.assoc_columns(j, k, l, c, f, g)[(v, w)]:
+        for g, _ in rules.get((k, l), ()):
+            for (p, q), s in assoc[(j, k, l, c, f, g)][(v, w)]:
                 yield (k, l, t, f, g, u, p, q), s
 
     # route 2: alpha on legs (2,3), then alpha on legs (1,2)
     def alpha_akl(key):
         k, l, t, a, b, u, v, w = key
-        for d, _ in F.fuse(k, l):
-            for (p, q), s in F.assoc_columns(a, k, l, b, t, d)[(v, w)]:
+        for d, _ in rules.get((k, l), ()):
+            for (p, q), s in assoc[(a, k, l, b, t, d)][(v, w)]:
                 yield (k, l, t, a, d, u, p, q), s
 
     def alpha_ijd(key):
         k, l, t, a, d, u, v, w = key
-        for f, _ in F.fuse(j, d):
-            for (p, q), s in F.assoc_columns(i, j, d, a, t, f)[(u, v)]:
+        for f, _ in rules.get((j, d), ()):
+            for (p, q), s in assoc[(i, j, d, a, t, f)][(u, v)]:
                 yield (k, l, t, f, d, p, q, w), s
 
     return start, (alpha_ijk, alpha_icl, alpha_jkl), (alpha_akl, alpha_ijd)
@@ -482,14 +567,14 @@ def _zigzag_two(F: FusionData, i: int) -> Optional[tuple]:
     ib = F.dual[i]
     # start: r_ib (x) coev_i in V[ib,0 -> ib] (x) V[i,ib -> 0]
     start = Matrix(1, 1, {(0, 0): F.right_units[ib]}).kron(F.coev[i])
-    full, src, tgt = _full_associators(F, ib, i, ib, (ib,))[ib]
+    full, src, tgt = _full_associators(F, ib, i, (ib,), (ib,)).get((ib, ib), ({}, [], []))
     try:
         inv = inverse(_matrix(full, tgt, src))
     except ZeroDivisionError:
         return ("zigzag-2-associator", i)
-    # both spaces have a unit leg: their keys (ib, 0, 0, q) and (ib, 0, u, 0)
-    # follow one another from (ib, 0, 0, 0)
-    first = (ib, 0, 0, 0)
+    # both spaces have a unit leg: their keys (ib, ib, 0, 0, q) and
+    # (ib, ib, 0, u, 0) follow one another from (ib, ib, 0, 0, 0)
+    first = (ib, ib, 0, 0, 0)
     if first not in tgt or first not in src:
         return ("zigzag-2-space", i)
     vec = Matrix(
@@ -523,49 +608,97 @@ def verify_duality(F: FusionData, stop_early: bool = False) -> FusionReport:
 
 # -- hexagons ------------------------------------------------------------------
 #
-# Both hexagons act on vertices keyed (t, a, u, v): the outer index, then a
-# labeling with two legs.  _alpha is the associator jump between them, the
-# one the full associators take; the braiding jumps keep the labeling.
+# Both hexagons act on vertices keyed (i, j, k, t, a, u, v): the instance,
+# then a labeling with two legs.  The jumps read the instance from the key
+# and keep it, so one route composes any batch of instances side by side;
+# verify_braiding batches all instances (i, j, k, t) of one outer index i.
 
 
-def _alpha(F: FusionData, x: int, y: int, z: int) -> Jump:
-    """alpha_{x,y,z}: (b, a, u, v) on V[x,y->a], V[a,z->b] to (b, c, p, q)."""
+def _hexagon_start(F: FusionData, i: int, j: int, k: int, t: int) -> List[tuple]:
+    """The start keys of the forward hexagon at (i, j, k, t)."""
+    return [(i, j, k, t, a, u, v)
+            for a, n in F.fuse(i, j) for u, v in _indices((n, F.dim(a, k, t)))]
 
-    def jump(key):
-        b, a, u, v = key
-        for c, _ in F.fuse(y, z):
-            for (p, q), s in F.assoc_columns(x, y, z, a, b, c)[(u, v)]:
-                yield (b, c, p, q), s
-    return jump
+
+def _hexagon_jumps(F: FusionData):
+    """The jumps of both sides of the forward hexagon, for every instance."""
+    rules, assoc, braid = F._rules, F.assoc_columns, F.braid_columns
+
+    def sigma_ij(key):  # sigma_{i,j} (x) 1
+        i, j, k, t, a, u, v = key
+        for (p,), s in braid[(i, j, a)][(u,)]:
+            yield (i, j, k, t, a, p, v), s
+
+    def alpha_jik(key):
+        i, j, k, t, a, u, v = key
+        for c, _ in rules.get((i, k), ()):
+            for (p, q), s in assoc[(j, i, k, a, t, c)][(u, v)]:
+                yield (i, j, k, t, c, p, q), s
+
+    def sigma_ik(key):  # 1 (x) sigma_{i,k}
+        i, j, k, t, c, u, v = key
+        for (q,), s in braid[(i, k, c)][(v,)]:
+            yield (i, j, k, t, c, u, q), s
+
+    def alpha_ijk(key):
+        i, j, k, t, a, u, v = key
+        for c, _ in rules.get((j, k), ()):
+            for (p, q), s in assoc[(i, j, k, a, t, c)][(u, v)]:
+                yield (i, j, k, t, c, p, q), s
+
+    def flip_sigma_ic(key):  # flip . (sigma_{i,c} (x) 1)
+        i, j, k, t, c, u, v = key
+        for (p,), s in braid[(i, c, t)][(u,)]:
+            yield (i, j, k, t, c, v, p), s
+
+    def alpha_jki(key):
+        i, j, k, t, c, u, v = key
+        for d, _ in rules.get((k, i), ()):
+            for (p, q), s in assoc[(j, k, i, c, t, d)][(u, v)]:
+                yield (i, j, k, t, d, p, q), s
+
+    return (sigma_ij, alpha_jik, sigma_ik), (alpha_ijk, flip_sigma_ic, alpha_jki)
 
 
 def _hexagon_routes(F: FusionData, i: int, j: int, k: int, t: int):
     """The start vertex and the jumps of both sides of the forward hexagon."""
-    start = [(t, a, u, v) for a, n in F.fuse(i, j) for u, v in _indices((n, F.dim(a, k, t)))]
-
-    def sigma_ij(key):  # sigma_{i,j} (x) 1
-        t, a, u, v = key
-        for (p,), s in F.braid_columns(i, j, a)[(u,)]:
-            yield (t, a, p, v), s
-
-    def sigma_ik(key):  # 1 (x) sigma_{i,k}
-        t, c, u, v = key
-        for (q,), s in F.braid_columns(i, k, c)[(v,)]:
-            yield (t, c, u, q), s
-
-    def flip_sigma_ic(key):  # flip . (sigma_{i,c} (x) 1)
-        t, c, u, v = key
-        for (p,), s in F.braid_columns(i, c, t)[(u,)]:
-            yield (t, c, v, p), s
-
-    return (start, (sigma_ij, _alpha(F, j, i, k), sigma_ik),
-            (_alpha(F, i, j, k), flip_sigma_ic, _alpha(F, j, k, i)))
+    return (_hexagon_start(F, i, j, k, t), *_hexagon_jumps(F))
 
 
 def _hexagon_forward(F: FusionData, i: int, j: int, k: int, t: int) -> bool:
     """Braid i past j then k, against braiding i past the fused pair."""
     start, left, right = _hexagon_routes(F, i, j, k, t)
     return not start or _route(start, *left) == _route(start, *right)
+
+
+def _hexagon_verdicts(F: Optional[FusionData], instances: List[tuple]) -> List[bool]:
+    """Whether the forward hexagon holds at each instance (i, j, k, t).
+
+    Both sides run once over all the instances, which are then compared as
+    _pentagon_verdicts does.  A batch that raises is rerun instance by
+    instance, and an instance that raises fails; without data every
+    instance fails.
+    """
+    if F is None:
+        return [False] * len(instances)
+    start = [key for instance in instances for key in _hexagon_start(F, *instance)]
+    left, right = _hexagon_jumps(F)
+    try:
+        ends1, ends2 = _route(start, *left), _route(start, *right)
+    except (KeyError, ZeroDivisionError):
+        return [_hexagon_holds(F, instance) for instance in instances]
+    if ends1 == ends2:
+        return [True] * len(instances)
+    ends1, ends2 = _split(*ends1, 4), _split(*ends2, 4)
+    return [ends1.get(instance) == ends2.get(instance) for instance in instances]
+
+
+def _hexagon_holds(F: FusionData, instance: tuple) -> bool:
+    """_hexagon_forward at one instance, False where it raises."""
+    try:
+        return _hexagon_forward(F, *instance)
+    except (KeyError, ZeroDivisionError):
+        return False
 
 
 def _reversed(F: FusionData) -> Optional[FusionData]:
@@ -588,23 +721,26 @@ def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:
     The backward hexagon at (i, j, k) is the forward hexagon of the reverse
     braiding at (k, i, j) with both sides inverted, so that is what is
     checked.  Without a reverse braiding every backward instance fails.
+    Each outer index i composes its forward and its backward instances in
+    one batch each.
     """
     mirror = _reversed(F)
     failures = []
     checked = 0
-    for i, j, k in product(range(F.size), repeat=3):
-        targets = {t for a, _ in F.fuse(i, j) for t, _ in F.fuse(a, k)}
-        targets |= {t for a, _ in F.fuse(j, k) for t, _ in F.fuse(i, a)}
-        for t in sorted(targets):
+    for i in range(F.size):
+        instances = []
+        for j, k in product(range(F.size), repeat=2):
+            targets = {t for a, _ in F.fuse(i, j) for t, _ in F.fuse(a, k)}
+            targets |= {t for a, _ in F.fuse(j, k) for t, _ in F.fuse(i, a)}
+            instances += [(i, j, k, t) for t in sorted(targets)]
+        forward = _hexagon_verdicts(F, instances)
+        backward = _hexagon_verdicts(mirror, [(k, i, j, t) for i, j, k, t in instances])
+        for instance, forward_holds, backward_holds in zip(instances, forward, backward):
             checked += 2
-            for name, data, args in (("hexagon-forward", F, (i, j, k, t)),
-                                     ("hexagon-backward", mirror, (k, i, j, t))):
-                try:
-                    ok = data is not None and _hexagon_forward(data, *args)
-                except (KeyError, ZeroDivisionError):
-                    ok = False
-                if not ok:
-                    failures.append((name, i, j, k, t))
+            if not forward_holds:
+                failures.append(("hexagon-forward",) + instance)
+            if not backward_holds:
+                failures.append(("hexagon-backward",) + instance)
             if failures and stop_early:
                 return FusionReport("braiding", False, tuple(failures), checked)
     return FusionReport("braiding", not failures, tuple(failures[:32]), checked)

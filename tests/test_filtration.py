@@ -9,6 +9,7 @@ from nicholsforge.braided import DiagonalBraiding
 from nicholsforge.filtration import (
     FILTRATION_CONDITIONS,
     HopfFiltration,
+    _scaled_coords,
     associated_graded,
     coradical_filtration,
     degenerate_limit,
@@ -29,7 +30,9 @@ from nicholsforge.structconst import (
     HopfStructure,
     LabelBackend,
     act,
+    conjugate,
     from_nichols,
+    primitive_sectors,
     verify_axioms,
 )
 from tests_support import (
@@ -352,6 +355,40 @@ def test_split_coordinates_match_the_act_references(name):
         for lam in samples:
             assert one_param_orbit(s, split, lam) == one_param_orbit_reference(s, split, lam)
     assert limits >= 2
+
+
+@pytest.mark.parametrize("name", DIRECT_CHECK_CASES)
+def test_primitive_dims_along_path_match_the_orbit_reference(name):
+    # the walk takes each sample's primitive dimensions from the split
+    # coordinates scaled entry by entry; the reference conjugates t through
+    # act and takes them there.  Conjugation keeps them, so the scaled
+    # coordinates are also compared with the orbit point itself.  A chain with a negative exponent has no
+    # limit, so there the caller's limit, t itself, closes the walk.
+    samples = [1, Fraction(1, 2), -3, root_of_unity(3, 1)]
+
+    def total(s):
+        return sum(sub.dim for sub in primitive_sectors(s).values())
+
+    def constants(s):
+        return s.mul, s.unit, s.cop, s.counit, s.antipode
+
+    walks = set()
+    for f in _own_and_mixed_chains(name):
+        s, split = f.structure, f.split
+        orbit = [one_param_orbit_reference(s, split, lam) for lam in samples]
+        # the scaled coordinates are the orbit point conjugated by the basis
+        # (the grading aside, which conjugate keeps only where P preserves it)
+        for lam, point in zip(samples, orbit):
+            back = conjugate(_scaled_coords(split, lam), split.basis, split.inverse_basis)
+            assert constants(back) == constants(point), (f.kind, f.window, lam)
+        expected = [total(point) for point in orbit]
+        if lambda_exponent_report(s, split)["violations"]:
+            assert primitive_dims_along_path(s, split, samples, s) == expected + [total(s)]
+        else:
+            limit = degenerate_limit_reference(s, split)
+            assert primitive_dims_along_path(s, split, samples) == expected + [total(limit)]
+            walks.add(tuple(expected) + (total(limit),))
+    assert walks
 
 
 def test_exponent_verdicts_match_the_reference_on_every_mutant():

@@ -7,6 +7,7 @@ import pytest
 from nicholsforge.braided import YDDatum, yd_to_braiding
 from nicholsforge.fusion import (
     FusionData,
+    _associator_route,
     _hexagon_forward,
     _hexagon_routes,
     _matrix,
@@ -37,6 +38,8 @@ from tests_support import (
     mutate_fusion,
     pair02_reference,
     pentagon_reference,
+    route_reference,
+    verify_braiding_reference,
 )
 
 
@@ -415,12 +418,12 @@ def test_jumps_match_the_kronecker_forms():
         lambda a_d, f_d, dims, _: F.assoc_block(i, j, a_d[1], a_d[0], t, f_d[0]).kron(one(dims[2])),
     ])
     start, left, right = _hexagon_routes(F, i, j, k, t)
-    compared += _jump_blocks_match(start, 1, 1, left, [
+    compared += _jump_blocks_match(start, 4, 1, left, [
         lambda a, _, dims, __: F.braid_block(i, j, *a).kron(one(dims[1])),
         lambda a, c, _, __: F.assoc_block(j, i, k, *a, t, *c),
         lambda c, _, dims, __: one(dims[0]).kron(F.braid_block(i, k, *c)),
     ])
-    compared += _jump_blocks_match(start, 1, 1, right, [
+    compared += _jump_blocks_match(start, 4, 1, right, [
         lambda a, c, _, __: F.assoc_block(i, j, k, *a, t, *c),
         lambda c, _, dims, out: flip_reference(out[1], dims[1])
         @ F.braid_block(i, *c, t).kron(one(dims[1])),
@@ -544,17 +547,21 @@ def test_routes_match_the_matrix_references_instance_by_instance(name):
 
 def test_routes_run_once_per_outer_pair(monkeypatch):
     # the pentagon composes its two routes once per outer pair (i, j), for
-    # all 81 instances (k, l, t) of the pair on the Z3 center, and the full
-    # associators one route per (x, y, z), for all 9 outer indices b
+    # all 81 instances (k, l, t) of the pair on the Z3 center, the full
+    # associators one route per (x, y), for all 9 z and 9 outer indices b,
+    # and the hexagons one route per side and per family for each outer
+    # index i, for all 81 instances (j, k, t) of it
     import nicholsforge.fusion as fusion
 
     calls = []
     route = fusion._route
     monkeypatch.setattr(fusion, "_route", lambda *args: calls.append(1) or route(*args))
     z3 = pointed_center_data([3])
-    assert well_formed(z3).checked == 7749 and len(calls) == 729
+    assert well_formed(z3).checked == 7749 and len(calls) == 81
     del calls[:]
     assert verify_pentagon(z3).checked == 6561 and len(calls) == 162
+    del calls[:]
+    assert verify_braiding(z3).checked == 1458 and len(calls) == 36
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -590,3 +597,133 @@ def test_batched_pentagon_matches_the_reference_on_every_mutant(name):
             assert first == report, site
         failing += bool(expected)
     assert failing > 0
+
+
+# -- the column walk against the compose-based route -------------------------
+
+
+def _checker_runs(F):
+    """Every route the checkers compose on F, batched as they batch them."""
+    well_formed(F)
+    verify_pentagon(F)
+    verify_duality(F)
+    verify_braiding(F)
+
+
+def _single_routes(F, mirror, instance):
+    """The routes one instance takes alone, as (start, jumps) pairs: both
+    sides of a pentagon or hexagon, or the full associator at (x, y, z, b)."""
+    name, args = instance
+    if name == "associator":
+        x, y, z, b = args
+        spaces, alpha = _associator_route(F, x, y, (z,), (b,))
+        return [(spaces.get((z, b), ([], []))[0], (alpha,))]
+    if name == "pentagon":
+        start, route1, route2 = _pentagon_routes(F, *args[:2], args[2:])
+    else:
+        data = F if name == "hexagon-forward" else mirror
+        start, route1, route2 = _hexagon_routes(data, *args)
+    return [(start, route1), (start, route2)]
+
+
+def _package_reads(F, instances):
+    """The assoc and braiding sites each instance's routes read: the keys
+    its routes add to emptied column tables.  A backward instance reads the
+    reverse braiding, whose block (j, i, k) is built from the block (i, j, k)."""
+    mirror = _reversed(F)
+    tables = (F.assoc_columns, F.braid_columns, mirror.braid_columns)
+    reads = {}
+    for instance in instances:
+        for table in tables:
+            table.clear()
+        for start, jumps in _single_routes(F, mirror, instance):
+            _route(start, *jumps)
+        reads[instance] = ({("assoc", key) for key in F.assoc_columns}
+                           | {("braiding", key) for key in F.braid_columns}
+                           | {("braiding", (j, i, k)) for i, j, k in mirror.braid_columns})
+    return reads
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_column_walk_matches_the_compose_route_on_every_mutant(name, monkeypatch):
+    # every route the checkers compose, on the clean data and on every
+    # single-site mutant, gives the end vertex and map of route_reference.
+    # On the Z3 center a mutant's routes are walked one instance at a time,
+    # only at the instances (pentagon, hexagon or full associator) whose
+    # routes read the mutated site; elsewhere they are the clean routes.
+    import nicholsforge.fusion as fusion
+
+    route, walked = fusion._route, []
+
+    def both(keys, *jumps):
+        keys = list(keys)
+        got = route(keys, *jumps)
+        assert got == route_reference(keys, *jumps)
+        walked.append(len(keys))
+        return got
+
+    monkeypatch.setattr(fusion, "_route", both)
+    F = FIXTURES[name]()
+    sites = fusion_entry_sites(F)
+    _checker_runs(F)
+    if name != "z3-center":
+        for site in sites:
+            _checker_runs(mutate_fusion(F, site))
+        assert len(walked) > len(sites)
+        return
+    instances = _instances(F) + [("associator", args)
+                                 for args in product(range(F.size), repeat=4)]
+    monkeypatch.setattr(fusion, "_route", route)
+    readers = {}
+    for instance, sites_read in _package_reads(F, instances).items():
+        for site in sites_read:
+            readers.setdefault(site, []).append(instance)
+    monkeypatch.setattr(fusion, "_route", both)
+    clean_mirror = _reversed(F)
+    compared = 0
+    for site in sites:
+        G = mutate_fusion(F, site)
+        mirror = _reversed(G) if site[0] == "braiding" else clean_mirror.replace(assoc=G.assoc)
+        for instance in readers.get(site[:2], []):
+            for start, jumps in _single_routes(G, mirror, instance):
+                fusion._route(start, *jumps)
+                compared += 1
+    assert compared > len(sites)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(FIXTURES) if name != "z3-center"])
+def test_batched_hexagons_match_the_instance_walk_on_every_mutant(name):
+    # verify_braiding composes the hexagons of one outer index i in one
+    # batch per family and side; its report, with and without stop_early,
+    # must be what composing each instance alone gives
+    F = FIXTURES[name]()
+    failing = 0
+    for site in [None] + fusion_entry_sites(F):
+        G = F if site is None else mutate_fusion(F, site)
+        for stop_early in (False, True):
+            expected = verify_braiding_reference(G, stop_early)
+            assert verify_braiding(G, stop_early) == expected, (site, stop_early)
+        failing += not expected.passed
+    assert failing > 0
+
+
+def test_a_hexagon_batch_that_raises_is_rerun_instance_by_instance():
+    # an emptied column table makes every route that reads sigma_{1,1} at 0
+    # raise KeyError: the batch of outer index 1 raises, and its instances
+    # are composed one by one, so only those that read the block fail
+    z2 = pointed_center_data([2])
+    G = z2.replace(braiding=dict(z2.braiding))
+    assert G.braid_columns is not z2.braid_columns
+    G.braid_columns[(1, 1, 0)] = {}
+    with pytest.raises(KeyError):
+        _hexagon_forward(G, 1, 1, 1, 1)
+    report = verify_braiding(G)
+    assert report == verify_braiding_reference(G)
+    failing = {f[1:] for f in report.failures}
+    assert report.failures and {f[0] for f in report.failures} == {"hexagon-forward"}
+    assert {f[1] for f in report.failures} == {1}
+    forward = [args for kind, args in _instances(G) if kind == "hexagon-forward"]
+    assert any(args[0] == 1 and args not in failing for args in forward)
+    first = verify_braiding(G, stop_early=True)
+    assert first == verify_braiding_reference(G, stop_early=True)
+    assert first.failures == report.failures[:1]

@@ -5,7 +5,7 @@ import io
 import json
 import os
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -14,6 +14,9 @@ from nicholsforge.dualize import _flattened
 from nicholsforge.filtration import HopfFiltration, _layer_leq
 from nicholsforge.fusion import (
     FusionData,
+    FusionReport,
+    _hexagon_forward,
+    _reversed,
     verify_braiding,
     verify_duality,
     verify_pentagon,
@@ -23,6 +26,7 @@ from nicholsforge.linalg import (
     BasedSpace,
     Matrix,
     Subspace,
+    compose,
     hstack,
     inverse,
     kernel,
@@ -264,6 +268,51 @@ def fusion_mutation_detected(F):
     return False
 
 
+# -- references for the fusion checkers: routes and hexagons one at a time ----
+
+
+def route_reference(keys, *jumps):
+    """fusion._route as each jump's whole map: {(key_out, key_in): value} is
+    built for every key of the vertex and merged into the running total by
+    linalg.compose.  Returns the end vertex and the composite map."""
+    total = None
+    for jump in jumps:
+        reached = set()
+        step = {}
+        for key in keys:
+            for key_out, v in jump(key):
+                reached.add(key_out)
+                if v is not None:
+                    step[(key_out, key)] = v
+        keys = reached
+        total = step if total is None else compose(step, total)
+    return sorted(keys), total
+
+
+def verify_braiding_reference(F, stop_early=False):
+    """verify_braiding with every hexagon instance composed on its own by
+    _hexagon_forward, and located as failing where that raises."""
+    mirror = _reversed(F)
+    failures = []
+    checked = 0
+    for i, j, k in product(range(F.size), repeat=3):
+        targets = {t for a, _ in F.fuse(i, j) for t, _ in F.fuse(a, k)}
+        targets |= {t for a, _ in F.fuse(j, k) for t, _ in F.fuse(i, a)}
+        for t in sorted(targets):
+            checked += 2
+            for name, data, args in (("hexagon-forward", F, (i, j, k, t)),
+                                     ("hexagon-backward", mirror, (k, i, j, t))):
+                try:
+                    ok = data is not None and _hexagon_forward(data, *args)
+                except (KeyError, ZeroDivisionError):
+                    ok = False
+                if not ok:
+                    failures.append((name, i, j, k, t))
+            if failures and stop_early:
+                return FusionReport("braiding", False, tuple(failures), checked)
+    return FusionReport("braiding", not failures, tuple(failures[:32]), checked)
+
+
 # -- references for the fusion checkers: every block a matrix -----------------
 #
 # The package composes scalars on basis keys, one per basis vector of a
@@ -310,7 +359,7 @@ def _assoc_full(F, x, y, z, b):
     return _assemble(tgt, src, blocks), src, tgt
 
 
-def route_reference(comps, *jumps):
+def block_route_reference(comps, *jumps):
     """Apply the jumps in order; return the end vertex and the composite map."""
     total = None
     for jump in jumps:
@@ -395,8 +444,8 @@ def pentagon_reference(F, i, j, k, l, t):
                 block = F.assoc_block(i, j, d, a, t, f).kron(Matrix.identity(dims[2]))
                 yield (f, d), (m, n, dims[2]), block
 
-    return (route_reference(start, alpha_ijk, alpha_icl, alpha_jkl)
-            == route_reference(start, alpha_akl, alpha_ijd))
+    return (block_route_reference(start, alpha_ijk, alpha_icl, alpha_jkl)
+            == block_route_reference(start, alpha_akl, alpha_ijd))
 
 
 def _alpha_reference(F, x, y, z, b):
@@ -427,8 +476,8 @@ def hexagon_forward_reference(F, i, j, k, t):
         block = flip_reference(sigma.nrows, dims[1]) @ sigma.kron(Matrix.identity(dims[1]))
         yield key, (dims[1], F.dim(c, i, t)), block
 
-    left = route_reference(start, sigma_ij, _alpha_reference(F, j, i, k, t), sigma_ik)
-    right = route_reference(start, _alpha_reference(F, i, j, k, t), flip_sigma_ic,
+    left = block_route_reference(start, sigma_ij, _alpha_reference(F, j, i, k, t), sigma_ik)
+    right = block_route_reference(start, _alpha_reference(F, i, j, k, t), flip_sigma_ic,
                             _alpha_reference(F, j, k, i, t))
     return left == right
 
@@ -464,9 +513,9 @@ def hexagon_backward_reference(F, i, j, k, t):
         block = flip_reference(dims[0], sigma.nrows) @ Matrix.identity(dims[0]).kron(sigma)
         yield key, (F.dim(k, a, t), dims[0]), block
 
-    mid1, m1 = route_reference(start, sigma_jk)
-    end1, m3 = route_reference(src_ikj, sigma_ik)
-    mid2, m2 = route_reference(src_ijk, flip_sigma_ak)
+    mid1, m1 = block_route_reference(start, sigma_jk)
+    end1, m3 = block_route_reference(src_ikj, sigma_ik)
+    mid2, m2 = block_route_reference(src_ijk, flip_sigma_ak)
     if mid1 != tgt_ikj or mid2 != tgt_kij or end1 != src_kij:
         return False
     left = m3 @ inverse(full_ikj) @ m1
