@@ -179,7 +179,7 @@ def degenerate(hopf_file, kind, samples, out, as_json):
 
 
 def is_nichols(hopf_file, as_json):
-    from .dualize import nichols_criteria
+    from .dualize import generation_check, gragrc_check, pairing_report
     from .structconst import verify_axioms
 
     started = time.monotonic()
@@ -188,7 +188,7 @@ def is_nichols(hopf_file, as_json):
         failure = verify_axioms(t).first_failure()
         if failure is not None:
             raise ValueError(failure)
-        pairing, generation, gragrc = nichols_criteria(t)
+        pairing, generation, gragrc = pairing_report(t), generation_check(t), gragrc_check(t)
     except FieldTooLarge:
         raise
     except ValueError as err:

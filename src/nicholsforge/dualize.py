@@ -7,25 +7,23 @@ graded_dual, which regrades it in positive degrees.
 
 Three Nichols criteria live here: nondegeneracy of the pairing between
 primitives and dual primitives, generation by primitives on both sides,
-and isomorphy of the two associated graded structures.  Wherever they all
-reach a verdict they must agree; the tests hold them to that.
+and isomorphy of the two associated graded structures; `is-nichols` runs
+all three.  Wherever they all reach a verdict they must agree; the tests
+hold them to that.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .linalg import Matrix, Subspace, rank
 from .scalars import ZERO
 from .structconst import (
     DecomposedObject,
     HopfStructure,
-    check_coconnected,
-    check_connected,
     dual_structure,
     generated_by,
     graded_iso_search,
-    primitive_sectors,
 )
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "pairing_report",
     "generation_check",
     "gragrc_check",
-    "nichols_criteria",
 ]
 
 
@@ -90,13 +87,9 @@ class PairingReport(NamedTuple):
 
 def _checked_dual(t: HopfStructure) -> HopfStructure:
     """The dual of t, once t is known to be connected and coconnected."""
-    if not check_connected(t) or not check_coconnected(t):
+    if not t.connected_and_coconnected:
         raise ValueError("structure is not connected and coconnected")
     return t.dual
-
-
-# Each criterion checks its preconditions when called alone; nichols_criteria
-# decides them once and computes the primitives of each side once.
 
 
 def pairing_report(t: HopfStructure) -> PairingReport:
@@ -107,12 +100,8 @@ def pairing_report(t: HopfStructure) -> PairingReport:
     pairing matrix is a plain product of the two echelon bases.
     """
     dual = _checked_dual(t)
-    return _pairing(t, dual, primitive_sectors(t), primitive_sectors(dual))
-
-
-def _pairing(t: HopfStructure, dual: HopfStructure, prims: dict, dual_prims: dict) -> PairingReport:
-    flat = _flattened(t, prims)
-    dual_flat = _flattened(dual, dual_prims)
+    flat = _flattened(t, t.primitives)
+    dual_flat = _flattened(dual, dual.primitives)
     matrix = dual_flat.row_matrix @ flat.basis
     r = rank(matrix)
     square = flat.dim == dual_flat.dim
@@ -133,10 +122,7 @@ class GenerationReport(NamedTuple):
 def generation_check(t: HopfStructure) -> GenerationReport:
     """Whether primitives generate the structure, and dually."""
     dual = _checked_dual(t)
-    return GenerationReport(
-        generated_by(t, primitive_sectors(t)),
-        generated_by(dual, primitive_sectors(dual)),
-    )
+    return GenerationReport(generated_by(t, t.primitives), generated_by(dual, dual.primitives))
 
 
 class GragrcReport(NamedTuple):
@@ -152,13 +138,9 @@ def gragrc_check(t: HopfStructure) -> GragrcReport:
     Nichols algebra; anything short of a found isomorphism is reported as
     inconclusive, including structures the restricted search cannot handle.
     """
-    _checked_dual(t)
-    return _gragrc(t)
-
-
-def _gragrc(t: HopfStructure) -> GragrcReport:
     from .filtration import associated_graded, coradical_filtration, radical_filtration
 
+    _checked_dual(t)
     gra = associated_graded(t, radical_filtration(t))
     grc = associated_graded(t, coradical_filtration(t))
     try:
@@ -169,13 +151,3 @@ def _gragrc(t: HopfStructure) -> GragrcReport:
         return GragrcReport("inconclusive", None, "no isomorphism in the searched family")
     return GragrcReport("nichols-by-gragrc", witness)
 
-
-def nichols_criteria(t: HopfStructure) -> Tuple[PairingReport, GenerationReport, GragrcReport]:
-    """All three criteria, deciding the preconditions and each side's primitives once."""
-    dual = _checked_dual(t)
-    prims, dual_prims = primitive_sectors(t), primitive_sectors(dual)
-    return (
-        _pairing(t, dual, prims, dual_prims),
-        GenerationReport(generated_by(t, prims), generated_by(dual, dual_prims)),
-        _gragrc(t),
-    )

@@ -70,7 +70,6 @@ __all__ = [
     "radical_filtration",
     "coradical_filtration",
     "split_basis",
-    "one_param_orbit",
     "degenerate_limit",
     "associated_graded",
     "lambda_exponent_report",
@@ -190,7 +189,7 @@ def filtration_conditions(f: HopfFiltration) -> Dict[str, bool]:
 def _connected_both_ways(t: HopfStructure) -> None:
     # both sides, whichever one a constructor reads: the structures keep
     # their powers, so later checks and filtrations reuse them
-    if t.powers is None or t.dual.powers is None:
+    if not t.connected_and_coconnected:
         raise ValueError("filtration needs a connected and coconnected structure")
 
 
@@ -289,22 +288,6 @@ def _as_scalar(value) -> Scalar:
     return from_rational(value)
 
 
-def one_param_orbit(t: HopfStructure, split: GradingSplit, lam) -> HopfStructure:
-    """Conjugate by phi(lambda) = basis . diag(lambda^{-index}) . basis^{-1},
-    whose inverse, with lambda^{index}, comes from the same split."""
-    lam = _as_scalar(lam)
-    if lam.is_zero():
-        raise ValueError("the orbit parameter must be invertible; take degenerate_limit for 0")
-    gamma = {}
-    gamma_inverse = {}
-    for label, mat in split.basis.items():
-        tags = split.indices[label]
-        back = split.inverse_basis[label]
-        gamma[label] = mat @ Matrix.diagonal([lam ** (-i) for i in tags]) @ back
-        gamma_inverse[label] = mat @ Matrix.diagonal([lam ** i for i in tags]) @ back
-    return conjugate(t, gamma, gamma_inverse)
-
-
 def _split_exponents(split: GradingSplit):
     """The structure in split coordinates, block by block, with exponents.
 
@@ -336,7 +319,8 @@ def _split_exponents(split: GradingSplit):
 
 def _scaled_coords(split: GradingSplit, lam) -> HopfStructure:
     """split.coords with every entry times lambda to its exponent: the orbit
-    point one_param_orbit(t, split, lam) in split coordinates."""
+    point phi(lambda) . t . phi(lambda)^{-1} in split coordinates, where
+    phi(lambda) = basis . diag(lambda^{-index}) . basis^{-1}."""
     lam = _as_scalar(lam)
     if lam.is_zero():
         raise ValueError("the orbit parameter must be invertible; take degenerate_limit for 0")

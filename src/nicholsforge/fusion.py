@@ -25,11 +25,10 @@ outer pair (i, j), on keys prefixed by (k, l, t); the full associators all
 z and all outer indices b of one (x, y), on keys prefixed by (z, b); and
 each hexagon family all instances (i, j, k, t) of one outer index i, on keys
 prefixed by the whole instance.  Each instance's end vertex and map are
-then compared on their own, and a hexagon batch that raises is rerun one
-instance at a time, so failures stay located.  Only the second duality
-zig-zag is still derived by hand (see docs/FORMATS.md for the composition
-tables, including the convention that reordering multiplicity factors uses
-the plain flip).
+then compared on their own, so failures stay located (see _agree).  Only
+the second duality zig-zag is still derived by hand (see docs/FORMATS.md
+for the composition tables, including the convention that reordering
+multiplicity factors uses the plain flip).
 Every verifier reports located failures instead of raising.
 """
 
@@ -287,6 +286,20 @@ def _split(keys: List[tuple], total: dict, n: int) -> dict:
     return out
 
 
+def _agree(start: List[tuple], route1: Sequence[Jump], route2: Sequence[Jump],
+           instances: List[tuple]) -> List[bool]:
+    """Whether two batched routes from start agree at each instance, a key
+    prefix.  Both run once over all the instances.  Routes that agree agree
+    at every instance; routes that differ are split by instance, whose end
+    vertex and map are then compared on their own."""
+    ends1, ends2 = _route(start, *route1), _route(start, *route2)
+    if ends1 == ends2:
+        return [True] * len(instances)
+    n = len(instances[0])
+    ends1, ends2 = _split(*ends1, n), _split(*ends2, n)
+    return [ends1.get(instance) == ends2.get(instance) for instance in instances]
+
+
 def _matrix(total: dict, rows: List[tuple], cols: List[tuple]) -> Matrix:
     """A route's map laid out over the given basis keys."""
     row = {key: r for r, key in enumerate(rows)}
@@ -427,22 +440,19 @@ def well_formed(F: FusionData) -> FusionReport:
 # -- the pentagon --------------------------------------------------------------
 
 
-def _pentagon_routes(F: FusionData, i: int, j: int, only: Optional[tuple] = None):
+def _pentagon_routes(F: FusionData, i: int, j: int):
     """The start vertex and the jumps of both routes of every pentagon
-    instance (k, l, t) of the outer pair (i, j), or of the one instance
-    `only`.  Keys are (k, l, t, a, b, u, v, w): the instance, then the
-    labeling and leg indices; the jumps keep the instance, so a route
-    composes each one on its own."""
-    ks, ls = (range(F.size), range(F.size)) if only is None else ((only[0],), (only[1],))
+    instance (k, l, t) of the outer pair (i, j).  Keys are (k, l, t, a, b,
+    u, v, w): the instance, then the labeling and leg indices; the jumps
+    keep the instance, so a route composes each one on its own."""
     fuse_ij = F.fuse(i, j)
     start = [
         (k, l, t, a, b, u, v, w)
-        for k in ks
+        for k in range(F.size)
         for a, n_a in fuse_ij
         for b, n_b in F.fuse(a, k)
-        for l in ls
+        for l in range(F.size)
         for t, n_t in F.fuse(b, l)
-        if only is None or t == only[2]
         for u, v, w in _indices((n_a, n_b, n_t))
     ]
 
@@ -483,30 +493,15 @@ def _pentagon_routes(F: FusionData, i: int, j: int, only: Optional[tuple] = None
     return start, (alpha_ijk, alpha_icl, alpha_jkl), (alpha_akl, alpha_ijd)
 
 
-def _pentagon_verdicts(F: FusionData, i: int, j: int, only: Optional[tuple] = None) -> list:
-    """(k, l, t, whether the pentagon holds) for every instance of the outer
-    pair (i, j), k, l, t ascending, or for the one instance `only`.
-
-    Both routes run once over all the instances.  Routes that agree agree
-    at every instance; routes that differ are split by instance, whose end
-    vertex and map are then compared on their own.
-    """
-    start, route1, route2 = _pentagon_routes(F, i, j, only)
-    ends1, ends2 = _route(start, *route1), _route(start, *route2)
-    instances = sorted({key[:3] for key in start})
-    if ends1 == ends2:
-        return [instance + (True,) for instance in instances]
-    ends1, ends2 = _split(*ends1, 3), _split(*ends2, 3)
-    return [instance + (ends1.get(instance) == ends2.get(instance),) for instance in instances]
-
-
 def verify_pentagon(F: FusionData, stop_early: bool = False) -> FusionReport:
     """Both re-association routes around the pentagon agree, instance by
     instance (i, j, k, l, t), composed one outer pair (i, j) at a time."""
     failures = []
     checked = 0
     for i, j in product(range(F.size), repeat=2):
-        for k, l, t, holds in _pentagon_verdicts(F, i, j):
+        start, route1, route2 = _pentagon_routes(F, i, j)
+        instances = sorted({key[:3] for key in start})
+        for (k, l, t), holds in zip(instances, _agree(start, route1, route2, instances)):
             checked += 1
             if not holds:
                 failures.append((i, j, k, l, t))
@@ -660,45 +655,13 @@ def _hexagon_jumps(F: FusionData):
     return (sigma_ij, alpha_jik, sigma_ik), (alpha_ijk, flip_sigma_ic, alpha_jki)
 
 
-def _hexagon_routes(F: FusionData, i: int, j: int, k: int, t: int):
-    """The start vertex and the jumps of both sides of the forward hexagon."""
-    return (_hexagon_start(F, i, j, k, t), *_hexagon_jumps(F))
-
-
-def _hexagon_forward(F: FusionData, i: int, j: int, k: int, t: int) -> bool:
-    """Braid i past j then k, against braiding i past the fused pair."""
-    start, left, right = _hexagon_routes(F, i, j, k, t)
-    return not start or _route(start, *left) == _route(start, *right)
-
-
 def _hexagon_verdicts(F: Optional[FusionData], instances: List[tuple]) -> List[bool]:
-    """Whether the forward hexagon holds at each instance (i, j, k, t).
-
-    Both sides run once over all the instances, which are then compared as
-    _pentagon_verdicts does.  A batch that raises is rerun instance by
-    instance, and an instance that raises fails; without data every
-    instance fails.
-    """
+    """Whether the forward hexagon holds at each instance (i, j, k, t), both
+    sides composed once over all of them; without data every instance fails."""
     if F is None:
         return [False] * len(instances)
     start = [key for instance in instances for key in _hexagon_start(F, *instance)]
-    left, right = _hexagon_jumps(F)
-    try:
-        ends1, ends2 = _route(start, *left), _route(start, *right)
-    except (KeyError, ZeroDivisionError):
-        return [_hexagon_holds(F, instance) for instance in instances]
-    if ends1 == ends2:
-        return [True] * len(instances)
-    ends1, ends2 = _split(*ends1, 4), _split(*ends2, 4)
-    return [ends1.get(instance) == ends2.get(instance) for instance in instances]
-
-
-def _hexagon_holds(F: FusionData, instance: tuple) -> bool:
-    """_hexagon_forward at one instance, False where it raises."""
-    try:
-        return _hexagon_forward(F, *instance)
-    except (KeyError, ZeroDivisionError):
-        return False
+    return _agree(start, *_hexagon_jumps(F), instances)
 
 
 def _reversed(F: FusionData) -> Optional[FusionData]:
@@ -722,7 +685,9 @@ def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:
     braiding at (k, i, j) with both sides inverted, so that is what is
     checked.  Without a reverse braiding every backward instance fails.
     Each outer index i composes its forward and its backward instances in
-    one batch each.
+    one batch each.  No route raises, so a batch needs no fallback: every
+    key a jump looks up in a column table is built over the same fusion
+    dims as the space the key lives in, and no route divides.
     """
     mirror = _reversed(F)
     failures = []

@@ -125,16 +125,6 @@ class Matrix:
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         return cls.from_rows(list(columns)).transpose() if columns else cls(0, 0)
 
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "Matrix":
-        n = len(values)
-        entries = {}
-        for i, value in enumerate(values):
-            s = _as_scalar(value)
-            if s:
-                entries[(i, i)] = s
-        return cls(n, n, entries)
-
     # -- access ---------------------------------------------------------
 
     def get(self, r: int, c: int) -> Scalar:
@@ -342,10 +332,6 @@ class BasedSpace:
 
     def __repr__(self) -> str:
         return f"BasedSpace({self.dim}, {self.labels!r})"
-
-    @classmethod
-    def standard(cls, dim: int, prefix: str = "e") -> "BasedSpace":
-        return cls(dim, tuple(f"{prefix}{i + 1}" for i in range(dim)))
 
 
 class Subspace:

@@ -402,9 +402,15 @@ def parse_scalar(obj) -> Scalar:
     if isinstance(obj, Scalar):
         return obj
     if isinstance(obj, dict):
-        if any(isinstance(v, bool) for v in (obj["conductor"], *obj["coeffs"])):
+        conductor, coeffs = obj["conductor"], obj["coeffs"]
+        if type(coeffs) is not list:
+            raise ValueError(f"cannot parse scalar from {obj!r}: coeffs must be a list")
+        if any(isinstance(v, bool) for v in (conductor, *coeffs)):
             raise ValueError(f"cannot parse scalar from {obj!r}: booleans are not numbers")
-        return make_scalar(obj["conductor"], obj["coeffs"])
+        if any(type(c) is not int and type(c) is not str for c in coeffs):
+            raise ValueError(f"cannot parse scalar from {obj!r}: "
+                             "each coefficient is an integer or a \"p/q\" string")
+        return make_scalar(parse_int(conductor, "a scalar's conductor"), coeffs)
     if isinstance(obj, int) and not isinstance(obj, bool):
         return from_rational(obj)
     if isinstance(obj, str):

@@ -211,12 +211,13 @@ class HopfStructure:
     zero maps.  grading, when present, assigns a degree to every basis
     vector of every sector; it rides along so filtration and isomorphism
     machinery can stay graded-aware, and participates in equality.  The
-    dual, the augmentation powers and the generating seeds are built on
-    first use and kept, so the blocks must not change after that.
+    dual, the augmentation powers, the generating seeds, the primitives and
+    whether it is connected and coconnected are built on first use and
+    kept, so the blocks must not change after that.
     """
 
     __slots__ = ("obj", "mul", "unit", "cop", "counit", "antipode", "grading",
-                 "_dual", "_powers", "_seeds")
+                 "_dual", "_powers", "_seeds", "_primitives", "_connected")
 
     def __init__(self, obj, mul, unit, cop, counit, antipode, grading=None):
         self.obj = obj
@@ -233,6 +234,8 @@ class HopfStructure:
         self._dual = None
         self._powers = _UNSET
         self._seeds = _UNSET
+        self._primitives = None
+        self._connected = None
 
     @property
     def dual(self) -> "HopfStructure":
@@ -254,6 +257,20 @@ class HopfStructure:
         if self._seeds is _UNSET:
             self._seeds = generating_seeds(self)
         return self._seeds
+
+    @property
+    def primitives(self) -> dict:
+        """primitive_sectors(self), computed on first use."""
+        if self._primitives is None:
+            self._primitives = primitive_sectors(self)
+        return self._primitives
+
+    @property
+    def connected_and_coconnected(self) -> bool:
+        """check_connected(self) and check_coconnected(self), decided on first use."""
+        if self._connected is None:
+            self._connected = check_connected(self) and check_coconnected(self)
+        return self._connected
 
     # -- block access with zero defaults ---------------------------------
 

@@ -286,6 +286,14 @@ def _first_block(doc, kind, shape):
         2, {"conductor": True, "coeffs": ["1"]}), id="boolean-conductor"),
     pytest.param(lambda doc: _first_block(doc, "antipode", (1, 1))["entries"][0].__setitem__(
         2, {"conductor": 2, "coeffs": [False, True]}), id="boolean-coefficient"),
+    # the object form of a scalar: each coefficient an int or a "p/q" string,
+    # coeffs a list and the conductor an integer (each of these read as 1)
+    pytest.param(lambda doc: _first_block(doc, "mul", (1, 1))["entries"][0].__setitem__(
+        2, {"conductor": 1, "coeffs": [1.0]}), id="float-coefficient"),
+    pytest.param(lambda doc: _first_block(doc, "mul", (1, 1))["entries"][0].__setitem__(
+        2, {"conductor": 1, "coeffs": "10"}), id="string-coeffs"),
+    pytest.param(lambda doc: _first_block(doc, "mul", (1, 1))["entries"][0].__setitem__(
+        2, {"conductor": 1.0, "coeffs": ["1"]}), id="float-conductor"),
     # a repeated block key, even with the same entries, used to let the last one win
     pytest.param(lambda doc: doc["mul"].append(dict(doc["mul"][0])), id="repeated-mul-key"),
     pytest.param(lambda doc: doc["cop"].append(dict(doc["cop"][-1])), id="repeated-cop-key"),

@@ -123,6 +123,11 @@ def test_each_distinct_scalar_is_parsed_once_per_document(monkeypatch):
     ({"conductor": 1, "coeffs": ["1"]}, {"conductor": True, "coeffs": ["1"]}),
     ({"conductor": 2, "coeffs": [0, 1]}, {"conductor": 2, "coeffs": [False, True]}),
     ({"conductor": 2, "coeffs": ["1"]}, {"conductor": 2, "coeffs": ["1.5"]}),
+    # a coefficient is an int or a "p/q" string, coeffs a list (a string
+    # would be read digit by digit), and the conductor a JSON integer
+    ({"conductor": 1, "coeffs": [1]}, {"conductor": 1, "coeffs": [1.0]}),
+    ({"conductor": 1, "coeffs": ["1", "0"]}, {"conductor": 1, "coeffs": "10"}),
+    ({"conductor": 1, "coeffs": ["1"]}, {"conductor": 1.0, "coeffs": ["1"]}),
 ])
 def test_a_parsed_scalar_never_admits_a_refused_form(first, second):
     # the reader keys its parsed scalars on exact JSON types, so a form it

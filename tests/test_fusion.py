@@ -8,11 +8,10 @@ from nicholsforge.braided import YDDatum, yd_to_braiding
 from nicholsforge.fusion import (
     FusionData,
     _associator_route,
-    _hexagon_forward,
-    _hexagon_routes,
+    _hexagon_jumps,
+    _hexagon_start,
     _matrix,
     _pentagon_routes,
-    _pentagon_verdicts,
     _reversed,
     _route,
     pointed_center_data,
@@ -32,6 +31,7 @@ from tests_support import (
     flip_reference,
     fusion_entry_sites,
     fusion_mutation_detected,
+    hexagon_alone,
     hexagon_backward_reference,
     hexagon_forward_reference,
     line_braiding,
@@ -399,6 +399,14 @@ def _jump_blocks_match(start, prefix, n, jumps, references):
     return compared
 
 
+def _pentagon_alone(F, i, j, k, l, t):
+    """The start keys and both routes of the one pentagon instance
+    (i, j, k, l, t): the batch of the pair (i, j) cut to its keys prefixed
+    by (k, l, t)."""
+    start, route1, route2 = _pentagon_routes(F, i, j)
+    return [key for key in start if key[:3] == (k, l, t)], route1, route2
+
+
 def test_jumps_match_the_kronecker_forms():
     # a jump acts on some legs of a basis key by rewriting their indices; the
     # references build the same maps from identity Kronecker products,
@@ -406,7 +414,7 @@ def test_jumps_match_the_kronecker_forms():
     F = multiplicity_two_data()
     one = Matrix.identity
     i = j = k = l = t = 1
-    start, route1, route2 = _pentagon_routes(F, i, j, (k, l, t))
+    start, route1, route2 = _pentagon_alone(F, i, j, k, l, t)
     compared = _jump_blocks_match(start, 3, 2, route1, [
         lambda a_b, c_b, dims, _: F.assoc_block(i, j, k, *a_b, c_b[0]).kron(one(dims[2])),
         lambda c_b, c_f, dims, out: pair02_reference(
@@ -417,7 +425,7 @@ def test_jumps_match_the_kronecker_forms():
         lambda a_b, a_d, dims, _: one(dims[0]).kron(F.assoc_block(a_b[0], k, l, a_b[1], t, a_d[1])),
         lambda a_d, f_d, dims, _: F.assoc_block(i, j, a_d[1], a_d[0], t, f_d[0]).kron(one(dims[2])),
     ])
-    start, left, right = _hexagon_routes(F, i, j, k, t)
+    start, (left, right) = _hexagon_start(F, i, j, k, t), _hexagon_jumps(F)
     compared += _jump_blocks_match(start, 4, 1, left, [
         lambda a, _, dims, __: F.braid_block(i, j, *a).kron(one(dims[1])),
         lambda a, c, _, __: F.assoc_block(j, i, k, *a, t, *c),
@@ -453,11 +461,15 @@ def _verdict(F, mirror, instance, reference):
     if name == "pentagon":
         if reference:
             return pentagon_reference(F, *args)
-        return all(verdict[-1] for verdict in _pentagon_verdicts(F, *args[:2], args[2:]))
+        start, route1, route2 = _pentagon_alone(F, *args)
+        return _route(start, *route1) == _route(start, *route2)
     data = F if name == "hexagon-forward" else mirror
-    holds = hexagon_forward_reference if reference else _hexagon_forward
+    if data is None:
+        return False
+    if not reference:
+        return hexagon_alone(data, *args)
     try:
-        return data is not None and holds(data, *args)
+        return hexagon_forward_reference(data, *args)
     except (KeyError, ZeroDivisionError):
         return False
 
@@ -520,7 +532,7 @@ def test_routes_match_the_matrix_references_instance_by_instance(name):
     index_one = False
     for kind, args in instances:
         if kind == "pentagon":
-            start, route1, _ = _pentagon_routes(F, *args[:2], args[2:])
+            start, route1, _ = _pentagon_alone(F, *args)
             index_one |= any(1 in key[5:] for key in _route(start, *route1)[0])
     assert index_one == (name == "multiplicity-two")
     reads, clean = _reference_reads(F, instances)
@@ -619,10 +631,10 @@ def _single_routes(F, mirror, instance):
         spaces, alpha = _associator_route(F, x, y, (z,), (b,))
         return [(spaces.get((z, b), ([], []))[0], (alpha,))]
     if name == "pentagon":
-        start, route1, route2 = _pentagon_routes(F, *args[:2], args[2:])
+        start, route1, route2 = _pentagon_alone(F, *args)
     else:
         data = F if name == "hexagon-forward" else mirror
-        start, route1, route2 = _hexagon_routes(data, *args)
+        start, (route1, route2) = _hexagon_start(data, *args), _hexagon_jumps(data)
     return [(start, route1), (start, route2)]
 
 
@@ -705,25 +717,3 @@ def test_batched_hexagons_match_the_instance_walk_on_every_mutant(name):
             assert verify_braiding(G, stop_early) == expected, (site, stop_early)
         failing += not expected.passed
     assert failing > 0
-
-
-def test_a_hexagon_batch_that_raises_is_rerun_instance_by_instance():
-    # an emptied column table makes every route that reads sigma_{1,1} at 0
-    # raise KeyError: the batch of outer index 1 raises, and its instances
-    # are composed one by one, so only those that read the block fail
-    z2 = pointed_center_data([2])
-    G = z2.replace(braiding=dict(z2.braiding))
-    assert G.braid_columns is not z2.braid_columns
-    G.braid_columns[(1, 1, 0)] = {}
-    with pytest.raises(KeyError):
-        _hexagon_forward(G, 1, 1, 1, 1)
-    report = verify_braiding(G)
-    assert report == verify_braiding_reference(G)
-    failing = {f[1:] for f in report.failures}
-    assert report.failures and {f[0] for f in report.failures} == {"hexagon-forward"}
-    assert {f[1] for f in report.failures} == {1}
-    forward = [args for kind, args in _instances(G) if kind == "hexagon-forward"]
-    assert any(args[0] == 1 and args not in failing for args in forward)
-    first = verify_braiding(G, stop_early=True)
-    assert first == verify_braiding_reference(G, stop_early=True)
-    assert first.failures == report.failures[:1]

@@ -71,6 +71,57 @@ def test_private_module_level_helpers_are_used():
     assert [entry for entry in defined if entry.split()[-1] not in referenced] == []
 
 
+# Library API that no command calls and the acceptance tests do.
+_ACCEPTANCE_API = {
+    "verify_all",              # fusion: every fusion check in one call
+    "lambda_exponent_report",  # filtration: the exponents of a split, entry by entry
+    "graded_dual",             # dualize: the dual regraded in positive degrees
+}
+
+
+def test_public_functions_and_methods_are_reached_from_the_package():
+    # code no command runs leaves the package: every public module-level
+    # function and every method (dunders aside) is referenced in the package,
+    # or is a command body, a name the traced benchmark wraps, or listed above
+    from nicholsforge import cli
+
+    layers = _load_perfbench_layers()
+    targets = {path.split(".")[-1] for _, path, *_ in (*layers.SPANS, *layers.COUNTS)}
+    targets.add(layers.PMAP[1])
+    bodies = {name.replace("-", "_") for name in cli.main.commands}
+    allowed = bodies | targets | _ACCEPTANCE_API
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = path.relative_to(PACKAGE.parent)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append(f"{where}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                defined += [f"{where}:{item.lineno} {node.name}.{item.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    names = {entry.split()[-1].split(".")[-1] for entry in defined}
+    assert _ACCEPTANCE_API <= names
+    assert [entry for entry in defined
+            if entry.split()[-1].split(".")[-1] not in referenced | allowed] == []
+
+
+def _load_perfbench_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  ROOT / "perfbench" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_package_modules_import_no_private_names_of_each_other():
     # `from .x import _name` reaches into another module's internals; the
     # private modules themselves (`._kernel`, `._rat`) may be imported

@@ -119,7 +119,7 @@ def test_subspace_canonical_equality():
 
 
 def test_quotient_projection_section():
-    ambient = BasedSpace.standard(4)
+    ambient = BasedSpace(4, ("e1", "e2", "e3", "e4"))
     sub = Subspace.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 0]])
     space, proj, sect = quotient(ambient, sub)
     assert space.dim == 2

@@ -188,10 +188,10 @@ def test_act_round_trip_and_axioms(qp_point):
     t = qp_point
     z = root_of_unity(4, 1)
     label = next(l for l in t.obj.sectors if sum(abs(x) for x in l) == 1)
-    gamma = {label: Matrix.diagonal([z])}
+    gamma = {label: Matrix(1, 1, {(0, 0): z})}
     moved = act(gamma, t)
     assert verify_axioms(moved).passed
-    inv = {label: Matrix.diagonal([z.inverse()])}
+    inv = {label: Matrix(1, 1, {(0, 0): z.inverse()})}
     assert act(inv, moved) == t
     assert compose_automorphisms(t, inv, gamma)[label] == Matrix.identity(1)
 
@@ -199,7 +199,7 @@ def test_act_round_trip_and_axioms(qp_point):
 def test_iso_search_finds_conjugating_map(qp_point):
     t = qp_point
     label = next(l for l in t.obj.sectors if sum(abs(x) for x in l) == 1)
-    gamma = {label: Matrix.diagonal([root_of_unity(5, 2)])}
+    gamma = {label: Matrix(1, 1, {(0, 0): root_of_unity(5, 2)})}
     moved = act(gamma, t)
     found = graded_iso_search(t, moved)
     assert found is not None
