@@ -402,7 +402,7 @@ def parse_scalar(obj) -> Scalar:
     if isinstance(obj, Scalar):
         return obj
     if isinstance(obj, dict):
-        conductor, coeffs = obj["conductor"], obj["coeffs"]
+        conductor, coeffs = obj.get("conductor"), obj.get("coeffs")
         if type(coeffs) is not list:
             raise ValueError(f"cannot parse scalar from {obj!r}: coeffs must be a list")
         if any(isinstance(v, bool) for v in (conductor, *coeffs)):

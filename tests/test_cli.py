@@ -678,6 +678,10 @@ def test_zero_denominator_in_braiding_is_usage_error(runner, tmp_path):
     pytest.param({"type": "diagonal", "q": [[True]]}, "cannot parse scalar", id="boolean-entry"),
     pytest.param({"type": "diagonal", "q": [[{"conductor": True, "coeffs": ["1"]}]]},
                  "booleans are not numbers", id="boolean-conductor"),
+    pytest.param({"type": "diagonal", "q": [[{"coeffs": ["1"]}]]},
+                 "a scalar's conductor must be an integer, got None", id="no-conductor"),
+    pytest.param({"type": "diagonal", "q": [[{"conductor": 1}]]},
+                 "coeffs must be a list", id="no-coeffs"),
     pytest.param({"type": "diagonal", "q": []}, "braiding matrix q is empty", id="empty-q"),
     pytest.param({"type": "yetter-drinfeld-abelian", "group": [2], "points": []},
                  "braiding matrix q is empty", id="no-points"),
