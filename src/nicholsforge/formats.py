@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Tuple
 
 from ._command import canonical_dumps, save_document
 from .linalg import BasedSpace, Matrix
-from .scalars import Scalar, parse_int, parse_scalar, scalar_to_json
+from .scalars import Scalar, object_form_key, parse_int, parse_scalar, scalar_to_json
 
 # The readers and writers import the structure layers and the braidings
 # when they run, so a fusion command loads neither.
@@ -51,30 +51,24 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def _scalar_key(raw):
-    """A key for a scalar's JSON form that tells the JSON types apart, or
-    None for a form of other types, which parse_scalar refuses or reads
-    as a shorthand each time."""
-    kind = type(raw)
-    if kind is int or kind is str:
-        return raw
-    if kind is dict and type(raw.get("conductor")) is int and type(raw.get("coeffs")) is list:
-        if all(type(c) is str or type(c) is int for c in raw["coeffs"]):
-            return (raw["conductor"], *raw["coeffs"])
-    return None
-
-
 def _scalar_reader() -> Callable[[object], Scalar]:
     """parse_scalar for one document, parsing each distinct JSON form once.
 
-    The keys compare JSON types exactly, so 1, true and 1.0 never share an
-    entry; a form parse_scalar refuses is refused each time it is read.
+    An int or a string is its own key and an object form the key
+    object_form_key gives it, which refuses a form that breaks the grammar
+    with parse_scalar's message; a form of any other type is handed to
+    parse_scalar each time.  The keys compare JSON types exactly, so 1,
+    true and 1.0 never share an entry.
     """
     parsed: dict = {}
 
     def read(raw) -> Scalar:
-        key = _scalar_key(raw)
-        if key is None:
+        kind = type(raw)
+        if kind is dict:
+            key = object_form_key(raw)
+        elif kind is int or kind is str:
+            key = raw
+        else:
             return parse_scalar(raw)
         value = parsed.get(key)
         if value is None:

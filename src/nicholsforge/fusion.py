@@ -13,22 +13,19 @@ multiplicity spaces are at most one-dimensional.  Simples are indexed
 
 The pentagon and triangle come straight off the tree calculus.  The forward
 hexagon is composed in coordinates, and the backward hexagon is the forward
-one of the reverse braiding, so it needs no second form.  The pentagon,
-hexagon and full-associator routes compose scalars on basis coordinates,
-one key per basis vector of a tree's multiplicity spaces, whatever the
-multiplicities.  A route walks each start key's column through its jumps
-on its own, summing only where two paths meet, and skips the product with
-an entry that is 1, which each block's column table marks once (see
-_columns and _route).  Keys carry the instance they belong to, so one route
-composes a batch of instances: the pentagon all instances (k, l, t) of one
-outer pair (i, j), on keys prefixed by (k, l, t); the full associators all
-z and all outer indices b of one (x, y), on keys prefixed by (z, b); and
-each hexagon family all instances (i, j, k, t) of one outer index i, on keys
-prefixed by the whole instance.  Each instance's end vertex and map are
-then compared on their own, so failures stay located (see _agree).  Only
-the second duality zig-zag is still derived by hand (see docs/FORMATS.md
-for the composition tables, including the convention that reordering
-multiplicity factors uses the plain flip).
+one of the reverse braiding (FusionData.mirror), so it needs no second form.
+The pentagon and the hexagons are walked on basis coordinates, one key per
+basis vector of a tree's multiplicity spaces, whatever the multiplicities:
+one loop nest per check follows every path of each start key through the
+legs of both routes, multiplies along it, skips a factor that is ONE, and
+sums only at the end key (see _pentagon_ends and _hexagon_ends).  A check
+reads each leg from a table it fills on first use, so a leg that many
+instances share, such as alpha_{a,k,l} for every outer pair (i, j) with a
+in i (x) j, is read once per check.  Each instance is then decided on its
+own, so failures stay located (see _holds).  A full associator is one leg
+and is built directly.  Only the second duality zig-zag is still derived by
+hand (see docs/FORMATS.md for the composition tables, including the
+convention that reordering multiplicity factors uses the plain flip).
 Every verifier reports located failures instead of raising.
 """
 
@@ -37,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, inverse, rank
 from .scalars import ONE, Scalar, root_of_unity
@@ -63,7 +60,7 @@ Column = List[Tuple[tuple, Optional[Scalar]]]
 
 class FusionData:
     __slots__ = ("size", "fusion", "assoc", "braiding", "left_units", "right_units", "dual",
-                 "ev", "coev", "_rules", "assoc_columns", "braid_columns")
+                 "ev", "coev", "_rules", "assoc_columns", "braid_columns", "_mirror")
     _FIELDS = __slots__[:9]
 
     def __init__(
@@ -93,17 +90,20 @@ class FusionData:
             if n:
                 rules.setdefault((i, j), []).append((k, n))
         self._rules = {key: tuple(v) for key, v in rules.items()}
-        # assoc and braiding keys -> the block's columns, built as routes read
+        # assoc and braiding keys -> the block's columns, built as checks read
         # them; threads that race on a key store equal values
         self.assoc_columns = _ColumnTable(self._assoc_block_columns)
         self.braid_columns = _ColumnTable(self._braid_block_columns)
+        # empty until mirror() builds the mirror, then holding it
+        self._mirror: list = []
 
     def replace(self, **changes) -> "FusionData":
         """A copy with the given fields changed.  Under the same fusion rules
         it reads the columns of every assoc and braiding block it shares
         with self from self's tables, which build and keep them for self and
         for every other such copy, and shares the tables of a family it
-        does not change at all."""
+        does not change at all.  Under the same braiding too, it shares the
+        mirror with self (see mirror)."""
         fields = {name: getattr(self, name) for name in self._FIELDS}
         fields.update(changes)
         copy = FusionData(**fields)
@@ -112,7 +112,23 @@ class FusionData:
                                        copy._assoc_block_columns)
             copy.braid_columns = _kept(self.braid_columns, self.braiding, copy.braiding,
                                        copy._braid_block_columns)
+            if copy.braiding is self.braiding:
+                copy._mirror = self._mirror
         return copy
+
+    def mirror(self) -> Optional["FusionData"]:
+        """self with the reverse braiding sigma'_{j,i,k} = sigma_{i,j,k}^{-1},
+        or None when some braiding block has no inverse.  It is built on
+        first use and kept.  A copy that shares it (see replace) takes its
+        inverse blocks and their columns, with the copy's other fields."""
+        if not self._mirror:
+            self._mirror.append(_reversed(self))
+        mirror = self._mirror[0]
+        fields = {name: getattr(self, name) for name in self._FIELDS if name != "braiding"}
+        if mirror is not None and any(getattr(mirror, n) is not v for n, v in fields.items()):
+            mirror = mirror.replace(**fields)
+            self._mirror = [mirror]
+        return mirror
 
     def dim(self, i: int, j: int, k: int) -> int:
         return self.fusion.get((i, j, k), 0)
@@ -148,19 +164,32 @@ class FusionData:
         """sigma_{i,j} at k by columns, as _assoc_block_columns."""
         return _columns(self.braid_block(i, j, k), (self.dim(i, j, k),), (self.dim(j, i, k),))
 
+    def _alpha_legs(self, x: int, y: int, z: int, a: int, b: int, u: int, v: int) -> list:
+        """alpha_{x,y,z} from (a, b) at the basis vector (u, v) of
+        V[x,y -> a] (x) V[a,z -> b]: (c, p, q, entry or None) for every basis
+        vector (p, q) of V[x,c -> b] (x) V[y,z -> c], over every c in y (x) z."""
+        columns = self.assoc_columns
+        return [(c, p, q, s) for c, _ in self._rules.get((y, z), ())
+                for (p, q), s in columns[(x, y, z, a, b, c)][(u, v)]]
+
+    def _sigma_legs(self, i: int, j: int, k: int, u: int) -> list:
+        """sigma_{i,j} at k on the basis vector u of V[i,j -> k]: (p, entry or
+        None) for every basis vector p of V[j,i -> k]."""
+        return [(p, s) for (p,), s in self.braid_columns[(i, j, k)][(u,)]]
+
 
 class _ColumnTable(dict):
-    """Block keys -> the block's columns, built on the first lookup of a key."""
+    """Keys -> the value build gives them, built on the first lookup of a key."""
 
     __slots__ = ("build",)
 
-    def __init__(self, build: Callable[..., Dict[tuple, Column]]):
+    def __init__(self, build: Callable[..., object]):
         super().__init__()
         self.build = build
 
-    def __missing__(self, key: tuple) -> Dict[tuple, Column]:
-        columns = self[key] = self.build(*key)
-        return columns
+    def __missing__(self, key: tuple):
+        value = self[key] = self.build(*key)
+        return value
 
 
 def _kept(tables: _ColumnTable, blocks: dict, copied: dict, build) -> _ColumnTable:
@@ -179,6 +208,20 @@ def _kept(tables: _ColumnTable, blocks: dict, copied: dict, build) -> _ColumnTab
     return _ColumnTable(shared_or_own)
 
 
+def _reversed(F: FusionData) -> Optional[FusionData]:
+    """F with the reverse braiding, or None when some braiding block has no
+    inverse (see FusionData.mirror)."""
+    braiding = {}
+    for (i, j, k), block in F.braiding.items():
+        if block.nrows != block.ncols:
+            return None
+        try:
+            braiding[(j, i, k)] = inverse(block)
+        except ZeroDivisionError:
+            return None
+    return F.replace(braiding=braiding)
+
+
 class FusionReport(NamedTuple):
     check: str
     passed: bool
@@ -186,28 +229,24 @@ class FusionReport(NamedTuple):
     checked: int
 
 
-# -- routes on basis coordinates ----------------------------------------------
+# -- walks on basis coordinates ------------------------------------------------
 #
 # A basis key is a labeling of the internal edges of a fusion tree followed
-# by one index per leg, the multiplicity spaces along the tree, all in one
-# flat tuple, after a prefix that names the instance: the pentagon's keys
-# are (k, l, t, a, b, u, v, w), the full associators' (z, b, a, u, v), the
-# hexagons' (i, j, k, t, a, u, v).  Jumps never rewrite the prefix, so one
-# route composes many instances side by side without mixing them (_split
-# parts them).  A vertex is the sorted list of basis keys a route reaches.
-# A jump maps one key to the (key_out, value) pairs it reaches, None for a
-# zero value: it reads its block's column at the indices of the legs it
-# acts on (assoc_columns, braid_columns), rewrites those indices and keeps
-# the others.  _route composes the jumps into maps {(key_out, key_in):
-# Scalar} with no zeros.  Zero values are kept as keys, so a vertex lists
-# every basis key of every reachable labeling; a labeling with a
-# zero-dimensional leg has no keys, so no jump tests admissibility.  For
-# associative, symmetric fusion rules that is every admissible labeling of
-# its tree, so two routes between the same trees end on equal vertices.
-# When every multiplicity is 1, each index is 0 and a map holds one scalar
-# per pair of labelings.
-
-Jump = Callable[[tuple], Iterable[Tuple[tuple, Optional[Scalar]]]]
+# by one index per leg, the multiplicity spaces along the tree: the
+# pentagon's start keys are (a, b, u, v, w), the hexagons' (a, u, v).  A
+# route is a sequence of legs, each a block acting on some legs of a key: it
+# reads the block's column at those legs' indices (_alpha_legs,
+# _sigma_legs), rewrites them and keeps the others.  A check walks every
+# path of each start key through both routes, multiplying along it with
+# _times, except by a factor that is ONE, and sums the paths that meet at
+# an end key with _plus.  A start key's end column maps each end key it
+# reaches to its entry, None for a zero.  Zero entries are followed for
+# their keys, so a column lists every basis key of every reachable
+# labeling; a labeling with a zero-dimensional leg has no keys, so no leg
+# tests admissibility.  For associative, symmetric fusion rules that is
+# every admissible labeling of the end tree, so two routes between the
+# same trees reach the same keys.  When every multiplicity is 1, each index
+# is 0 and a column holds one entry per labeling.
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +258,8 @@ def _indices(dims: tuple) -> tuple:
 def _columns(block: Matrix, dims_in: tuple, dims_out: tuple) -> Dict[tuple, Column]:
     """The block's columns keyed by input leg indices, each listing every
     tuple of output leg indices (first leg slowest) with its entry.  An
-    entry equal to 1 is stored as the object ONE, which is how _route tells
-    it apart without testing it again."""
+    entry equal to 1 is stored as the object ONE, which is how the walks
+    tell it apart without testing it again."""
     get = block.entries.get
     outs = _indices(dims_out)
     columns = {}
@@ -233,124 +272,58 @@ def _columns(block: Matrix, dims_in: tuple, dims_out: tuple) -> Dict[tuple, Colu
     return columns
 
 
-def _route(keys: Iterable[tuple], *jumps: Jump):
-    """Apply the jumps in order; return the end vertex and the composite map.
-
-    Each start key's column, a sparse vector of (key, value or None) pairs,
-    is carried through the jumps on its own.  None marks a key reached with
-    a zero value: it is part of the vertex, and its jumps are followed for
-    their keys only.  A factor that is ONE (see _columns) is not multiplied,
-    and values are summed only where two paths meet, in a step that reaches
-    more than one key.
-    """
-    end = set()
-    total = {}
-    for key_in in keys:
-        column = [(key_in, ONE)]
-        for jump in jumps:
-            step = []
-            for key, v in column:
-                for key_out, s in jump(key):
-                    step.append((key_out, None if s is None or v is None else
-                                 v if s is ONE else s if v is ONE else s * v))
-            column = _merged(step) if len(step) > 1 else step
-        for key_out, v in column:
-            end.add(key_out)
-            if v is not None:
-                total[(key_out, key_in)] = v
-    return sorted(end), total
+def _times(x: Optional[Scalar], y: Optional[Scalar]) -> Optional[Scalar]:
+    """Two entries along a path multiplied, None for zero.  The walks skip
+    a factor that is ONE before they call it."""
+    return None if x is None or y is None else x * y
 
 
-def _merged(step: list) -> list:
-    """A column step with the values of equal keys summed, a zero sum None."""
-    merged: dict = {}
-    for key_out, v in step:
-        if key_out not in merged:
-            merged[key_out] = v
-        elif v is not None:
-            cur = merged[key_out]
-            if cur is not None:
-                v = cur + v
-            merged[key_out] = v if v else None
-    return list(merged.items())
+def _plus(x: Optional[Scalar], y: Optional[Scalar]) -> Optional[Scalar]:
+    """Two paths' entries at one end key summed, None for zero."""
+    if x is None or y is None:
+        return y if x is None else x
+    total = x + y
+    return total if total else None
 
 
-def _split(keys: List[tuple], total: dict, n: int) -> dict:
-    """A batched route's end vertex and map by instance, the first n entries
-    of each key: prefix -> (its end keys, its map)."""
-    out: dict = {}
-    for key in keys:
-        out.setdefault(key[:n], ([], {}))[0].append(key)
-    for pair, v in total.items():
-        out[pair[0][:n]][1][pair] = v
-    return out
-
-
-def _agree(start: List[tuple], route1: Sequence[Jump], route2: Sequence[Jump],
-           instances: List[tuple]) -> List[bool]:
-    """Whether two batched routes from start agree at each instance, a key
-    prefix.  Both run once over all the instances.  Routes that agree agree
-    at every instance; routes that differ are split by instance, whose end
-    vertex and map are then compared on their own."""
-    ends1, ends2 = _route(start, *route1), _route(start, *route2)
-    if ends1 == ends2:
-        return [True] * len(instances)
-    n = len(instances[0])
-    ends1, ends2 = _split(*ends1, n), _split(*ends2, n)
-    return [ends1.get(instance) == ends2.get(instance) for instance in instances]
+def _holds(ends: list) -> bool:
+    """Whether the two routes of one instance agree, given each start key's
+    pair of end columns.  They do when every pair is equal.  Otherwise they
+    do when both reach the same end keys from the instance's start keys,
+    and each start key's nonzero entries are equal on both: the end vertex
+    and the map of each route, compared as a whole."""
+    for one, two in ends:
+        if one != two:
+            break
+    else:
+        return True
+    reached = [set(), set()]
+    for pair in ends:
+        for keys, column in zip(reached, pair):
+            keys.update(column)
+    return reached[0] == reached[1] and all(
+        {key: v for key, v in one.items() if v is not None}
+        == {key: v for key, v in two.items() if v is not None} for one, two in ends)
 
 
 def _matrix(total: dict, rows: List[tuple], cols: List[tuple]) -> Matrix:
-    """A route's map laid out over the given basis keys."""
+    """A map {(key_out, key_in): Scalar} laid out over the given basis keys."""
     row = {key: r for r, key in enumerate(rows)}
     col = {key: c for c, key in enumerate(cols)}
     entries = {(row[key_out], col[key_in]): v for (key_out, key_in), v in total.items()}
     return Matrix._nonzero(len(rows), len(cols), entries)
 
 
-def _associator_route(F: FusionData, x: int, y: int, zs: Iterable[int],
-                      outer: Iterable[int]):
-    """The keys and the jump of alpha_{x,y,z} at each z in zs and each
-    outer index b in outer, on the keys (z, b, a, u, v): (z, b) -> (the
-    keys (z, b, a, u, v) of the sum over a, the keys (z, b, c, p, q) of the
-    sum over c) for each (z, b) whose spaces have keys, ascending, and the
-    jump between them."""
-    outer = set(outer)
-    spaces: dict = {}
-    for z in zs:
-        for a, n in F.fuse(x, y):
-            for b, m in F.fuse(a, z):
-                if b in outer:
-                    spaces.setdefault((z, b), ([], []))[0].extend(
-                        (z, b, a, u, v) for u, v in _indices((n, m)))
-        for c, n in F.fuse(y, z):
-            for b, m in F.fuse(x, c):
-                if b in outer:
-                    spaces.setdefault((z, b), ([], []))[1].extend(
-                        (z, b, c, p, q) for p, q in _indices((m, n)))
-
-    rules, assoc = F._rules, F.assoc_columns
-
-    def alpha(key):
-        z, b, a, u, v = key
-        for c, _ in rules.get((y, z), ()):
-            for (p, q), s in assoc[(x, y, z, a, b, c)][(u, v)]:
-                yield (z, b, c, p, q), s
-
-    return dict(sorted(spaces.items())), alpha
-
-
-def _full_associators(F: FusionData, x: int, y: int, zs: Iterable[int],
-                      outer: Iterable[int]) -> dict:
-    """The whole associator alpha_{x,y,z} at each z in zs and each outer
-    index b in outer whose spaces have keys, composed as one route: (z, b)
-    -> (its map, from the keys of the sum over a to those of the sum over c;
-    those two key lists), as _associator_route lists them."""
-    spaces, alpha = _associator_route(F, x, y, zs, outer)
-    start = [key for src, _ in spaces.values() for key in src]
-    ends = _split(*_route(start, alpha), 2)
-    return {zb: (ends[zb][1] if zb in ends else {}, src, tgt)
-            for zb, (src, tgt) in spaces.items()}
+def _full_associator(F: FusionData, x: int, y: int, z: int, b: int):
+    """The whole associator alpha_{x,y,z} at the outer index b: its nonzero
+    entries {(key_out, key_in): Scalar} from the keys (a, u, v) of the sum
+    over a to the keys (c, p, q) of the sum over c, and those two key
+    lists, ascending."""
+    src = [(a, u, v) for a, n in F.fuse(x, y) for u, v in _indices((n, F.dim(a, z, b)))]
+    tgt = [(c, p, q) for c, n in F.fuse(y, z) for p, q in _indices((F.dim(x, c, b), n))]
+    entries = {((c, p, q), (a, u, v)): s for a, u, v in src
+               for c, p, q, s in F._alpha_legs(x, y, z, a, b, u, v) if s is not None}
+    return entries, src, tgt
 
 
 # -- well-formedness -----------------------------------------------------------
@@ -428,82 +401,71 @@ def well_formed(F: FusionData) -> FusionReport:
         cols = F.dim(i, j, a) * F.dim(a, k, b)
         if block.shape != (rows, cols):
             failures.append(("assoc-shape",) + key)
-    for i, j in product(range(s), repeat=2):
+    for i, j, k in product(range(s), repeat=3):
         # a full associator between spaces with no keys is invertible
-        checked += s * s
-        for (k, b), (full, src, tgt) in _full_associators(F, i, j, range(s), range(s)).items():
-            if not _invertible(full, tgt, src):
-                failures.append(("assoc-not-invertible", i, j, k, b))
+        checked += s
+        outer = {b for a, _ in F.fuse(i, j) for b, _ in F.fuse(a, k)}
+        outer |= {b for c, _ in F.fuse(j, k) for b, _ in F.fuse(i, c)}
+        for b in sorted(outer):
+            if 0 <= b < s:
+                full, src, tgt = _full_associator(F, i, j, k, b)
+                if not _invertible(full, tgt, src):
+                    failures.append(("assoc-not-invertible", i, j, k, b))
     return FusionReport("well-formed", not failures, tuple(failures[:32]), checked)
 
 
 # -- the pentagon --------------------------------------------------------------
 
 
-def _pentagon_routes(F: FusionData, i: int, j: int):
-    """The start vertex and the jumps of both routes of every pentagon
-    instance (k, l, t) of the outer pair (i, j).  Keys are (k, l, t, a, b,
-    u, v, w): the instance, then the labeling and leg indices; the jumps
-    keep the instance, so a route composes each one on its own."""
-    fuse_ij = F.fuse(i, j)
-    start = [
-        (k, l, t, a, b, u, v, w)
-        for k in range(F.size)
-        for a, n_a in fuse_ij
-        for b, n_b in F.fuse(a, k)
-        for l in range(F.size)
-        for t, n_t in F.fuse(b, l)
-        for u, v, w in _indices((n_a, n_b, n_t))
-    ]
+def _pentagon_ends(alpha: _ColumnTable, i: int, j: int, k: int, l: int, t: int,
+                   starts: List[tuple]) -> list:
+    """Each start key's pair of end columns on the two routes of the
+    pentagon (i, j, k, l, t), from its start keys (a, b, u, v, w), given as
+    (a, b, the leg indices (u, v, w)); alpha is the check's table of
+    FusionData._alpha_legs.
 
-    rules, assoc = F._rules, F.assoc_columns
-
-    # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
-    def alpha_ijk(key):
-        k, l, t, a, b, u, v, w = key
-        for c, _ in rules.get((j, k), ()):
-            for (p, q), s in assoc[(i, j, k, a, b, c)][(u, v)]:
-                yield (k, l, t, c, b, p, q, w), s
-
-    def alpha_icl(key):
-        k, l, t, c, b, u, v, w = key
-        for f, _ in rules.get((c, l), ()):
-            for (p, q), s in assoc[(i, c, l, b, t, f)][(u, w)]:
-                yield (k, l, t, c, f, p, v, q), s
-
-    def alpha_jkl(key):
-        k, l, t, c, f, u, v, w = key
-        for g, _ in rules.get((k, l), ()):
-            for (p, q), s in assoc[(j, k, l, c, f, g)][(v, w)]:
-                yield (k, l, t, f, g, u, p, q), s
-
-    # route 2: alpha on legs (2,3), then alpha on legs (1,2)
-    def alpha_akl(key):
-        k, l, t, a, b, u, v, w = key
-        for d, _ in rules.get((k, l), ()):
-            for (p, q), s in assoc[(a, k, l, b, t, d)][(v, w)]:
-                yield (k, l, t, a, d, u, p, q), s
-
-    def alpha_ijd(key):
-        k, l, t, a, d, u, v, w = key
-        for f, _ in rules.get((j, d), ()):
-            for (p, q), s in assoc[(i, j, d, a, t, f)][(u, v)]:
-                yield (k, l, t, f, d, p, q, w), s
-
-    return start, (alpha_ijk, alpha_icl, alpha_jkl), (alpha_akl, alpha_ijd)
+    Route 1 applies alpha_{i,j,k} on legs (1, 2), alpha_{i,c,l} on legs
+    (1, 3) and alpha_{j,k,l} on legs (2, 3); route 2 applies alpha_{a,k,l}
+    on legs (2, 3) and alpha_{i,j,d} on legs (1, 2).  Both end on the keys
+    (f, g, p, q, r) of V[i,f -> t] (x) V[j,g -> f] (x) V[k,l -> g].
+    """
+    ends = []
+    for a, b, indices in starts:
+        for u, v, w in indices:
+            one: dict = {}
+            for c, p, q, x in alpha[i, j, k, a, b, u, v]:
+                for f, p1, w1, y in alpha[i, c, l, b, t, p, w]:
+                    xy = y if x is ONE else x if y is ONE else _times(x, y)
+                    for g, q1, w2, z in alpha[j, k, l, c, f, q, w1]:
+                        key = (f, g, p1, q1, w2)
+                        value = z if xy is ONE else xy if z is ONE else _times(xy, z)
+                        one[key] = _plus(one[key], value) if key in one else value
+            two: dict = {}
+            for d, v1, w1, x in alpha[a, k, l, b, t, v, w]:
+                for f, u1, v2, y in alpha[i, j, d, a, t, u, v1]:
+                    key = (f, d, u1, v2, w1)
+                    value = y if x is ONE else x if y is ONE else _times(x, y)
+                    two[key] = _plus(two[key], value) if key in two else value
+            ends.append((one, two))
+    return ends
 
 
 def verify_pentagon(F: FusionData, stop_early: bool = False) -> FusionReport:
     """Both re-association routes around the pentagon agree, instance by
-    instance (i, j, k, l, t), composed one outer pair (i, j) at a time."""
+    instance (i, j, k, l, t), each start key walked on its own."""
+    alpha, rules = _ColumnTable(F._alpha_legs), F._rules
     failures = []
     checked = 0
-    for i, j in product(range(F.size), repeat=2):
-        start, route1, route2 = _pentagon_routes(F, i, j)
-        instances = sorted({key[:3] for key in start})
-        for (k, l, t), holds in zip(instances, _agree(start, route1, route2, instances)):
+    for i, j, k in product(range(F.size), repeat=3):
+        starts: dict = {}
+        for a, n_a in rules.get((i, j), ()):
+            for b, n_b in rules.get((a, k), ()):
+                for l in range(F.size):
+                    for t, n_t in rules.get((b, l), ()):
+                        starts.setdefault((l, t), []).append((a, b, _indices((n_a, n_b, n_t))))
+        for l, t in sorted(starts):
             checked += 1
-            if not holds:
+            if not _holds(_pentagon_ends(alpha, i, j, k, l, t, starts[l, t])):
                 failures.append((i, j, k, l, t))
                 if stop_early:
                     return FusionReport("pentagon", False, tuple(failures), checked)
@@ -562,14 +524,14 @@ def _zigzag_two(F: FusionData, i: int) -> Optional[tuple]:
     ib = F.dual[i]
     # start: r_ib (x) coev_i in V[ib,0 -> ib] (x) V[i,ib -> 0]
     start = Matrix(1, 1, {(0, 0): F.right_units[ib]}).kron(F.coev[i])
-    full, src, tgt = _full_associators(F, ib, i, (ib,), (ib,)).get((ib, ib), ({}, [], []))
+    full, src, tgt = _full_associator(F, ib, i, ib, ib)
     try:
         inv = inverse(_matrix(full, tgt, src))
     except ZeroDivisionError:
         return ("zigzag-2-associator", i)
-    # both spaces have a unit leg: their keys (ib, ib, 0, 0, q) and
-    # (ib, ib, 0, u, 0) follow one another from (ib, ib, 0, 0, 0)
-    first = (ib, ib, 0, 0, 0)
+    # both spaces have a unit leg: their keys (0, 0, q) and (0, u, 0) follow
+    # one another from (0, 0, 0)
+    first = (0, 0, 0)
     if first not in tgt or first not in src:
         return ("zigzag-2-space", i)
     vec = Matrix(
@@ -602,80 +564,42 @@ def verify_duality(F: FusionData, stop_early: bool = False) -> FusionReport:
 
 
 # -- hexagons ------------------------------------------------------------------
-#
-# Both hexagons act on vertices keyed (i, j, k, t, a, u, v): the instance,
-# then a labeling with two legs.  The jumps read the instance from the key
-# and keep it, so one route composes any batch of instances side by side;
-# verify_braiding batches all instances (i, j, k, t) of one outer index i.
 
 
-def _hexagon_start(F: FusionData, i: int, j: int, k: int, t: int) -> List[tuple]:
-    """The start keys of the forward hexagon at (i, j, k, t)."""
-    return [(i, j, k, t, a, u, v)
-            for a, n in F.fuse(i, j) for u, v in _indices((n, F.dim(a, k, t)))]
+def _hexagon_ends(F: FusionData, alpha: _ColumnTable, sigma: _ColumnTable,
+                  i: int, j: int, k: int, t: int) -> list:
+    """Each start key's pair of end columns on the two sides of the forward
+    hexagon (i, j, k, t), from its start keys (a, u, v) of
+    V[i,j -> a] (x) V[a,k -> t]; alpha and sigma are the check's tables of
+    FusionData._alpha_legs and _sigma_legs, the latter of the braiding the
+    hexagon is checked for.
 
-
-def _hexagon_jumps(F: FusionData):
-    """The jumps of both sides of the forward hexagon, for every instance."""
-    rules, assoc, braid = F._rules, F.assoc_columns, F.braid_columns
-
-    def sigma_ij(key):  # sigma_{i,j} (x) 1
-        i, j, k, t, a, u, v = key
-        for (p,), s in braid[(i, j, a)][(u,)]:
-            yield (i, j, k, t, a, p, v), s
-
-    def alpha_jik(key):
-        i, j, k, t, a, u, v = key
-        for c, _ in rules.get((i, k), ()):
-            for (p, q), s in assoc[(j, i, k, a, t, c)][(u, v)]:
-                yield (i, j, k, t, c, p, q), s
-
-    def sigma_ik(key):  # 1 (x) sigma_{i,k}
-        i, j, k, t, c, u, v = key
-        for (q,), s in braid[(i, k, c)][(v,)]:
-            yield (i, j, k, t, c, u, q), s
-
-    def alpha_ijk(key):
-        i, j, k, t, a, u, v = key
-        for c, _ in rules.get((j, k), ()):
-            for (p, q), s in assoc[(i, j, k, a, t, c)][(u, v)]:
-                yield (i, j, k, t, c, p, q), s
-
-    def flip_sigma_ic(key):  # flip . (sigma_{i,c} (x) 1)
-        i, j, k, t, c, u, v = key
-        for (p,), s in braid[(i, c, t)][(u,)]:
-            yield (i, j, k, t, c, v, p), s
-
-    def alpha_jki(key):
-        i, j, k, t, c, u, v = key
-        for d, _ in rules.get((k, i), ()):
-            for (p, q), s in assoc[(j, k, i, c, t, d)][(u, v)]:
-                yield (i, j, k, t, d, p, q), s
-
-    return (sigma_ij, alpha_jik, sigma_ik), (alpha_ijk, flip_sigma_ic, alpha_jki)
-
-
-def _hexagon_verdicts(F: Optional[FusionData], instances: List[tuple]) -> List[bool]:
-    """Whether the forward hexagon holds at each instance (i, j, k, t), both
-    sides composed once over all of them; without data every instance fails."""
-    if F is None:
-        return [False] * len(instances)
-    start = [key for instance in instances for key in _hexagon_start(F, *instance)]
-    return _agree(start, *_hexagon_jumps(F), instances)
-
-
-def _reversed(F: FusionData) -> Optional[FusionData]:
-    """F with the reverse braiding sigma'_{j,i} = sigma_{i,j}^{-1}, or None
-    when some braiding block has no inverse."""
-    braiding = {}
-    for (i, j, k), block in F.braiding.items():
-        if block.nrows != block.ncols:
-            return None
-        try:
-            braiding[(j, i, k)] = inverse(block)
-        except ZeroDivisionError:
-            return None
-    return F.replace(braiding=braiding)
+    The left side applies sigma_{i,j} (x) 1, alpha_{j,i,k} and
+    1 (x) sigma_{i,k}; the right side applies alpha_{i,j,k},
+    flip . (sigma_{i,c} (x) 1) and alpha_{j,k,i}.  Both end on the keys
+    (c, p, q) of V[j,c -> t] (x) V[k,i -> c].
+    """
+    ends = []
+    for a, n in F.fuse(i, j):
+        for u, v in _indices((n, F.dim(a, k, t))):
+            left: dict = {}
+            for u1, x in sigma[i, j, a, u]:
+                for c, p, q, y in alpha[j, i, k, a, t, u1, v]:
+                    xy = y if x is ONE else x if y is ONE else _times(x, y)
+                    for q1, z in sigma[i, k, c, q]:
+                        key = (c, p, q1)
+                        value = z if xy is ONE else xy if z is ONE else _times(xy, z)
+                        left[key] = _plus(left[key], value) if key in left else value
+            right: dict = {}
+            for c, p, q, x in alpha[i, j, k, a, t, u, v]:
+                for p1, y in sigma[i, c, t, p]:
+                    xy = y if x is ONE else x if y is ONE else _times(x, y)
+                    for d, q1, r, z in alpha[j, k, i, c, t, q, p1]:
+                        key = (d, q1, r)
+                        value = z if xy is ONE else xy if z is ONE else _times(xy, z)
+                        right[key] = _plus(right[key], value) if key in right else value
+            ends.append((left, right))
+    return ends
 
 
 def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:
@@ -683,29 +607,25 @@ def verify_braiding(F: FusionData, stop_early: bool = False) -> FusionReport:
 
     The backward hexagon at (i, j, k) is the forward hexagon of the reverse
     braiding at (k, i, j) with both sides inverted, so that is what is
-    checked.  Without a reverse braiding every backward instance fails.
-    Each outer index i composes its forward and its backward instances in
-    one batch each.  No route raises, so a batch needs no fallback: every
-    key a jump looks up in a column table is built over the same fusion
-    dims as the space the key lives in, and no route divides.
+    checked, on F.mirror().  Without a reverse braiding every backward
+    instance fails.  No walk raises: every column a leg reads is built over
+    the same fusion dims as the space its key lives in, and no walk divides.
     """
-    mirror = _reversed(F)
+    mirror = F.mirror()
+    alpha = _ColumnTable(F._alpha_legs)
+    sigma = _ColumnTable(F._sigma_legs)
+    reverse = None if mirror is None else _ColumnTable(mirror._sigma_legs)
     failures = []
     checked = 0
-    for i in range(F.size):
-        instances = []
-        for j, k in product(range(F.size), repeat=2):
-            targets = {t for a, _ in F.fuse(i, j) for t, _ in F.fuse(a, k)}
-            targets |= {t for a, _ in F.fuse(j, k) for t, _ in F.fuse(i, a)}
-            instances += [(i, j, k, t) for t in sorted(targets)]
-        forward = _hexagon_verdicts(F, instances)
-        backward = _hexagon_verdicts(mirror, [(k, i, j, t) for i, j, k, t in instances])
-        for instance, forward_holds, backward_holds in zip(instances, forward, backward):
+    for i, j, k in product(range(F.size), repeat=3):
+        targets = {t for a, _ in F.fuse(i, j) for t, _ in F.fuse(a, k)}
+        targets |= {t for a, _ in F.fuse(j, k) for t, _ in F.fuse(i, a)}
+        for t in sorted(targets):
             checked += 2
-            if not forward_holds:
-                failures.append(("hexagon-forward",) + instance)
-            if not backward_holds:
-                failures.append(("hexagon-backward",) + instance)
+            if not _holds(_hexagon_ends(F, alpha, sigma, i, j, k, t)):
+                failures.append(("hexagon-forward", i, j, k, t))
+            if reverse is None or not _holds(_hexagon_ends(F, alpha, reverse, k, i, j, t)):
+                failures.append(("hexagon-backward", i, j, k, t))
             if failures and stop_early:
                 return FusionReport("braiding", False, tuple(failures), checked)
     return FusionReport("braiding", not failures, tuple(failures[:32]), checked)

@@ -42,6 +42,7 @@ __all__ = [
     "from_rational",
     "cyclotomic_polynomial",
     "parse_scalar",
+    "object_form_key",
     "parse_int",
     "scalar_to_json",
     "ZERO",
@@ -402,15 +403,8 @@ def parse_scalar(obj) -> Scalar:
     if isinstance(obj, Scalar):
         return obj
     if isinstance(obj, dict):
-        conductor, coeffs = obj.get("conductor"), obj.get("coeffs")
-        if type(coeffs) is not list:
-            raise ValueError(f"cannot parse scalar from {obj!r}: coeffs must be a list")
-        if any(isinstance(v, bool) for v in (conductor, *coeffs)):
-            raise ValueError(f"cannot parse scalar from {obj!r}: booleans are not numbers")
-        if any(type(c) is not int and type(c) is not str for c in coeffs):
-            raise ValueError(f"cannot parse scalar from {obj!r}: "
-                             "each coefficient is an integer or a \"p/q\" string")
-        return make_scalar(parse_int(conductor, "a scalar's conductor"), coeffs)
+        conductor, *coeffs = object_form_key(obj)
+        return make_scalar(conductor, coeffs)
     if isinstance(obj, int) and not isinstance(obj, bool):
         return from_rational(obj)
     if isinstance(obj, str):
@@ -422,6 +416,26 @@ def parse_scalar(obj) -> Scalar:
             return -value if sign == "-" else value
         return from_rational(text)
     raise ValueError(f"cannot parse scalar from {obj!r}")
+
+
+def object_form_key(obj: dict) -> tuple:
+    """A scalar's JSON object form checked against its grammar: an integer
+    conductor and a list of coefficients, each an integer or a "p/q"
+    string, and no booleans.  Returns (conductor, *coeffs), which tells the
+    form apart from every form of other JSON types, or raises ValueError
+    naming what breaks the grammar."""
+    conductor, coeffs = obj.get("conductor"), obj.get("coeffs")
+    if (type(conductor) is int and type(coeffs) is list
+            and all(type(c) is int or type(c) is str for c in coeffs)):
+        return (conductor, *coeffs)
+    if type(coeffs) is not list:
+        raise ValueError(f"cannot parse scalar from {obj!r}: coeffs must be a list")
+    if any(isinstance(v, bool) for v in (conductor, *coeffs)):
+        raise ValueError(f"cannot parse scalar from {obj!r}: booleans are not numbers")
+    if any(type(c) is not int and type(c) is not str for c in coeffs):
+        raise ValueError(f"cannot parse scalar from {obj!r}: "
+                         "each coefficient is an integer or a \"p/q\" string")
+    return (parse_int(conductor, "a scalar's conductor"), *coeffs)
 
 
 def parse_int(obj, what: str) -> int:

@@ -8,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "benchmarks" / "kernel_bench.py"
+FUSION_BENCH = ROOT / "benchmarks" / "fusion_bench.py"
 LAYERS = ROOT / "perfbench" / "layers.py"
 
 
@@ -24,6 +25,16 @@ def test_kernel_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert "matrix 4 x 6" in out
     assert "rref" in out and "mul x4000" in out
+
+
+def test_fusion_bench_smoke(capsys):
+    module = _load("fusion_bench", FUSION_BENCH)
+    assert module.main(["--quick", "--repeat", "1", "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ms per stage: median of 1 rounds, fastest of 1 passes each"
+    assert lines[1].split() == ["center", "load", "well_formed", "verify_pentagon",
+                                "verify_units", "verify_duality", "verify_braiding"]
+    assert [line.split()[0] for line in lines[2:]] == ["z2", "z3"]
 
 
 def _perfbench_targets():

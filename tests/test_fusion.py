@@ -1,19 +1,19 @@
 """Fusion data verification and pointed Drinfeld-center examples."""
 
 from itertools import product
+from math import prod
 
 import pytest
 
 from nicholsforge.braided import YDDatum, yd_to_braiding
 from nicholsforge.fusion import (
     FusionData,
-    _associator_route,
-    _hexagon_jumps,
-    _hexagon_start,
-    _matrix,
-    _pentagon_routes,
-    _reversed,
-    _route,
+    FusionReport,
+    _ColumnTable,
+    _full_associator,
+    _hexagon_ends,
+    _holds,
+    _pentagon_ends,
     pointed_center_data,
     verify_all,
     verify_braiding,
@@ -25,19 +25,24 @@ from nicholsforge.fusion import (
 from nicholsforge.linalg import Matrix
 from nicholsforge.scalars import ONE, from_rational, root_of_unity
 from tests_support import (
+    _alpha_column,
     _assoc_full,
     _offsets,
     deleted,
-    flip_reference,
     fusion_entry_sites,
     fusion_mutation_detected,
-    hexagon_alone,
     hexagon_backward_reference,
     hexagon_forward_reference,
+    hexagon_forward_reference_routes,
+    hexagon_jumps,
+    hexagon_start,
     line_braiding,
     mutate_fusion,
-    pair02_reference,
+    pentagon_jumps,
     pentagon_reference,
+    pentagon_reference_routes,
+    pentagon_start,
+    reversed_braiding,
     route_reference,
     verify_braiding_reference,
 )
@@ -230,9 +235,11 @@ def test_fibonacci_single_site_mutants_are_caught():
 
 
 def gauged(F):
-    """F after rescaling each multiplicity space V[i,j -> k] by 2 + i + 3j.
+    """F after dividing the basis vector of each multiplicity space
+    V[i,j -> k] by f(i, j) = 2 + i + 3j: every block, unit coordinate, ev
+    and coev in the new bases.
 
-    The hexagons hold in every gauge, but here the braiding scalars are no
+    Every check holds in every gauge, but here the braiding scalars are no
     longer their own inverses and the associators are not all 1.
     """
     def f(i, j):
@@ -246,9 +253,11 @@ def gauged(F):
         (i, j, k): block.scale(f(j, i) * f(i, j).inverse())
         for (i, j, k), block in F.braiding.items()
     }
-    return FusionData(
-        F.size, F.fusion, assoc, braiding, F.left_units, F.right_units, F.dual, F.ev, F.coev
-    )
+    left = {i: v * f(0, i) for i, v in F.left_units.items()}
+    right = {i: v * f(i, 0) for i, v in F.right_units.items()}
+    ev = {i: block.scale(f(F.dual[i], i).inverse()) for i, block in F.ev.items()}
+    coev = {i: block.scale(f(i, F.dual[i])) for i, block in F.coev.items()}
+    return FusionData(F.size, F.fusion, assoc, braiding, left, right, F.dual, ev, coev)
 
 
 @pytest.mark.parametrize("name", ["z2-center", "z2-center-gauged", "fibonacci-", "fibonacci+"])
@@ -371,74 +380,57 @@ def test_misshapen_associator_block_is_located_not_raised():
     assert report.failures == (("assoc-shape",) + key,)
 
 
-def _by_labeling(keys, n):
-    """Basis keys grouped by their labeling, the first n entries, with leg dims."""
-    groups = {}
-    for key in keys:
-        groups.setdefault(key[:n], []).append(key)
-    return {label: (ks, tuple(max(key[p] for key in ks) + 1 for p in range(n, len(ks[0]))))
-            for label, ks in groups.items()}
 
 
-def _jump_blocks_match(start, prefix, n, jumps, references):
-    """Each jump's map from one labeling to another, laid out over their
-    basis keys, against its reference form; returns the blocks compared.
-    Keys start with an instance prefix of that many entries, which the
-    references do not see."""
-    keys, compared = start, []
-    n += prefix
-    for jump, reference in zip(jumps, references):
-        for label_in, (cols, dims_in) in _by_labeling(keys, n).items():
-            out, total = _route(cols, jump)
-            for label_out, (rows, dims_out) in _by_labeling(out, n).items():
-                part = {pair: v for pair, v in total.items() if pair[0][:n] == label_out}
-                expected = reference(label_in[prefix:], label_out[prefix:], dims_in, dims_out)
-                assert _matrix(part, rows, cols) == expected, (jump, label_in, label_out)
-                compared.append((dims_in, dims_out))
-        keys = _route(keys, jump)[0]
-    return compared
+# -- the walk, instance by instance ---------------------------------------------
 
 
 def _pentagon_alone(F, i, j, k, l, t):
-    """The start keys and both routes of the one pentagon instance
-    (i, j, k, l, t): the batch of the pair (i, j) cut to its keys prefixed
-    by (k, l, t)."""
-    start, route1, route2 = _pentagon_routes(F, i, j)
-    return [key for key in start if key[:3] == (k, l, t)], route1, route2
+    """The start keys of the one pentagon instance (i, j, k, l, t) and each
+    one's pair of end columns, walked for this instance alone."""
+    start = pentagon_start(F, i, j, k, l, t)
+    groups = [(a, b, [(u, v, w)]) for a, b, u, v, w in start]
+    return start, _pentagon_ends(_ColumnTable(F._alpha_legs), i, j, k, l, t, groups)
 
 
-def test_jumps_match_the_kronecker_forms():
-    # a jump acts on some legs of a basis key by rewriting their indices; the
-    # references build the same maps from identity Kronecker products,
-    # pair02_reference and flip_reference, on the data with 2-dimensional legs
-    F = multiplicity_two_data()
-    one = Matrix.identity
-    i = j = k = l = t = 1
-    start, route1, route2 = _pentagon_alone(F, i, j, k, l, t)
-    compared = _jump_blocks_match(start, 3, 2, route1, [
-        lambda a_b, c_b, dims, _: F.assoc_block(i, j, k, *a_b, c_b[0]).kron(one(dims[2])),
-        lambda c_b, c_f, dims, out: pair02_reference(
-            F.assoc_block(i, c_b[0], l, c_b[1], t, c_f[1]), dims, out),
-        lambda c_f, f_g, dims, _: one(dims[0]).kron(F.assoc_block(j, k, l, *c_f, f_g[1])),
-    ])
-    compared += _jump_blocks_match(start, 3, 2, route2, [
-        lambda a_b, a_d, dims, _: one(dims[0]).kron(F.assoc_block(a_b[0], k, l, a_b[1], t, a_d[1])),
-        lambda a_d, f_d, dims, _: F.assoc_block(i, j, a_d[1], a_d[0], t, f_d[0]).kron(one(dims[2])),
-    ])
-    start, (left, right) = _hexagon_start(F, i, j, k, t), _hexagon_jumps(F)
-    compared += _jump_blocks_match(start, 4, 1, left, [
-        lambda a, _, dims, __: F.braid_block(i, j, *a).kron(one(dims[1])),
-        lambda a, c, _, __: F.assoc_block(j, i, k, *a, t, *c),
-        lambda c, _, dims, __: one(dims[0]).kron(F.braid_block(i, k, *c)),
-    ])
-    compared += _jump_blocks_match(start, 4, 1, right, [
-        lambda a, c, _, __: F.assoc_block(i, j, k, *a, t, *c),
-        lambda c, _, dims, out: flip_reference(out[1], dims[1])
-        @ F.braid_block(i, *c, t).kron(one(dims[1])),
-        lambda c, d, _, __: F.assoc_block(j, k, i, *c, t, *d),
-    ])
-    assert len(compared) == 43
-    assert ((2, 2, 2), (2, 2, 2)) in compared and ((1, 1, 2), (2, 1, 1)) in compared
+def _hexagon_alone(F, i, j, k, t):
+    """The start keys of the forward hexagon (i, j, k, t) and each one's
+    pair of end columns, walked for this instance alone."""
+    alpha, sigma = _ColumnTable(F._alpha_legs), _ColumnTable(F._sigma_legs)
+    return hexagon_start(F, i, j, k, t), _hexagon_ends(F, alpha, sigma, i, j, k, t)
+
+
+def _walked(start, ends, side):
+    """One route of a walk as route_reference gives it: the sorted end keys
+    reached from start, and the map {(key_out, key_in): value} without zeros."""
+    reached, total = set(), {}
+    for key_in, pair in zip(start, ends):
+        for key_out, v in pair[side].items():
+            reached.add(key_out)
+            if v is not None:
+                total[(key_out, key_in)] = v
+    return sorted(reached), total
+
+
+def _laid_out(start, ends, side, comps_in, comps_out, n):
+    """One route of a walk over the components of a matrix reference: the
+    sorted end keys reached, and the map as a matrix.  A key is n labels,
+    then one index per leg, first leg slowest."""
+    def position(comps):
+        offsets, dims = _offsets(comps), dict(comps)
+
+        def at(key):
+            flat = 0
+            for index, d in zip(key[n:], dims[key[:n]]):
+                flat = flat * d + index
+            return offsets[key[:n]] + flat
+        return at
+
+    reached, total = _walked(start, ends, side)
+    row, col = position(comps_out), position(comps_in)
+    size = (sum(prod(dims) for _, dims in comps_out), sum(prod(dims) for _, dims in comps_in))
+    return reached, Matrix(*size, {(row(key_out), col(key_in)): v
+                                   for (key_out, key_in), v in total.items()})
 
 
 def _instances(F):
@@ -455,19 +447,50 @@ def _instances(F):
     return out
 
 
+def test_jumps_match_the_kronecker_forms():
+    # the walk follows each start key's paths through the legs of a route in
+    # one loop nest, with no map per leg; so each leg is held to its
+    # Kronecker form through its route's map.  On the data with
+    # 2-dimensional legs, at every pentagon and hexagon instance (the
+    # backward ones on the reverse braiding), each route's walked end keys
+    # and map are those of the product of its legs' Kronecker forms, built
+    # from identity Kronecker products, pair02_reference and flip_reference
+    F = multiplicity_two_data()
+    mirror = reversed_braiding(F)
+    compared = []
+    for kind, args in _instances(F):
+        if kind == "pentagon":
+            (start, ends), n = _pentagon_alone(F, *args), 2
+            comps, *routes = pentagon_reference_routes(F, *args)
+        else:
+            data = F if kind == "hexagon-forward" else mirror
+            (start, ends), n = _hexagon_alone(data, *args), 1
+            comps, *routes = hexagon_forward_reference_routes(data, *args)
+            if not comps:
+                assert not start
+                continue
+        for side, (comps_out, matrix) in enumerate(routes):
+            keys = sorted(label + legs for label, dims in comps_out
+                          for legs in product(*[range(d) for d in dims]))
+            walked = _laid_out(start, ends, side, comps, comps_out, n)
+            assert walked == (keys, matrix), (kind, args, side)
+            compared.append(tuple(dims for _, dims in comps))
+    assert len(compared) == 102
+    assert ((1, 1, 2), (2, 1, 1), (2, 2, 2)) in compared and ((1, 1), (2, 2)) in compared
+
+
 def _verdict(F, mirror, instance, reference):
-    """One instance as verify_pentagon or verify_braiding decides it."""
+    """One instance as the matrix references decide it, or as the walk does."""
     name, args = instance
     if name == "pentagon":
         if reference:
             return pentagon_reference(F, *args)
-        start, route1, route2 = _pentagon_alone(F, *args)
-        return _route(start, *route1) == _route(start, *route2)
+        return _holds(_pentagon_alone(F, *args)[1])
     data = F if name == "hexagon-forward" else mirror
     if data is None:
         return False
     if not reference:
-        return hexagon_alone(data, *args)
+        return _holds(_hexagon_alone(data, *args)[1])
     try:
         return hexagon_forward_reference(data, *args)
     except (KeyError, ZeroDivisionError):
@@ -493,7 +516,7 @@ def _reference_reads(F, instances):
     assoc, braiding = _Reads(F.assoc), _Reads(F.braiding)
     assoc.seen, braiding.seen = set(), set()
     G = F.replace(assoc=assoc, braiding=braiding)
-    mirror = _reversed(G)
+    mirror = reversed_braiding(G)
     reverse = _Reads(mirror.braiding)
     reverse.seen = set()
     mirror = mirror.replace(braiding=reverse)
@@ -508,6 +531,21 @@ def _reference_reads(F, instances):
     return reads, verdicts
 
 
+def _readers(reads):
+    """Each site -> the instances that read it."""
+    readers = {}
+    for instance, sites in reads.items():
+        for site in sites:
+            readers.setdefault(site, []).append(instance)
+    return readers
+
+
+def _reference_mirror(G, site, clean_reverse):
+    """The reverse braiding of the mutant G at site, for the references: the
+    clean data's with G's associator, unless site is a braiding entry."""
+    return reversed_braiding(G) if site[0] == "braiding" else clean_reverse.replace(assoc=G.assoc)
+
+
 FIXTURES = {
     "z2-center": lambda: pointed_center_data([2]),
     "z3-center": lambda: pointed_center_data([3]),
@@ -520,7 +558,7 @@ FIXTURES = {
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_routes_match_the_matrix_references_instance_by_instance(name):
-    # The package composes scalars on basis keys; the references build
+    # The package walks scalars on basis keys; the references build
     # every block as a matrix.  Verdicts must agree at
     # every instance of the clean data and of every single-site mutant.  On
     # a mutant the reference is rerun only where it reads the mutated site;
@@ -532,24 +570,22 @@ def test_routes_match_the_matrix_references_instance_by_instance(name):
     index_one = False
     for kind, args in instances:
         if kind == "pentagon":
-            start, route1, _ = _pentagon_alone(F, *args)
-            index_one |= any(1 in key[5:] for key in _route(start, *route1)[0])
+            ends = _pentagon_alone(F, *args)[1]
+            index_one |= any(1 in key[2:] for one, _ in ends for key in one)
     assert index_one == (name == "multiplicity-two")
     reads, clean = _reference_reads(F, instances)
-    readers = {}
-    for inst in instances:
-        for site in reads[inst]:
-            readers.setdefault(site, []).append(inst)
-    clean_mirror = _reversed(F)
-    assert {inst: _verdict(F, clean_mirror, inst, reference=False) for inst in instances} == clean
+    readers = _readers(reads)
+    assert {inst: _verdict(F, F.mirror(), inst, reference=False) for inst in instances} == clean
+    clean_reverse = reversed_braiding(F)
     everywhere = name != "z3-center"
     failing = 0
     for site in fusion_entry_sites(F):
         G = mutate_fusion(F, site)
-        mirror = _reversed(G) if site[0] == "braiding" else clean_mirror.replace(assoc=G.assoc)
         touched = readers.get(site[:2], [])
         expected = dict(clean) if everywhere else {}
+        mirror = _reference_mirror(G, site, clean_reverse)
         expected.update({inst: _verdict(G, mirror, inst, reference=True) for inst in touched})
+        mirror = G.mirror()
         got = {inst: _verdict(G, mirror, inst, reference=False)
                for inst in (instances if everywhere else touched)}
         assert got == expected, site
@@ -557,23 +593,25 @@ def test_routes_match_the_matrix_references_instance_by_instance(name):
     assert failing > 0
 
 
-def test_routes_run_once_per_outer_pair(monkeypatch):
-    # the pentagon composes its two routes once per outer pair (i, j), for
-    # all 81 instances (k, l, t) of the pair on the Z3 center, the full
-    # associators one route per (x, y), for all 9 z and 9 outer indices b,
-    # and the hexagons one route per side and per family for each outer
-    # index i, for all 81 instances (j, k, t) of it
-    import nicholsforge.fusion as fusion
-
+def test_each_leg_is_read_once_per_check(monkeypatch):
+    # a check reads each leg from a table it fills on first use.  On the Z3
+    # center every block has one basis vector a side, so the pentagon walks
+    # 32,805 legs for its 6,561 instances but builds 729, one per associator
+    # block: alpha_{a,k,l} is shared by the 9 outer pairs (i, j) of each a.
+    # The hexagons build the same 729 and the 81 legs of each braiding for
+    # their 1,458 instances, and well_formed the 729 of its full associators
     calls = []
-    route = fusion._route
-    monkeypatch.setattr(fusion, "_route", lambda *args: calls.append(1) or route(*args))
+    for name in ("_alpha_legs", "_sigma_legs"):
+        legs = getattr(FusionData, name)
+        monkeypatch.setattr(FusionData, name, lambda self, *key, legs=legs, name=name:
+                            calls.append(name) or legs(self, *key))
     z3 = pointed_center_data([3])
-    assert well_formed(z3).checked == 7749 and len(calls) == 81
+    assert well_formed(z3).checked == 7749 and calls == ["_alpha_legs"] * 729
     del calls[:]
-    assert verify_pentagon(z3).checked == 6561 and len(calls) == 162
+    assert verify_pentagon(z3).checked == 6561 and calls == ["_alpha_legs"] * 729
     del calls[:]
-    assert verify_braiding(z3).checked == 1458 and len(calls) == 36
+    assert verify_braiding(z3).checked == 1458
+    assert sorted(calls) == ["_alpha_legs"] * 729 + ["_sigma_legs"] * 162
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -611,45 +649,101 @@ def test_batched_pentagon_matches_the_reference_on_every_mutant(name):
     assert failing > 0
 
 
-# -- the column walk against the compose-based route -------------------------
+def test_gauged_z3_center_multiplies_along_every_path():
+    # the Z3 center's associators are all 1, so no walk there multiplies
+    # along a pentagon path; gauged, 11 of its 729 associator scalars and 5
+    # of its 81 braiding scalars are 1.  verify_all passes, and on every 9th
+    # single-site mutant verify_pentagon and verify_braiding report what the
+    # matrix references decide, rerun only at the instances that read the
+    # mutated site
+    F = gauged(pointed_center_data([3]))
+    for family, ones in (("assoc", 11), ("braiding", 5)):
+        scalars = [v for block in getattr(F, family).values() for v in block.entries.values()]
+        assert sum(v.is_one() for v in scalars) == ones, family
+    assert all(report.passed for report in verify_all(F))
+    instances = _instances(F)
+    reads, clean = _reference_reads(F, instances)
+    assert all(clean.values())
+    readers = _readers(reads)
+    pentagons = [args for kind, args in instances if kind == "pentagon"]
+    hexagons = [(kind, args) for kind, args in instances if kind != "pentagon"]
+    clean_reverse = reversed_braiding(F)
+    sites = fusion_entry_sites(F)[::9]
+    failing = 0
+    for site in sites:
+        G = mutate_fusion(F, site)
+        mirror = _reference_mirror(G, site, clean_reverse)
+        failed = {inst for inst in readers.get(site[:2], [])
+                  if not _verdict(G, mirror, inst, reference=True)}
+        expected = [args for args in pentagons if ("pentagon", args) in failed]
+        assert verify_pentagon(G) == FusionReport(
+            "pentagon", not expected, tuple(expected[:32]), len(pentagons)), site
+        expected = []
+        for kind, args in hexagons:
+            if (kind, args) in failed:
+                if kind == "hexagon-backward":  # the instance (k, i, j, t) of (i, j, k, t)
+                    k, i, j, t = args
+                    args = (i, j, k, t)
+                expected.append((kind, *args))
+        assert verify_braiding(G) == FusionReport(
+            "braiding", not expected, tuple(expected[:32]), len(hexagons)), site
+        failing += bool(failed)
+    assert len(sites) == 94 and failing > 0
 
 
-def _checker_runs(F):
-    """Every route the checkers compose on F, batched as they batch them."""
-    well_formed(F)
-    verify_pentagon(F)
-    verify_duality(F)
-    verify_braiding(F)
+# -- the walk against the compose-based route ----------------------------------
 
 
-def _single_routes(F, mirror, instance):
-    """The routes one instance takes alone, as (start, jumps) pairs: both
-    sides of a pentagon or hexagon, or the full associator at (x, y, z, b)."""
+def _walked_routes(F, mirror, instance):
+    """The end keys and map of each route one instance walks alone: both
+    sides of a pentagon or hexagon, or the full associator at (x, y, z, b),
+    whose end keys are those of its target when it has a start key."""
+    name, args = instance
+    if name == "associator":
+        entries, src, tgt = _full_associator(F, *args)
+        return [(tgt if src else [], entries)]
+    if name == "pentagon":
+        start, ends = _pentagon_alone(F, *args)
+    else:
+        start, ends = _hexagon_alone(F if name == "hexagon-forward" else mirror, *args)
+    return [_walked(start, ends, side) for side in (0, 1)]
+
+
+def _reference_routes(F, mirror, instance):
+    """The same routes as _walked_routes, composed by route_reference from
+    jumps read off the blocks."""
     name, args = instance
     if name == "associator":
         x, y, z, b = args
-        spaces, alpha = _associator_route(F, x, y, (z,), (b,))
-        return [(spaces.get((z, b), ([], []))[0], (alpha,))]
+
+        def alpha(key):
+            a, u, v = key
+            for c, _ in F.fuse(y, z):
+                for (p, q), s in _alpha_column(F, x, y, z, a, b, c, u, v):
+                    yield (c, p, q), s
+
+        start = [(a, u, v) for a, n in F.fuse(x, y)
+                 for u, v in product(range(n), range(F.dim(a, z, b)))]
+        return [route_reference(start, alpha)]
     if name == "pentagon":
-        start, route1, route2 = _pentagon_alone(F, *args)
+        start, routes = pentagon_start(F, *args), pentagon_jumps(F, *args)
     else:
         data = F if name == "hexagon-forward" else mirror
-        start, (route1, route2) = _hexagon_start(data, *args), _hexagon_jumps(data)
-    return [(start, route1), (start, route2)]
+        start, routes = hexagon_start(data, *args), hexagon_jumps(data, *args)
+    return [route_reference(start, *jumps) for jumps in routes]
 
 
 def _package_reads(F, instances):
-    """The assoc and braiding sites each instance's routes read: the keys
-    its routes add to emptied column tables.  A backward instance reads the
+    """The assoc and braiding sites each instance's walks read: the keys
+    they add to emptied column tables.  A backward instance reads the
     reverse braiding, whose block (j, i, k) is built from the block (i, j, k)."""
-    mirror = _reversed(F)
+    mirror = F.mirror()
     tables = (F.assoc_columns, F.braid_columns, mirror.braid_columns)
     reads = {}
     for instance in instances:
         for table in tables:
             table.clear()
-        for start, jumps in _single_routes(F, mirror, instance):
-            _route(start, *jumps)
+        _walked_routes(F, mirror, instance)
         reads[instance] = ({("assoc", key) for key in F.assoc_columns}
                            | {("braiding", key) for key in F.braid_columns}
                            | {("braiding", (j, i, k)) for i, j, k in mirror.braid_columns})
@@ -657,57 +751,36 @@ def _package_reads(F, instances):
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_column_walk_matches_the_compose_route_on_every_mutant(name, monkeypatch):
-    # every route the checkers compose, on the clean data and on every
-    # single-site mutant, gives the end vertex and map of route_reference.
-    # On the Z3 center a mutant's routes are walked one instance at a time,
-    # only at the instances (pentagon, hexagon or full associator) whose
-    # routes read the mutated site; elsewhere they are the clean routes.
-    import nicholsforge.fusion as fusion
-
-    route, walked = fusion._route, []
-
-    def both(keys, *jumps):
-        keys = list(keys)
-        got = route(keys, *jumps)
-        assert got == route_reference(keys, *jumps)
-        walked.append(len(keys))
-        return got
-
-    monkeypatch.setattr(fusion, "_route", both)
+def test_column_walk_matches_the_compose_route_on_every_mutant(name):
+    # every route the checkers walk, at every instance of the clean data and
+    # of every single-site mutant, reaches the end keys and has the map of
+    # route_reference, which composes jumps read off the blocks with
+    # linalg.compose.  A mutant is walked only at the instances (pentagon,
+    # hexagon or full associator) whose walks read the mutated site;
+    # elsewhere its walks are the clean ones.
     F = FIXTURES[name]()
-    sites = fusion_entry_sites(F)
-    _checker_runs(F)
-    if name != "z3-center":
-        for site in sites:
-            _checker_runs(mutate_fusion(F, site))
-        assert len(walked) > len(sites)
-        return
     instances = _instances(F) + [("associator", args)
                                  for args in product(range(F.size), repeat=4)]
-    monkeypatch.setattr(fusion, "_route", route)
-    readers = {}
-    for instance, sites_read in _package_reads(F, instances).items():
-        for site in sites_read:
-            readers.setdefault(site, []).append(instance)
-    monkeypatch.setattr(fusion, "_route", both)
-    clean_mirror = _reversed(F)
+    sites = fusion_entry_sites(F)
+    readers = _readers(_package_reads(F, instances))
     compared = 0
-    for site in sites:
-        G = mutate_fusion(F, site)
-        mirror = _reversed(G) if site[0] == "braiding" else clean_mirror.replace(assoc=G.assoc)
-        for instance in readers.get(site[:2], []):
-            for start, jumps in _single_routes(G, mirror, instance):
-                fusion._route(start, *jumps)
+    runs = [(None, instances)] + [(site, readers.get(site[:2], [])) for site in sites]
+    for site, walked in runs:
+        G = F if site is None else mutate_fusion(F, site)
+        mirror = G.mirror()
+        for instance in walked:
+            if instance[0] != "hexagon-backward" or mirror is not None:
+                assert (_walked_routes(G, mirror, instance)
+                        == _reference_routes(G, mirror, instance)), (site, instance)
                 compared += 1
     assert compared > len(sites)
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(FIXTURES) if name != "z3-center"])
 def test_batched_hexagons_match_the_instance_walk_on_every_mutant(name):
-    # verify_braiding composes the hexagons of one outer index i in one
-    # batch per family and side; its report, with and without stop_early,
-    # must be what composing each instance alone gives
+    # verify_braiding walks the hexagons in one loop nest per check; its
+    # report, with and without stop_early, must be what composing each
+    # instance alone by route_reference gives
     F = FIXTURES[name]()
     failing = 0
     for site in [None] + fusion_entry_sites(F):

@@ -15,10 +15,6 @@ from nicholsforge.filtration import HopfFiltration, _layer_leq
 from nicholsforge.fusion import (
     FusionData,
     FusionReport,
-    _hexagon_jumps,
-    _hexagon_start,
-    _reversed,
-    _route,
     verify_braiding,
     verify_duality,
     verify_pentagon,
@@ -271,12 +267,19 @@ def fusion_mutation_detected(F):
 
 
 # -- references for the fusion checkers: routes and hexagons one at a time ----
+#
+# The package walks every path of each start key through a check's legs in
+# one loop nest.  These references compose each route jump by jump instead:
+# a jump maps a basis key to every (key_out, entry or None) its block's
+# column reaches, read off the block itself, and route_reference composes
+# the jumps' whole maps with linalg.compose.
 
 
 def route_reference(keys, *jumps):
-    """fusion._route as each jump's whole map: {(key_out, key_in): value} is
+    """A route as each jump's whole map: {(key_out, key_in): value} is
     built for every key of the vertex and merged into the running total by
-    linalg.compose.  Returns the end vertex and the composite map."""
+    linalg.compose.  Returns the end vertex, the sorted keys reached (with
+    a zero entry too), and the composite map, without zeros."""
     total = None
     for jump in jumps:
         reached = set()
@@ -291,18 +294,132 @@ def route_reference(keys, *jumps):
     return sorted(keys), total
 
 
+def _block_column(block, dims_in, dims_out, idx):
+    """Column idx of a block between multiplicity legs of these dims: every
+    tuple of output leg indices, first leg slowest, with its entry or None."""
+    col = 0
+    for i, d in zip(idx, dims_in):
+        col = col * d + i
+    return [(out, block.entries.get((r, col)))
+            for r, out in enumerate(product(*[range(d) for d in dims_out]))]
+
+
+def _alpha_column(F, x, y, z, a, b, c, u, v):
+    """Column (u, v) of alpha_{x,y,z} from (a, b) to (c, b), read off the block."""
+    return _block_column(F.assoc_block(x, y, z, a, b, c), (F.dim(x, y, a), F.dim(a, z, b)),
+                         (F.dim(x, c, b), F.dim(y, z, c)), (u, v))
+
+
+def _sigma_column(F, i, j, k, u):
+    """Column u of sigma_{i,j} at k, read off the block."""
+    return _block_column(F.braid_block(i, j, k), (F.dim(i, j, k),), (F.dim(j, i, k),), (u,))
+
+
+def pentagon_jumps(F, i, j, k, l, t):
+    """Both routes of the pentagon (i, j, k, l, t) as jumps on its keys
+    (a, b, u, v, w), with the end keys (f, g, p, q, r) the package walks to."""
+    # route 1: alpha on legs (1,2), alpha on legs (1,3), alpha on legs (2,3)
+    def alpha_ijk(key):
+        a, b, u, v, w = key
+        for c, _ in F.fuse(j, k):
+            for (p, q), s in _alpha_column(F, i, j, k, a, b, c, u, v):
+                yield (c, b, p, q, w), s
+
+    def alpha_icl(key):
+        c, b, u, v, w = key
+        for f, _ in F.fuse(c, l):
+            for (p, q), s in _alpha_column(F, i, c, l, b, t, f, u, w):
+                yield (c, f, p, v, q), s
+
+    def alpha_jkl(key):
+        c, f, u, v, w = key
+        for g, _ in F.fuse(k, l):
+            for (p, q), s in _alpha_column(F, j, k, l, c, f, g, v, w):
+                yield (f, g, u, p, q), s
+
+    # route 2: alpha on legs (2,3), then alpha on legs (1,2)
+    def alpha_akl(key):
+        a, b, u, v, w = key
+        for d, _ in F.fuse(k, l):
+            for (p, q), s in _alpha_column(F, a, k, l, b, t, d, v, w):
+                yield (a, d, u, p, q), s
+
+    def alpha_ijd(key):
+        a, d, u, v, w = key
+        for f, _ in F.fuse(j, d):
+            for (p, q), s in _alpha_column(F, i, j, d, a, t, f, u, v):
+                yield (f, d, p, q, w), s
+
+    return (alpha_ijk, alpha_icl, alpha_jkl), (alpha_akl, alpha_ijd)
+
+
+def hexagon_jumps(F, i, j, k, t):
+    """Both sides of the forward hexagon (i, j, k, t) as jumps on its keys
+    (a, u, v), with the end keys (c, p, q) the package walks to."""
+    def alpha(x, y, z):
+        def jump(key):
+            a, u, v = key
+            for c, _ in F.fuse(y, z):
+                for (p, q), s in _alpha_column(F, x, y, z, a, t, c, u, v):
+                    yield (c, p, q), s
+        return jump
+
+    def sigma_ij(key):  # sigma_{i,j} (x) 1
+        a, u, v = key
+        for (p,), s in _sigma_column(F, i, j, a, u):
+            yield (a, p, v), s
+
+    def sigma_ik(key):  # 1 (x) sigma_{i,k}
+        c, u, v = key
+        for (q,), s in _sigma_column(F, i, k, c, v):
+            yield (c, u, q), s
+
+    def flip_sigma_ic(key):  # flip . (sigma_{i,c} (x) 1)
+        c, u, v = key
+        for (p,), s in _sigma_column(F, i, c, t, u):
+            yield (c, v, p), s
+
+    return (sigma_ij, alpha(j, i, k), sigma_ik), (alpha(i, j, k), flip_sigma_ic, alpha(j, k, i))
+
+
+def pentagon_start(F, i, j, k, l, t):
+    """The start keys (a, b, u, v, w) of the pentagon (i, j, k, l, t), ascending."""
+    return [(a, b, u, v, w) for a, n_a in F.fuse(i, j) for b, n_b in F.fuse(a, k)
+            for u, v, w in product(range(n_a), range(n_b), range(F.dim(b, l, t)))]
+
+
+def hexagon_start(F, i, j, k, t):
+    """The start keys (a, u, v) of the forward hexagon (i, j, k, t), ascending."""
+    return [(a, u, v) for a, n in F.fuse(i, j) for u, v in product(range(n), range(F.dim(a, k, t)))]
+
+
 def hexagon_alone(F, i, j, k, t):
     """The forward hexagon at (i, j, k, t), both sides composed for this
-    instance alone."""
-    start = _hexagon_start(F, i, j, k, t)
-    left, right = _hexagon_jumps(F)
-    return _route(start, *left) == _route(start, *right)
+    instance alone by route_reference."""
+    start = hexagon_start(F, i, j, k, t)
+    left, right = hexagon_jumps(F, i, j, k, t)
+    return route_reference(start, *left) == route_reference(start, *right)
+
+
+def reversed_braiding(F):
+    """F with the reverse braiding sigma'_{j,i,k} = sigma_{i,j,k}^{-1}, built
+    with linalg.inverse, or None when some braiding block has no inverse."""
+    braiding = {}
+    for (i, j, k), block in F.braiding.items():
+        if block.nrows != block.ncols:
+            return None
+        try:
+            braiding[(j, i, k)] = inverse(block)
+        except ZeroDivisionError:
+            return None
+    return FusionData(F.size, F.fusion, F.assoc, braiding, F.left_units, F.right_units,
+                      F.dual, F.ev, F.coev)
 
 
 def verify_braiding_reference(F, stop_early=False):
     """verify_braiding with every hexagon instance composed on its own by
-    hexagon_alone."""
-    mirror = _reversed(F)
+    hexagon_alone, the backward ones on reversed_braiding(F)."""
+    mirror = reversed_braiding(F)
     failures = []
     checked = 0
     for i, j, k in product(range(F.size), repeat=3):
@@ -405,7 +522,10 @@ def pair02_reference(block, src, tgt):
     return Matrix(t0 * s1 * t2, s0 * s1 * s2, entries)
 
 
-def pentagon_reference(F, i, j, k, l, t):
+def pentagon_reference_routes(F, i, j, k, l, t):
+    """The start components of the pentagon (i, j, k, l, t) and the end
+    components and composite matrix of each route, every block a
+    Kronecker form."""
     start = [
         ((a, b), (n_a, n_b, F.dim(b, l, t)))
         for a, n_a in F.fuse(i, j)
@@ -450,8 +570,13 @@ def pentagon_reference(F, i, j, k, l, t):
                 block = F.assoc_block(i, j, d, a, t, f).kron(Matrix.identity(dims[2]))
                 yield (f, d), (m, n, dims[2]), block
 
-    return (block_route_reference(start, alpha_ijk, alpha_icl, alpha_jkl)
-            == block_route_reference(start, alpha_akl, alpha_ijd))
+    return (start, block_route_reference(start, alpha_ijk, alpha_icl, alpha_jkl),
+            block_route_reference(start, alpha_akl, alpha_ijd))
+
+
+def pentagon_reference(F, i, j, k, l, t):
+    _, route1, route2 = pentagon_reference_routes(F, i, j, k, l, t)
+    return route1 == route2
 
 
 def _alpha_reference(F, x, y, z, b):
@@ -464,9 +589,17 @@ def _alpha_reference(F, x, y, z, b):
 
 
 def hexagon_forward_reference(F, i, j, k, t):
+    start, left, right = hexagon_forward_reference_routes(F, i, j, k, t)
+    return not start or left == right
+
+
+def hexagon_forward_reference_routes(F, i, j, k, t):
+    """The start components of the forward hexagon (i, j, k, t) and the end
+    components and composite matrix of each side, every block a Kronecker
+    form; both sides are None when there is no start component."""
     start = [((a,), (n, F.dim(a, k, t))) for a, n in F.fuse(i, j) if F.dim(a, k, t)]
     if not start:
-        return True
+        return start, None, None
 
     def sigma_ij(key, dims):  # sigma_{i,j} (x) 1
         (a,) = key
@@ -484,8 +617,8 @@ def hexagon_forward_reference(F, i, j, k, t):
 
     left = block_route_reference(start, sigma_ij, _alpha_reference(F, j, i, k, t), sigma_ik)
     right = block_route_reference(start, _alpha_reference(F, i, j, k, t), flip_sigma_ic,
-                            _alpha_reference(F, j, k, i, t))
-    return left == right
+                                  _alpha_reference(F, j, k, i, t))
+    return start, left, right
 
 
 # -- references for constructions the package now derives by duality ----------
